@@ -9,6 +9,14 @@ with alpha > 0 (supercritical drift), beta >= 0 and a jump measure n on
 reaction-diffusion solver, the mass ordinary differential equation, the
 particle engine) consumes mechanisms through this module.
 
+The jump integral of every kind of measure is computed by one vectorized
+kernel, ``_jump_excess``, with no adaptive quadrature: atoms are summed
+exactly, a tabulated density by the trapezoid rule on its own grid, and
+truncated-stable jumps use the incomplete-gamma closed form (a power series
+for small arguments).
+``psi``, ``k``, ``LevyMeasure.excess_integral`` and the solver tables of
+``make_psi_eval`` all evaluate through it.
+
 The numeric hypothesis report mirrors the analytic conditions under which the
 front theory operates:
 
@@ -29,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 H1_GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 H1_NUMERIC_CAP = 1e12
@@ -38,6 +46,9 @@ EST_K_CAP = 1e7
 EST_K_LAMBDA_GRID = tuple(np.logspace(-8.0, -0.05, 40))
 _TAIL_EXPONENT_MARGIN = 1.001
 _ROOT_BRACKET_CAP = 1e12
+# terms n = 2..21 of the small-argument series; the first one dropped is
+# below 1e-22 of the sum for X <= 1
+_SERIES_TERMS = 20
 
 
 class MechanismError(ValueError):
@@ -125,36 +136,7 @@ class LevyMeasure:
 
     def excess_integral(self, lam: float) -> float:
         """integral (exp(-lam*y) - 1 + lam*y) n(dy) for one lam >= 0."""
-        if lam == 0.0 or self.is_trivial:
-            return 0.0
-        if self.kind == "atoms":
-            ys = np.array([p[0] for p in self.points])
-            ws = np.array([p[1] for p in self.points])
-            return float(np.sum(ws * _excess(lam * ys)))
-        if self.kind == "tabulated":
-            yg = np.asarray(self.y_grid)
-            return float(np.trapezoid(_excess(lam * yg) * np.asarray(self.density), yg))
-        # truncated-stable with no cutoff integrates exactly: differentiating
-        # under the integral twice gives Gamma(2-s) * lam**(s-2), so the
-        # integral is c * Gamma(2-s)/(s*(s-1)) * lam**s
-        s = self.index
-        full = self.c * math.gamma(2.0 - s) / (s * (s - 1.0)) * lam**s
-        if math.isinf(self.cutoff):
-            return full
-
-        # finite cutoff: quadrature split at y = 1, integrable singularity at 0
-        def f(y: float) -> float:
-            return self.c * y ** (-1.0 - s) * float(_excess(lam * y))
-
-        hi = self.cutoff
-        total, err = integrate.quad(f, 0.0, min(1.0, hi), epsabs=1e-13, epsrel=1e-10, limit=200)
-        if hi > 1.0:
-            val, e = integrate.quad(f, 1.0, hi, epsabs=1e-13, epsrel=1e-10, limit=200)
-            total += val
-            err += e
-        if not math.isfinite(total):
-            raise MechanismError("jump integral did not converge")
-        return total
+        return float(_jump_excess(self, np.asarray(lam, dtype=float)))
 
     def mass_between(self, lo: float, hi: float) -> float:
         """n((lo, hi])."""
@@ -227,19 +209,13 @@ class LevyMeasure:
             grid = np.concatenate([[1.0], yg[mask]]) if yg[mask][0] > 1.0 else yg[mask]
             dens = np.interp(grid, yg, dg)
             return float(np.trapezoid(grid * np.log(np.maximum(grid, 1.0)) ** p * dens, grid))
-        lo = 1.0
-        hi = self.cutoff
-        if hi <= lo:
+        # with y = e^u the integral is c * int_0^log(cutoff) e^(-(s-1)u) u^p du,
+        # a lower incomplete gamma function
+        if self.cutoff <= 1.0:
             return 0.0
-
-        def f(y: float) -> float:
-            return self.c * y ** (-self.index) * math.log(y) ** p
-
-        if math.isinf(hi):
-            val, _ = integrate.quad(f, lo, np.inf, epsrel=1e-8, limit=400)
-        else:
-            val, _ = integrate.quad(f, lo, hi, epsrel=1e-8, limit=400)
-        return val
+        s = self.index
+        frac = float(special.gammainc(p + 1.0, (s - 1.0) * math.log(self.cutoff)))
+        return self.c * math.gamma(p + 1.0) * frac / (s - 1.0) ** (p + 1.0)
 
     # ---- serialization ------------------------------------------------
 
@@ -268,6 +244,62 @@ class LevyMeasure:
         if kind == "tabulated":
             return cls.tabulated(blob["y"], blob["density"])
         raise MechanismError(f"unknown jump measure kind: {kind!r}")
+
+
+def _stable_cutoff_excess(x: np.ndarray, s: float) -> np.ndarray:
+    """F(X) = integral_0^X (e^-z - 1 + z) z^(-1-s) dz for index s in (1, 2), X >= 0.
+
+    Up to X = 1 the alternating series sum_{n>=2} (-1)^n X^(n-s) / (n! (n-s))
+    avoids the cancellation of the closed form; above it, integrating by
+    parts twice gives
+
+        F(X) = -X^-s g(X)/s + X^(1-s) (1 - e^-X)/(s (1-s))
+               - Gamma(2-s) P(2-s, X)/(s (1-s)),
+
+    with g(z) = e^-z - 1 + z and P the regularized lower incomplete gamma.
+    """
+    n = np.arange(2, 2 + _SERIES_TERMS)
+    coeffs = (-1.0) ** n / (special.factorial(n) * (n - s))
+    small = x <= 1.0
+    # each branch runs on every entry, with a harmless stand-in where the
+    # other branch applies
+    xs = np.where(small, x, 0.0)
+    series = xs ** (2.0 - s) * np.polynomial.polynomial.polyval(xs, coeffs)
+    xb = np.where(small, 2.0, x)
+    closed = (
+        -(xb ** (-s)) * _excess(xb) / s
+        - xb ** (1.0 - s) * np.expm1(-xb) / (s * (1.0 - s))
+        - math.gamma(2.0 - s) * special.gammainc(2.0 - s, xb) / (s * (1.0 - s))
+    )
+    return np.where(small, series, closed)
+
+
+def _jump_excess(levy: LevyMeasure, lam: np.ndarray) -> np.ndarray:
+    """integral (exp(-lam*y) - 1 + lam*y) n(dy), elementwise over an array of lam >= 0.
+
+    Every kind evaluates in closed form or by one vectorized sum: atoms sum
+    exactly, truncated-stable jumps follow c * lam**s * F(lam * cutoff)
+    (the Gamma closed form when the cutoff is infinite), and the tabulated
+    density is integrated by the trapezoid rule on its own grid, for all
+    lam at once.
+    """
+    if levy.is_trivial:
+        return np.zeros_like(lam)
+    if levy.kind == "atoms":
+        ys = np.array([p[0] for p in levy.points])
+        ws = np.array([p[1] for p in levy.points])
+        return np.sum(ws * _excess(np.multiply.outer(lam, ys)), axis=-1)
+    if levy.kind == "tabulated":
+        yg = np.asarray(levy.y_grid)
+        dg = np.asarray(levy.density)
+        return np.trapezoid(_excess(np.multiply.outer(lam, yg)) * dg, yg, axis=-1)
+    # truncated-stable with no cutoff integrates exactly: differentiating
+    # under the integral twice gives Gamma(2-s) * lam**(s-2), so the
+    # integral is c * Gamma(2-s)/(s*(s-1)) * lam**s
+    s = levy.index
+    if math.isinf(levy.cutoff):
+        return levy.c * math.gamma(2.0 - s) / (s * (s - 1.0)) * lam**s
+    return levy.c * lam**s * _stable_cutoff_excess(lam * levy.cutoff, s)
 
 
 @dataclass(frozen=True)
@@ -307,18 +339,9 @@ class NormalizedMechanism(BranchingMechanism):
 def psi(mech: BranchingMechanism, lam) -> np.ndarray | float:
     """Mechanism value, vectorized over lam >= 0."""
     arr = np.asarray(lam, dtype=float)
-    base = -mech.alpha * arr + mech.beta * arr * arr
-    levy = mech.levy
-    if levy.is_trivial:
-        out = base
-    elif levy.kind == "atoms":
-        ys = np.array([p[0] for p in levy.points])
-        ws = np.array([p[1] for p in levy.points])
-        out = base + np.sum(ws * _excess(np.multiply.outer(arr, ys)), axis=-1)
-    else:
-        flat = np.atleast_1d(arr).ravel()
-        vals = np.array([levy.excess_integral(v) for v in flat])
-        out = base + vals.reshape(arr.shape)
+    out = -mech.alpha * arr + mech.beta * arr * arr
+    if not mech.levy.is_trivial:
+        out = out + _jump_excess(mech.levy, arr)
     if out.ndim == 0:
         return float(out)
     return out
@@ -332,27 +355,12 @@ def k(mech: BranchingMechanism, lam) -> np.ndarray | float:
     integrand and vanishes smoothly as u -> 0, where k -> alpha.
     """
     arr = np.asarray(lam, dtype=float)
-    levy = mech.levy
-
-    def jump_over_lam(values: np.ndarray) -> np.ndarray:
-        if levy.is_trivial:
-            return np.zeros_like(values)
-        if levy.kind == "atoms":
-            ys = np.array([p[0] for p in levy.points])
-            ws = np.array([p[1] for p in levy.points])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ex = np.sum(ws * _excess(np.multiply.outer(values, ys)), axis=-1)
-                out = np.where(values > 0, ex / np.where(values > 0, values, 1.0), 0.0)
-            return out
-        out = np.zeros_like(values)
-        for i, v in np.ndenumerate(values):
-            out[i] = levy.excess_integral(v) / v if v > 0 else 0.0
-        return out
-
-    out = mech.alpha - mech.beta * arr - jump_over_lam(np.atleast_1d(arr) if arr.ndim else arr)
-    out = np.asarray(out)
-    if np.asarray(lam).ndim == 0:
-        return float(out.reshape(()))
+    out = mech.alpha - mech.beta * arr
+    if not mech.levy.is_trivial:
+        pos = arr > 0
+        out = out - np.where(pos, _jump_excess(mech.levy, arr) / np.where(pos, arr, 1.0), 0.0)
+    if out.ndim == 0:
+        return float(out)
     return out
 
 
@@ -440,11 +448,11 @@ def _tail_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     mask = x >= x[-1] / 10.0
     lx, ly = np.log(x[mask]), np.log(np.maximum(y[mask], 1e-300))
     slope, intercept = np.polyfit(lx, ly, 1)
-    p = -slope
+    p = -float(slope)
     if p <= _TAIL_EXPONENT_MARGIN:
         return p, math.inf
     c = math.exp(intercept)
-    tail = c * x[-1] ** (1.0 - p) / (p - 1.0)
+    tail = c * float(x[-1]) ** (1.0 - p) / (p - 1.0)
     return p, tail
 
 
@@ -563,10 +571,16 @@ def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
 def make_psi_eval(mech: BranchingMechanism, u_max: float):
     """Fast vectorized psi for solver inner loops.
 
-    Closed-form kinds evaluate directly.  Quadrature kinds are sampled once
-    on a dense log grid up to u_max and interpolated with a monotone cubic;
-    the interpolation error is far below solver truncation error.  Negative
-    arguments (transients in root guesses) continue with the linear part.
+    The quadratic, atom and cutoff-free stable kinds evaluate directly.  A
+    finite stable cutoff or a tabulated density is sampled once from the
+    jump kernel, in one call, on a 900-point log grid up to u_max, and
+    interpolated with a monotone cubic.  At the grid ratio 1.031 its
+    relative error is below 1e-6 except near the minimum of psi, where the
+    cubic flattens to a zero slope and the error reaches about 6e-5 of
+    |psi(u)| + alpha*u; either is far below solver truncation error, and a
+    table lookup is several times cheaper per call than the incomplete
+    gamma function.  Negative arguments (transients in root guesses)
+    continue with the linear part.
     """
     levy = mech.levy
     closed = (

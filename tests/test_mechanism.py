@@ -10,22 +10,30 @@ Oracle notes
   jump part exactly u**s; the test recomputes c from math.gamma so the oracle
   is independent of the package.
 * The giant-atom report case is a direct finite sum, done inline with floats.
+* Truncated-stable jumps with a finite cutoff are checked against 30-digit
+  mpmath quadrature of the defining integrals, after substitutions that make
+  the integrands smooth at the origin; the package evaluates them through
+  an incomplete-gamma closed form and a power series instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmlab.csbp import extinction_prob
 from sbmlab.mechanism import (
     EST_K_LAMBDA_GRID,
     H1_GAMMA_GRID,
     H1_NUMERIC_CAP,
+    H2_CAP,
     BranchingMechanism,
     LevyMeasure,
     MechanismError,
@@ -39,6 +47,10 @@ from sbmlab.mechanism import (
 )
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0)
+# pure-jump truncated-stable mechanism with a finite cutoff
+PURE_JUMP_CUTOFF = BranchingMechanism(
+    alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=1.0, index=1.5, cutoff=5.0)
+)
 
 
 def stable_mechanism(index: float = 1.5, cutoff: float = math.inf) -> BranchingMechanism:
@@ -94,6 +106,80 @@ class TestK:
         lam = np.logspace(-6, 2, 50)
         vals = k(mech, lam)
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def mp_stable_cutoff_excess(c: float, index: float, cutoff: float, lam: float):
+    """c * integral_0^cutoff (e^(-lam y) - 1 + lam y) y^(-1-index) dy at 30 digits.
+
+    With z = lam*y the integral is c lam^s int_0^X z^(1-s) h(z) dz, where
+    X = lam*cutoff and h(z) = (e^-z - 1 + z)/z^2 = 1F1(1; 3; -z)/2 has no
+    cancellation; then w = z^(2-s) removes the singularity at 0.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        s, x = mp.mpf(index), mp.mpf(lam) * mp.mpf(cutoff)
+        q = 1 / (2 - s)
+        breaks = [mp.mpf(0)] + [mp.mpf(10) ** e for e in range(-8, 8) if mp.mpf(10) ** e < x] + [x]
+        integral = mp.quad(lambda w: q * mp.hyp1f1(1, 3, -(w**q)) / 2, [b ** (2 - s) for b in breaks])
+        return c * mp.mpf(lam) ** s * integral
+
+
+class TestFiniteCutoffKernel:
+    LAMS = np.geomspace(1e-8, H2_CAP, 8)
+
+    @pytest.mark.parametrize("cutoff", [0.3, 5.0])
+    @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
+    def test_psi_and_k_match_mpmath_quadrature(self, index, cutoff):
+        mech = BranchingMechanism(
+            alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=0.7, index=index, cutoff=cutoff)
+        )
+        # the straddling pair sits on both sides of the series/closed-form
+        # switch at lam * cutoff = 1
+        lams = np.concatenate([self.LAMS, [(1.0 - 1e-9) / cutoff, (1.0 + 1e-9) / cutoff]])
+        jump = np.array([float(mp_stable_cutoff_excess(0.7, index, cutoff, lam)) for lam in lams])
+        for lam, ref in zip(lams, jump):
+            assert mech.levy.excess_integral(lam) == pytest.approx(ref, rel=1e-10, abs=0.0)
+        # psi = -lam + jump and k = 1 - jump/lam cancel near lambda*, so the
+        # relative bound is taken against the size of the terms
+        psi_vals = psi(mech, lams)
+        k_vals = k(mech, lams)
+        assert np.all(np.abs(psi_vals - (jump - lams)) <= 1e-10 * (lams + jump))
+        assert np.all(np.abs(k_vals - (1.0 - jump / lams)) <= 1e-10 * (1.0 + jump / lams))
+
+    @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
+    def test_continuous_across_series_switch(self, index):
+        levy = LevyMeasure.truncated_stable(c=1.0, index=index, cutoff=1.0)
+        below, above = 1.0, float(np.nextafter(1.0, 2.0))
+        j_below, j_above = levy.excess_integral(below), levy.excess_integral(above)
+        ref = float(mp_stable_cutoff_excess(1.0, index, 1.0, 1.0))
+        assert j_below == pytest.approx(ref, rel=1e-13)
+        assert j_above == pytest.approx(ref, rel=1e-13)
+        # the true step over one ulp is about index * 2.2e-16 relative
+        assert abs(j_above - j_below) <= 1e-13 * ref
+
+
+class TestH1Integral:
+    def test_stable_closed_form_spot_values(self):
+        assert LevyMeasure.truncated_stable(1.0, 1.5).h1_integral(1.0) == pytest.approx(96.0, rel=1e-14)
+        cut = LevyMeasure.truncated_stable(1.0, 1.5, cutoff=5.0)
+        assert cut.h1_integral(0.5) == pytest.approx(0.81675963487, rel=1e-10)
+        assert LevyMeasure.truncated_stable(1.0, 1.5, cutoff=0.3).h1_integral(0.5) == 0.0
+
+    @pytest.mark.parametrize("cutoff", [5.0, math.inf])
+    @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
+    def test_stable_matches_mpmath_quadrature(self, index, cutoff):
+        mp = pytest.importorskip("mpmath")
+        levy = LevyMeasure.truncated_stable(c=0.7, index=index, cutoff=cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [levy.h1_integral(gamma) for gamma in H1_GAMMA_GRID]
+        for gamma, value in zip(H1_GAMMA_GRID, values):
+            # y = e^u turns the integral over (1, cutoff) into one over (0, log cutoff)
+            with mp.workdps(30):
+                s, p = mp.mpf(index), 2 + mp.mpf(gamma)
+                top = mp.inf if math.isinf(cutoff) else mp.log(cutoff)
+                ref = 0.7 * mp.quad(lambda u: mp.exp(-(s - 1) * u) * u**p, [0, top])
+            assert value == pytest.approx(float(ref), rel=1e-10)
 
 
 class TestLambdaStar:
@@ -168,6 +254,44 @@ class TestHypotheses:
         report = check_hypotheses(mech)
         assert not report.h2
         assert not report.grey
+
+    def test_pure_jump_cutoff_mechanism_passes_every_check(self):
+        # psi grows like lam**1.5 up to the cap and beyond, so every check
+        # must pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_hypotheses(PURE_JUMP_CUTOFF)
+        assert report.h1 and report.h2 and report.h3 and report.grey
+        assert report.lambda_star == pytest.approx(0.5753195056626, rel=1e-10)
+        assert psi(PURE_JUMP_CUTOFF, 3e5) > 0.0
+        # Grey's condition holds, so extinction is no longer refused; whether
+        # the default ladder settles is a separate question
+        extinction_prob(PURE_JUMP_CUTOFF, 1.0, strict=False)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [QUADRATIC, PURE_JUMP_CUTOFF, BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.atoms([(0.5, 0.1)]))],
+        ids=["quadratic", "pure-jump-cutoff", "no-zero"],
+    )
+    def test_report_holds_plain_python_types(self, mech):
+        report = check_hypotheses(mech)
+        for name in ("h1", "h2", "h2_inconclusive", "h3", "grey", "est_k"):
+            assert type(getattr(report, name)) is bool, name
+        for name in (
+            "h2_cap_integral",
+            "h2_tail_estimate",
+            "grey_cap_integral",
+            "grey_tail_estimate",
+            "est_k_c1",
+            "est_k_gamma",
+        ):
+            assert type(getattr(report, name)) is float, name
+        assert report.lambda_star is None or type(report.lambda_star) is float
+        for pair in report.h1_values:
+            assert all(type(v) is float for v in pair)
+        if report.h3_witness is not None:
+            assert all(type(v) is float for v in report.h3_witness)
+        json.dumps(dataclasses.asdict(report))
 
 
 class TestNormalize:
