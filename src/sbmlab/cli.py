@@ -35,7 +35,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -58,10 +57,11 @@ from .csbp import CsbpError, extinction_prob, mass_laplace
 from .extremal import ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star
 from .feynman_kac import FkError, fk_estimate
 from .fronts import FrontsError, TestFunction, constant_C, constant_C_hat, constant_C_tilde
-from .kpp import Field, Grid1D, InitialCondition, KppError, front_m, solve_U
+from .kpp import SQRT2, Field, Grid1D, InitialCondition, KppError, front_m, solve_U
 from .mechanism import BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star
 from .particles import (
     AcceptanceTooLowError,
+    ConditionedClusterSample,
     ParticlesError,
     PointMeasure,
     SimConfig,
@@ -91,8 +91,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
-SQRT2 = math.sqrt(2.0)
-
 PIPELINES = (
     "mech-check",
     "kpp",
@@ -103,7 +101,6 @@ PIPELINES = (
     "extremal",
     "ldp",
     "barriers",
-    "full-acceptance",
 )
 
 _STOCHASTIC = frozenset({"fk", "simulate", "extremal"})
@@ -1010,6 +1007,15 @@ def _sim_config(config: ExperimentConfig, block: dict) -> SimConfig:
         raise CliConfigError(f"simulate: {exc}") from exc
 
 
+def _write_bank(sample: ConditionedClusterSample, art: _Artifacts) -> ClusterBank:
+    """Save the sample's bank under bank/ and register both of its files."""
+    bank = ClusterBank.from_sample(sample)
+    save_bank(bank, art.out_dir / "bank")
+    art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
+    art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
+    return bank
+
+
 def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
     sim_config = _sim_config(config, block)
@@ -1090,16 +1096,7 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
                 n_accept=int(bank_spec["n_accept"]),
                 max_attempts=bank_spec["max_attempts"],
             )
-            bank = ClusterBank(
-                clusters=sample.clusters,
-                z=sample.z,
-                t=sample.t,
-                acceptance=sample.acceptance,
-                seed=sim_config.seed,
-            )
-            save_bank(bank, art.out_dir / "bank")
-        art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
-        art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
+            bank = _write_bank(sample, art)
         config.say(
             f"bank: {bank.size} clusters at z={bank.z:g}, acceptance {bank.acceptance:.2e}"
         )
@@ -1132,16 +1129,7 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
                 t=float(build["t"]),
                 n_accept=int(build["n_accept"]),
             )
-            bank = ClusterBank(
-                clusters=sample.clusters,
-                z=sample.z,
-                t=sample.t,
-                acceptance=sample.acceptance,
-                seed=sim_config.seed,
-            )
-            save_bank(bank, art.out_dir / "bank")
-        art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
-        art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
+            bank = _write_bank(sample, art)
     expected = float(block["expected_points"])
     floor = -math.log(expected / c0) / SQRT2
     rng = np.random.default_rng([int(config.seed), 211])
@@ -1254,22 +1242,6 @@ def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
     )
 
 
-def _run_full_acceptance(config: ExperimentConfig, art: _Artifacts) -> int:
-    test_path = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-    if not test_path.is_file():
-        raise CliConfigError(
-            f"acceptance suite not found at {test_path}; run from a source checkout"
-        )
-    cmd = [sys.executable, "-m", "pytest", str(test_path), "-v", "-p", "no:cacheprovider"]
-    with art.timed("pytest"):
-        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=test_path.parents[1])
-    text = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
-    art.write_text("acceptance.txt", text, "text", "verbatim acceptance suite output")
-    tail = [line for line in proc.stdout.splitlines() if line.strip()][-1:]
-    config.say(tail[0] if tail else f"pytest exited {proc.returncode}")
-    return EXIT_OK if proc.returncode == 0 else EXIT_NUMERIC
-
-
 _RUNNERS = {
     "mech-check": _run_mech_check,
     "kpp": _run_kpp,
@@ -1280,7 +1252,6 @@ _RUNNERS = {
     "extremal": _run_extremal,
     "ldp": _run_ldp,
     "barriers": _run_barriers,
-    "full-acceptance": _run_full_acceptance,
 }
 
 _NUMERIC_ERRORS = (
@@ -1307,11 +1278,7 @@ def run_pipeline(config: ExperimentConfig) -> tuple[int, Path]:
     status, message, code = "ok", "", EXIT_OK
     t0 = time.perf_counter()
     try:
-        rc = _RUNNERS[config.pipeline](config, art)
-        if rc:
-            code = int(rc)
-            status = "failed"
-            message = "acceptance suite reported failures"
+        _RUNNERS[config.pipeline](config, art)
     except CliConfigError as exc:
         status, message, code = "config-error", str(exc), EXIT_USAGE
     except AcceptanceTooLowError as exc:

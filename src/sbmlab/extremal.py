@@ -19,15 +19,15 @@ two-sample comparison splits the bank into disjoint parts, one per arm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
 
+from .kpp import SQRT2
 from .particles import ConditionedClusterSample, PointMeasure
-
-SQRT2 = math.sqrt(2.0)
 
 DEFAULT_EXPECTED_POINTS = 1000.0
 
@@ -67,12 +67,31 @@ class ClusterBank:
             z=sample.z,
             t=sample.t,
             acceptance=sample.acceptance,
-            seed=0,
+            seed=sample.seed,
         )
 
     @property
     def size(self) -> int:
         return len(self.clusters)
+
+    @functools.cached_property
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """All atoms in one array: (locations, weights, first atom, atom count) per cluster."""
+        sizes = np.array([c.size for c in self.clusters])
+        starts = np.cumsum(sizes) - sizes
+        locs = np.concatenate([c.locations for c in self.clusters])
+        wts = np.concatenate([c.weights for c in self.clusters])
+        return locs, wts, starts, sizes
+
+    def decorate(self, shifts: np.ndarray, indices: np.ndarray) -> PointMeasure:
+        """Union of clusters indices[j] translated by shifts[j], in that order."""
+        if indices.size == 0:
+            return PointMeasure.empty()
+        locs, wts, starts, sizes = self._flat
+        n_atoms = sizes[indices]
+        first = np.cumsum(n_atoms) - n_atoms
+        gather = np.arange(int(n_atoms.sum())) + np.repeat(starts[indices] - first, n_atoms)
+        return PointMeasure(locs[gather] + np.repeat(shifts, n_atoms), wts[gather])
 
     def split(self, n_parts: int = 2) -> tuple["ClusterBank", ...]:
         """Disjoint interleaved sub-banks, one per arm of a comparison."""
@@ -114,15 +133,7 @@ class DecoratedSample:
 
     def reconstruct(self, bank: ClusterBank) -> PointMeasure:
         """Rebuild the measure from provenance; equals measure exactly."""
-        locs: list[np.ndarray] = []
-        wts: list[np.ndarray] = []
-        for e, idx in zip(self.shifts, self.cluster_indices):
-            cluster = bank.clusters[int(idx)]
-            locs.append(cluster.locations + e)
-            wts.append(cluster.weights)
-        if not locs:
-            return PointMeasure.empty()
-        return PointMeasure(np.concatenate(locs), np.concatenate(wts))
+        return bank.decorate(self.shifts, self.cluster_indices)
 
 
 def _default_floor(total_rate: float, expected: float = DEFAULT_EXPECTED_POINTS) -> float:
@@ -154,18 +165,7 @@ def sample_E_infty(
     # tail of the intensity is exponential with rate sqrt(2)
     shifts = floor + rng.exponential(1.0 / SQRT2, n)
     indices = rng.integers(0, bank.size, n)
-    locs: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
-    for e, idx in zip(shifts, indices):
-        cluster = bank.clusters[int(idx)]
-        locs.append(cluster.locations + e)
-        wts.append(cluster.weights)
-    measure = (
-        PointMeasure(np.concatenate(locs), np.concatenate(wts))
-        if locs
-        else PointMeasure.empty()
-    )
-    return DecoratedSample(measure, shifts, indices, floor)
+    return DecoratedSample(bank.decorate(shifts, indices), shifts, indices, floor)
 
 
 def sample_E_star(

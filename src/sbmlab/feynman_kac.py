@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .kpp import Field, front_m, median_m_tilde
+from .kpp import SQRT2, Field, front_m, median_m_tilde
 from .mechanism import BranchingMechanism, k as mechanism_k
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "k_integral_diagnostic",
     "k_integral_deviation_bound",
 ]
-
-SQRT2 = math.sqrt(2.0)
 
 
 class FkError(ValueError):

@@ -29,6 +29,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .kpp import (
+    SQRT2,
     Field,
     Grid1D,
     InitialCondition,
@@ -39,8 +40,6 @@ from .kpp import (
     tail_error_estimate,
 )
 from .mechanism import BranchingMechanism, check_hypotheses, lambda_star, psi
-
-SQRT2 = math.sqrt(2.0)
 
 DEFAULT_R_LADDER = (4.0, 8.0, 16.0, 32.0)
 

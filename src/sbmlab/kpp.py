@@ -40,6 +40,8 @@ __all__ = [
     "solve_V",
 ]
 
+SQRT2 = math.sqrt(2.0)  # front speed under the unit-drift normalization
+
 V_THETA_LADDER = (1e2, 1e3, 1e4)
 FRONT_GUARD_CELLS = 5
 FRONT_GUARD_TOL = 1e-6
@@ -92,7 +94,7 @@ class Grid1D:
         The half width sqrt(2) t_end + pad covers the front position plus
         its logarithmic lag and the tail the solver needs to resolve.
         """
-        half = math.ceil((math.sqrt(2.0) * t_end + pad) / dx) * dx
+        half = math.ceil((SQRT2 * t_end + pad) / dx) * dx
         return cls(x_min=-half, x_max=half, dx=dx, dt=dt, t_end=t_end)
 
     @property
@@ -167,7 +169,7 @@ def _eval_phi(phi: Callable, arg: np.ndarray) -> np.ndarray:
 
 def _tail_weight_integrable(phi: Callable) -> bool:
     y = np.linspace(0.0, 60.0, 2401)
-    g = y * np.exp(math.sqrt(2.0) * y) * _eval_phi(phi, -y)
+    g = y * np.exp(SQRT2 * y) * _eval_phi(phi, -y)
     peak = float(np.max(np.abs(g)))
     if peak == 0.0:
         return True
@@ -262,7 +264,7 @@ def tail_error_estimate(field: Field, t: float, x: float) -> float:
     """
     if t <= 0.0:
         raise KppError("need t > 0")
-    kappa = max(x / t, math.sqrt(2.0))
+    kappa = max(x / t, SQRT2)
     return kappa**4 * field.grid.dx**2 * t / 24.0
 
 

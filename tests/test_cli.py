@@ -367,6 +367,7 @@ class TestSimulatePipeline:
         bank = load_bank(out / "bank")
         assert bank.size == 5
         assert bank.z == 0.0
+        assert bank.seed == self.CFG["seed"]
         assert all(abs(c.rightmost) < 1e-12 for c in bank.clusters)
 
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):

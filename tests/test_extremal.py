@@ -7,12 +7,14 @@ elementary integral, and distributional invariances (superposability,
 the symmetric stability split) at frozen seeds.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from sbmlab.cli import load_bank, save_bank
 from sbmlab.extremal import (
     ClusterBank,
     DecoratedSample,
@@ -24,7 +26,7 @@ from sbmlab.extremal import (
     sample_E_star,
 )
 from sbmlab.fronts import TestFunction
-from sbmlab.particles import PointMeasure
+from sbmlab.particles import ConditionedClusterSample, PointMeasure
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +63,14 @@ class TestClusterBank:
         assert sum(p.size for p in parts) == bank.size
         seen = {id(c) for p in parts for c in p.clusters}
         assert len(seen) == bank.size
+
+    def test_from_sample_keeps_the_sample_seed(self, bank):
+        sample = ConditionedClusterSample(
+            clusters=bank.clusters, overshoots=np.ones(bank.size), z=0.5, t=3.0,
+            attempts=4 * bank.size, seed=2718,
+        )
+        made = ClusterBank.from_sample(sample)
+        assert (made.seed, made.z, made.t, made.acceptance) == (2718, 0.5, 3.0, 0.25)
 
     def test_split_more_ways_than_clusters_rejected(self, bank):
         with pytest.raises(ExtremalError):
@@ -136,6 +146,43 @@ class TestSampleStructure:
         rebuilt = sample.reconstruct(bank)
         assert np.array_equal(rebuilt.locations, sample.measure.locations)
         assert np.array_equal(rebuilt.weights, sample.measure.weights)
+
+    def test_zero_poisson_points_give_the_empty_measure(self, bank):
+        sample = sample_E_star(1.0, bank, 5, x_floor=60.0)
+        assert sample.n_points == 0
+        assert sample.measure.size == 0
+        assert sample.rightmost == -math.inf
+        assert sample.reconstruct(bank).size == 0
+
+    def test_matches_per_point_loop_and_reloaded_bank(self, bank, tmp_path):
+        save_bank(bank, tmp_path / "bank")
+        reloaded = load_bank(tmp_path / "bank")
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            sample = sample_E_star(1.2, bank, rng, x_floor=-1.5)
+            rebuilt = sample.reconstruct(reloaded)
+            assert np.array_equal(rebuilt.locations, sample.measure.locations)
+            assert np.array_equal(rebuilt.weights, sample.measure.weights)
+            # reference: translate the clusters one Poisson point at a time
+            pieces = [(bank.clusters[int(i)].locations + e, bank.clusters[int(i)].weights)
+                      for e, i in zip(sample.shifts, sample.cluster_indices)]
+            if pieces:
+                assert np.array_equal(np.concatenate([p[0] for p in pieces]),
+                                      sample.measure.locations)
+                assert np.array_equal(np.concatenate([p[1] for p in pieces]),
+                                      sample.measure.weights)
+
+    def test_draws_match_frozen_digest(self, bank):
+        # recorded from the per-point loop the gather replaced
+        h = hashlib.sha256()
+        rng = np.random.default_rng(2024)
+        for _ in range(5):
+            d = sample_E_star(1.3, bank, rng, x_floor=-2.0)
+            for arr in (d.shifts, d.cluster_indices, d.measure.locations, d.measure.weights):
+                h.update(arr.tobytes())
+        assert h.hexdigest() == (
+            "8e6f93720248fee2a4b3143195dbcd61710bb39e04771d05c72911d7df9bf8a2"
+        )
 
     def test_atoms_never_exceed_the_tip_shift(self, bank):
         sample = sample_E_star(1.0, bank, 11, x_floor=-1.0)

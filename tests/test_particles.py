@@ -10,6 +10,7 @@ below was sized against a measured run; seeds are frozen so the suite
 is deterministic.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from scipy import stats as sps
 
 from sbmlab import csbp
+from sbmlab import particles as particles_module
 from sbmlab.kpp import front_m
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 from sbmlab.particles import (
@@ -324,6 +326,7 @@ class TestConditionedClusters:
         assert np.all(small_cluster_sample.overshoots > 0.0)
         assert 0.0 < small_cluster_sample.acceptance <= 1.0
         assert small_cluster_sample.attempts >= 25
+        assert small_cluster_sample.seed == 606
 
     def test_single_draw_wrapper(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=6.0,
@@ -365,3 +368,104 @@ class TestJointFrontStats:
         assert all(0.0 < v <= 1.0 for v in report.laplace_values)
         assert report.laplace_target == pytest.approx(math.exp(-0.5))
         assert len(report.laplace_gaps) == 2
+
+
+# ---------------------------------------------------------------------------
+# frozen random streams
+#
+# Digests of every replica's paths, flags and cloud positions, recorded
+# from the per-replica engine that marched one replica at a time.  The
+# engine must reproduce them bit for bit however it lays out the work.
+
+
+def _digest(result) -> str:
+    h = hashlib.sha256()
+    for s in result.stats:
+        h.update(np.asarray(s.m_path + s.z_path + s.mass_path, dtype=float).tobytes())
+        ext = math.nan if s.extinction_time is None else s.extinction_time
+        h.update(np.array([ext, float(s.exploded), float(s.survived)]).tobytes())
+    for snaps in result.clouds or ():
+        for cloud in snaps:
+            h.update(np.array([cloud.time, cloud.count]).tobytes())
+            h.update(cloud.positions.tobytes())
+    return h.hexdigest()
+
+
+FROZEN = {
+    "quadratic": (
+        dict(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=1.0, seed=1, n_replicas=5,
+             snapshot_times=(0.5, 1.0)),
+        "6d70344c4d1a10a5a360f6537ecf244e8c0c981e370cef61fac2f109366d3318",
+    ),
+    "atoms": (
+        dict(mech=ATOMIC, epsilon=0.05, dt=0.002, t_end=0.5, seed=9, n_replicas=6,
+             snapshot_times=(0.2, 0.5)),
+        "2a00abd2126647894525f6d7c27ff916ec9248bbb75bff57b037605aad5d49fe",
+    ),
+    "barrier": (
+        dict(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=4.0, seed=55, n_replicas=6,
+             barrier_offset=3.0, snapshot_times=(1.0, 2.5, 4.0)),
+        "4eff512f306b676d26fe5d00c05c8321304101e8e8c891926816c238bc27d5ee",
+    ),
+    "explosion": (
+        dict(mech=QUADRATIC, epsilon=0.05, dt=0.002, t_end=3.0, seed=12, n_replicas=6,
+             explosion_cap=60, snapshot_times=(1.0, 2.0, 3.0)),
+        "aa2269fd24c08346113e071caef3efef49a2356258d8c11bd18565d6871488a3",
+    ),
+    "empty": (
+        dict(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.5, seed=3, n_replicas=3,
+             initial=PointMeasure.empty()),
+        "54b55e8430350d0d3ba356ddb0b8a232b2cca4f5223f41a257475b23e1843e79",
+    ),
+    "groups": (
+        dict(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=2.0, seed=5, n_replicas=150,
+             snapshot_times=(1.0, 2.0),
+             initial=PointMeasure(np.array([0.0, -0.5]), np.array([1.0, 0.5]))),
+        "d1e59ff0cb54df75cf621445c1b9261152017473c1e4e118657a02cbec44cc6b",
+    ),
+}
+
+
+class TestFrozenStreams:
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_replicas_match_frozen_digest(self, name):
+        kwargs, digest = FROZEN[name]
+        assert _digest(simulate(SimConfig(**kwargs))) == digest
+
+    @pytest.mark.parametrize("name", ["groups", "barrier", "atoms"])
+    @pytest.mark.parametrize("replicas,particles", [(1, 1), (3, 40), (16, 1 << 30)])
+    def test_group_layout_does_not_change_the_streams(self, monkeypatch, name, replicas, particles):
+        # tiny groups and eager halving march the replicas in many layouts
+        monkeypatch.setattr(particles_module, "_GROUP_REPLICAS", replicas)
+        monkeypatch.setattr(particles_module, "_GROUP_PARTICLES", particles)
+        kwargs, digest = FROZEN[name]
+        assert _digest(simulate(SimConfig(**kwargs))) == digest
+
+    def test_frozen_values_in_the_clear(self):
+        res = simulate(SimConfig(**FROZEN["quadratic"][0]))
+        assert res.stats[0].m_path == (1.3828673264077782, 1.0073468669440018)
+        assert [s.extinction_time for s in res.stats] == [None, None, 0.405, 0.755, None]
+
+    def test_explosion_mid_run_is_never_marked_extinct(self):
+        res = simulate(SimConfig(**FROZEN["explosion"][0]))
+        assert [s.exploded for s in res.stats] == [True] * 5 + [False]
+        # replica 3 trips the cap between the first two snapshots
+        assert res.stats[3].m_path[0] == 1.61088251626685
+        assert all(math.isnan(v) for v in res.stats[3].m_path[1:])
+        assert len(res.clouds[3]) == 1
+        for s in res.stats[:5]:
+            assert s.extinction_time is None and s.survived
+        assert res.stats[5].extinction_time == 1.118
+        assert res.stats[5].m_path[1:] == (-math.inf, -math.inf)
+
+    def test_replica_stats_do_not_depend_on_n_replicas(self):
+        kwargs = dict(FROZEN["atoms"][0], snapshot_times=(0.2, 0.5))
+        few = simulate(SimConfig(**dict(kwargs, n_replicas=3)))
+        many = simulate(SimConfig(**dict(kwargs, n_replicas=70)))
+        for a, b in zip(few.stats, many.stats[:3]):
+            assert (a.replica, a.m_path, a.z_path, a.mass_path) == (
+                b.replica, b.m_path, b.z_path, b.mass_path)
+            assert (a.extinction_time, a.exploded) == (b.extinction_time, b.exploded)
+        for ca, cb in zip(few.clouds, many.clouds[:3]):
+            for snap_a, snap_b in zip(ca, cb):
+                assert np.array_equal(snap_a.positions, snap_b.positions)
