@@ -249,21 +249,10 @@ def _build_phi(spec: dict, where: str) -> TestFunction:
         raise CliConfigError(f"{where}: {exc}") from exc
 
 
-def _phi_sup(phi: TestFunction) -> float:
-    if phi.kind == "zero":
-        return 0.0
-    if phi.kind == "scaled-indicator":
-        return phi.lam
-    if phi.kind == "compact-bump":
-        return phi.height
-    return max(phi.vals)
-
-
 def _build_data(spec, where: str) -> InitialCondition:
     if spec == "heaviside":
         return InitialCondition.heaviside()
-    phi = _build_phi(spec, where)
-    return InitialCondition.bounded(phi.evaluate, sup_norm=_phi_sup(phi))
+    return _build_phi(spec, where).to_initial_condition()
 
 
 _BLOCK_SCHEMAS: dict[str, dict] = {
@@ -569,6 +558,7 @@ class _Artifacts:
         self.out_dir = out_dir
         self.entries: list[dict] = []
         self.wall_times: dict[str, float] = {}
+        self.diagnostics: dict[str, dict] = {}
 
     def _register(self, rel: str, kind: str, description: str) -> None:
         if any(e["path"] == rel for e in self.entries):
@@ -622,6 +612,7 @@ class _Artifacts:
                 "sbmlab": __version__,
             },
             "wall_times_s": {k: round(v, 3) for k, v in sorted(self.wall_times.items())},
+            "diagnostics": self.diagnostics,
             "outputs": self.entries,
         }
         path = self.out_dir / "manifest.json"
@@ -813,6 +804,7 @@ def _run_kpp(config: ExperimentConfig, art: _Artifacts) -> None:
     init = _build_data(block["data"], "kpp.data")
     with art.timed("solve"):
         field = solve_U(config.mechanism, init, grid, snapshot_times=snaps)
+    art.diagnostics["solve"] = dict(field.diagnostics)
     header = ["x"] + [f"u_t{float(t):g}" for t in field.times]
     rows = zip(grid.x, *[field.at(float(t)) for t in field.times])
     art.write_csv("profiles.csv", header, rows, "field profiles at the snapshot times")

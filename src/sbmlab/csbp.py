@@ -9,6 +9,10 @@ so that E[exp(-theta ||X_t||)] = exp(-||X_0|| v(t, theta)).  Extinction by
 time t has probability exp(-||X_0|| v_bar(t)) with v_bar the theta -> infinity
 limit of the flow, which this module estimates from a theta ladder with a
 Richardson step (the ladder itself converges only like 1/theta).
+
+The flow takes one of two paths.  A mechanism without jumps uses the
+closed-form logistic map of ``mechanism.exact_flow``, exact to rounding;
+every jump mechanism integrates the flow with adaptive RK45.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
 
-from .mechanism import BranchingMechanism, make_psi_eval
+from .mechanism import BranchingMechanism, exact_flow, make_psi_eval
 
 __all__ = [
     "CsbpError",
@@ -66,13 +70,20 @@ def laplace_exponent(
     t: float,
     rtol: float = 1e-10,
 ) -> float:
-    """Value v(t, theta) of the mass flow started from theta."""
+    """Value v(t, theta) of the mass flow started from theta.
+
+    Exact for a mechanism without jumps; otherwise RK45 to ``rtol``.
+    """
     if not (theta >= 0.0 and math.isfinite(theta)):
         raise CsbpError(f"theta must be finite and nonnegative, got {theta}")
     if not (t >= 0.0 and math.isfinite(t)):
         raise CsbpError(f"t must be finite and nonnegative, got {t}")
     if theta == 0.0 or t == 0.0:
         return float(theta)
+
+    flow = exact_flow(mech, t)
+    if flow is not None:
+        return float(flow(theta))
 
     psi_eval = make_psi_eval(mech, u_max=max(theta, 10.0))
 

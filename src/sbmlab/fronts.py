@@ -443,10 +443,8 @@ def _aitken(vals) -> tuple[float, float]:
 def _tail_integral(field: Field, r: float, rate: float, y_req: float) -> float:
     """sqrt(2/pi) int_0^cap row(sqrt(2) r + y) y e^{rate y} dy.
 
-    Rows are the top truncation rung, not the pointwise-extrapolated ones:
-    the Aitken correction is floor noise in the far tail and the e^{rate y}
-    weight amplifies it into percent-level jitter, while the truncation bias
-    itself is far below the r-ladder resolution out there.  The cap starts
+    For a barrier field the rows are its top truncation rung; the truncation
+    bias is far below the r-ladder resolution out there.  The cap starts
     at y_req and grows while the estimated remaining tail exceeds 1% of the
     integral; when the grid cannot host a sufficient cap the computation
     refuses instead of silently truncating.
@@ -536,8 +534,8 @@ def constant_C_tilde(
 ) -> ConstantEstimate:
     """Ladder estimate of the barrier-field constant; phi = None gives the base one.
 
-    The rows come from the truncation-ladder extrapolation of the barrier
-    field, so the truncation bias sits well below the r-ladder resolution.
+    The rows come from the top rung of the barrier field's truncation
+    ladder, whose truncation bias sits well below the r-ladder resolution.
     """
     _require_unit_drift(mech)
     rs = _validate_ladder(r_ladder)

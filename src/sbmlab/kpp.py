@@ -1,11 +1,21 @@
 """Deterministic solver for the reaction-diffusion front equation.
 
 Solves u_t = u_xx / 2 - psi(u) on a uniform grid with Strang splitting:
-a half step of implicit diffusion (Crank-Nicolson, tridiagonal solve), a
-full reaction step integrated by classical RK4 with adaptive sub-stepping,
-and a second diffusion half step.  The first two time steps use
-backward-Euler diffusion halves to damp the ringing Crank-Nicolson produces
-on discontinuous data.
+a half step of implicit diffusion, a full reaction step, and a second
+diffusion half step.  The diffusion halves are Crank-Nicolson, except in
+the first two time steps, which use backward Euler to damp the ringing
+Crank-Nicolson produces on discontinuous data; both constant tridiagonal
+matrices are factored once per march (LAPACK ``dpttrf``) and each half
+step is one ``dpttrs`` solve.
+
+The reaction step takes one of two paths, recorded in
+``Field.diagnostics["reaction"]``:
+
+* ``"logistic"``: a mechanism without jumps has the closed-form logistic
+  flow (``mechanism.exact_flow``), applied once per step with no
+  reaction error;
+* ``"rk4"``: every jump mechanism integrates v' = -psi(v) pointwise with
+  classical RK4, sub-stepping so that h * |psi(u)/u| <= 0.1.
 
 Fields are stored in the coordinates where the front moves right: bounded
 initial data phi enters as u(0, x) = phi(-x), the heaviside kind is
@@ -19,13 +29,13 @@ of staying pinned at the truncation level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .mechanism import BranchingMechanism, make_psi_eval
+from .mechanism import BranchingMechanism, exact_flow, make_psi_eval
 
 __all__ = [
     "Field",
@@ -182,8 +192,11 @@ class Field:
     """Solution snapshots plus the per-step median trace.
 
     ``provenance`` says which object the field represents ("U_phi", "V_phi",
-    or "V"); barrier fields also carry the truncation ladder, the increment
-    between the two largest truncations, and the pointwise extrapolation.
+    or "V"); barrier fields also carry the truncation ladder and the
+    increment between the two largest truncations.  ``diagnostics`` records
+    the reaction path ("logistic" or "rk4"), the time steps and reaction
+    sub-steps marched (summed over the rungs of a barrier field) and the
+    largest drift seen in the edge guard cells.
     """
 
     grid: Grid1D
@@ -195,7 +208,7 @@ class Field:
     median_values: np.ndarray
     theta_ladder: tuple[float, ...] | None = None
     increments: np.ndarray | None = None
-    extrapolated: np.ndarray | None = None
+    diagnostics: Mapping[str, object] = field(default_factory=dict)
 
     def _row(self, t: float) -> int:
         hits = np.nonzero(np.abs(self.times - t) <= 1e-9)[0]
@@ -210,11 +223,6 @@ class Field:
         if self.increments is None:
             raise KppError("field has no truncation ladder")
         return self.increments[self._row(t)]
-
-    def extrapolated_at(self, t: float) -> np.ndarray:
-        if self.extrapolated is None:
-            raise KppError("field has no truncation ladder")
-        return self.extrapolated[self._row(t)]
 
     def interp(self, t: float, x) -> float | np.ndarray:
         """Bilinear value between snapshots; t and x must be inside the grid."""
@@ -318,53 +326,63 @@ def _march(
     grid: Grid1D,
     snapshot_steps: list[int],
 ):
-    """Advance the split scheme, recording snapshots and the median trace."""
-    psi_eval = make_psi_eval(mech, u_max=max(float(np.max(u0)) * 1.1, 10.0))
+    """Advance the split scheme, recording snapshots, the median trace and diagnostics."""
     dx2 = grid.dx * grid.dx
     r_cn = grid.dt / (8.0 * dx2)
     r_be = grid.dt / (4.0 * dx2)
     nx = grid.nx
-    ab_cn = np.zeros((2, nx - 2))
-    ab_cn[0, 1:] = -r_cn
-    ab_cn[1, :] = 1.0 + 2.0 * r_cn
-    ab_be = np.zeros((2, nx - 2))
-    ab_be[0, 1:] = -r_be
-    ab_be[1, :] = 1.0 + 2.0 * r_be
+    factors = {}
+    for backward_euler, r in ((False, r_cn), (True, r_be)):
+        d, e, info = dpttrf(np.full(nx - 2, 1.0 + 2.0 * r), np.full(nx - 3, -r))
+        if info != 0:
+            raise KppError(f"diffusion matrix factorization failed (info {info})")
+        factors[backward_euler] = (r, d, e)
 
-    def diffuse_half(u: np.ndarray, backward_euler: bool) -> np.ndarray:
+    def diffuse_half(u: np.ndarray, backward_euler: bool) -> None:
+        # in place; the two edge nodes do not diffuse
+        r, d, e = factors[backward_euler]
         interior = u[1:-1]
         if backward_euler:
             rhs = interior.copy()
-            rhs[0] += r_be * u[0]
-            rhs[-1] += r_be * u[-1]
-            new_int = solveh_banded(ab_be, rhs)
         else:
-            rhs = interior + r_cn * (u[:-2] - 2.0 * interior + u[2:])
-            rhs[0] += r_cn * u[0]
-            rhs[-1] += r_cn * u[-1]
-            new_int = solveh_banded(ab_cn, rhs)
-        out = np.empty_like(u)
-        out[0], out[-1] = u[0], u[-1]
-        out[1:-1] = new_int
-        return out
+            rhs = interior + r * (u[:-2] - 2.0 * interior + u[2:])
+        rhs[0] += r * u[0]
+        rhs[-1] += r * u[-1]
+        u[1:-1], _info = dpttrs(d, e, rhs, overwrite_b=1)
 
-    def react(u: np.ndarray, span: float) -> np.ndarray:
-        # boundary nodes ride along: the reaction flow is their exact evolution
-        remaining = span
-        while remaining > 1e-14 * span:
-            rates = np.abs(psi_eval(u)) / np.maximum(np.abs(u), 1e-12)
-            top = float(np.max(rates))
-            h = remaining if top <= 0.0 else min(remaining, 0.1 / top)
-            if h < span * 1e-7:
-                raise KppError("reaction sub-step collapsed; mechanism too stiff")
-            k1 = -psi_eval(u)
-            k2 = -psi_eval(u + 0.5 * h * k1)
-            k3 = -psi_eval(u + 0.5 * h * k2)
-            k4 = -psi_eval(u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            remaining -= h
-        return u
+    flow = exact_flow(mech, grid.dt)
+    if flow is not None:
+        reaction = "logistic"
 
+        def react(u: np.ndarray, span: float) -> tuple[np.ndarray, int]:
+            return flow(u), 1
+
+    else:
+        reaction = "rk4"
+        psi_eval = make_psi_eval(mech, u_max=max(float(np.max(u0)) * 1.1, 10.0))
+
+        def react(u: np.ndarray, span: float) -> tuple[np.ndarray, int]:
+            # boundary nodes ride along: the reaction flow is their exact evolution
+            remaining = span
+            substeps = 0
+            while remaining > 1e-14 * span:
+                p = psi_eval(u)
+                top = float(np.max(np.abs(p) / np.maximum(np.abs(u), 1e-12)))
+                h = remaining if top <= 0.0 else min(remaining, 0.1 / top)
+                if h < span * 1e-7:
+                    raise KppError("reaction sub-step collapsed; mechanism too stiff")
+                k1 = -p
+                k2 = -psi_eval(u + 0.5 * h * k1)
+                k3 = -psi_eval(u + 0.5 * h * k2)
+                k4 = -psi_eval(u + h * k3)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                remaining -= h
+                substeps += 1
+            return u, substeps
+
+    guard = FRONT_GUARD_CELLS
+    edges = np.r_[0:guard, nx - guard : nx]
+    anchors = np.repeat([0, nx - 1], guard)
     x = grid.x
     u = u0.astype(float).copy()
     med_times = np.empty(grid.nt + 1)
@@ -373,23 +391,28 @@ def _march(
     med_vals[0] = _median_of_profile(u, x)
     snaps = {0: u.copy()} if 0 in snapshot_steps else {}
     snap_set = set(snapshot_steps)
+    substeps = 0
+    max_drift = 0.0
 
     for k in range(grid.nt):
         startup = k < 2
-        u = diffuse_half(u, backward_euler=startup)
-        u = react(u, grid.dt)
-        u = diffuse_half(u, backward_euler=startup)
+        diffuse_half(u, backward_euler=startup)
+        u, n_sub = react(u, grid.dt)
+        diffuse_half(u, backward_euler=startup)
         np.maximum(u, 0.0, out=u)
+        substeps += n_sub
 
-        guard = FRONT_GUARD_CELLS
-        if (
-            np.max(np.abs(u[:guard] - u[0])) > FRONT_GUARD_TOL
-            or np.max(np.abs(u[-guard:] - u[-1])) > FRONT_GUARD_TOL
-        ):
+        # a non-finite node spreads through the tridiagonal solves to the
+        # guard cells, so the drift is NaN exactly when the field is
+        drift = float(np.max(np.abs(u[edges] - u[anchors])))
+        if not drift <= FRONT_GUARD_TOL:
+            t_now = (k + 1) * grid.dt
+            if math.isnan(drift):
+                raise KppError(f"field became non-finite at t={t_now:.3f}; refine dt")
             raise FrontTouchedBoundaryError(
-                f"front entered the edge guard cells at t={(k + 1) * grid.dt:.3f}; "
-                "enlarge the domain"
+                f"front entered the edge guard cells at t={t_now:.3f}; enlarge the domain"
             )
+        max_drift = max(max_drift, drift)
 
         med_times[k + 1] = (k + 1) * grid.dt
         med_vals[k + 1] = _median_of_profile(u, x)
@@ -398,7 +421,13 @@ def _march(
 
     times = np.array([s * grid.dt for s in snapshot_steps])
     stack = np.stack([snaps[s] for s in snapshot_steps])
-    return times, stack, med_times, med_vals
+    diagnostics = {
+        "reaction": reaction,
+        "steps": grid.nt,
+        "reaction_substeps": substeps,
+        "max_guard_drift": max_drift,
+    }
+    return times, stack, med_times, med_vals, diagnostics
 
 
 def solve_U(
@@ -412,7 +441,7 @@ def solve_U(
         raise KppError("solve_U takes bounded or heaviside data; use solve_V for barriers")
     steps = _snapshot_steps(grid, snapshot_times)
     u0 = init.field_values(grid.x)
-    times, stack, med_t, med_v = _march(mech, u0, grid, steps)
+    times, stack, med_t, med_v, diagnostics = _march(mech, u0, grid, steps)
     return Field(
         grid=grid,
         times=times,
@@ -421,6 +450,7 @@ def solve_U(
         theta=None,
         median_times=med_t,
         median_values=med_v,
+        diagnostics=diagnostics,
     )
 
 
@@ -434,10 +464,9 @@ def solve_V(
     """Barrier field as the monotone truncation-ladder limit.
 
     Each rung solves the front equation with data phi(-x) + theta 1_{x<0};
-    the returned field is the largest rung, with the rung-to-rung increment
-    and an Aitken extrapolation attached per snapshot.  The exact family is
-    increasing in theta, so a decreasing rung signals a discretization bug
-    and raises.
+    the returned field is the largest rung, with the increment over the
+    second largest attached per snapshot.  The exact family is increasing
+    in theta, so a decreasing rung signals a discretization bug and raises.
     """
     if phi is not None and phi.kind != "bounded":
         raise KppError("phi must be a bounded initial condition or None")
@@ -450,13 +479,12 @@ def solve_V(
     base = np.zeros_like(x) if phi is None else phi.field_values(x)
 
     stacks = []
-    med = None
-    times = None
+    runs = []
     for theta in theta_ladder:
         u0 = base + np.where(x < 0.0, theta, 0.0)
-        times, stack, med_t, med_v = _march(mech, u0, grid, steps)
+        times, stack, med_t, med_v, run = _march(mech, u0, grid, steps)
         stacks.append(stack)
-        med = (med_t, med_v)
+        runs.append(run)
 
     for lo, hi in zip(stacks, stacks[1:]):
         worst = float(np.max(lo - hi))
@@ -465,20 +493,21 @@ def solve_V(
                 f"truncation ladder decreased by {worst:.3e}; refine the grid"
             )
 
-    f1, f2, f3 = stacks[-3], stacks[-2], stacks[-1]
-    d1, d2 = f2 - f1, f3 - f2
-    denom = d1 - d2
-    safe = (d2 > 0.0) & (denom > 1e-300)
-    corr = np.where(safe, np.square(d2) / np.where(safe, denom, 1.0), 0.0)
+    diagnostics = {
+        "reaction": runs[-1]["reaction"],
+        "steps": sum(run["steps"] for run in runs),
+        "reaction_substeps": sum(run["reaction_substeps"] for run in runs),
+        "max_guard_drift": max(run["max_guard_drift"] for run in runs),
+    }
     return Field(
         grid=grid,
         times=times,
-        snapshots=f3,
+        snapshots=stacks[-1],
         provenance="V" if phi is None else "V_phi",
         theta=float(theta_ladder[-1]),
-        median_times=med[0],
-        median_values=med[1],
+        median_times=med_t,
+        median_values=med_v,
         theta_ladder=tuple(float(t) for t in theta_ladder),
-        increments=d2,
-        extrapolated=f3 + corr,
+        increments=stacks[-1] - stacks[-2],
+        diagnostics=diagnostics,
     )

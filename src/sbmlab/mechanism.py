@@ -619,6 +619,31 @@ def make_psi_eval(mech: BranchingMechanism, u_max: float):
     return eval_interp
 
 
+def exact_flow(mech: BranchingMechanism, t: float):
+    """Closed-form time-t map v0 -> v(t) of the flow v' = -psi(v), or None.
+
+    Only the jump-free mechanism psi(u) = -alpha*u + beta*u**2 has one here,
+    the logistic flow
+
+        v(t) = v0 e^{alpha t} / (1 + beta (e^{alpha t} - 1) v0 / alpha).
+
+    Negative inputs follow the linear part, as in ``make_psi_eval``, so they
+    become v0 e^{alpha t}.  Every other mechanism returns None and is left
+    to a numerical integrator.
+    """
+    if not mech.levy.is_trivial:
+        return None
+    growth = math.exp(mech.alpha * t)
+    slope = mech.beta * math.expm1(mech.alpha * t) / mech.alpha
+
+    def flow(v0):
+        arr = np.asarray(v0, dtype=float)
+        pos = np.maximum(arr, 0.0)
+        return np.where(arr < 0, growth * arr, growth * pos / (1.0 + slope * pos))
+
+    return flow
+
+
 def mechanism_to_json(mech: BranchingMechanism) -> str:
     return json.dumps({"alpha": mech.alpha, "beta": mech.beta, "levy": mech.levy.to_dict()})
 

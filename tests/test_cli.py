@@ -225,7 +225,11 @@ class TestKppPipeline:
         out = tmp_path / "kpp"
         assert main(["kpp", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         capsys.readouterr()
-        check_manifest_covers_dir(str(out))
+        manifest = check_manifest_covers_dir(str(out))
+        assert manifest["diagnostics"]["solve"]["reaction"] == "logistic"
+        assert manifest["diagnostics"]["solve"]["steps"] == 40
+        assert manifest["diagnostics"]["solve"]["reaction_substeps"] == 40
+        assert 0.0 <= manifest["diagnostics"]["solve"]["max_guard_drift"] <= 1e-6
         header = (out / "profiles.csv").read_text().splitlines()[0]
         assert header.split(",") == ["x", "u_t0", "u_t0.25", "u_t0.5", "u_t1"]
         med = (out / "median.csv").read_text().splitlines()

@@ -8,8 +8,9 @@ and the pure-stable mechanism psi(u) = -u + u^s is a Bernoulli equation with
 
     v(t, theta) = (1 + (theta^(1-s) - 1) e^((1-s) t))^(1/(1-s)).
 
-Both are used as frozen oracles below; neither is computed by the module under
-test, which integrates the flow ODE numerically.
+Both are used as frozen oracles below and written out here, not taken from the
+module under test, which applies the logistic map for the quadratic mechanism
+and integrates the flow ODE numerically for jump mechanisms.
 """
 
 import math
@@ -60,6 +61,15 @@ class TestLaplaceExponent:
             for t in (0.1, 0.9, 2.5):
                 v = laplace_exponent(QUADRATIC, theta=theta, t=t)
                 assert v == pytest.approx(logistic_v(t, theta), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0)])
+    def test_quadratic_is_the_logistic_formula(self, alpha, beta):
+        for theta in (1e-3, 0.25, 1.0, 7.0, 1e6):
+            for t in (1e-3, 0.4, 3.0, 25.0):
+                growth = math.exp(alpha * t)
+                exact = theta * growth / (1.0 + beta * (growth - 1.0) * theta / alpha)
+                v = laplace_exponent(BranchingMechanism(alpha=alpha, beta=beta), theta, t)
+                assert v == pytest.approx(exact, rel=1e-13)
 
     def test_stable_against_bernoulli_closed_form(self):
         for theta in (0.5, 2.0, 20.0):

@@ -38,6 +38,7 @@ from sbmlab.mechanism import (
     LevyMeasure,
     MechanismError,
     check_hypotheses,
+    exact_flow,
     k,
     lambda_star,
     mechanism_from_json,
@@ -199,6 +200,24 @@ class TestLambdaStar:
         mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.atoms([(0.5, 0.1)]))
         with pytest.raises(MechanismError):
             lambda_star(mech)
+
+
+class TestExactFlow:
+    def test_quadratic_map_values(self):
+        # psi = -2u + u**2: v(t) = 2 v0 e^{2t} / (2 + (e^{2t} - 1) v0)
+        flow = exact_flow(BranchingMechanism(alpha=2.0, beta=1.0), 0.5)
+        e = math.e
+        v0 = np.array([0.0, 0.3, 2.0, 50.0])
+        expected = 2.0 * v0 * e / (2.0 + (e - 1.0) * v0)
+        assert np.allclose(flow(v0), expected, rtol=1e-15, atol=0.0)
+
+    def test_negative_inputs_follow_the_linear_part(self):
+        flow = exact_flow(QUADRATIC, 0.7)
+        assert flow(-0.25) == pytest.approx(-0.25 * math.exp(0.7), rel=1e-15)
+
+    def test_jump_mechanisms_have_no_closed_form(self):
+        assert exact_flow(stable_mechanism(1.5), 1.0) is None
+        assert exact_flow(PURE_JUMP_CUTOFF, 1.0) is None
 
 
 class TestHypotheses:
