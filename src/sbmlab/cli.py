@@ -58,7 +58,7 @@ from .extremal import ClusterBank, ExtremalError, exp_stability_check, rightmost
 from .feynman_kac import FkError, fk_estimate
 from .fronts import FrontsError, TestFunction, constant_C, constant_C_hat, constant_C_tilde
 from .kpp import SQRT2, Field, Grid1D, InitialCondition, KppError, front_m, solve_U
-from .mechanism import BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star
+from .mechanism import BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star, mechanism_to_dict
 from .particles import (
     AcceptanceTooLowError,
     ConditionedClusterSample,
@@ -486,7 +486,7 @@ class ExperimentConfig:
         canonical = json.dumps(
             {
                 "pipeline": pipeline,
-                "mechanism": json.loads(mechanism_to_canonical(mechanism)),
+                "mechanism": mechanism_to_dict(mechanism),
                 "seed": seed,
                 "replicas": replicas,
                 "block": block,
@@ -509,15 +509,6 @@ class ExperimentConfig:
     def say(self, message: str) -> None:
         if not self.quiet:
             print(message)
-
-
-def mechanism_to_canonical(mech: BranchingMechanism) -> str:
-    """Stable JSON form of a mechanism, used for hashing and manifests."""
-    return json.dumps(
-        {"alpha": mech.alpha, "beta": mech.beta, "levy": mech.levy.to_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +593,7 @@ class _Artifacts:
             "message": message,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "config_sha256": config.config_hash,
-            "mechanism": json.loads(mechanism_to_canonical(config.mechanism)),
+            "mechanism": mechanism_to_dict(config.mechanism),
             "seed": config.seed,
             "replicas": config.replicas,
             "versions": {
@@ -736,7 +727,7 @@ def _run_mech_check(config: ExperimentConfig, art: _Artifacts) -> None:
     with art.timed("checks"):
         report = check_hypotheses(config.mechanism)
     payload = dataclasses.asdict(report)
-    payload["mechanism"] = json.loads(mechanism_to_canonical(config.mechanism))
+    payload["mechanism"] = mechanism_to_dict(config.mechanism)
     art.write_json("report.json", payload, "hypothesis checks and lambda_star")
     config.say(
         f"h1={report.h1} h2={report.h2} h3={report.h3} grey={report.grey} "
@@ -774,7 +765,7 @@ def _run_csbp(config: ExperimentConfig, art: _Artifacts) -> None:
             "extinction.csv",
             ["t", "prob", "v_bar", "converged"],
             ext_rows,
-            "extinction probability by time with ladder diagnostics",
+            "extinction probability by time, from the flow started at infinity",
         )
         summary["extinction_final_t"] = ext_rows[-1][1]
         summary["extinction_limit"] = math.exp(-mass * summary["lambda_star"])

@@ -91,7 +91,8 @@ class ClusterBank:
         n_atoms = sizes[indices]
         first = np.cumsum(n_atoms) - n_atoms
         gather = np.arange(int(n_atoms.sum())) + np.repeat(starts[indices] - first, n_atoms)
-        return PointMeasure(locs[gather] + np.repeat(shifts, n_atoms), wts[gather])
+        # the bank's clusters were validated when it was built
+        return PointMeasure.from_checked(locs[gather] + np.repeat(shifts, n_atoms), wts[gather])
 
     def split(self, n_parts: int = 2) -> tuple["ClusterBank", ...]:
         """Disjoint interleaved sub-banks, one per arm of a comparison."""

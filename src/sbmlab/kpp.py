@@ -8,14 +8,11 @@ Crank-Nicolson produces on discontinuous data; both constant tridiagonal
 matrices are factored once per march (LAPACK ``dpttrf``) and each half
 step is one ``dpttrs`` solve.
 
-The reaction step takes one of two paths, recorded in
-``Field.diagnostics["reaction"]``:
-
-* ``"logistic"``: a mechanism without jumps has the closed-form logistic
-  flow (``mechanism.exact_flow``), applied once per step with no
-  reaction error;
-* ``"rk4"``: every jump mechanism integrates v' = -psi(v) pointwise with
-  classical RK4, sub-stepping so that h * |psi(u)/u| <= 0.1.
+The reaction step applies ``mechanism.flow_map``, the time-dt map of
+v' = -psi(v), once per step at every node: the logistic closed form for a
+mechanism without jumps (exact to rounding), the mechanism's flow table
+otherwise (about 1e-9 relative).  ``Field.diagnostics["reaction"]`` records
+which ("logistic" or "table").
 
 Fields are stored in the coordinates where the front moves right: bounded
 initial data phi enters as u(0, x) = phi(-x), the heaviside kind is
@@ -35,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .mechanism import BranchingMechanism, exact_flow, make_psi_eval
+from .mechanism import BranchingMechanism, flow_map
 
 __all__ = [
     "Field",
@@ -194,9 +191,9 @@ class Field:
     ``provenance`` says which object the field represents ("U_phi", "V_phi",
     or "V"); barrier fields also carry the truncation ladder and the
     increment between the two largest truncations.  ``diagnostics`` records
-    the reaction path ("logistic" or "rk4"), the time steps and reaction
-    sub-steps marched (summed over the rungs of a barrier field) and the
-    largest drift seen in the edge guard cells.
+    the form of the reaction map ("logistic" or "table"), the time steps
+    marched (summed over the rungs of a barrier field) and the largest drift
+    seen in the edge guard cells.
     """
 
     grid: Grid1D
@@ -350,35 +347,8 @@ def _march(
         rhs[-1] += r * u[-1]
         u[1:-1], _info = dpttrs(d, e, rhs, overwrite_b=1)
 
-    flow = exact_flow(mech, grid.dt)
-    if flow is not None:
-        reaction = "logistic"
-
-        def react(u: np.ndarray, span: float) -> tuple[np.ndarray, int]:
-            return flow(u), 1
-
-    else:
-        reaction = "rk4"
-        psi_eval = make_psi_eval(mech, u_max=max(float(np.max(u0)) * 1.1, 10.0))
-
-        def react(u: np.ndarray, span: float) -> tuple[np.ndarray, int]:
-            # boundary nodes ride along: the reaction flow is their exact evolution
-            remaining = span
-            substeps = 0
-            while remaining > 1e-14 * span:
-                p = psi_eval(u)
-                top = float(np.max(np.abs(p) / np.maximum(np.abs(u), 1e-12)))
-                h = remaining if top <= 0.0 else min(remaining, 0.1 / top)
-                if h < span * 1e-7:
-                    raise KppError("reaction sub-step collapsed; mechanism too stiff")
-                k1 = -p
-                k2 = -psi_eval(u + 0.5 * h * k1)
-                k3 = -psi_eval(u + 0.5 * h * k2)
-                k4 = -psi_eval(u + h * k3)
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                remaining -= h
-                substeps += 1
-            return u, substeps
+    # boundary nodes ride along: the reaction flow is their exact evolution
+    flow = flow_map(mech, grid.dt)
 
     guard = FRONT_GUARD_CELLS
     edges = np.r_[0:guard, nx - guard : nx]
@@ -391,16 +361,14 @@ def _march(
     med_vals[0] = _median_of_profile(u, x)
     snaps = {0: u.copy()} if 0 in snapshot_steps else {}
     snap_set = set(snapshot_steps)
-    substeps = 0
     max_drift = 0.0
 
     for k in range(grid.nt):
         startup = k < 2
         diffuse_half(u, backward_euler=startup)
-        u, n_sub = react(u, grid.dt)
+        u = flow(u)
         diffuse_half(u, backward_euler=startup)
         np.maximum(u, 0.0, out=u)
-        substeps += n_sub
 
         # a non-finite node spreads through the tridiagonal solves to the
         # guard cells, so the drift is NaN exactly when the field is
@@ -422,9 +390,8 @@ def _march(
     times = np.array([s * grid.dt for s in snapshot_steps])
     stack = np.stack([snaps[s] for s in snapshot_steps])
     diagnostics = {
-        "reaction": reaction,
+        "reaction": flow.form,
         "steps": grid.nt,
-        "reaction_substeps": substeps,
         "max_guard_drift": max_drift,
     }
     return times, stack, med_times, med_vals, diagnostics
@@ -496,7 +463,6 @@ def solve_V(
     diagnostics = {
         "reaction": runs[-1]["reaction"],
         "steps": sum(run["steps"] for run in runs),
-        "reaction_substeps": sum(run["reaction_substeps"] for run in runs),
         "max_guard_drift": max(run["max_guard_drift"] for run in runs),
     }
     return Field(

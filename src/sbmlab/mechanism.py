@@ -13,9 +13,15 @@ The jump integral of every kind of measure is computed by one vectorized
 kernel, ``_jump_excess``, with no adaptive quadrature: atoms are summed
 exactly, a tabulated density by the trapezoid rule on its own grid, and
 truncated-stable jumps use the incomplete-gamma closed form (a power series
-for small arguments).
-``psi``, ``k``, ``LevyMeasure.excess_integral`` and the solver tables of
-``make_psi_eval`` all evaluate through it.
+for small arguments).  ``psi``, ``k`` and ``LevyMeasure.excess_integral``
+all evaluate through it.
+
+The scalar flow v' = -psi(v) behind the total mass, extinction and the
+reaction of the field march has one implementation, ``flow_map``: its
+time-t map, defined for v0 = infinity too.  It is the logistic closed form
+without jumps; a jump mechanism gets a table of the flow's time coordinate
+on each side of lambda*, built once from one vectorized psi call after Grey
+(1974), G(v) = integral_v^inf du/psi(u) and v(t) = G^-1(G(v0) + t).
 
 The numeric hypothesis report mirrors the analytic conditions under which the
 front theory operates:
@@ -32,6 +38,7 @@ with a power law, and a report never silently extrapolates past its cap.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -568,84 +575,201 @@ def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
     )
 
 
-def make_psi_eval(mech: BranchingMechanism, u_max: float):
-    """Fast vectorized psi for solver inner loops.
+class GreyViolatedError(MechanismError):
+    """The descent from infinity diverges: integral^inf du / psi(u) is infinite."""
 
-    The quadratic, atom and cutoff-free stable kinds evaluate directly.  A
-    finite stable cutoff or a tabulated density is sampled once from the
-    jump kernel, in one call, on a 900-point log grid up to u_max, and
-    interpolated with a monotone cubic.  At the grid ratio 1.031 its
-    relative error is below 1e-6 except near the minimum of psi, where the
-    cubic flattens to a zero slope and the error reaches about 6e-5 of
-    |psi(u)| + alpha*u; either is far below solver truncation error, and a
-    table lookup is several times cheaper per call than the incomplete
-    gamma function.  Negative arguments (transients in root guesses)
-    continue with the linear part.
+
+# The flow table of a jump mechanism lives in a log coordinate w on each side
+# of lambda*: cells of 0.05 for |w| <= 25, where psi changes shape, and of
+# 0.5 out to v = _FLOW_FLOOR below lambda* and v = _FLOW_TOP above it (where
+# beta*v**2 and v**index are still finite).  One far node past each end
+# carries the asymptotics over every other double: at |w| = _FLOW_FAR_W,
+# where v and lambda* agree in double precision, and 30 decades below
+# _FLOW_FLOOR and 160 above _FLOW_TOP.
+_FLOW_FLOOR = 1e-300
+_FLOW_TOP = 1e150
+_FLOW_FAR_W = 40.0
+_FLOW_FAR_BELOW = 30.0 * math.log(10.0)
+_FLOW_FAR_ABOVE = 160.0 * math.log(10.0)
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _cell_edges(lo: float, hi: float) -> np.ndarray:
+    """Cell edges from lo <= -25 to hi >= 25: 0.05 apart on [-25, 25], about 0.5 outside."""
+    below = np.linspace(lo, -25.0, math.ceil((-25.0 - lo) / 0.5) + 1)
+    above = np.linspace(25.0, hi, math.ceil((hi - 25.0) / 0.5) + 1)
+    return np.concatenate([below[:-1], np.linspace(-25.0, 25.0, 1001), above[1:]])
+
+
+def _integrate(edges: np.ndarray, density) -> tuple[np.ndarray, np.ndarray]:
+    """A positive density at the edges, and its integral over each cell (8-node Gauss-Legendre)."""
+    half = 0.5 * np.diff(edges)
+    at_edges = density(edges)
+    cells = half * (density((edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES) @ _GAUSS_WEIGHTS)
+    if not (np.all(at_edges > 0.0) and np.all(cells > 0.0)):
+        raise MechanismError("psi vanishes away from lambda*; the flow table cannot be built")
+    return at_edges, cells
+
+
+class _Hermite:
+    """Cubic Hermite interpolant through (x, y) with slopes dy/dx, x increasing.
+
+    Arguments outside [x[0], x[-1]] get the end value.
     """
-    levy = mech.levy
-    closed = (
-        levy.is_trivial
-        or levy.kind == "atoms"
-        or (levy.kind == "truncated-stable" and math.isinf(levy.cutoff))
-    )
-    if closed:
-        if levy.kind == "truncated-stable":
-            s = levy.index
-            coeff = levy.c * math.gamma(2.0 - s) / (s * (s - 1.0))
 
-            def eval_closed(u):
-                arr = np.asarray(u, dtype=float)
-                pos = np.maximum(arr, 0.0)
-                vals = -mech.alpha * pos + mech.beta * pos * pos + coeff * pos**s
-                return np.where(arr < 0, -mech.alpha * arr, vals)
-        else:
-            def eval_closed(u):
-                arr = np.maximum(np.asarray(u, dtype=float), 0.0)
-                return np.where(np.asarray(u) < 0, -mech.alpha * np.asarray(u, dtype=float), psi(mech, arr))
+    def __init__(self, x: np.ndarray, y: np.ndarray, slope: np.ndarray):
+        rise = np.diff(y)
+        d0, d1 = slope[:-1] * np.diff(x), slope[1:] * np.diff(x)
+        # on a cell, y = y0 + s (d0 + s (c2 + s c3)) with s in [0, 1]; a last
+        # constant cell takes s = 0 at x[-1]
+        coef = np.stack([y[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise])
+        self.coef = np.c_[coef, [y[-1], 0.0, 0.0, 0.0]]
+        self.x, self.index = x, np.arange(x.size, dtype=float)
 
-        return eval_closed
-
-    from scipy.interpolate import PchipInterpolator
-
-    u_max = max(float(u_max), 10.0)
-    grid = np.concatenate([[0.0], np.geomspace(u_max * 1e-12, u_max * 1.01, 900)])
-    vals = np.asarray(psi(mech, grid))
-    interp = PchipInterpolator(grid, vals, extrapolate=True)
-
-    def eval_interp(u):
-        arr = np.asarray(u, dtype=float)
-        return np.where(arr < 0, -mech.alpha * arr, interp(np.maximum(arr, 0.0)))
-
-    return eval_interp
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        pos = np.interp(q, self.x, self.index)
+        i = pos.astype(np.intp)
+        s = pos - i
+        y0, d0, c2, c3 = self.coef[:, i]
+        return y0 + s * (d0 + s * (c2 + s * c3))
 
 
-def exact_flow(mech: BranchingMechanism, t: float):
-    """Closed-form time-t map v0 -> v(t) of the flow v' = -psi(v), or None.
+class _FlowTable:
+    """Time coordinates of the flow v' = -psi(v) on both sides of lambda*.
 
-    Only the jump-free mechanism psi(u) = -alpha*u + beta*u**2 has one here,
-    the logistic flow
+    Above lambda*, with w = log((v - lambda*)/lambda*), G(v) = integral_v^inf
+    du/psi(u) is the time the flow takes to come down from infinity (Grey
+    1974), so v(t) = G^-1(G(v0) + t) and G(inf) = 0.  Below lambda*, with
+    w = log(v/(lambda* - v)), R(v) = -integral_v^{v_hi} du/psi(u) is the time
+    to climb to the top of the table, v_hi, so v(t) = R^-1(R(v0) + t).  In
+    these coordinates dG/dw and dR/dw are smooth and tend to constants at the
+    fixed points, where psi is linear.  The upper table is interpolated as
+    y = -log G, which is linear in w where psi is a power law.  Both
+    directions of both tables are cubic Hermite with the exact slopes.
 
-        v(t) = v0 e^{alpha t} / (1 + beta (e^{alpha t} - 1) v0 / alpha).
-
-    Negative inputs follow the linear part, as in ``make_psi_eval``, so they
-    become v0 e^{alpha t}.  Every other mechanism returns None and is left
-    to a numerical integrator.
+    Past the cells, G and R are linear in w at the fixed points and, above
+    _FLOW_TOP, psi is the power law u**p of its local exponent there.
+    Grey's condition holds when p - 1 exceeds the margin of the hypothesis
+    checks; otherwise G is anchored at _FLOW_TOP instead of infinity, and an
+    argument above _FLOW_TOP raises GreyViolatedError.
     """
+
+    def __init__(self, mech: BranchingMechanism):
+        lam = self.lam = lambda_star(mech)
+        self.alpha = mech.alpha
+
+        # above lambda*: -dG/dw = (v - lambda*)/psi(v)
+        up = _cell_edges(-25.0, math.log(_FLOW_TOP / lam))
+        f, cells = _integrate(up, lambda w: lam * np.exp(w) / psi(mech, lam + lam * np.exp(w)))
+        tail = -math.log(f[-1] / f[-2]) / (up[-1] - up[-2])  # p - 1 for psi ~ u**p
+        self.grey = tail > _TAIL_EXPONENT_MARGIN - 1.0
+        g_top = f[-1] / tail if self.grey else f[-1]
+        g = g_top + np.r_[np.cumsum(cells[::-1])[::-1], 0.0]
+        g_far = g[0] + f[0] * (up[0] + _FLOW_FAR_W)
+        top = f[-1] / g_top
+        w = np.r_[-_FLOW_FAR_W, up, up[-1] + _FLOW_FAR_ABOVE]
+        y = np.r_[-math.log(g_far), -np.log(g), -math.log(g_top) + top * _FLOW_FAR_ABOVE]
+        slope = np.r_[f[0] / g_far, f / g, top]
+        self.w_top = up[-1]
+        self.up, self.up_inv = _Hermite(w, y, slope), _Hermite(y, w, 1.0 / slope)
+
+        # below lambda*: dR/dw = (dv/dw)/(-psi(v))
+        down = _cell_edges(math.log(_FLOW_FLOOR / lam), 25.0)
+        f, cells = _integrate(
+            down, lambda w: lam * special.expit(w) * special.expit(-w) / -psi(mech, lam * special.expit(w))
+        )
+        r = -np.r_[np.cumsum(cells[::-1])[::-1], 0.0]
+        w = np.r_[down[0] - _FLOW_FAR_BELOW, down, _FLOW_FAR_W]
+        r = np.r_[r[0] - f[0] * _FLOW_FAR_BELOW, r, r[-1] + f[-1] * (_FLOW_FAR_W - down[-1])]
+        slope = np.r_[f[0], f, f[-1]]
+        self.down, self.down_inv = _Hermite(w, r, slope), _Hermite(r, w, 1.0 / slope)
+
+    def advance(self, v0, t: float) -> np.ndarray:
+        v0 = np.asarray(v0, dtype=float)
+        # 0 and lambda* are fixed; negative values follow the linear part
+        out = np.where(v0 < 0.0, math.exp(self.alpha * t), 1.0)
+        out *= v0
+        above = v0 > self.lam
+        if above.any():
+            out[above] = self._descend(v0[above], t)
+        below = (v0 > 0.0) & (v0 < self.lam)
+        if below.any():
+            out[below] = self._climb(v0[below], t)
+        return out
+
+    def _descend(self, v0: np.ndarray, t: float) -> np.ndarray:
+        w0 = np.log(v0 - self.lam) - math.log(self.lam)
+        if not self.grey and np.any(w0 > self.w_top):
+            raise GreyViolatedError(
+                f"integral^inf du/psi(u) diverges (psi grows about linearly at {_FLOW_TOP:g}); "
+                f"the flow from above {_FLOW_TOP:g}, infinity included, is undefined"
+            )
+        g0 = np.exp(-self.up(w0))
+        g0[w0 == math.inf] = 0.0
+        return self.lam + self.lam * np.exp(self.up_inv(-np.log(g0 + t)))
+
+    def _climb(self, v0: np.ndarray, t: float) -> np.ndarray:
+        w0 = np.log(v0 / (self.lam - v0))
+        return self.lam * special.expit(self.down_inv(self.down(w0) + t))
+
+
+@functools.lru_cache(maxsize=8)
+def _flow_table(mech: BranchingMechanism) -> _FlowTable:
+    return _FlowTable(mech)
+
+
+def flow_map(mech: BranchingMechanism, t: float):
+    """Time-t map v0 -> v(t) of the flow v' = -psi(v), vectorized; v0 = inf allowed.
+
+    A jump-free mechanism psi(u) = -alpha*u + beta*u**2 has the logistic
+    closed form
+
+        v(t) = v0 e^{alpha t} / (1 + beta (e^{alpha t} - 1) v0 / alpha),
+
+    and v(t) = alpha e^{alpha t} / (beta (e^{alpha t} - 1)) from v0 = inf.
+    Every jump mechanism goes through its flow table (``_FlowTable``), built
+    once per mechanism; against the Bernoulli closed form of pure stable psi
+    and DOP853 references its relative error is about 1e-9.  Either way 0
+    and lambda* are fixed points and negative inputs follow the linear part,
+    to v0 e^{alpha t}.  The flow from infinity raises GreyViolatedError when
+    integral^inf du/psi(u) diverges.
+
+    The returned function's ``form`` names the form used: "logistic" or
+    "table".
+    """
+    if not (t > 0.0 and math.isfinite(t)):
+        raise MechanismError(f"flow time must be positive and finite, got {t}")
     if not mech.levy.is_trivial:
-        return None
+        table = _flow_table(mech)
+
+        def flow(v0):
+            return table.advance(v0, t)
+
+        flow.form = "table"
+        return flow
+
     growth = math.exp(mech.alpha * t)
     slope = mech.beta * math.expm1(mech.alpha * t) / mech.alpha
 
     def flow(v0):
         arr = np.asarray(v0, dtype=float)
         pos = np.maximum(arr, 0.0)
+        if pos.max(initial=0.0) == math.inf:
+            top = pos == math.inf
+            return np.where(top, growth / slope, flow(np.where(top, 0.0, arr)))
         return np.where(arr < 0, growth * arr, growth * pos / (1.0 + slope * pos))
 
+    flow.form = "logistic"
     return flow
 
 
+def mechanism_to_dict(mech: BranchingMechanism) -> dict:
+    """Plain-JSON form of a mechanism, for serialization, hashing and manifests."""
+    return {"alpha": mech.alpha, "beta": mech.beta, "levy": mech.levy.to_dict()}
+
+
 def mechanism_to_json(mech: BranchingMechanism) -> str:
-    return json.dumps({"alpha": mech.alpha, "beta": mech.beta, "levy": mech.levy.to_dict()})
+    return json.dumps(mechanism_to_dict(mech))
 
 
 def mechanism_from_json(blob: str | dict) -> BranchingMechanism:

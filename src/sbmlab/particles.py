@@ -100,6 +100,14 @@ class PointMeasure:
         object.__setattr__(self, "weights", wts)
 
     @classmethod
+    def from_checked(cls, locations: np.ndarray, weights: np.ndarray) -> "PointMeasure":
+        """Measure from matching 1-d float arrays of atoms that passed the constructor's checks."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "locations", locations)
+        object.__setattr__(measure, "weights", weights)
+        return measure
+
+    @classmethod
     def empty(cls) -> "PointMeasure":
         return cls(np.empty(0), np.empty(0))
 

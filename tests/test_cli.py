@@ -31,6 +31,11 @@ from sbmlab.extremal import ClusterBank
 from sbmlab.particles import PointMeasure
 
 QUAD = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none"}}
+JUMPS = {
+    "alpha": 1.0,
+    "beta": 0.0,
+    "levy": {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -155,6 +160,14 @@ class TestPrecedence:
         assert base.config_hash == moved.config_hash
         assert base.config_hash != reseeded.config_hash
 
+    def test_hash_is_frozen(self):
+        # recorded before the mechanism's JSON form moved to mechanism.py;
+        # the canonical form, and every hash made from it, must not change
+        config = ExperimentConfig.from_sources("csbp", {"mechanism": JUMPS}, env={})
+        assert config.config_hash == (
+            "a18bffcecdcacc0d2e26ca598459b00fb6beb9f2a5bdd802e7bd373a8e512790"
+        )
+
 
 class TestMainUsage:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -216,6 +229,23 @@ class TestCsbpPipeline:
         assert abs(summary["lambda_star"] - 1.0) < 1e-9
         assert abs(summary["extinction_limit"] - math.exp(-1.0)) < 1e-12
 
+    def test_jump_mechanism_extinction(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"mechanism": JUMPS, "csbp": {"theta_grid": [2.0], "t_grid": [0.5, 1.0], "extinction": True}},
+        )
+        out = tmp_path / "csbp"
+        assert main(["csbp", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        capsys.readouterr()
+        check_manifest_covers_dir(str(out))
+        ext = (out / "extinction.csv").read_text().strip().splitlines()
+        assert ext[0] == "t,prob,v_bar,converged"
+        t, prob, v_bar, converged = ext[2].split(",")
+        assert float(t) == 1.0 and converged == "1"
+        # v_bar(1) of this mechanism, from a DOP853 flow started at theta = 1e16
+        assert float(v_bar) == pytest.approx(1.69878898, rel=1e-7)
+        assert float(prob) == pytest.approx(math.exp(-float(v_bar)), rel=1e-12)
+
 
 class TestKppPipeline:
     CFG = {"kpp": {"t_end": 1.0, "dx": 0.1, "dt": 0.025, "pad": 8.0}}
@@ -228,7 +258,6 @@ class TestKppPipeline:
         manifest = check_manifest_covers_dir(str(out))
         assert manifest["diagnostics"]["solve"]["reaction"] == "logistic"
         assert manifest["diagnostics"]["solve"]["steps"] == 40
-        assert manifest["diagnostics"]["solve"]["reaction_substeps"] == 40
         assert 0.0 <= manifest["diagnostics"]["solve"]["max_guard_drift"] <= 1e-6
         header = (out / "profiles.csv").read_text().splitlines()[0]
         assert header.split(",") == ["x", "u_t0", "u_t0.25", "u_t0.5", "u_t1"]

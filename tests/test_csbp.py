@@ -10,7 +10,7 @@ and the pure-stable mechanism psi(u) = -u + u^s is a Bernoulli equation with
 
 Both are used as frozen oracles below and written out here, not taken from the
 module under test, which applies the logistic map for the quadratic mechanism
-and integrates the flow ODE numerically for jump mechanisms.
+and a tabulated flow map for jump mechanisms.
 """
 
 import math
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from sbmlab.csbp import (
     CsbpError,
-    LadderNotConvergedError,
     extinction_prob,
     laplace_exponent,
     mass_laplace,
@@ -115,10 +114,15 @@ class TestExtinction:
         assert res.prob == pytest.approx(math.exp(-2.0), abs=1e-7)
         assert res.converged
 
-    def test_ladder_is_increasing_and_recorded(self):
-        res = extinction_prob(QUADRATIC, t=1.0)
-        assert len(res.ladder) == 3
-        assert res.ladder[0] < res.ladder[1] < res.ladder[2] <= res.v_bar + 1e-12
+    def test_v_bar_is_the_logistic_limit(self):
+        # theta -> infinity in the logistic form: alpha e^{at} / (beta (e^{at} - 1))
+        for alpha, beta in [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0)]:
+            for t in (1e-3, 0.4, 1.0, 3.0, 25.0):
+                growth = math.exp(alpha * t)
+                expected = alpha * growth / (beta * (growth - 1.0))
+                res = extinction_prob(BranchingMechanism(alpha=alpha, beta=beta), t=t)
+                assert res.v_bar == pytest.approx(expected, rel=1e-13)
+                assert res.converged
 
     def test_long_time_limit_is_lambda_star(self):
         res = extinction_prob(QUADRATIC, t=30.0)
@@ -129,29 +133,47 @@ class TestExtinction:
         doubled = extinction_prob(QUADRATIC, t=1.0, mass=2.0)
         assert doubled.prob == pytest.approx(base.prob**2, rel=1e-9)
 
-    def test_stable_default_ladder_reports_nonconvergence(self):
-        # The stable flow approaches its limit like theta^(1-s), so the
-        # default ladder top at 1e6 leaves a residual around 1e-3; the
-        # result must say so rather than pretend.
-        with pytest.raises(LadderNotConvergedError):
-            extinction_prob(STABLE, t=1.2)
-        res = extinction_prob(STABLE, t=1.2, strict=False)
-        assert not res.converged
-        expected = (1.0 - math.exp((1.0 - STABLE_INDEX) * 1.2)) ** (
-            1.0 / (1.0 - STABLE_INDEX)
-        )
-        assert res.v_bar == pytest.approx(expected, rel=1e-2)
+    def test_stable_v_bar_is_the_bernoulli_limit(self):
+        # v_bar for psi(u) = -u + u^s: the Bernoulli limit theta -> inf has
+        # w0 = theta^(1-s) -> 0, so v_bar(t) = (1 - e^((1-s)t))^(1/(1-s))
+        for t in (0.05, 0.3, 1.2, 4.0):
+            expected = (1.0 - math.exp((1.0 - STABLE_INDEX) * t)) ** (
+                1.0 / (1.0 - STABLE_INDEX)
+            )
+            res = extinction_prob(STABLE, t=t)
+            assert res.v_bar == pytest.approx(expected, rel=1e-8)
+            assert res.prob == pytest.approx(math.exp(-expected), rel=1e-8)
 
-    def test_stable_extended_ladder_converges(self):
-        # v_bar for psi(u) = -u + u^s: Bernoulli limit theta -> inf has
-        # w0 = theta^(1-s) -> 0, so v_bar(t) = (1 - e^((1-s)t))^(1/(1-s)).
+    def test_stable_default_ladder_reports_nonconvergence(self):
+        # The stable flow approaches its limit like theta^(1-s), so a ladder
+        # topped at 1e6 stays about 2e-3 short of v_bar.  The default call now
+        # starts the flow at infinity and returns the limit itself.
         t = 1.2
         expected = (1.0 - math.exp((1.0 - STABLE_INDEX) * t)) ** (
             1.0 / (1.0 - STABLE_INDEX)
         )
-        res = extinction_prob(STABLE, t=t, theta_ladder=(1e4, 1e6, 1e8, 1e10))
+        short = laplace_exponent(STABLE, theta=1e6, t=t)
+        assert (expected - short) / expected > 1e-3
+        res = extinction_prob(STABLE, t=t)
         assert res.converged
-        assert res.v_bar == pytest.approx(expected, rel=1e-6)
+        assert res.v_bar == pytest.approx(expected, rel=1e-8)
+        assert res.v_bar > short
+
+    def test_stable_extended_ladder_converges(self):
+        # Along the old extended ladder the flow from a finite theta keeps the
+        # Bernoulli form and rises to v_bar, the gap shrinking by 100^(1-s)
+        # per rung.
+        t = 1.2
+        v_bar = extinction_prob(STABLE, t=t).v_bar
+        gaps = []
+        for theta in (1e4, 1e6, 1e8, 1e10):
+            v = laplace_exponent(STABLE, theta=theta, t=t)
+            assert v == pytest.approx(bernoulli_v(t, theta, STABLE_INDEX), rel=1e-8)
+            gaps.append(v_bar - v)
+        assert all(g > 0.0 for g in gaps)
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert narrow / wide == pytest.approx(100.0 ** (1.0 - STABLE_INDEX), rel=0.05)
+        assert gaps[-1] / v_bar < 1e-4
 
     def test_mass_zero_gives_certainty(self):
         assert extinction_prob(QUADRATIC, t=1.0, mass=0.0).prob == 1.0

@@ -30,7 +30,7 @@ from sbmlab.kpp import (
     solve_U,
     solve_V,
 )
-from sbmlab.mechanism import BranchingMechanism, LevyMeasure
+from sbmlab.mechanism import BranchingMechanism, LevyMeasure, flow_map
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
 
@@ -347,15 +347,13 @@ class TestFlatDataFlowOracles:
     )
     @pytest.mark.parametrize("theta", [0.2, 3.0, 1e3])
     def test_stable_march_matches_the_bernoulli_flow(self, alpha, index, c_prime, theta):
-        # measured worst relative error 2.2e-6 (theta = 1e3, where the first
-        # step is stiffest); between 1e-13 and 2.4e-8 for theta <= 3
         field = flat_field(pure_stable(alpha, index, c_prime), theta)
-        assert field.diagnostics["reaction"] == "rk4"
+        assert field.diagnostics["reaction"] == "table"
         rest = c_prime / alpha
         for t in field.times:
             w = rest + (theta ** (1.0 - index) - rest) * math.exp((1.0 - index) * alpha * t)
             exact = w ** (1.0 / (1.0 - index))
-            assert np.max(np.abs(field.at(t) / exact - 1.0)) <= 5e-6
+            assert np.max(np.abs(field.at(t) / exact - 1.0)) <= 1e-7
 
 
 class TestDiagnostics:
@@ -364,17 +362,15 @@ class TestDiagnostics:
         field = solve_U(QUADRATIC, InitialCondition.heaviside(), grid)
         diag = field.diagnostics
         assert diag["reaction"] == "logistic"
-        assert diag["steps"] == diag["reaction_substeps"] == grid.nt
+        assert diag["steps"] == grid.nt
         assert 0.0 <= diag["max_guard_drift"] <= 1e-6
 
     def test_barrier_ladder_sums_its_rungs(self):
         grid = Grid1D.auto(t_end=1.0, dx=0.1, dt=0.02)
         field = solve_V(pure_stable(1.0, 1.5, 1.0), None, grid)
         diag = field.diagnostics
-        assert diag["reaction"] == "rk4"
+        assert diag["reaction"] == "table"
         assert diag["steps"] == 3 * grid.nt
-        # the stiff start near theta = 1e4 needs more than one RK4 sub-step
-        assert diag["reaction_substeps"] > diag["steps"]
         assert 0.0 <= diag["max_guard_drift"] <= 1e-6
 
     def test_non_finite_field_raises(self):
@@ -387,14 +383,24 @@ class TestDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# frozen RK4 fields
+# frozen fields
 #
-# Digests of the solve_U and solve_V arrays for jump mechanisms, recorded
-# when every half step still called solveh_banded and psi was evaluated
-# twice per RK4 sub-step.  Factoring the diffusion matrices once and
-# evaluating psi once per sub-step must reproduce them bit for bit.
+# Digests of the solve_U and solve_V arrays.  The quadratic ones were
+# recorded when jump mechanisms still took RK4 reaction sub-steps, and the
+# logistic map must still reproduce them bit for bit.  The jump mechanisms'
+# were recorded when their reaction became one step of the flow table; they
+# moved from the RK4 values by at most 6e-5 absolute (theta = 1e4 rungs of
+# V), 4.4e-6 relative elsewhere and 1e-6 in the medians.
 
-RK4_MECHANISMS = {
+QUADRATIC_DIGESTS = {
+    "U_snapshots": "6f654f64d5ea73161af24494eeb11c6b32087352659290bd9e0e3464b6209d7e",
+    "U_medians": "03916caa8bf46d40d77b6b34315f894bebfe43616a4c72362b00f5ee180ca51c",
+    "V_snapshots": "e940a6c080bf8b816e18c024b2b3b62afac936badbe3fa0a042f642d4ad32662",
+    "V_medians": "6b8c3b565d52a1092673907d36177de82fbc6021ba65e8a4e2a71d8f5b37c711",
+    "V_increments": "ca6652789725b2c7fef8dd053a0f243a5365a8a6a8dbe7c7fed2ca3b5df34705",
+}
+
+JUMP_MECHANISMS = {
     "atoms": BranchingMechanism(alpha=1.0, beta=0.5, levy=LevyMeasure.atoms([(2.0, 0.3)])),
     "stable": pure_stable(1.0, 1.5, 1.0),
     "jumps": BranchingMechanism(
@@ -407,34 +413,34 @@ RK4_MECHANISMS = {
     ),
 }
 
-FROZEN_RK4 = {
+JUMP_DIGESTS = {
     "atoms": {
-        "U_snapshots": "a4e3a4fbb31bc267b65a36d1f1ba65d6e021fbaf917f4f59c07facc16670da82",
-        "U_medians": "81d644172089388e2bd71fba7175a529a096d79706d46d700dd51ec2c835fb1a",
-        "V_snapshots": "04570052f5de9708e5f5b6ebb2783fa5ebbd33bbd5cd19c096106578581d637b",
-        "V_medians": "ef7917a4621aeb225929006c4f71c42ff42d7de6c5f866a8721eb29c6e909b59",
-        "V_increments": "43b35d6e7d6fa3eae77b3bf9f844d56e47565322b4fae8622f480141baa3931b",
+        "U_snapshots": "5f35c8aecc1a12033357ef58b20e713532600596210392114a9a717d6d1b3caa",
+        "U_medians": "f45ada1b851d3421dd558e7f035d4703b20ae270204e021dfc44a7dd3f63c129",
+        "V_snapshots": "7f618214af58bba61c8066eee5a9ea917495064d3a6656ef9a6d8b568e2c3d37",
+        "V_medians": "556d4d7b946b04348aaf298bc6462c90668f4934f34254da575ce782313282a5",
+        "V_increments": "701f74b95cabe2cfb8e633d9c7031f1e406ad4ac6d4c56b1385876223411aaba",
     },
     "stable": {
-        "U_snapshots": "d01b9600d40ba233135b9fd92643838bbbf354333f8dc03e0cbae44f26f017ef",
-        "U_medians": "0c5e581225e5364c9d5ff840129d3c98608c87655ef2b623dc90587927f60fbf",
-        "V_snapshots": "0b33cf4b2c9de77a75170c98470a1ee3aac27d5f912e7656557ed0b2529f4652",
-        "V_medians": "89dd671baa2b367f6f1075c6b05c0528bfba68457ec1ae289245b11b3851955d",
-        "V_increments": "7dfe3680fc0b4cec5e16586159163b4764647c1fe2816f92f91a72001eb3312c",
+        "U_snapshots": "c3cc11e4cd711706b6bf957974af6d97728a6aa00f0abf385df11dd654cb78d6",
+        "U_medians": "aba04d9809aef5bbececc574a0190db105827e4ced949117d2b128273c5c001b",
+        "V_snapshots": "6732d85b40d216f37c25009a94f48d913c1eee6d5cbb0b8c6894321929908b1d",
+        "V_medians": "a0d8220875f7113f95422d26151746737cba32aa4cbdd2554460d0fefb78ef8d",
+        "V_increments": "49c608fa07793b9e0e6e13fa371cf5db0a819335bf7c8c17c76006de52fc542b",
     },
     "jumps": {
-        "U_snapshots": "70b1b8c57d2f65169d3db84b561c721dbad22cf0622aba0da94e0eb6634c6db2",
-        "U_medians": "a51d8dc333bedc23ba17aac7d10502fd8ca168ba1ba1efcbc666e3056aa44811",
-        "V_snapshots": "465fa3b99ac901775e019b49005062973583086e10e4a5c8e397c34b4f1810c2",
-        "V_medians": "39e6779d0c417eb1df3968c64f551f7b563e746a4b1ff316a5baccb60ecfa5ce",
-        "V_increments": "51cec4f43922439b20b337787f0674a6eb51f2387f71ab6b662e480bb377f91e",
+        "U_snapshots": "583015448c23ee58534176933a0f3dbca9ce5f4567280284c5ae17787321dc24",
+        "U_medians": "6047faf6843d4ea62e762f246c738915ea3799ba0669ea72862b7044a32988f5",
+        "V_snapshots": "6f5f30a0002b0cd09b6de10b125957dd46f4c204ce82bae00a489da307d18144",
+        "V_medians": "2a8db3972bd7c6d3ee989777b83135967785ec708096ccbc139d518706ec9c2c",
+        "V_increments": "ead85f2ca75509d3d2ae3c8d507cdd9ad2529b7470ab59360949f49b3c629f30",
     },
     "tabulated": {
-        "U_snapshots": "c42ed930dc769c11f6740cdb54a859e9c18b2cc3893f11d0af627d4ccf9c65bf",
-        "U_medians": "3e1fb2ed1e828ee930443e4064a049ba7d85edc1d6ed9ae27c593928d2a97bc9",
-        "V_snapshots": "b68d1df7155be70ad32bab96792460d963e81000b23333cc53442dd890dae890",
-        "V_medians": "020c0eeace94f6de87770d03c39a319336e107680bbf2362b54c9a8e6c690494",
-        "V_increments": "7c0bcbe37521be2f63429e475ff8bd0f1bb60e87b27ec3ae76c82485af99731c",
+        "U_snapshots": "caede7ff0fe1b59a7ec499df53bbd06d205c43965a84db09f6b31a833deac645",
+        "U_medians": "8c42a5e18259725e077448311f5c82c0872db11b1d265e070e66ef81a60d5477",
+        "V_snapshots": "4281ab1c998b14c8a2712bbae72d54a473c787720a9b1a9d2949d3700434cb3f",
+        "V_medians": "ca26eae4aecf3987a1727295d1cc0496a13c6b60156648e868e150801bad4361",
+        "V_increments": "692ad97fd2ff1b77843544331e27b4aba5c6dceeb0469cf77872915696c41006",
     },
 }
 
@@ -443,18 +449,28 @@ def _sha(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=float).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(RK4_MECHANISMS))
-def test_rk4_fields_match_frozen_digests(name):
-    mech = RK4_MECHANISMS[name]
+def _field_digests(mech: BranchingMechanism) -> dict[str, str]:
     grid = Grid1D.auto(t_end=1.0, dx=0.1, dt=0.02)
     u = solve_U(mech, InitialCondition.bounded(gaussian_phi(0.8), 0.8), grid, snapshot_times=[0.5])
     v = solve_V(mech, InitialCondition.bounded(gaussian_phi(0.5), 0.5), grid, snapshot_times=[0.5])
-    assert u.diagnostics["reaction"] == v.diagnostics["reaction"] == "rk4"
-    got = {
+    assert u.diagnostics["reaction"] == v.diagnostics["reaction"]
+    return {
         "U_snapshots": _sha(u.snapshots),
         "U_medians": _sha(u.median_values),
         "V_snapshots": _sha(v.snapshots),
         "V_medians": _sha(v.median_values),
         "V_increments": _sha(v.increments),
     }
-    assert got == FROZEN_RK4[name]
+
+
+def test_quadratic_fields_match_frozen_digests():
+    assert _field_digests(QUADRATIC) == QUADRATIC_DIGESTS
+
+
+# named for the RK4 reaction sub-steps these mechanisms took before the
+# flow table replaced them
+@pytest.mark.parametrize("name", sorted(JUMP_MECHANISMS))
+def test_rk4_fields_match_frozen_digests(name):
+    mech = JUMP_MECHANISMS[name]
+    assert flow_map(mech, 1.0).form == "table"
+    assert _field_digests(mech) == JUMP_DIGESTS[name]

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from sbmlab.csbp import extinction_prob
 from sbmlab.mechanism import (
@@ -35,10 +36,11 @@ from sbmlab.mechanism import (
     H1_NUMERIC_CAP,
     H2_CAP,
     BranchingMechanism,
+    GreyViolatedError,
     LevyMeasure,
     MechanismError,
     check_hypotheses,
-    exact_flow,
+    flow_map,
     k,
     lambda_star,
     mechanism_from_json,
@@ -205,19 +207,120 @@ class TestLambdaStar:
 class TestExactFlow:
     def test_quadratic_map_values(self):
         # psi = -2u + u**2: v(t) = 2 v0 e^{2t} / (2 + (e^{2t} - 1) v0)
-        flow = exact_flow(BranchingMechanism(alpha=2.0, beta=1.0), 0.5)
+        flow = flow_map(BranchingMechanism(alpha=2.0, beta=1.0), 0.5)
         e = math.e
         v0 = np.array([0.0, 0.3, 2.0, 50.0])
         expected = 2.0 * v0 * e / (2.0 + (e - 1.0) * v0)
         assert np.allclose(flow(v0), expected, rtol=1e-15, atol=0.0)
 
     def test_negative_inputs_follow_the_linear_part(self):
-        flow = exact_flow(QUADRATIC, 0.7)
+        flow = flow_map(QUADRATIC, 0.7)
         assert flow(-0.25) == pytest.approx(-0.25 * math.exp(0.7), rel=1e-15)
 
     def test_jump_mechanisms_have_no_closed_form(self):
-        assert exact_flow(stable_mechanism(1.5), 1.0) is None
-        assert exact_flow(PURE_JUMP_CUTOFF, 1.0) is None
+        assert flow_map(QUADRATIC, 1.0).form == "logistic"
+        assert flow_map(stable_mechanism(1.5), 1.0).form == "table"
+        assert flow_map(PURE_JUMP_CUTOFF, 1.0).form == "table"
+
+
+# the jump mechanisms of the frozen field digests in test_kpp.py
+TABLE_MECHANISMS = {
+    "jumps": PURE_JUMP_CUTOFF,
+    "atoms": BranchingMechanism(alpha=1.0, beta=0.5, levy=LevyMeasure.atoms([(2.0, 0.3)])),
+    "tabulated": BranchingMechanism(
+        alpha=1.0,
+        beta=0.3,
+        levy=LevyMeasure.tabulated(y=(0.5, 1.0, 2.0, 4.0), density=(1.0, 0.5, 0.1, 0.01)),
+    ),
+}
+# psi grows only linearly at infinity, so integral^inf du/psi diverges
+ATOMS_NO_GREY = BranchingMechanism(alpha=0.5, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
+
+
+def reference_flow(mech: BranchingMechanism, theta: float, times) -> np.ndarray:
+    """DOP853 solution of v' = -psi(v), v(0) = theta, at each of ``times``."""
+    sol = solve_ivp(
+        lambda _t, v: [-psi(mech, v[0])],
+        (0.0, max(times)),
+        [theta],
+        method="DOP853",
+        t_eval=times,
+        rtol=1e-13,
+        atol=1e-300,
+    )
+    assert sol.success
+    return sol.y[0]
+
+
+class TestFlowMap:
+    @pytest.mark.parametrize("name", sorted(TABLE_MECHANISMS))
+    def test_semigroup(self, name):
+        mech = TABLE_MECHANISMS[name]
+        lam = lambda_star(mech)
+        v0 = np.array([1e-8, 0.01, 0.5 * lam, 0.999 * lam, 1.001 * lam, 2.0 * lam, 50.0, 1e6, math.inf])
+        for s, t in [(0.01, 0.02), (0.3, 0.7), (1.5, 2.5)]:
+            composed = flow_map(mech, s)(flow_map(mech, t)(v0))
+            direct = flow_map(mech, s + t)(v0)
+            assert np.max(np.abs(composed / direct - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MECHANISMS))
+    def test_fixed_points_and_linear_continuation(self, name):
+        mech = TABLE_MECHANISMS[name]
+        lam = lambda_star(mech)
+        flow = flow_map(mech, 0.8)
+        out = flow(np.array([0.0, lam, -0.3, -1e-9]))
+        assert out[0] == 0.0
+        assert out[1] == lam
+        assert out[2:] == pytest.approx(np.array([-0.3, -1e-9]) * math.exp(mech.alpha * 0.8), rel=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MECHANISMS))
+    def test_table_against_dop853(self, name):
+        mech = TABLE_MECHANISMS[name]
+        lam = lambda_star(mech)
+        times = [0.01, 0.1, 1.0, 5.0]
+        for theta in (1e-6, 0.3 * lam, 0.99 * lam, 1.01 * lam, 3.0 * lam, 1e3):
+            expected = reference_flow(mech, theta, times)
+            got = [float(flow_map(mech, t)(theta)) for t in times]
+            assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0)])
+    def test_quadratic_from_infinity(self, alpha, beta):
+        for t in (1e-3, 0.4, 3.0):
+            growth = math.exp(alpha * t)
+            expected = alpha * growth / (beta * (growth - 1.0))
+            mech = BranchingMechanism(alpha=alpha, beta=beta)
+            assert float(flow_map(mech, t)(math.inf)) == pytest.approx(expected, rel=1e-13)
+            both = flow_map(mech, t)(np.array([2.0, math.inf]))
+            assert both[1] == pytest.approx(expected, rel=1e-13)
+            assert both[0] == flow_map(mech, t)(2.0)
+
+    def test_grey_failure_maps_finite_theta_and_refuses_infinity(self):
+        assert not check_hypotheses(ATOMS_NO_GREY).grey
+        times = [0.1, 1.0, 3.0]
+        for theta in (0.2, 3.0, 100.0):
+            expected = reference_flow(ATOMS_NO_GREY, theta, times)
+            got = [float(flow_map(ATOMS_NO_GREY, t)(theta)) for t in times]
+            assert got == pytest.approx(expected, rel=1e-8)
+        with pytest.raises(GreyViolatedError):
+            flow_map(ATOMS_NO_GREY, 1.0)(math.inf)
+        with pytest.raises(GreyViolatedError):
+            extinction_prob(ATOMS_NO_GREY, 1.0)
+
+    def test_jump_extinction_at_t1_returns_the_flow_from_infinity(self):
+        # the theta ladder refused this case; the flow from theta = 1e16 lies
+        # below v_bar(1) by about psi(v_bar) * G(1e16), a time shift of order 1e-8
+        res = extinction_prob(PURE_JUMP_CUTOFF, 1.0)
+        assert res.converged
+        from_above = reference_flow(PURE_JUMP_CUTOFF, 1e16, [1.0])[0]
+        assert from_above < res.v_bar
+        assert res.v_bar == pytest.approx(from_above, rel=1e-7)
+        assert res.prob == pytest.approx(math.exp(-res.v_bar), rel=1e-15)
+
+    def test_rejects_nonpositive_time(self):
+        with pytest.raises(MechanismError):
+            flow_map(QUADRATIC, 0.0)
+        with pytest.raises(MechanismError):
+            flow_map(PURE_JUMP_CUTOFF, -1.0)
 
 
 class TestHypotheses:
@@ -283,9 +386,8 @@ class TestHypotheses:
         assert report.h1 and report.h2 and report.h3 and report.grey
         assert report.lambda_star == pytest.approx(0.5753195056626, rel=1e-10)
         assert psi(PURE_JUMP_CUTOFF, 3e5) > 0.0
-        # Grey's condition holds, so extinction is no longer refused; whether
-        # the default ladder settles is a separate question
-        extinction_prob(PURE_JUMP_CUTOFF, 1.0, strict=False)
+        # Grey's condition holds, so extinction is not refused
+        extinction_prob(PURE_JUMP_CUTOFF, 1.0)
 
     @pytest.mark.parametrize(
         "mech",

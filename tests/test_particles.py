@@ -74,6 +74,17 @@ class TestPointMeasure:
         with pytest.raises(ParticlesError):
             PointMeasure(np.array([math.inf]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "locations, weights",
+        [([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [1.0, -0.5]), ([0.0, 1.0], [0.0, 1.0])],
+        ids=["nan-location", "negative-weight", "zero-weight"],
+    )
+    def test_constructor_still_checks_atoms(self, locations, weights):
+        # ClusterBank.decorate skips these checks through from_checked; the
+        # public constructor must keep them
+        with pytest.raises(ParticlesError):
+            PointMeasure(np.array(locations), np.array(weights))
+
 
 class TestCloudObservables:
     def test_max_position_of_empty_cloud(self):
