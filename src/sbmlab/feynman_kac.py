@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .kpp import SQRT2, Field, front_m, median_m_tilde
+from .kpp import SQRT2, Field, _as_float, front_m, median_m_tilde
 from .mechanism import BranchingMechanism, k as mechanism_k
 
 __all__ = [
@@ -62,16 +62,6 @@ class PathBelowBarrierError(FkError):
     """A supplied path dips below the upper barrier it must clear."""
 
 
-def _as_float(name: str, v) -> float:
-    try:
-        out = float(v)
-    except (TypeError, ValueError) as exc:
-        raise FkError(f"{name} must be a real number") from exc
-    if not math.isfinite(out):
-        raise FkError(f"{name} must be finite")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # barrier curves
 
@@ -106,10 +96,10 @@ class BarrierCurves:
         x: float,
         delta: float = 0.45,
     ) -> "BarrierCurves":
-        r = _as_float("r", r)
-        t = _as_float("t", t)
-        x = _as_float("x", x)
-        delta = _as_float("delta", delta)
+        r = _as_float("r", r, FkError)
+        t = _as_float("t", t, FkError)
+        x = _as_float("x", x, FkError)
+        delta = _as_float("delta", delta, FkError)
         if not 0.0 < delta < 0.5:
             raise FkError("delta must lie in (0, 1/2)")
         if r <= 1.0:
@@ -243,10 +233,10 @@ class BridgeSampler:
     seed: int = 0
 
     def __post_init__(self):
-        span = _as_float("span", self.span)
+        span = _as_float("span", self.span, FkError)
         if span <= 0.0:
             raise FkError("span must be positive")
-        dt = _as_float("dt", self.dt)
+        dt = _as_float("dt", self.dt, FkError)
         if dt <= 0.0 or dt > span:
             raise FkError("dt must lie in (0, span]")
         m = max(1, round(span / dt))
@@ -283,9 +273,9 @@ def bridge_crossing_prob(a: float, b: float, span: float) -> float:
     Zero when either endpoint is at or below the line; otherwise
     1 - exp(-2 a b / span).
     """
-    a = _as_float("a", a)
-    b = _as_float("b", b)
-    span = _as_float("span", span)
+    a = _as_float("a", a, FkError)
+    b = _as_float("b", b, FkError)
+    span = _as_float("span", span, FkError)
     if span <= 0.0:
         raise FkError("span must be positive")
     if a <= 0.0 or b <= 0.0:
@@ -335,9 +325,9 @@ def fk_estimate(
     surrogate k = 1 turns the representation into a pure heat semigroup
     with growth e^(t-r), which is the main oracle for this routine).
     """
-    r = _as_float("r", r)
-    t = _as_float("t", t)
-    x = _as_float("x", x)
+    r = _as_float("r", r, FkError)
+    t = _as_float("t", t, FkError)
+    x = _as_float("x", x, FkError)
     if not 0.0 <= r <= t:
         raise FkError("need 0 <= r <= t")
     if n_paths < 1:
@@ -394,9 +384,9 @@ def psi_sandwich(
     field against the tilted Gaussian kernel and the stay-above factor
     of the straight line, over the offset y >= 0 measured from sqrt(2) r.
     """
-    r = _as_float("r", r)
-    t = _as_float("t", t)
-    x = _as_float("x", x)
+    r = _as_float("r", r, FkError)
+    t = _as_float("t", t, FkError)
+    x = _as_float("x", x, FkError)
     if r <= 0.0 or t <= r:
         raise FkError("need 0 < r < t")
     m_t = front_m(1.0, t)
@@ -461,9 +451,9 @@ def psi1_psi2_estimate(
     correction, so psi2 >= psi1 holds path by path.  Valid for t >= 8 r
     and x >= median(t) + 8 r.
     """
-    r = _as_float("r", r)
-    t = _as_float("t", t)
-    x = _as_float("x", x)
+    r = _as_float("r", r, FkError)
+    t = _as_float("t", t, FkError)
+    x = _as_float("x", x, FkError)
     if n_bridges < 8:
         raise FkError("need at least 8 bridges per node")
     if t < 8.0 * r - 1e-9:
@@ -571,8 +561,8 @@ def k_integral_diagnostic(
     at its cap along the whole path and at most 1 otherwise.  The path must
     stay strictly above the upper barrier read at field time t - s.
     """
-    r = _as_float("r", r)
-    t = _as_float("t", t)
+    r = _as_float("r", r, FkError)
+    t = _as_float("t", t, FkError)
     if t <= 3.0 * r:
         raise FkError("need t > 3 r for a nonempty integration window")
     if k_fn is None:
@@ -610,8 +600,8 @@ def k_integral_deviation_bound(
     2 c1 * r^(1 - a) / (a - 1), an upper bound for the full-line integral
     of the envelope.  The diagnostic above is then at least exp(-bound).
     """
-    r = _as_float("r", r)
-    t = _as_float("t", t)
+    r = _as_float("r", r, FkError)
+    t = _as_float("t", t, FkError)
     if k_fn is None:
         if mech is None:
             raise FkError("provide a mechanism or an explicit k_fn")

@@ -9,7 +9,10 @@ shape; the tilted constant converges geometrically once its linear-in-r
 mass growth and the scheme's far-field dispersion are divided out, and is
 finished with one Aitken step.  The error bar attached to each estimate is
 the magnitude of the last ladder increment, which is honest about the
-slowly decaying r corrections rather than trusting the fit residual.
+slowly decaying r corrections rather than trusting the fit residual.  The
+barrier-field constants C~ and C^ read the field V that ``kpp.solve_V``
+marches once from the truncation level theta = 1e4; the error bar covers
+neither that truncation nor the time-step bias of the march.
 
 The traveling wave is computed by shooting along the one-dimensional
 unstable manifold of the occupied state.  At the critical speed the origin
@@ -33,7 +36,7 @@ from .kpp import (
     Field,
     Grid1D,
     InitialCondition,
-    V_THETA_LADDER,
+    _as_float,
     front_m,
     solve_U,
     solve_V,
@@ -58,13 +61,6 @@ class NonConvergentLadderError(FrontsError):
 
 class IntegralCapError(FrontsError):
     """The overshoot integral still has > 1% estimated mass beyond the cap."""
-
-
-def _as_float(name: str, value) -> float:
-    out = float(value)
-    if not math.isfinite(out):
-        raise FrontsError(f"{name} must be finite")
-    return out
 
 
 def _require_unit_drift(mech: BranchingMechanism) -> None:
@@ -103,17 +99,17 @@ class TestFunction:
 
     @classmethod
     def scaled_indicator(cls, lam: float, a: float = 0.0) -> "TestFunction":
-        lam = _as_float("lam", lam)
-        a = _as_float("a", a)
+        lam = _as_float("lam", lam, FrontsError)
+        a = _as_float("a", a, FrontsError)
         if lam < 0:
             raise FrontsError("indicator scale must be nonnegative")
         return cls(kind="scaled-indicator", lam=lam, a=a)
 
     @classmethod
     def compact_bump(cls, center: float, width: float, height: float) -> "TestFunction":
-        center = _as_float("center", center)
-        width = _as_float("width", width)
-        height = _as_float("height", height)
+        center = _as_float("center", center, FrontsError)
+        width = _as_float("width", width, FrontsError)
+        height = _as_float("height", height, FrontsError)
         if width <= 0:
             raise FrontsError("bump width must be positive")
         if height < 0:
@@ -193,7 +189,7 @@ class TestFunction:
         of the reference position sqrt(2) r and multiplies the front
         constant by e^{sqrt(2) z}.
         """
-        z = _as_float("z", z)
+        z = _as_float("z", z, FrontsError)
         if self.kind == "zero":
             return self
         if self.kind == "scaled-indicator":
@@ -203,7 +199,7 @@ class TestFunction:
         return TestFunction.table([y - z for y in self.ys], self.vals)
 
     def scaled(self, factor: float) -> "TestFunction":
-        factor = _as_float("factor", factor)
+        factor = _as_float("factor", factor, FrontsError)
         if factor < 0:
             raise FrontsError("scale factor must be nonnegative")
         if self.kind == "zero":
@@ -279,8 +275,8 @@ def traveling_wave_solve(
     pin and a pinned edge would distort the tail the table is for.
     """
     _require_unit_drift(mech)
-    half_width = _as_float("half_width", half_width)
-    dx = _as_float("dx", dx)
+    half_width = _as_float("half_width", half_width, FrontsError)
+    dx = _as_float("dx", dx, FrontsError)
     if half_width <= 0 or dx <= 0 or half_width < 10 * dx:
         raise FrontsError("need positive dx and a table at least 10 dx wide")
     lam = lambda_star(mech)
@@ -443,11 +439,11 @@ def _aitken(vals) -> tuple[float, float]:
 def _tail_integral(field: Field, r: float, rate: float, y_req: float) -> float:
     """sqrt(2/pi) int_0^cap row(sqrt(2) r + y) y e^{rate y} dy.
 
-    For a barrier field the rows are its top truncation rung; the truncation
-    bias is far below the r-ladder resolution out there.  The cap starts
-    at y_req and grows while the estimated remaining tail exceeds 1% of the
-    integral; when the grid cannot host a sufficient cap the computation
-    refuses instead of silently truncating.
+    For a barrier field the rows come from its single march at the
+    truncation level theta = 1e4.  The cap starts at y_req and grows while
+    the estimated remaining tail exceeds 1% of the integral; when the grid
+    cannot host a sufficient cap the computation refuses instead of silently
+    truncating.
     """
     dy = field.grid.dx / 2.0
     x0 = SQRT2 * r
@@ -530,12 +526,11 @@ def constant_C_tilde(
     dx: float = 0.05,
     dt: float = 0.01,
     pad: float | None = None,
-    theta_ladder=V_THETA_LADDER,
 ) -> ConstantEstimate:
     """Ladder estimate of the barrier-field constant; phi = None gives the base one.
 
-    The rows come from the top rung of the barrier field's truncation
-    ladder, whose truncation bias sits well below the r-ladder resolution.
+    The rows come from the barrier field marched once from the truncation
+    level theta = 1e4 (``kpp.V_THETA``).
     """
     _require_unit_drift(mech)
     rs = _validate_ladder(r_ladder)
@@ -549,7 +544,7 @@ def constant_C_tilde(
     if pad is None:
         pad = y_req + 4.0
     grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=pad)
-    field = solve_V(mech, ic, grid, theta_ladder=theta_ladder, snapshot_times=rs)
+    field = solve_V(mech, ic, grid, snapshot_times=rs)
     vals = tuple(
         _tail_integral(field, r, SQRT2, 6.0 * math.sqrt(2.0 * r) + 8.0) for r in rs
     )
@@ -564,10 +559,11 @@ def constant_C_hat(
     dx: float = 0.05,
     dt: float = 0.01,
     pad: float | None = None,
-    theta_ladder=V_THETA_LADDER,
 ) -> ConstantEstimate:
     """Ladder estimate of the tilted barrier-field constant for delta > 0.
 
+    The rows come from the barrier field marched once from the truncation
+    level theta = 1e4 (``kpp.V_THETA``), as for ``constant_C_tilde``.
     The tilt e^{delta y} moves the integrand peak out to y = delta r, so the
     cap must grow linearly in r; the default 3 r + 40 / (sqrt(2) + delta)
     covers tilts up to delta = 3 with room for the Gaussian spread.
@@ -585,7 +581,7 @@ def constant_C_hat(
     by its exponential before the Aitken step.
     """
     _require_unit_drift(mech)
-    delta = _as_float("delta", delta)
+    delta = _as_float("delta", delta, FrontsError)
     if delta <= 0:
         raise FrontsError("delta must be positive")
     rs = _validate_ladder(r_ladder)
@@ -602,7 +598,7 @@ def constant_C_hat(
         peak_need = delta * rs[-1] + 5.0 * math.sqrt(rs[-1]) + 10.0
         pad = max(y_req(rs[-1]), peak_need) + 4.0
     grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=pad)
-    field = solve_V(mech, None, grid, theta_ladder=theta_ladder, snapshot_times=rs)
+    field = solve_V(mech, None, grid, snapshot_times=rs)
     vals = []
     for r in rs:
         base = _tail_integral(field, r, SQRT2 + delta, y_req(r))
@@ -619,7 +615,7 @@ def limit_wave_profile(c: float, z_samples, x) -> np.ndarray | float:
     Non-increasing in x and bounded by -log P(Z = 0), so a sample with the
     correct extinction atom keeps the profile inside [0, lam_star].
     """
-    c = _as_float("c", c)
+    c = _as_float("c", c, FrontsError)
     if c < 0:
         raise FrontsError("c must be nonnegative")
     z = np.asarray(z_samples, dtype=float)
@@ -679,7 +675,7 @@ def front_limit_check(
     ts = tuple(float(t) for t in t_ladder)
     if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 1.0:
         raise FrontsError("t_ladder must be increasing with entries > 1")
-    x = _as_float("x", x)
+    x = _as_float("x", x, FrontsError)
     ic = _phi_precheck(phi)
     if c_phi is None:
         c_est = constant_C(mech, phi, dx=dx, dt=dt)
@@ -687,7 +683,7 @@ def front_limit_check(
     elif isinstance(c_phi, ConstantEstimate):
         c_value = c_phi.value
     else:
-        c_value = _as_float("c_phi", c_phi)
+        c_value = _as_float("c_phi", c_phi, FrontsError)
 
     if phi.is_trivial:
         zeros = tuple(0.0 for _ in ts)

@@ -16,11 +16,12 @@ which ("logistic" or "table").
 
 Fields are stored in the coordinates where the front moves right: bounded
 initial data phi enters as u(0, x) = phi(-x), the heaviside kind is
-1_{x < 0}, and the barrier ladder puts its truncation level on x < 0.
-Boundary values follow the reaction flow b' = -psi(b), which is the exact
-spatially flat solution; plateaus at 0 and the equilibrium are unchanged by
-it, and the barrier plateau relaxes the way the total-mass flow does instead
-of staying pinned at the truncation level.
+1_{x < 0}, and the barrier field V, the limit of data theta 1_{x < 0} as
+theta -> inf, is marched once from the truncation level V_THETA = 1e4 on
+x < 0.  Boundary values follow the reaction flow b' = -psi(b), which is the
+exact spatially flat solution; plateaus at 0 and the equilibrium are
+unchanged by it, and the barrier plateau relaxes the way the total-mass flow
+does instead of staying pinned at the truncation level.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "Grid1D",
     "InitialCondition",
     "KppError",
-    "NonMonotoneThetaError",
     "front_m",
     "median_m_tilde",
     "solve_U",
@@ -49,7 +49,7 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)  # front speed under the unit-drift normalization
 
-V_THETA_LADDER = (1e2, 1e3, 1e4)
+V_THETA = 1e4  # truncation level of the barrier data
 FRONT_GUARD_CELLS = 5
 FRONT_GUARD_TOL = 1e-6
 
@@ -62,8 +62,15 @@ class FrontTouchedBoundaryError(KppError):
     """The moving front reached the guard cells at a domain edge."""
 
 
-class NonMonotoneThetaError(KppError):
-    """Barrier ladder fields failed to increase with the truncation level."""
+def _as_float(name: str, value, error: type[Exception]) -> float:
+    """``value`` as a finite float, or ``error`` naming the argument."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be a real number") from exc
+    if not math.isfinite(out):
+        raise error(f"{name} must be finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial data kinds: bounded phi, barrier (truncated to a ladder), heaviside.
+    """Initial data kinds: bounded phi and heaviside.
 
     ``integrable_tail`` records whether int_0^inf y e^{sqrt2 y} phi(-y) dy is
     finite, probed numerically on [0, 60]; front-limit constants require it,
@@ -146,17 +153,6 @@ class InitialCondition:
     def heaviside(cls) -> "InitialCondition":
         return cls(kind="heaviside", phi=None, sup_norm=1.0, integrable_tail=False)
 
-    @classmethod
-    def barrier(
-        cls, phi: Callable | None = None, sup_norm: float = 0.0
-    ) -> "InitialCondition":
-        return cls(
-            kind="barrier",
-            phi=phi,
-            sup_norm=float(sup_norm),
-            integrable_tail=phi is None or _tail_weight_integrable(phi),
-        )
-
     def field_values(self, x: np.ndarray) -> np.ndarray:
         """Initial field on the grid, in front-moving coordinates."""
         x = np.asarray(x, dtype=float)
@@ -164,7 +160,7 @@ class InitialCondition:
             return np.where(x < 0.0, 1.0, 0.0)
         if self.kind == "bounded":
             return _eval_phi(self.phi, -x)
-        raise KppError("barrier data needs a truncation level; use solve_V")
+        raise KppError(f"unknown initial-condition kind {self.kind!r}")
 
 
 def _eval_phi(phi: Callable, arg: np.ndarray) -> np.ndarray:
@@ -189,11 +185,10 @@ class Field:
     """Solution snapshots plus the per-step median trace.
 
     ``provenance`` says which object the field represents ("U_phi", "V_phi",
-    or "V"); barrier fields also carry the truncation ladder and the
-    increment between the two largest truncations.  ``diagnostics`` records
-    the form of the reaction map ("logistic" or "table"), the time steps
-    marched (summed over the rungs of a barrier field) and the largest drift
-    seen in the edge guard cells.
+    or "V"); ``theta`` is the truncation level a barrier field was marched
+    from, None otherwise.  ``diagnostics`` records the form of the reaction
+    map ("logistic" or "table"), the time steps marched and the largest
+    drift seen in the edge guard cells.
     """
 
     grid: Grid1D
@@ -203,8 +198,6 @@ class Field:
     theta: float | None
     median_times: np.ndarray
     median_values: np.ndarray
-    theta_ladder: tuple[float, ...] | None = None
-    increments: np.ndarray | None = None
     diagnostics: Mapping[str, object] = field(default_factory=dict)
 
     def _row(self, t: float) -> int:
@@ -215,11 +208,6 @@ class Field:
 
     def at(self, t: float) -> np.ndarray:
         return self.snapshots[self._row(t)]
-
-    def increment_at(self, t: float) -> np.ndarray:
-        if self.increments is None:
-            raise KppError("field has no truncation ladder")
-        return self.increments[self._row(t)]
 
     def interp(self, t: float, x) -> float | np.ndarray:
         """Bilinear value between snapshots; t and x must be inside the grid."""
@@ -321,9 +309,12 @@ def _march(
     mech: BranchingMechanism,
     u0: np.ndarray,
     grid: Grid1D,
-    snapshot_steps: list[int],
-):
-    """Advance the split scheme, recording snapshots, the median trace and diagnostics."""
+    snapshot_times: Sequence[float] | None,
+    provenance: str,
+    theta: float | None,
+) -> Field:
+    """March the split scheme from u0 into a Field with its median trace and diagnostics."""
+    snapshot_steps = _snapshot_steps(grid, snapshot_times)
     dx2 = grid.dx * grid.dx
     r_cn = grid.dt / (8.0 * dx2)
     r_be = grid.dt / (4.0 * dx2)
@@ -387,14 +378,20 @@ def _march(
         if k + 1 in snap_set:
             snaps[k + 1] = u.copy()
 
-    times = np.array([s * grid.dt for s in snapshot_steps])
-    stack = np.stack([snaps[s] for s in snapshot_steps])
-    diagnostics = {
-        "reaction": flow.form,
-        "steps": grid.nt,
-        "max_guard_drift": max_drift,
-    }
-    return times, stack, med_times, med_vals, diagnostics
+    return Field(
+        grid=grid,
+        times=np.array([s * grid.dt for s in snapshot_steps]),
+        snapshots=np.stack([snaps[s] for s in snapshot_steps]),
+        provenance=provenance,
+        theta=theta,
+        median_times=med_times,
+        median_values=med_vals,
+        diagnostics={
+            "reaction": flow.form,
+            "steps": grid.nt,
+            "max_guard_drift": max_drift,
+        },
+    )
 
 
 def solve_U(
@@ -404,76 +401,26 @@ def solve_U(
     snapshot_times: Sequence[float] | None = None,
 ) -> Field:
     """Field of the front equation for bounded or heaviside initial data."""
-    if init.kind not in ("bounded", "heaviside"):
-        raise KppError("solve_U takes bounded or heaviside data; use solve_V for barriers")
-    steps = _snapshot_steps(grid, snapshot_times)
-    u0 = init.field_values(grid.x)
-    times, stack, med_t, med_v, diagnostics = _march(mech, u0, grid, steps)
-    return Field(
-        grid=grid,
-        times=times,
-        snapshots=stack,
-        provenance="U_phi",
-        theta=None,
-        median_times=med_t,
-        median_values=med_v,
-        diagnostics=diagnostics,
-    )
+    return _march(mech, init.field_values(grid.x), grid, snapshot_times, "U_phi", None)
 
 
 def solve_V(
     mech: BranchingMechanism,
     phi: InitialCondition | None,
     grid: Grid1D,
-    theta_ladder: tuple[float, ...] = V_THETA_LADDER,
     snapshot_times: Sequence[float] | None = None,
 ) -> Field:
-    """Barrier field as the monotone truncation-ladder limit.
+    """Barrier field V_phi (V for phi = None), truncated at theta = V_THETA.
 
-    Each rung solves the front equation with data phi(-x) + theta 1_{x<0};
-    the returned field is the largest rung, with the increment over the
-    second largest attached per snapshot.  The exact family is increasing
-    in theta, so a decreasing rung signals a discretization bug and raises.
+    One march of the front equation from phi(-x) + V_THETA 1_{x<0}.  The
+    exact fields increase to V_phi as theta -> inf.  At fixed dt the discrete
+    field still grows with log theta, through the splitting error of the
+    first steps, and that gap closes only as dt -> 0; so V_THETA is a fixed
+    convention of the scheme, not a converged limit.
     """
     if phi is not None and phi.kind != "bounded":
         raise KppError("phi must be a bounded initial condition or None")
-    if len(theta_ladder) < 3 or any(
-        b <= a for a, b in zip(theta_ladder, theta_ladder[1:])
-    ):
-        raise KppError("theta_ladder must be at least three increasing levels")
-    steps = _snapshot_steps(grid, snapshot_times)
     x = grid.x
     base = np.zeros_like(x) if phi is None else phi.field_values(x)
-
-    stacks = []
-    runs = []
-    for theta in theta_ladder:
-        u0 = base + np.where(x < 0.0, theta, 0.0)
-        times, stack, med_t, med_v, run = _march(mech, u0, grid, steps)
-        stacks.append(stack)
-        runs.append(run)
-
-    for lo, hi in zip(stacks, stacks[1:]):
-        worst = float(np.max(lo - hi))
-        if worst > 1e-8 * (1.0 + float(np.max(np.abs(hi)))):
-            raise NonMonotoneThetaError(
-                f"truncation ladder decreased by {worst:.3e}; refine the grid"
-            )
-
-    diagnostics = {
-        "reaction": runs[-1]["reaction"],
-        "steps": sum(run["steps"] for run in runs),
-        "max_guard_drift": max(run["max_guard_drift"] for run in runs),
-    }
-    return Field(
-        grid=grid,
-        times=times,
-        snapshots=stacks[-1],
-        provenance="V" if phi is None else "V_phi",
-        theta=float(theta_ladder[-1]),
-        median_times=med_t,
-        median_values=med_v,
-        theta_ladder=tuple(float(t) for t in theta_ladder),
-        increments=stacks[-1] - stacks[-2],
-        diagnostics=diagnostics,
-    )
+    u0 = base + np.where(x < 0.0, V_THETA, 0.0)
+    return _march(mech, u0, grid, snapshot_times, "V" if phi is None else "V_phi", V_THETA)

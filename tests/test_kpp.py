@@ -92,9 +92,11 @@ class TestInitialCondition:
         assert not left_indicator.integrable_tail
 
     def test_barrier_kind_rejected_by_solve_U(self):
+        # barrier data has no InitialCondition kind; solve_V builds it
         grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
-        with pytest.raises(KppError):
-            solve_U(QUADRATIC, InitialCondition.barrier(), grid)
+        init = InitialCondition(kind="barrier", phi=None, sup_norm=0.0, integrable_tail=True)
+        with pytest.raises(KppError, match="unknown initial-condition kind"):
+            solve_U(QUADRATIC, init, grid)
 
 
 class TestSolveU:
@@ -235,7 +237,6 @@ class TestSolveV:
         u_field = solve_U(QUADRATIC, phi, grid)
         assert v_field.provenance == "V_phi"
         assert v_field.theta == pytest.approx(1e4)
-        assert v_field.theta_ladder == (1e2, 1e3, 1e4)
         assert np.all(v_field.at(1.0) >= u_field.at(1.0) - 1e-8)
 
     def test_pure_barrier_has_V_provenance(self):
@@ -249,26 +250,20 @@ class TestSolveV:
         v_bar = extinction_prob(QUADRATIC, t=1.0).v_bar
         assert np.max(v_field.at(1.0)) <= v_bar + 1e-3
 
-    def test_theta_increment_ahead_of_front(self):
-        # measured on this grid: 1.65e-2, shrinking slowly under refinement;
-        # the rungs collapse to the mass flow early on, and v(0.01, 1e3) and
-        # v(0.01, 1e4) still differ by 9%, so percent-level increments out
-        # here are real and not a bug
-        grid = Grid1D.auto(t_end=1.0, dx=0.05, dt=0.01)
-        v_field = solve_V(QUADRATIC, None, grid)
-        j = int(np.argmin(np.abs(grid.x - 3.0)))
-        increments = v_field.increment_at(1.0)
-        assert 1e-3 < increments[j] < 2e-2
-
-    def test_increments_are_top_minus_second_rung(self):
-        # rungs march independently, so the top rung of the ladder one
-        # decade lower is bit for bit the second rung of the default ladder
+    def test_barrier_field_is_one_march_from_truncated_data(self):
+        # V is solve_U's march of phi(-x) + 1e4 1_{x<0}, bit for bit
         grid = Grid1D.auto(t_end=1.0, dx=0.1, dt=0.02)
-        v_field = solve_V(QUADRATIC, None, grid)
-        lower = solve_V(QUADRATIC, None, grid, theta_ladder=(1e1, 1e2, 1e3))
-        assert np.array_equal(v_field.increments, v_field.snapshots - lower.snapshots)
-        assert np.all(v_field.increments >= 0.0)
-        assert np.all(lower.increments >= 0.0)
+        phi = gaussian_phi(0.5)
+        v_field = solve_V(
+            QUADRATIC, InitialCondition.bounded(phi, 0.5), grid, snapshot_times=[0.5]
+        )
+        truncated = InitialCondition.bounded(
+            lambda s: phi(s) + np.where(np.asarray(s) > 0.0, 1e4, 0.0), 1e4 + 0.5
+        )
+        u_field = solve_U(QUADRATIC, truncated, grid, snapshot_times=[0.5])
+        assert np.array_equal(v_field.snapshots, u_field.snapshots)
+        assert np.array_equal(v_field.median_values, u_field.median_values)
+        assert v_field.diagnostics == u_field.diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -366,11 +361,12 @@ class TestDiagnostics:
         assert 0.0 <= diag["max_guard_drift"] <= 1e-6
 
     def test_barrier_ladder_sums_its_rungs(self):
+        # named for the three-rung ladder solve_V marched before; one march now
         grid = Grid1D.auto(t_end=1.0, dx=0.1, dt=0.02)
         field = solve_V(pure_stable(1.0, 1.5, 1.0), None, grid)
         diag = field.diagnostics
         assert diag["reaction"] == "table"
-        assert diag["steps"] == 3 * grid.nt
+        assert diag["steps"] == grid.nt
         assert 0.0 <= diag["max_guard_drift"] <= 1e-6
 
     def test_non_finite_field_raises(self):
@@ -389,15 +385,14 @@ class TestDiagnostics:
 # recorded when jump mechanisms still took RK4 reaction sub-steps, and the
 # logistic map must still reproduce them bit for bit.  The jump mechanisms'
 # were recorded when their reaction became one step of the flow table; they
-# moved from the RK4 values by at most 6e-5 absolute (theta = 1e4 rungs of
-# V), 4.4e-6 relative elsewhere and 1e-6 in the medians.
+# moved from the RK4 values by at most 6e-5 absolute (V, truncated at
+# theta = 1e4), 4.4e-6 relative elsewhere and 1e-6 in the medians.
 
 QUADRATIC_DIGESTS = {
     "U_snapshots": "6f654f64d5ea73161af24494eeb11c6b32087352659290bd9e0e3464b6209d7e",
     "U_medians": "03916caa8bf46d40d77b6b34315f894bebfe43616a4c72362b00f5ee180ca51c",
     "V_snapshots": "e940a6c080bf8b816e18c024b2b3b62afac936badbe3fa0a042f642d4ad32662",
     "V_medians": "6b8c3b565d52a1092673907d36177de82fbc6021ba65e8a4e2a71d8f5b37c711",
-    "V_increments": "ca6652789725b2c7fef8dd053a0f243a5365a8a6a8dbe7c7fed2ca3b5df34705",
 }
 
 JUMP_MECHANISMS = {
@@ -419,28 +414,24 @@ JUMP_DIGESTS = {
         "U_medians": "f45ada1b851d3421dd558e7f035d4703b20ae270204e021dfc44a7dd3f63c129",
         "V_snapshots": "7f618214af58bba61c8066eee5a9ea917495064d3a6656ef9a6d8b568e2c3d37",
         "V_medians": "556d4d7b946b04348aaf298bc6462c90668f4934f34254da575ce782313282a5",
-        "V_increments": "701f74b95cabe2cfb8e633d9c7031f1e406ad4ac6d4c56b1385876223411aaba",
     },
     "stable": {
         "U_snapshots": "c3cc11e4cd711706b6bf957974af6d97728a6aa00f0abf385df11dd654cb78d6",
         "U_medians": "aba04d9809aef5bbececc574a0190db105827e4ced949117d2b128273c5c001b",
         "V_snapshots": "6732d85b40d216f37c25009a94f48d913c1eee6d5cbb0b8c6894321929908b1d",
         "V_medians": "a0d8220875f7113f95422d26151746737cba32aa4cbdd2554460d0fefb78ef8d",
-        "V_increments": "49c608fa07793b9e0e6e13fa371cf5db0a819335bf7c8c17c76006de52fc542b",
     },
     "jumps": {
         "U_snapshots": "583015448c23ee58534176933a0f3dbca9ce5f4567280284c5ae17787321dc24",
         "U_medians": "6047faf6843d4ea62e762f246c738915ea3799ba0669ea72862b7044a32988f5",
         "V_snapshots": "6f5f30a0002b0cd09b6de10b125957dd46f4c204ce82bae00a489da307d18144",
         "V_medians": "2a8db3972bd7c6d3ee989777b83135967785ec708096ccbc139d518706ec9c2c",
-        "V_increments": "ead85f2ca75509d3d2ae3c8d507cdd9ad2529b7470ab59360949f49b3c629f30",
     },
     "tabulated": {
         "U_snapshots": "caede7ff0fe1b59a7ec499df53bbd06d205c43965a84db09f6b31a833deac645",
         "U_medians": "8c42a5e18259725e077448311f5c82c0872db11b1d265e070e66ef81a60d5477",
         "V_snapshots": "4281ab1c998b14c8a2712bbae72d54a473c787720a9b1a9d2949d3700434cb3f",
         "V_medians": "ca26eae4aecf3987a1727295d1cc0496a13c6b60156648e868e150801bad4361",
-        "V_increments": "692ad97fd2ff1b77843544331e27b4aba5c6dceeb0469cf77872915696c41006",
     },
 }
 
@@ -459,7 +450,6 @@ def _field_digests(mech: BranchingMechanism) -> dict[str, str]:
         "U_medians": _sha(u.median_values),
         "V_snapshots": _sha(v.snapshots),
         "V_medians": _sha(v.median_values),
-        "V_increments": _sha(v.increments),
     }
 
 
