@@ -84,6 +84,11 @@ _NEWTON_STEP_TOL = 1e-12
 _NEWTON_RESIDUAL_TOL = 1e-10
 _CONTINUATION_DEPTH = 10
 
+# log grid on [1e-6, 1e8] for the infimum of c4_convexity
+_C4_GRID = 4001
+# grid on [0, 1] on which shape_witness checks f(y) = (1 - y^2)^2
+_WITNESS_GRID = 20001
+
 
 class BarriersError(ValueError):
     """Invalid input or violated precondition in the barrier machinery."""
@@ -112,7 +117,7 @@ def c2_constant(b: float, theta: float) -> float:
     return (2.0 / (b * theta)) ** (1.0 / theta)
 
 
-def c4_convexity(theta: float, n_grid: int = 4001) -> float:
+def c4_convexity(theta: float) -> float:
     """inf over lam >= 0 of ((1+lam)**(1+theta) - (1+lam)) / lam**(1+theta).
 
     The quotient tends to +inf at 0 and to 1 at infinity, so the limit 1
@@ -124,7 +129,7 @@ def c4_convexity(theta: float, n_grid: int = 4001) -> float:
     on the result is 1.0; it then overestimates the true infimum by at most
     about 3e-10 (2.7e-10 near theta = 0.9634, by a 250-digit mpmath check).
     """
-    lam = np.geomspace(1e-6, 1e8, n_grid)
+    lam = np.geomspace(1e-6, 1e8, _C4_GRID)
     ratio = (np.power(1.0 + lam, 1.0 + theta) - (1.0 + lam)) / np.power(
         lam, 1.0 + theta
     )
@@ -459,14 +464,14 @@ class ShapeWitness:
 
 
 @functools.lru_cache(maxsize=1)
-def shape_witness(n_grid: int = 20001) -> ShapeWitness:
+def shape_witness() -> ShapeWitness:
     """Verify the required properties of f(y) = (1 - y^2)^2 numerically."""
-    y = np.linspace(0.0, 1.0, n_grid)
+    y = np.linspace(0.0, 1.0, _WITNESS_GRID)
     f = (1.0 - y * y) ** 2
     fp = -4.0 * y * (1.0 - y * y)
     fpp = -4.0 + 12.0 * y * y
 
-    interior = slice(0, n_grid - 1)
+    interior = slice(0, _WITNESS_GRID - 1)
     quot_sq = np.zeros_like(y)
     quot_sq[interior] = fp[interior] ** 2 / f[interior]
     quot_sq[-1] = 16.0

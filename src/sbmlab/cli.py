@@ -11,7 +11,12 @@ rerunning the same configuration and seed rewrites identical CSVs.
 
 Configuration is a single JSON document validated against the schemas
 below.  Unknown keys are rejected anywhere in the document, so typos
-fail loudly instead of silently running defaults.  The overridable
+fail loudly instead of silently running defaults.  The chosen pipeline's
+block is parsed once, up front, into the values its runner uses, through
+the library's own constructors and validators; a mistake names
+``<block>.<key>`` and exits 2 before anything is written.  Parsing reads
+no files, so a bad saved cluster bank (``extremal.bank``) exits 2 only
+once the run has started.  The overridable
 settings (seed, output directory, replica count, quiet flag) resolve in
 the order: command line flag, then ``SBMLAB_*`` environment variable
 (``SBMLAB_SEED``, ``SBMLAB_OUT``, ``SBMLAB_REPLICAS``, ``SBMLAB_QUIET``),
@@ -21,14 +26,16 @@ one of those sources; the deterministic ones ignore the seed entirely.
 A missing ``mechanism`` block means the normalized quadratic mechanism
 (alpha = 1, beta = 1, no jumps).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric
-failure inside a solver or check, 4 Monte Carlo budget exhausted
-(conditioned-sampling acceptance too low or attempts used up).
+Exit codes: 0 success, 2 usage or configuration error, 3 a solver or a
+check failed on inputs that parsed (a rule only the solver knows, or a
+numeric failure), 4 Monte Carlo budget exhausted (conditioned-sampling
+acceptance too low or attempts used up).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import dataclasses
 import hashlib
@@ -46,6 +53,7 @@ import scipy
 
 from . import __version__
 from .barriers import (
+    DEFAULT_M_LADDER,
     BarriersError,
     c4_convexity,
     equilibrium,
@@ -56,9 +64,14 @@ from .barriers import (
 from .csbp import CsbpError, extinction_prob, mass_laplace
 from .extremal import ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star
 from .feynman_kac import FkError, fk_estimate
-from .fronts import FrontsError, TestFunction, constant_C, constant_C_hat, constant_C_tilde
-from .kpp import SQRT2, Field, Grid1D, InitialCondition, KppError, front_m, solve_U
-from .mechanism import BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star, mechanism_to_dict
+from .fronts import (
+    FrontsError, TestFunction, _validate_ladder, constant_C, constant_C_hat, constant_C_tilde
+)
+from .kpp import SQRT2, Grid1D, InitialCondition, KppError, front_m, solve_U
+from .mechanism import (
+    BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star,
+    mechanism_from_json, mechanism_to_dict,
+)
 from .particles import (
     AcceptanceTooLowError,
     ConditionedClusterSample,
@@ -121,12 +134,17 @@ _NUM = (int, float)
 
 @dataclass(frozen=True)
 class _Key:
-    """One allowed key: accepted types, default, and an optional check."""
+    """One allowed key: accepted types, default, and an optional check.
+
+    A key with ``min_len`` takes a list of at least that many numbers and
+    parses it into a tuple of floats; its ``check`` applies to each entry.
+    """
 
     types: tuple
     default: object = None
     required: bool = False
     check: Callable | None = None
+    min_len: int = 0
 
 
 def _positive(v) -> str | None:
@@ -146,7 +164,11 @@ def _check_type(where: str, key: str, value, types: tuple):
 
 
 def _validate(data: dict, schema: dict, where: str) -> dict:
-    """Return a copy of ``data`` with defaults filled, rejecting unknown keys."""
+    """The values ``data`` sets, defaults filled in, numbers as floats.
+
+    Unknown keys, wrong types and failed checks raise a CliConfigError
+    naming ``<where>.<key>``.
+    """
     if not isinstance(data, dict):
         raise CliConfigError(f"{where}: expected an object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(schema))
@@ -154,105 +176,88 @@ def _validate(data: dict, schema: dict, where: str) -> dict:
         raise CliConfigError(f"{where}: unknown keys {unknown}; allowed {sorted(schema)}")
     out = {}
     for key, spec in schema.items():
-        if key not in data or data[key] is None:
+        value = data.get(key)
+        if value is None:
             if spec.required:
                 raise CliConfigError(f"{where}.{key} is required")
             out[key] = spec.default
             continue
-        value = data[key]
         _check_type(where, key, value, spec.types)
-        if spec.check is not None:
-            msg = spec.check(value)
+        if spec.min_len:
+            if len(value) < spec.min_len or any(
+                isinstance(v, bool) or not isinstance(v, _NUM) for v in value
+            ):
+                raise CliConfigError(
+                    f"{where}.{key}: expected a list of at least {spec.min_len} numbers"
+                )
+            value = tuple(float(v) for v in value)
+        elif spec.types is _NUM:
+            value = float(value)
+        for entry in value if spec.min_len else (value,):
+            msg = spec.check(entry) if spec.check is not None else None
             if msg:
-                raise CliConfigError(f"{where}.{key}: {msg}")
+                raise CliConfigError(f"{where}.{key}: {entry!r} {msg}")
         out[key] = value
     return out
 
 
-def _number_list(where: str, key: str, value, min_len: int = 1) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) < min_len:
-        raise CliConfigError(f"{where}.{key}: expected a list of at least {min_len} numbers")
-    vals = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, _NUM):
-            raise CliConfigError(f"{where}.{key}: entries must be numbers")
-        vals.append(float(v))
-    return tuple(vals)
+def _filled(data: dict, schema: dict) -> dict:
+    """``data`` as written, with the schema's defaults for absent keys: the hashed form."""
+    return {k: spec.default if data.get(k) is None else data[k] for k, spec in schema.items()}
 
 
-_LEVY_KEYS = {
-    "none": {"kind"},
-    "atoms": {"kind", "atoms"},
-    "truncated-stable": {"kind", "c", "index", "cutoff"},
-    "tabulated": {"kind", "y", "density"},
-}
+@contextlib.contextmanager
+def _blame(where: str, *errors: type[Exception]):
+    """Turn ``errors`` raised by a library constructor into a CliConfigError naming ``where``."""
+    try:
+        yield
+    except errors as exc:
+        raise CliConfigError(f"{where}: {exc}") from exc
 
 
 def _build_mechanism(data: dict | None) -> BranchingMechanism:
+    """No block means quadratic; in a block alpha defaults to 1.0 and beta to 0.0."""
     if data is None:
         return BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
     if not isinstance(data, dict):
         raise CliConfigError("mechanism: expected an object")
-    allowed = {"alpha", "beta", "levy"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise CliConfigError(f"mechanism: unknown keys {unknown}; allowed {sorted(allowed)}")
-    levy = data.get("levy", {"kind": "none"})
-    if not isinstance(levy, dict) or "kind" not in levy:
-        raise CliConfigError("mechanism.levy: expected an object with a 'kind'")
-    kind = levy["kind"]
-    if kind not in _LEVY_KEYS:
-        raise CliConfigError(f"mechanism.levy.kind: unknown kind {kind!r}")
-    unknown = sorted(set(levy) - _LEVY_KEYS[kind])
-    if unknown:
-        raise CliConfigError(f"mechanism.levy: unknown keys {unknown} for kind {kind!r}")
-    try:
-        return BranchingMechanism(
-            alpha=float(data.get("alpha", 1.0)),
-            beta=float(data.get("beta", 0.0)),
-            levy=LevyMeasure.from_dict(levy),
-        )
-    except (MechanismError, KeyError, TypeError, ValueError) as exc:
-        raise CliConfigError(f"mechanism: {exc}") from exc
+    with _blame("mechanism", MechanismError):
+        return mechanism_from_json({"alpha": 1.0, "beta": 0.0, **data})
 
 
+_NEEDED = _Key(_NUM, required=True)
+
+# kind: (constructor, schema of the keys besides "kind")
 _PHI_KINDS = {
-    "zero": {"kind"},
-    "indicator": {"kind", "lam", "a"},
-    "bump": {"kind", "center", "width", "height"},
-    "table": {"kind", "ys", "vals"},
+    "zero": (TestFunction.zero, {}),
+    "indicator": (TestFunction.scaled_indicator, {"lam": _NEEDED, "a": _Key(_NUM, 0.0)}),
+    "bump": (TestFunction.compact_bump, {"center": _NEEDED, "width": _NEEDED, "height": _NEEDED}),
+    "table": (
+        TestFunction.table,
+        {
+            "ys": _Key((list,), required=True, min_len=2),
+            "vals": _Key((list,), required=True, min_len=2, check=_nonnegative),
+        },
+    ),
 }
 
 
-def _build_phi(spec: dict, where: str) -> TestFunction:
+def _parse_phi(spec, where: str) -> TestFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise CliConfigError(f"{where}: expected an object with a 'kind'")
     kind = spec["kind"]
-    if kind not in _PHI_KINDS:
+    if not isinstance(kind, str) or kind not in _PHI_KINDS:
         raise CliConfigError(f"{where}.kind: unknown kind {kind!r}; allowed {sorted(_PHI_KINDS)}")
-    unknown = sorted(set(spec) - _PHI_KINDS[kind])
-    if unknown:
-        raise CliConfigError(f"{where}: unknown keys {unknown} for kind {kind!r}")
-    try:
-        if kind == "zero":
-            return TestFunction.zero()
-        if kind == "indicator":
-            return TestFunction.scaled_indicator(spec["lam"], spec.get("a", 0.0))
-        if kind == "bump":
-            return TestFunction.compact_bump(spec["center"], spec["width"], spec["height"])
-        ys = _number_list(where, "ys", spec.get("ys"), min_len=2)
-        vals = _number_list(where, "vals", spec.get("vals"), min_len=2)
-        if any(v < 0 for v in vals):
-            raise CliConfigError(f"{where}.vals: table values must be nonnegative")
-        return TestFunction.table(ys, vals)
-    except (FrontsError, KeyError) as exc:
-        raise CliConfigError(f"{where}: {exc}") from exc
+    make, schema = _PHI_KINDS[kind]
+    args = _validate({k: v for k, v in spec.items() if k != "kind"}, schema, where)
+    with _blame(where, FrontsError):
+        return make(**args)
 
 
-def _build_data(spec, where: str) -> InitialCondition:
+def _parse_data(spec, where: str) -> InitialCondition:
     if spec == "heaviside":
         return InitialCondition.heaviside()
-    return _build_phi(spec, where).to_initial_condition()
+    return _parse_phi(spec, where).to_initial_condition()
 
 
 _BLOCK_SCHEMAS: dict[str, dict] = {
@@ -262,11 +267,11 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "dt": _Key(_NUM, 0.01, check=_positive),
         "pad": _Key(_NUM, 20.0, check=_positive),
         "data": _Key((str, dict), "heaviside"),
-        "snapshots": _Key((list,), None),
+        "snapshots": _Key((list,), None, min_len=1),
     },
     "csbp": {
-        "theta_grid": _Key((list,), [0.5, 1.0, 2.0, 4.0, 8.0]),
-        "t_grid": _Key((list,), [0.25, 0.5, 1.0, 2.0]),
+        "theta_grid": _Key((list,), (0.5, 1.0, 2.0, 4.0, 8.0), check=_nonnegative, min_len=1),
+        "t_grid": _Key((list,), (0.25, 0.5, 1.0, 2.0), min_len=1),
         "mass": _Key(_NUM, 1.0, check=_positive),
         "extinction": _Key((bool,), True),
     },
@@ -282,7 +287,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
     },
     "fronts": {
         "phi": _Key((dict,), {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}),
-        "r_ladder": _Key((list,), [4.0, 8.0, 16.0, 32.0]),
+        "r_ladder": _Key((list,), (4.0, 8.0, 16.0, 32.0), min_len=1),
         "dx": _Key(_NUM, 0.05, check=_positive),
         "dt": _Key(_NUM, 0.01, check=_positive),
         "with_tilde": _Key((bool,), True),
@@ -292,7 +297,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "epsilon": _Key(_NUM, 0.5, check=_positive),
         "dt": _Key(_NUM, 0.025, check=_positive),
         "t_end": _Key(_NUM, 8.0, check=_positive),
-        "snapshots": _Key((list,), None),
+        "snapshots": _Key((list,), None, min_len=1),
         "barrier_offset": _Key(_NUM, None, check=_positive),
         "stats_only": _Key((bool,), True),
         "initial": _Key((list,), None),
@@ -307,7 +312,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
     },
     "ldp": {
         "delta": _Key(_NUM, 0.5, check=_positive),
-        "r_ladder": _Key((list,), [4.0, 8.0, 16.0, 32.0]),
+        "r_ladder": _Key((list,), (4.0, 8.0, 16.0, 32.0), min_len=1),
         "dx": _Key(_NUM, 0.05, check=_positive),
         "dt": _Key(_NUM, 0.01, check=_positive),
     },
@@ -316,9 +321,8 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "b": _Key(_NUM, 1.0, check=_positive),
         "theta": _Key(_NUM, 1.0, check=_positive),
         "A": _Key(_NUM, 5.0, check=_positive),
-        "m_ladder": _Key((list,), None),
+        "m_ladder": _Key((list,), DEFAULT_M_LADDER, min_len=2),
         "n_cells": _Key((int,), None),
-        "strip_times": _Key((list,), [0.5, 1.0, 2.0, 4.0]),
     },
 }
 
@@ -346,31 +350,110 @@ _STABILITY_SCHEMA = {
 _TOP_KEYS = {"pipeline", "mechanism", "seed", "out", "replicas", "quiet"} | set(_BLOCK_SCHEMAS)
 
 
-def _deep_validate(pipeline: str, block: dict) -> None:
-    """Build the nested specs of the chosen pipeline so typos fail up front."""
-    if pipeline == "fronts":
-        _build_phi(block["phi"], "fronts.phi")
-        _number_list("fronts", "r_ladder", block["r_ladder"], min_len=2)
-    elif pipeline in ("kpp", "fk"):
-        _build_data(block["data"], f"{pipeline}.data")
-        if pipeline == "kpp":
-            _kpp_snapshots(block, "kpp")
-        else:
-            dt = float(block["dt"])
-            for name in ("r", "t"):
-                value = float(block[name])
-                if abs(round(value / dt) * dt - value) > 1e-6:
-                    raise CliConfigError(f"fk.{name}={value:g} is not a multiple of fk.dt={dt:g}")
-    elif pipeline == "ldp":
-        _number_list("ldp", "r_ladder", block["r_ladder"], min_len=2)
-    elif pipeline == "simulate":
-        if block["bank"] is not None:
-            _validate(block["bank"], _BANK_SCHEMA, "simulate.bank")
-    elif pipeline == "extremal":
-        if block["build"] is not None:
-            _validate(block["build"], _BUILD_SCHEMA, "extremal.build")
-        if block["stability"] is not None:
-            _validate(block["stability"], _STABILITY_SCHEMA, "extremal.stability")
+# ---------------------------------------------------------------------------
+# parsing: each pipeline's validated options into the values its runner uses;
+# a parser takes (options, mechanism, seed, replicas)
+
+
+def _parse_kpp(opts: dict, mech, seed, replicas) -> dict:
+    t_end, dt = opts["t_end"], opts["dt"]
+    snaps = opts["snapshots"] or tuple(t_end * f for f in (0.25, 0.5, 1.0))
+    snapped = tuple(round(s / dt) * dt for s in snaps)
+    if any(s <= 0 or s > t_end + 1e-9 for s in snapped):
+        raise CliConfigError("kpp.snapshots must lie in (0, t_end]")
+    with _blame("kpp.dt", KppError):
+        grid = Grid1D.auto(t_end, dx=opts["dx"], dt=dt, pad=opts["pad"])
+    return {"grid": grid, "init": _parse_data(opts["data"], "kpp.data"), "snapshots": snapped}
+
+
+def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
+    r, t, dx, dt, pad = opts["r"], opts["t"], opts["dx"], opts["dt"], opts["pad"]
+    if r > t:
+        raise CliConfigError("fk.r must not exceed fk.t")
+    for name in ("r", "t"):
+        if abs(round(opts[name] / dt) * dt - opts[name]) > 1e-6:
+            raise CliConfigError(f"fk.{name}={opts[name]:g} is not a multiple of fk.dt={dt:g}")
+    with _blame("fk.dt", KppError):
+        grid = Grid1D.auto(t, dx=dx, dt=dt, pad=pad)
+    # the grid-error estimate solves again with both steps doubled
+    with _blame("fk.dt (doubled for the coarse solve)", KppError):
+        coarse = Grid1D.auto(t, dx=2 * dx, dt=2 * dt, pad=pad)
+    init = _parse_data(opts["data"], "fk.data")
+    return {**opts, "init": init, "grid": grid, "coarse_grid": coarse}
+
+
+def _parse_fronts(opts: dict, mech, seed, replicas) -> dict:
+    with _blame("fronts.r_ladder", FrontsError):
+        ladder = _validate_ladder(opts["r_ladder"])
+    return {**opts, "phi": _parse_phi(opts["phi"], "fronts.phi"), "r_ladder": ladder}
+
+
+def _parse_ldp(opts: dict, mech, seed, replicas) -> dict:
+    with _blame("ldp.r_ladder", FrontsError):
+        return {**opts, "r_ladder": _validate_ladder(opts["r_ladder"])}
+
+
+def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
+    initial = None
+    if opts["initial"] is not None:
+        pairs = opts["initial"]
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise CliConfigError("simulate.initial must be a list of [location, weight] pairs")
+        with _blame("simulate.initial", ParticlesError, TypeError, ValueError):
+            initial = PointMeasure(
+                np.array([float(p[0]) for p in pairs]), np.array([float(p[1]) for p in pairs])
+            )
+    with _blame("simulate", ParticlesError):
+        sim = SimConfig(
+            mech=mech,
+            epsilon=opts["epsilon"],
+            dt=opts["dt"],
+            t_end=opts["t_end"],
+            seed=seed,
+            n_replicas=replicas,
+            initial=initial,
+            snapshot_times=opts["snapshots"],
+            barrier_offset=opts["barrier_offset"],
+            stats_only=opts["stats_only"],
+        )
+    bank = None
+    if opts["bank"] is not None:
+        bank = _validate(opts["bank"], _BANK_SCHEMA, "simulate.bank")
+        bank["t"] = sim.t_end if bank["t"] is None else bank["t"]
+    return {"sim": sim, "bank": bank}
+
+
+def _parse_extremal(opts: dict, mech, seed, replicas) -> dict:
+    spec = _validate(opts["build"] or {}, _BUILD_SCHEMA, "extremal.build")
+    build = None
+    if opts["bank"] is None:
+        with _blame("extremal.build", ParticlesError):
+            sim = SimConfig(
+                mech=mech,
+                epsilon=spec["epsilon"],
+                dt=spec["dt"],
+                t_end=spec["t"],
+                seed=seed,
+                n_replicas=256,
+                barrier_offset=spec["barrier_offset"],
+                stats_only=False,
+            )
+        build = {"sim": sim, "z": spec["z"], "t": spec["t"], "n_accept": spec["n_accept"]}
+    stability = None
+    if opts["stability"] is not None:
+        stability = _validate(opts["stability"], _STABILITY_SCHEMA, "extremal.stability")
+    return {**opts, "build": build, "stability": stability}
+
+
+# the other pipelines run on their validated options as they are
+_PARSERS = {
+    "kpp": _parse_kpp,
+    "fk": _parse_fk,
+    "fronts": _parse_fronts,
+    "ldp": _parse_ldp,
+    "simulate": _parse_simulate,
+    "extremal": _parse_extremal,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +486,11 @@ def _env_bool(env: dict, name: str) -> bool | None:
 class ExperimentConfig:
     """Fully resolved inputs of one pipeline run.
 
-    ``block`` is the validated, default-filled option block of the chosen
-    pipeline; ``config_hash`` is the sha256 of the canonical experiment
-    content (pipeline, mechanism, seed, replicas, block), which excludes
+    ``block`` holds the chosen pipeline's options parsed into the values its
+    runner uses (``Grid1D``, ``InitialCondition``, ``TestFunction``,
+    ``SimConfig``, float tuples), which runners never change; ``config_hash``
+    is the sha256 of the canonical experiment content (pipeline, mechanism,
+    seed, replicas, the block as written with defaults filled), which excludes
     the output directory and quiet flag on purpose so the same experiment
     hashed in two directories matches.
     """
@@ -454,10 +539,11 @@ class ExperimentConfig:
 
         mechanism = _build_mechanism(data.get("mechanism"))
         for name, schema in _BLOCK_SCHEMAS.items():
-            if name in data and data[name] is not None:
+            if name != pipeline and data.get(name) is not None:
                 _validate(data[name], schema, name)
-        block = _validate(data.get(pipeline, {}) or {}, _BLOCK_SCHEMAS.get(pipeline, {}), pipeline)
-        _deep_validate(pipeline, block)
+        written = data.get(pipeline) or {}
+        schema = _BLOCK_SCHEMAS.get(pipeline, {})
+        opts = _validate(written, schema, pipeline)
 
         seed = seed if seed is not None else _env_int(env, ENV_PREFIX + "SEED")
         if seed is None:
@@ -482,6 +568,8 @@ class ExperimentConfig:
                 f"pipeline {pipeline!r} is stochastic; set a seed via --seed, "
                 f"{ENV_PREFIX}SEED, or the config file"
             )
+        parse = _PARSERS.get(pipeline)
+        block = opts if parse is None else parse(opts, mechanism, seed, replicas)
 
         canonical = json.dumps(
             {
@@ -489,7 +577,7 @@ class ExperimentConfig:
                 "mechanism": mechanism_to_dict(mechanism),
                 "seed": seed,
                 "replicas": replicas,
-                "block": block,
+                "block": _filled(written, schema),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -583,8 +671,14 @@ class _Artifacts:
         self._register(rel, kind, description)
         return path
 
+    @contextlib.contextmanager
     def timed(self, stage: str):
-        return _Timer(self, stage)
+        """Add the wall time of the ``with`` body to ``stage``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.wall_times[stage] = self.wall_times.get(stage, 0.0) + time.perf_counter() - t0
 
     def write_manifest(self, config: ExperimentConfig, status: str, message: str) -> Path:
         payload = {
@@ -611,22 +705,6 @@ class _Artifacts:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-
-class _Timer:
-    def __init__(self, art: _Artifacts, stage: str):
-        self.art = art
-        self.stage = stage
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.art.wall_times[self.stage] = (
-            self.art.wall_times.get(self.stage, 0.0) + time.perf_counter() - self.t0
-        )
-        return False
 
 
 def _gnuplot_lines(csv_name: str, n_cols: int, ylabel: str, title: str) -> str:
@@ -737,9 +815,7 @@ def _run_mech_check(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _run_csbp(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    thetas = _number_list("csbp", "theta_grid", block["theta_grid"])
-    ts = _number_list("csbp", "t_grid", block["t_grid"])
-    mass = float(block["mass"])
+    thetas, ts, mass = block["theta_grid"], block["t_grid"], block["mass"]
     rows = []
     with art.timed("laplace"):
         for theta in thetas:
@@ -773,28 +849,11 @@ def _run_csbp(config: ExperimentConfig, art: _Artifacts) -> None:
     config.say(f"lambda_star={summary['lambda_star']:.6g}")
 
 
-def _kpp_snapshots(block: dict, where: str) -> tuple[float, ...]:
-    t_end = float(block["t_end"])
-    dt = float(block["dt"])
-    if block["snapshots"] is not None:
-        snaps = _number_list(where, "snapshots", block["snapshots"])
-    else:
-        snaps = tuple(t_end * f for f in (0.25, 0.5, 1.0))
-    snapped = tuple(round(s / dt) * dt for s in snaps)
-    if any(s <= 0 or s > t_end + 1e-9 for s in snapped):
-        raise CliConfigError(f"{where}.snapshots must lie in (0, t_end]")
-    return snapped
-
-
 def _run_kpp(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    snaps = _kpp_snapshots(block, "kpp")
-    grid = Grid1D.auto(
-        float(block["t_end"]), dx=float(block["dx"]), dt=float(block["dt"]), pad=float(block["pad"])
-    )
-    init = _build_data(block["data"], "kpp.data")
+    grid = block["grid"]
     with art.timed("solve"):
-        field = solve_U(config.mechanism, init, grid, snapshot_times=snaps)
+        field = solve_U(config.mechanism, block["init"], grid, snapshot_times=block["snapshots"])
     art.diagnostics["solve"] = dict(field.diagnostics)
     header = ["x"] + [f"u_t{float(t):g}" for t in field.times]
     rows = zip(grid.x, *[field.at(float(t)) for t in field.times])
@@ -821,17 +880,10 @@ def _run_kpp(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _run_fk(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    r, t, x = float(block["r"]), float(block["t"]), float(block["x"])
-    if r > t:
-        raise CliConfigError("fk.r must not exceed fk.t")
-    init = _build_data(block["data"], "fk.data")
-    fine = Grid1D.auto(t, dx=float(block["dx"]), dt=float(block["dt"]), pad=float(block["pad"]))
+    r, t, x = block["r"], block["t"], block["x"]
     with art.timed("pde"):
-        field = solve_U(config.mechanism, init, fine, snapshot_times=(r, t))
-        coarse_grid = Grid1D.auto(
-            t, dx=2 * float(block["dx"]), dt=2 * float(block["dt"]), pad=float(block["pad"])
-        )
-        coarse = solve_U(config.mechanism, init, coarse_grid, snapshot_times=(t,))
+        field = solve_U(config.mechanism, block["init"], block["grid"], snapshot_times=(r, t))
+        coarse = solve_U(config.mechanism, block["init"], block["coarse_grid"], snapshot_times=(t,))
     pde_value = field.interp(t, x)
     grid_error = abs(pde_value - coarse.interp(t, x))
     with art.timed("paths"):
@@ -843,7 +895,7 @@ def _run_fk(config: ExperimentConfig, art: _Artifacts) -> None:
             x,
             n_paths=int(config.replicas),
             seed=int(config.seed),
-            path_dt=float(block["path_dt"]),
+            path_dt=block["path_dt"],
         )
     gap = abs(est.mean - pde_value)
     budget = 3.0 * (est.std_error + grid_error)
@@ -873,13 +925,8 @@ def _run_fk(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _ladder_csv(art: _Artifacts, estimates: dict[str, object], rel: str) -> int:
     names = list(estimates)
-    r_values = None
-    for est in estimates.values():
-        r_values = est.r_values
-        break
-    rows = []
-    for i, r in enumerate(r_values):
-        rows.append((r, *[estimates[n].ladder[i] for n in names]))
+    r_values = estimates[names[0]].r_values
+    rows = [(r, *[estimates[n].ladder[i] for n in names]) for i, r in enumerate(r_values)]
     art.write_csv(
         rel,
         ["r"] + names,
@@ -900,9 +947,7 @@ def _estimate_payload(est) -> dict:
 
 def _run_fronts(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    phi = _build_phi(block["phi"], "fronts.phi")
-    ladder = _number_list("fronts", "r_ladder", block["r_ladder"], min_len=2)
-    dx, dt = float(block["dx"]), float(block["dt"])
+    phi, ladder, dx, dt = block["phi"], block["r_ladder"], block["dx"], block["dt"]
     estimates: dict[str, object] = {}
     with art.timed("C_phi"):
         estimates["C_phi"] = constant_C(config.mechanism, phi, r_ladder=ladder, dx=dx, dt=dt)
@@ -935,11 +980,10 @@ def _run_fronts(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _run_ldp(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    delta = float(block["delta"])
-    ladder = _number_list("ldp", "r_ladder", block["r_ladder"], min_len=2)
+    delta = block["delta"]
     with art.timed("C_hat"):
         est = constant_C_hat(
-            config.mechanism, delta, r_ladder=ladder, dx=float(block["dx"]), dt=float(block["dt"])
+            config.mechanism, delta, r_ladder=block["r_ladder"], dx=block["dx"], dt=block["dt"]
         )
     n_cols = _ladder_csv(art, {"C_hat": est}, "ladder.csv")
     art.write_json(
@@ -956,40 +1000,6 @@ def _run_ldp(config: ExperimentConfig, art: _Artifacts) -> None:
     config.say(f"C_hat({delta:g})={est.value:.6g}(±{est.error:.1g})")
 
 
-def _sim_config(config: ExperimentConfig, block: dict) -> SimConfig:
-    initial = None
-    if block["initial"] is not None:
-        pairs = block["initial"]
-        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise CliConfigError("simulate.initial must be a list of [location, weight] pairs")
-        try:
-            initial = PointMeasure(
-                np.array([float(p[0]) for p in pairs]), np.array([float(p[1]) for p in pairs])
-            )
-        except ParticlesError as exc:
-            raise CliConfigError(f"simulate.initial: {exc}") from exc
-    snapshots = None
-    if block["snapshots"] is not None:
-        snapshots = _number_list("simulate", "snapshots", block["snapshots"])
-    try:
-        return SimConfig(
-            mech=config.mechanism,
-            epsilon=float(block["epsilon"]),
-            dt=float(block["dt"]),
-            t_end=float(block["t_end"]),
-            seed=int(config.seed),
-            n_replicas=int(config.replicas),
-            initial=initial,
-            snapshot_times=snapshots,
-            barrier_offset=None
-            if block["barrier_offset"] is None
-            else float(block["barrier_offset"]),
-            stats_only=bool(block["stats_only"]),
-        )
-    except ParticlesError as exc:
-        raise CliConfigError(f"simulate: {exc}") from exc
-
-
 def _write_bank(sample: ConditionedClusterSample, art: _Artifacts) -> ClusterBank:
     """Save the sample's bank under bank/ and register both of its files."""
     bank = ClusterBank.from_sample(sample)
@@ -1001,7 +1011,7 @@ def _write_bank(sample: ConditionedClusterSample, art: _Artifacts) -> ClusterBan
 
 def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    sim_config = _sim_config(config, block)
+    sim_config = block["sim"]
     with art.timed("replicas"):
         result = simulate(sim_config)
     rows = []
@@ -1068,15 +1078,14 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
         f"survival={result.survival_frequency():.3f} over {len(result.stats)} replicas "
         f"to t={t_last:g}"
     )
-    if block["bank"] is not None:
-        bank_spec = _validate(block["bank"], _BANK_SCHEMA, "simulate.bank")
-        t_cond = float(bank_spec["t"]) if bank_spec["t"] is not None else sim_config.t_end
+    bank_spec = block["bank"]
+    if bank_spec is not None:
         with art.timed("bank"):
             sample = sample_conditioned_clusters(
                 sim_config,
-                z=float(bank_spec["z"]),
-                t=t_cond,
-                n_accept=int(bank_spec["n_accept"]),
+                z=bank_spec["z"],
+                t=bank_spec["t"],
+                n_accept=bank_spec["n_accept"],
                 max_attempts=bank_spec["max_attempts"],
             )
             bank = _write_bank(sample, art)
@@ -1087,33 +1096,17 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    c0 = float(block["c_tilde_0"])
-    if block["bank"] is not None:
+    c0 = block["c_tilde_0"]
+    build = block["build"]
+    if build is None:
         bank = load_bank(Path(block["bank"]))
     else:
-        build = _validate(block["build"] or {}, _BUILD_SCHEMA, "extremal.build")
-        try:
-            sim_config = SimConfig(
-                mech=config.mechanism,
-                epsilon=float(build["epsilon"]),
-                dt=float(build["dt"]),
-                t_end=float(build["t"]),
-                seed=int(config.seed),
-                n_replicas=256,
-                barrier_offset=float(build["barrier_offset"]),
-                stats_only=False,
-            )
-        except ParticlesError as exc:
-            raise CliConfigError(f"extremal.build: {exc}") from exc
         with art.timed("bank"):
             sample = sample_conditioned_clusters(
-                sim_config,
-                z=float(build["z"]),
-                t=float(build["t"]),
-                n_accept=int(build["n_accept"]),
+                build["sim"], z=build["z"], t=build["t"], n_accept=build["n_accept"]
             )
             bank = _write_bank(sample, art)
-    expected = float(block["expected_points"])
+    expected = block["expected_points"]
     floor = -math.log(expected / c0) / SQRT2
     rng = np.random.default_rng([int(config.seed), 211])
     n_samples = int(config.replicas)
@@ -1147,15 +1140,15 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
             "plot",
             "gnuplot script comparing the empirical and limit CDFs",
         )
-    if block["stability"] is not None:
-        stab_spec = _validate(block["stability"], _STABILITY_SCHEMA, "extremal.stability")
+    stab_spec = block["stability"]
+    if stab_spec is not None:
         with art.timed("stability"):
             report = exp_stability_check(
                 c0,
                 bank,
-                a=float(stab_spec["a"]),
+                a=stab_spec["a"],
                 seed=np.random.default_rng([int(config.seed), 212]),
-                n_samples=int(stab_spec["n_samples"]),
+                n_samples=stab_spec["n_samples"],
             )
         art.write_json(
             "stability.json",
@@ -1173,18 +1166,9 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
 
 def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    a, b, theta, big_a = (
-        float(block["a"]),
-        float(block["b"]),
-        float(block["theta"]),
-        float(block["A"]),
-    )
-    ladder = None
-    if block["m_ladder"] is not None:
-        ladder = _number_list("barriers", "m_ladder", block["m_ladder"], min_len=2)
+    a, b, theta, big_a = block["a"], block["b"], block["theta"], block["A"]
     with art.timed("solve"):
-        kwargs = {} if ladder is None else {"m_ladder": ladder}
-        sol = solve_hA(a, b, theta, big_a, n_cells=block["n_cells"], **kwargs)
+        sol = solve_hA(a, b, theta, big_a, m_ladder=block["m_ladder"], n_cells=block["n_cells"])
     lower, upper = sandwich_bounds(sol)
     art.write_csv(
         "profile.csv",

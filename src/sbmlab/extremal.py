@@ -30,6 +30,8 @@ from .kpp import SQRT2
 from .particles import ConditionedClusterSample, PointMeasure
 
 DEFAULT_EXPECTED_POINTS = 1000.0
+# length of the x window that cluster_shift_identity_check integrates over
+_SHIFT_EXTENT = 20.0
 
 
 class ExtremalError(ValueError):
@@ -296,7 +298,6 @@ def cluster_shift_identity_check(
     C_phi: float,
     C_tilde_0: float,
     bank: ClusterBank,
-    x_max_extent: float = 20.0,
     dx: float = 0.02,
 ) -> ShiftIdentityReport:
     """Compare C(phi)/C_tilde_0 with the bank functional it should equal.
@@ -304,11 +305,11 @@ def cluster_shift_identity_check(
     The right side integrates sqrt(2) e^{-sqrt(2) x} times the bank
     average of 1 - exp(-<phi(. + x), Delta>) over x.  For phi vanishing
     left of a the integrand vanishes for x < a (cluster tips are at 0),
-    so the quadrature runs on [a, a + x_max_extent].
+    so the quadrature runs on [a, a + _SHIFT_EXTENT].
     """
     phi_eval = phi.evaluate if hasattr(phi, "evaluate") else phi
     a = phi.support_left if hasattr(phi, "support_left") else 0.0
-    xs = np.arange(a, a + x_max_extent + dx / 2.0, dx)
+    xs = np.arange(a, a + _SHIFT_EXTENT + dx / 2.0, dx)
     mean_defect = np.zeros_like(xs)
     for cluster in bank.clusters:
         inner = np.zeros_like(xs)

@@ -45,6 +45,11 @@ __all__ = [
     "k_integral_deviation_bound",
 ]
 
+# time steps per bridge in psi1_psi2_estimate
+_BRIDGE_STEPS = 1000
+# s nodes on [2 r, t - r] for the growth integrals along a path
+_K_GRID = 2001
+
 
 class FkError(ValueError):
     """Invalid argument to a path-integral routine."""
@@ -375,7 +380,6 @@ def psi_sandwich(
     r: float,
     t: float,
     x: float,
-    y_step: float | None = None,
 ) -> float:
     """Deterministic quadrature for the field far ahead of the front.
 
@@ -399,8 +403,7 @@ def psi_sandwich(
     row = field.at(r)
     span = t - r
     x_tilde = x - SQRT2 * t
-    if y_step is None:
-        y_step = 0.5 * field.grid.dx
+    y_step = 0.5 * field.grid.dx
     y_max = min(xs[-1] - SQRT2 * r, max(x_tilde, 0.0) + 8.0 * math.sqrt(span) + 10.0)
     if y_max <= 0.0:
         raise FkError("field grid does not extend beyond sqrt(2) r")
@@ -437,8 +440,6 @@ def psi1_psi2_estimate(
     n_bridges: int = 256,
     seed: int = 0,
     curves: BarrierCurves | None = None,
-    y_step: float | None = None,
-    bridge_dt_frac: float = 1e-3,
 ) -> Psi12Result:
     """The barrier bounds that squeeze the field at (t, x) from both sides.
 
@@ -469,8 +470,7 @@ def psi1_psi2_estimate(
     span = t - r
     xs = field.grid.x
     row = field.at(r)
-    if y_step is None:
-        y_step = 2.0 * field.grid.dx
+    y_step = 2.0 * field.grid.dx
 
     y_nodes = np.arange(xs[0], xs[-1], y_step)
     u_y = np.interp(y_nodes, xs, row)
@@ -482,7 +482,7 @@ def psi1_psi2_estimate(
     if y_nodes.size < 4:
         raise FkError("too few y nodes carry weight; check the probe point")
 
-    m = max(4, round(1.0 / bridge_dt_frac))
+    m = _BRIDGE_STEPS
     h = span / m
     s_grid = np.arange(m + 1) * h
     bar_up, bar_low = curves.barrier_arrays(t - s_grid)
@@ -552,7 +552,6 @@ def k_integral_diagnostic(
     curves: BarrierCurves,
     mech: BranchingMechanism | None = None,
     k_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    n_quad: int = 2001,
 ) -> float:
     """exp of the growth integral along a path, normalized by its maximum.
 
@@ -569,7 +568,7 @@ def k_integral_diagnostic(
         if mech is None:
             raise FkError("provide a mechanism or an explicit k_fn")
         k_fn = lambda u: mechanism_k(mech, u)
-    s_grid = np.linspace(2.0 * r, t - r, n_quad)
+    s_grid = np.linspace(2.0 * r, t - r, _K_GRID)
     pos, u = _path_values(field, path, s_grid, t)
     bar = np.array([curves.M_bar(t - s) for s in s_grid])
     if np.any(pos <= bar):
@@ -591,7 +590,6 @@ def k_integral_deviation_bound(
     mech: BranchingMechanism | None = None,
     k_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     gamma: float = 2.0,
-    n_fit: int = 2001,
 ) -> float:
     """Integrable envelope for the growth deficit along a barrier path.
 
@@ -609,7 +607,7 @@ def k_integral_deviation_bound(
     a = curves.delta * (2.0 + gamma)
     if a <= 1.0:
         raise FkError("delta (2 + gamma) must exceed 1 for an integrable envelope")
-    s_grid = np.linspace(2.0 * r, t - r, n_fit)
+    s_grid = np.linspace(2.0 * r, t - r, _K_GRID)
     _, u = _path_values(field, path, s_grid, t)
     deficit = 1.0 - np.asarray(k_fn(u), dtype=float)
     deficit = np.maximum(deficit, 0.0)

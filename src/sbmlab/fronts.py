@@ -45,6 +45,10 @@ from .kpp import (
 from .mechanism import BranchingMechanism, check_hypotheses, lambda_star, psi
 
 DEFAULT_R_LADDER = (4.0, 8.0, 16.0, 32.0)
+# room the constants' grids keep beyond what the top rung's overshoot integral reaches
+_PAD_SLACK = 4.0
+# domain padding of the field front_limit_check solves
+_FRONT_LIMIT_PAD = 25.0
 
 
 class FrontsError(ValueError):
@@ -304,7 +308,10 @@ def traveling_wave_solve(
         [lam - eps, -mu * eps],
         method="DOP853",
         rtol=1e-12,
-        atol=1e-22,
+        # per component: near the start p is about 1e-8 while psi(lam - d)
+        # carries rounding error near 1e-16, and a 1e-22 floor on p made the
+        # step controller chase that noise over tens of thousands of steps
+        atol=[1e-22, 1e-16],
         dense_output=True,
         events=floor_event,
     )
@@ -350,16 +357,6 @@ class ConstantEstimate:
     error: float
     r_values: tuple[float, ...]
     ladder: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FrontConstants:
-    """The four limit constants of one mechanism-and-data configuration."""
-
-    C_phi: ConstantEstimate | None = None
-    C_tilde_phi: ConstantEstimate | None = None
-    C_tilde_0: ConstantEstimate | None = None
-    C_hat_delta: ConstantEstimate | None = None
 
 
 def _validate_ladder(r_ladder) -> tuple[float, ...]:
@@ -476,6 +473,11 @@ def _tail_integral(field: Field, r: float, rate: float, y_req: float) -> float:
         )
 
 
+def _plain_cap(r: float) -> float:
+    """Overshoot cap of the plain constants at rung r: six widths sqrt(2 r), plus 8."""
+    return 6.0 * math.sqrt(2.0 * r) + 8.0
+
+
 def _phi_precheck(phi: TestFunction) -> InitialCondition:
     if not isinstance(phi, TestFunction):
         raise FrontsError("phi must be a TestFunction")
@@ -494,7 +496,6 @@ def constant_C(
     r_ladder=DEFAULT_R_LADDER,
     dx: float = 0.05,
     dt: float = 0.01,
-    pad: float | None = None,
 ) -> ConstantEstimate:
     """Ladder estimate of the front constant of phi.
 
@@ -507,14 +508,9 @@ def constant_C(
     ic = _phi_precheck(phi)
     if phi.is_trivial:
         return ConstantEstimate(0.0, 0.0, rs, tuple(0.0 for _ in rs))
-    y_req = 6.0 * math.sqrt(2.0 * rs[-1]) + 8.0
-    if pad is None:
-        pad = y_req + 4.0
-    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=pad)
+    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=_plain_cap(rs[-1]) + _PAD_SLACK)
     field = solve_U(mech, ic, grid, snapshot_times=rs)
-    vals = tuple(
-        _tail_integral(field, r, SQRT2, 6.0 * math.sqrt(2.0 * r) + 8.0) for r in rs
-    )
+    vals = tuple(_tail_integral(field, r, SQRT2, _plain_cap(r)) for r in rs)
     value, err = _fit_algebraic(rs, vals)
     return ConstantEstimate(value, err, rs, vals)
 
@@ -525,7 +521,6 @@ def constant_C_tilde(
     r_ladder=DEFAULT_R_LADDER,
     dx: float = 0.05,
     dt: float = 0.01,
-    pad: float | None = None,
 ) -> ConstantEstimate:
     """Ladder estimate of the barrier-field constant; phi = None gives the base one.
 
@@ -540,14 +535,9 @@ def constant_C_tilde(
     ic = None
     if phi is not None and not phi.is_trivial:
         ic = _phi_precheck(phi)
-    y_req = 6.0 * math.sqrt(2.0 * rs[-1]) + 8.0
-    if pad is None:
-        pad = y_req + 4.0
-    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=pad)
+    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=_plain_cap(rs[-1]) + _PAD_SLACK)
     field = solve_V(mech, ic, grid, snapshot_times=rs)
-    vals = tuple(
-        _tail_integral(field, r, SQRT2, 6.0 * math.sqrt(2.0 * r) + 8.0) for r in rs
-    )
+    vals = tuple(_tail_integral(field, r, SQRT2, _plain_cap(r)) for r in rs)
     value, err = _fit_algebraic(rs, vals)
     return ConstantEstimate(value, err, rs, vals)
 
@@ -558,7 +548,6 @@ def constant_C_hat(
     r_ladder=DEFAULT_R_LADDER,
     dx: float = 0.05,
     dt: float = 0.01,
-    pad: float | None = None,
 ) -> ConstantEstimate:
     """Ladder estimate of the tilted barrier-field constant for delta > 0.
 
@@ -592,11 +581,10 @@ def constant_C_hat(
     def y_req(r: float) -> float:
         return 3.0 * r + 40.0 / (SQRT2 + delta)
 
-    if pad is None:
-        # room past the integrand peak at y = delta r: five Gaussian widths
-        # plus slack, so the 1% tail rule is satisfiable without re-solving
-        peak_need = delta * rs[-1] + 5.0 * math.sqrt(rs[-1]) + 10.0
-        pad = max(y_req(rs[-1]), peak_need) + 4.0
+    # room past the integrand peak at y = delta r: five Gaussian widths
+    # plus slack, so the 1% tail rule is satisfiable without re-solving
+    peak_need = delta * rs[-1] + 5.0 * math.sqrt(rs[-1]) + 10.0
+    pad = max(y_req(rs[-1]), peak_need) + _PAD_SLACK
     grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=pad)
     field = solve_V(mech, None, grid, snapshot_times=rs)
     vals = []
@@ -663,7 +651,6 @@ def front_limit_check(
     z_samples=None,
     dx: float = 0.05,
     dt: float = 0.01,
-    pad: float = 25.0,
 ) -> FrontLimitReport:
     """Report how the rescaled field tail approaches its limit form.
 
@@ -699,7 +686,7 @@ def front_limit_check(
             wave_gaps=zeros if z_samples is not None else None,
         )
 
-    grid = Grid1D.auto(ts[-1], dx=dx, dt=dt, pad=pad)
+    grid = Grid1D.auto(ts[-1], dx=dx, dt=dt, pad=_FRONT_LIMIT_PAD)
     field = solve_U(mech, ic, grid, snapshot_times=ts)
     scaled = []
     u_front = []

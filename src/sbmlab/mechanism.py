@@ -77,6 +77,16 @@ def _excess(x: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
+# keys of the JSON form: a mechanism's, and a jump measure's by kind
+_MECHANISM_KEYS = {"alpha", "beta", "levy"}
+_LEVY_KEYS = {
+    "none": {"kind"},
+    "atoms": {"kind", "atoms"},
+    "truncated-stable": {"kind", "c", "index", "cutoff"},
+    "tabulated": {"kind", "y", "density"},
+}
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Jump measure on (0, inf), one of four kinds.
@@ -238,7 +248,15 @@ class LevyMeasure:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "LevyMeasure":
-        kind = blob.get("kind")
+        """Measure from the form ``to_dict`` writes; unknown keys raise MechanismError."""
+        if not isinstance(blob, dict) or "kind" not in blob:
+            raise MechanismError("levy: expected an object with a 'kind'")
+        kind = blob["kind"]
+        if not isinstance(kind, str) or kind not in _LEVY_KEYS:
+            raise MechanismError(f"unknown jump measure kind: {kind!r}")
+        unknown = sorted(set(blob) - _LEVY_KEYS[kind])
+        if unknown:
+            raise MechanismError(f"levy: unknown keys {unknown} for kind {kind!r}")
         if kind == "none":
             return cls.none()
         if kind == "atoms":
@@ -248,9 +266,7 @@ class LevyMeasure:
             return cls.truncated_stable(
                 c=blob["c"], index=blob["index"], cutoff=math.inf if cutoff is None else cutoff
             )
-        if kind == "tabulated":
-            return cls.tabulated(blob["y"], blob["density"])
-        raise MechanismError(f"unknown jump measure kind: {kind!r}")
+        return cls.tabulated(blob["y"], blob["density"])
 
 
 def _stable_cutoff_excess(x: np.ndarray, s: float) -> np.ndarray:
@@ -773,12 +789,22 @@ def mechanism_to_json(mech: BranchingMechanism) -> str:
 
 
 def mechanism_from_json(blob: str | dict) -> BranchingMechanism:
+    """Mechanism from the form ``mechanism_to_dict`` writes; unknown keys raise MechanismError."""
     data = json.loads(blob) if isinstance(blob, str) else blob
+    if not isinstance(data, dict):
+        raise MechanismError("mechanism JSON must be an object")
+    unknown = sorted(set(data) - _MECHANISM_KEYS)
+    if unknown:
+        raise MechanismError(f"unknown keys {unknown}; allowed {sorted(_MECHANISM_KEYS)}")
     try:
         return BranchingMechanism(
             alpha=float(data["alpha"]),
             beta=float(data["beta"]),
             levy=LevyMeasure.from_dict(data.get("levy", {"kind": "none"})),
         )
+    except MechanismError:
+        raise
     except KeyError as exc:
         raise MechanismError(f"mechanism JSON missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MechanismError(f"mechanism JSON has a malformed value: {exc}") from exc

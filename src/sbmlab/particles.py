@@ -115,12 +115,6 @@ class PointMeasure:
     def single(cls, location: float, weight: float = 1.0) -> "PointMeasure":
         return cls(np.array([float(location)]), np.array([float(weight)]))
 
-    @classmethod
-    def from_cloud(cls, cloud: "ParticleCloud") -> "PointMeasure":
-        if cloud.count == 0:
-            return cls.empty()
-        return cls(cloud.positions.copy(), np.full(cloud.count, cloud.epsilon))
-
     @property
     def size(self) -> int:
         return int(self.locations.size)

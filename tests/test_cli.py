@@ -123,6 +123,51 @@ class TestConfigValidation:
             ExperimentConfig.from_sources("fronts", data, env={})
 
 
+# config mistakes that only a library constructor or validator catches; each
+# must exit 2 naming the key before the run directory is made
+CONFIG_MISTAKES = [
+    ("fronts", {"fronts": {"r_ladder": [4, 8]}}, "fronts.r_ladder"),
+    ("ldp", {"ldp": {"r_ladder": [4, 8]}}, "ldp.r_ladder"),
+    ("kpp", {"kpp": {"t_end": 1, "dt": 0.3}}, "kpp.dt"),
+    ("csbp", {"csbp": {"theta_grid": [-1]}}, "csbp.theta_grid"),
+    ("barriers", {"barriers": {"strip_times": [0.5, 1.0]}}, "strip_times"),
+    ("fk", {"seed": 1, "fk": {"r": 2, "t": 1}}, "fk.r"),
+    ("fk", {"seed": 1, "fk": {"r": 0.4, "t": 1.0, "dt": 0.2}}, "fk.dt"),
+    (
+        "kpp",
+        {"kpp": {"data": {"kind": "bump", "center": 0.0, "width": -1.0, "height": 1.0}}},
+        "kpp.data",
+    ),
+    (
+        "fronts",
+        {"fronts": {"phi": {"kind": "table", "ys": [0, 1], "vals": [1, -1]}}},
+        "fronts.phi.vals",
+    ),
+    ("simulate", {"seed": 1, "simulate": {"bank": {"z": 0.0}}}, "simulate.bank.n_accept"),
+    (
+        "extremal",
+        {"seed": 1, "extremal": {"c_tilde_0": 1.0, "build": {"dt": 5.0}}},
+        "extremal.build",
+    ),
+    (
+        "extremal",
+        {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "stability": {"a": 1.0}}},
+        "extremal.stability.a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pipeline,data,key", CONFIG_MISTAKES, ids=[f"{p}-{k}" for p, _, k in CONFIG_MISTAKES]
+)
+def test_config_mistake_exits_2_before_the_run(tmp_path, capsys, pipeline, data, key):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([pipeline, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPrecedence:
     def test_flag_beats_env_beats_config(self):
         data = {"seed": 1, "replicas": 10}
@@ -167,6 +212,77 @@ class TestPrecedence:
         assert config.config_hash == (
             "a18bffcecdcacc0d2e26ca598459b00fb6beb9f2a5bdd802e7bd373a8e512790"
         )
+
+
+# one config per pipeline and its config_sha256, which parsing must never
+# move.  The barriers hash reflects that block's schema: no strip_times key,
+# and the default m_ladder written out.
+PINNED_HASHES = {
+    "mech-check": ({}, "5834ce6e8f1575b0022311e71912b0080f4eec12afe42b551d10ecb8e8d950a2"),
+    "kpp": (
+        {"kpp": {"t_end": 1.0, "dx": 0.1, "dt": 0.025, "pad": 8.0, "snapshots": [0.5]}},
+        "70ac28c54a80bfae8fd27bf7fc8fc8d25b695ddd0ba4a5edfaf1739bf0053d65",
+    ),
+    "csbp": (
+        {"csbp": {"theta_grid": [1, 2.0], "t_grid": [0.25, 0.5]}},
+        "71e1a4edfda8e77f14d0e38f8b4797db724843c35f2f0015b8a27a9ecbba11d6",
+    ),
+    "fk": (
+        {
+            "seed": 7,
+            "replicas": 4000,
+            "fk": {"r": 0.5, "t": 1.0, "data": {"kind": "indicator", "lam": 0.5}},
+        },
+        "deb6014e797e7ea3cf5014b3d7a01a9d35373c0f7b01c44a26c70fc6037ea8ef",
+    ),
+    "fronts": (
+        {
+            "fronts": {
+                "phi": {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0},
+                "r_ladder": [4, 8, 16],
+            }
+        },
+        "1c5f406e16fcf865a3ce5273a4bbc274881c251745a920b52bfb0a6c0f4c792e",
+    ),
+    "ldp": (
+        {"ldp": {"delta": 0.5, "r_ladder": [3.0, 6.0, 12.0]}},
+        "8498816f056291385fb91c64c5f7a2e2942e56013c7b5d66577c07b05b143742",
+    ),
+    "simulate": (
+        {
+            "seed": 11,
+            "replicas": 50,
+            "simulate": {
+                "t_end": 2.0,
+                "snapshots": [1.0, 2.0],
+                "bank": {"z": 0.0, "t": 2.0, "n_accept": 5},
+            },
+        },
+        "67d4558cb32e2e0c2de17c0860d695a3be0b18a2bb947ed34a27c6b05b461c43",
+    ),
+    "extremal": (
+        {
+            "seed": 13,
+            "replicas": 40,
+            "extremal": {
+                "c_tilde_0": 3.42,
+                "build": {"t": 3.0, "n_accept": 8},
+                "stability": {"n_samples": 60},
+            },
+        },
+        "2c48d529630de7a8bbafcba997d1a2b0eb4234df8d407bd6254772a7f76ed881",
+    ),
+    "barriers": (
+        {"barriers": {"a": 1.0, "b": 1.0, "theta": 1.0, "A": 5.0}},
+        "e0fac16aa8fd274d08e25c5d19475957c888b259aa33e40ac76dcfe84fce4691",
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PINNED_HASHES))
+def test_config_hash_is_pinned(pipeline):
+    data, digest = PINNED_HASHES[pipeline]
+    assert ExperimentConfig.from_sources(pipeline, data, env={}).config_hash == digest
 
 
 class TestMainUsage:
@@ -422,7 +538,8 @@ class TestSimulatePipeline:
         cfg = write_config(tmp_path, payload)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_USAGE
-        capsys.readouterr()
+        assert "snapshot" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExtremalPipeline:
@@ -540,3 +657,22 @@ class TestRunPipelineApi:
         assert code == EXIT_OK
         assert out_dir == tmp_path / "api"
         assert (out_dir / "manifest.json").is_file()
+
+    def test_rerun_of_one_config_rewrites_identical_csvs(self, tmp_path):
+        # a run must leave the parsed inputs as it found them, since one
+        # config object may be run many times
+        data = {
+            "seed": 11,
+            "replicas": 20,
+            "simulate": {"t_end": 2.0, "bank": {"z": 0.0, "t": 2.0, "n_accept": 3}},
+        }
+        config = ExperimentConfig.from_sources(
+            "simulate", data, out=str(tmp_path / "sim"), quiet=True, env={}
+        )
+        written = []
+        for _ in range(2):
+            code, out_dir = run_pipeline(config)
+            assert code == EXIT_OK
+            written.append({p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.csv")})
+        assert len(written[0]) == 4
+        assert written[0] == written[1]

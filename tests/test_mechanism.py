@@ -475,6 +475,15 @@ class TestSerialization:
         with pytest.raises(MechanismError):
             mechanism_from_json('{"alpha": 1.0, "beta": 1.0, "levy": {"kind": "bogus"}}')
 
+    def test_extra_levy_key_rejected(self):
+        # a key the kind does not use must fail, not be dropped
+        with pytest.raises(MechanismError, match=r"unknown keys \['c'\]"):
+            mechanism_from_json({"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none", "c": 2.0}})
+
+    def test_extra_top_level_key_rejected(self):
+        with pytest.raises(MechanismError, match="gamma"):
+            mechanism_from_json({"alpha": 1.0, "beta": 1.0, "gamma": 2.0})
+
 
 class TestValidation:
     def test_alpha_must_be_positive(self):
