@@ -53,7 +53,6 @@ import scipy
 
 from . import __version__
 from .barriers import (
-    DEFAULT_M_LADDER,
     BarriersError,
     c4_convexity,
     equilibrium,
@@ -321,8 +320,6 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "b": _Key(_NUM, 1.0, check=_positive),
         "theta": _Key(_NUM, 1.0, check=_positive),
         "A": _Key(_NUM, 5.0, check=_positive),
-        "m_ladder": _Key((list,), DEFAULT_M_LADDER, min_len=2),
-        "n_cells": _Key((int,), None),
     },
 }
 
@@ -1168,7 +1165,7 @@ def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
     a, b, theta, big_a = block["a"], block["b"], block["theta"], block["A"]
     with art.timed("solve"):
-        sol = solve_hA(a, b, theta, big_a, m_ladder=block["m_ladder"], n_cells=block["n_cells"])
+        sol = solve_hA(a, b, theta, big_a)
     lower, upper = sandwich_bounds(sol)
     art.write_csv(
         "profile.csv",
@@ -1192,9 +1189,7 @@ def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
         "strip_K": strip.witness.K,
         "strip_c4": strip.c4,
         "c5": strip.c5,
-        "ladder_error": sol.error,
-        "n_cells": len(sol.x) - 1,
-        "newton_iterations": list(sol.newton_iterations),
+        "h0": sol.h0,
     }
     art.write_json("constants.json", payload, "sandwich and confinement constants")
     art.write_text(
@@ -1204,7 +1199,7 @@ def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
         "gnuplot script for the profile between its envelopes",
     )
     config.say(
-        f"profile on {payload['n_cells']} cells, center h(0)={sol.h[len(sol.x) // 2]:.6g}, "
+        f"profile at {len(sol.x)} nodes, center h(0)={sol.h0:.6g}, "
         f"c5={strip.c5:.6g}"
     )
 

@@ -14,6 +14,12 @@ from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 
 QUADRATIC_CASE = (1.0, 1.0, 1.0, 5.0)
 HEAVY_CASE = (1.0, 2.0, 0.5, 3.0)
+ORACLE_CASES = {
+    "quadratic": QUADRATIC_CASE,
+    "heavy": HEAVY_CASE,
+    "theta-0.3": (2.0, 0.5, 0.3, 2.0),
+    "theta-0.1": (1.0, 1.0, 0.1, 6.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +32,26 @@ def sol_heavy():
     return bar.solve_hA(*HEAVY_CASE)
 
 
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    case = ORACLE_CASES[request.param]
+    return case, bar.solve_hA(*case)
+
+
 def quadrature_center_value(a, b, th, A):
     """Blow-up center value via the first integral of the autonomous ODE.
 
     With G(h) = -a h^2 + 2b/(2+th) h^{2+th} the even solution satisfies
     (1/2)(h')^2 = G(h) - G(h0), so the half width is the h-integral of
-    1/sqrt(2(G - G0)) from h0 to infinity; h0 is the root matching A.
+    1/sqrt(2(G - G0)) from h0 to infinity; h0 is the root matching A.  The
+    integral goes through adaptive quad in two pieces: h = h0 (1 + u^2) up
+    to 2 h0, then s = h^(-th/2), in which the tail is bounded on
+    [0, (2 h0)^(-th/2)].
     """
 
     def halfwidth(h0):
         c = 2.0 * b / (2.0 + th)
+        G0 = -a * h0 * h0 + c * h0 ** (2.0 + th)
 
         def delta_G(d):
             # G(h0 + d) - G(h0) computed from the increment d itself, so
@@ -46,17 +62,30 @@ def quadrature_center_value(a, b, th, A):
             return -a * d * (2.0 * h0 + d) + c * power_diff
 
         def near(u):
-            return 2.0 * u / math.sqrt(2.0 * delta_G(u * u)) if u > 0 else 0.0
+            if u == 0.0:
+                return 2.0 * h0 / math.sqrt(2.0 * h0 * (2.0 * b * h0 ** (1.0 + th) - 2.0 * a * h0))
+            return 2.0 * u * h0 / math.sqrt(2.0 * delta_G(h0 * u * u))
 
-        def far(h):
-            return 1.0 / math.sqrt(2.0 * delta_G(h - h0))
+        def far(s):
+            return (2.0 / th) / math.sqrt(
+                2.0 * (c - a * s * s - G0 * s ** ((4.0 + 2.0 * th) / th))
+            )
 
-        v1, _ = quad(near, 0.0, 2.0, limit=200)
-        v2, _ = quad(far, h0 + 4.0, np.inf, limit=200)
+        opts = dict(epsabs=0.0, epsrel=1e-11, limit=200)
+        v1, _ = quad(near, 0.0, 1.0, **opts)
+        v2, _ = quad(far, 0.0, (2.0 * h0) ** (-th / 2.0), **opts)
         return v1 + v2
 
     eq = (a / b) ** (1.0 / th)
-    return brentq(lambda h: halfwidth(h) - A, eq * (1 + 1e-10), eq * 400, xtol=1e-12)
+    # halfwidth decreases in h0: widen the bracket on each side until the
+    # sign changes
+    gap, hi = 0.1, 2.0 * eq
+    while halfwidth(eq * (1.0 + gap)) < A:
+        gap *= 0.1
+    while halfwidth(hi) > A:
+        hi *= 4.0
+    lo = eq * (1.0 + gap)
+    return brentq(lambda h: halfwidth(h) - A, lo, hi, xtol=1e-14 * eq, rtol=1e-14)
 
 
 class TestConstants:
@@ -111,24 +140,27 @@ class TestSolveInputs:
             bar.solve_hA(1.0, 1.0, 1.5, 5.0)
         with pytest.raises(bar.BarriersError):
             bar.solve_hA(1.0, 1.0, 1.0, -2.0)
-        with pytest.raises(bar.BarriersError):
-            bar.solve_hA(1.0, 2.0, 0.5, 3.0, m_ladder=(0.2, 10.0))
-        with pytest.raises(bar.BarriersError):
-            bar.solve_hA(1.0, 1.0, 1.0, 5.0, m_ladder=(1e3, 1e2))
-        with pytest.raises(bar.BarriersError):
-            bar.solve_hA(1.0, 1.0, 1.0, 5.0, n_cells=33)
 
-    def test_custom_n_cells_respected(self):
-        sol = bar.solve_hA(1.0, 1.0, 1.0, 5.0, n_cells=24)
-        assert len(sol.x) == 25
+    def test_too_wide_or_too_narrow_strip_raises(self):
+        # for a = b = theta = 1, h_A(0) is within 1e-12 of the equilibrium
+        # from A of about 21 on
+        bar.solve_hA(1.0, 1.0, 1.0, 20.0)
+        with pytest.raises(bar.BarriersError, match="too wide"):
+            bar.solve_hA(1.0, 1.0, 1.0, 22.0)
+        # theta = 0.1: h_A(0) grows like A^(-20)
+        with pytest.raises(bar.BarriersError, match="too narrow"):
+            bar.solve_hA(1.0, 1.0, 0.1, 1e-20)
+
+    def test_interior_chebyshev_nodes(self, sol_quadratic):
+        A = QUADRATIC_CASE[3]
+        k = np.arange(1, 64)
+        assert np.allclose(sol_quadratic.x, -A * np.cos(np.pi * k / 64), rtol=0, atol=1e-15)
+        assert np.all(np.abs(sol_quadratic.x) < A)
+        assert sol_quadratic.x[31] == 0.0
+        assert sol_quadratic.h[31] == sol_quadratic.h0
 
 
 class TestBlowupProfile:
-    def test_boundary_values_match_rungs(self, sol_quadratic):
-        for m, table in zip(sol_quadratic.m_ladder, sol_quadratic.h_tables):
-            assert table[0] == pytest.approx(m)
-            assert table[-1] == pytest.approx(m)
-
     def test_even_profile(self, sol_quadratic, sol_heavy):
         for sol in (sol_quadratic, sol_heavy):
             gap = np.max(np.abs(sol.h - sol.h[::-1]))
@@ -139,18 +171,10 @@ class TestBlowupProfile:
             mid = len(sol.x) // 2
             assert abs(sol.derivative()[mid]) <= 1e-9 * sol.h[mid]
 
-    def test_ladder_monotone_pointwise(self, sol_quadratic, sol_heavy):
-        for sol in (sol_quadratic, sol_heavy):
-            for lo, hi in zip(sol.h_tables, sol.h_tables[1:]):
-                assert np.min(hi - lo) >= -1e-7 * (1.0 + np.max(hi))
-
     def _sandwich_ok(self, sol):
         lower, upper = bar.sandwich_bounds(sol)
-        h_i = sol.h[1:-1]
-        rel = np.maximum(lower - h_i, h_i - upper) / np.maximum(h_i, 1.0)
-        bad = set(np.nonzero(rel > 1e-6)[0].tolist())
-        n = h_i.size
-        assert bad <= {0, 1, n - 2, n - 1}, f"sandwich broken at cells {sorted(bad)}"
+        bad = np.nonzero((sol.h < lower) | (sol.h > upper))[0]
+        assert bad.size == 0, f"sandwich broken at nodes {bad.tolist()}"
 
     def test_sandwich_quadratic_case(self, sol_quadratic):
         self._sandwich_ok(sol_quadratic)
@@ -162,28 +186,51 @@ class TestBlowupProfile:
         for sol in (sol_quadratic, sol_heavy):
             assert sol.log_derivative_max() <= bar.c3_constant(sol.a, sol.theta)
 
-    def test_center_matches_quadrature_oracle(self, sol_quadratic):
-        h0_exact = quadrature_center_value(*QUADRATIC_CASE)
-        mid = len(sol_quadratic.x) // 2
-        assert sol_quadratic.h[mid] == pytest.approx(h0_exact, abs=2e-3)
+    def test_center_matches_quadrature_oracle(self, oracle_case):
+        case, sol = oracle_case
+        assert sol.h0 == pytest.approx(quadrature_center_value(*case), rel=1e-9)
 
     def test_center_error_bar_brackets_limit_deficit(self, sol_heavy):
-        """The slow heavy-tail ladder undershoots the true limit at the
-        center by roughly the last rung increment, which is the advertised
-        error-bar semantics."""
+        """In the heavy case the sandwich envelopes at the center bracket the
+        quadrature limit, and the solver's deficit against it is below 1e-9
+        relative."""
         h0_exact = quadrature_center_value(*HEAVY_CASE)
+        lower, upper = bar.sandwich_bounds(sol_heavy)
         mid = len(sol_heavy.x) // 2
-        deficit = h0_exact - sol_heavy.h[mid]
-        last_inc = sol_heavy.h_tables[-1][mid] - sol_heavy.h_tables[-2][mid]
-        assert 0.0 < deficit <= 1.5 * last_inc
+        assert lower[mid] <= h0_exact <= upper[mid]
+        assert abs(h0_exact - sol_heavy.h[mid]) <= 1e-9 * h0_exact
 
     def test_extended_ladder_approaches_quadrature_value(self):
-        sol = bar.solve_hA(
-            *HEAVY_CASE, m_ladder=(1e2, 1e3, 1e4, 1e5, 1e6)
-        )
-        h0_exact = quadrature_center_value(*HEAVY_CASE)
-        mid = len(sol.x) // 2
-        assert sol.h[mid] == pytest.approx(h0_exact, abs=0.02)
+        # heavy (a, b, theta) over a ladder of strip widths: each center value
+        # matches the quadrature, and they fall strictly toward the equilibrium
+        a, b, th, _ = HEAVY_CASE
+        centers = []
+        for A in (1.5, 3.0, 6.0, 12.0):
+            sol = bar.solve_hA(a, b, th, A)
+            assert sol.h0 == pytest.approx(quadrature_center_value(a, b, th, A), rel=1e-9)
+            centers.append(sol.h0)
+        eq = bar.equilibrium(a, b, th)
+        assert all(hi > lo > eq for hi, lo in zip(centers, centers[1:]))
+        assert centers[-1] - eq < 1e-3 * (centers[0] - eq)
+
+    def test_envelopes_and_slopes_at_every_node(self, oracle_case):
+        _, sol = oracle_case
+        self._sandwich_ok(sol)
+        assert sol.log_derivative_max() <= bar.c3_constant(sol.a, sol.theta)
+        assert sol.derivative()[len(sol.x) // 2] == 0.0
+
+    def test_profile_solves_the_ode(self, oracle_case):
+        # second differences of the interpolant against (1/2) h'' = -a h + b h^(1+theta),
+        # and first differences against the exact derivative
+        (a, b, th, A), sol = oracle_case
+        for k in (2, 8, 20, 40):
+            x = sol.x[k]
+            step = 1e-4 * (A - abs(x))
+            left, mid, right = sol.interpolate(np.array([x - step, x, x + step]))
+            second = (left - 2.0 * mid + right) / step**2
+            assert 0.5 * second == pytest.approx(-a * mid + b * mid ** (1.0 + th), rel=1e-5)
+            slope = (right - left) / (2.0 * step)
+            assert slope == pytest.approx(sol.derivative()[k], rel=1e-5)
 
     def test_wider_strip_is_smaller_inside(self):
         narrow = bar.solve_hA(1.0, 1.0, 1.0, 4.0)
@@ -200,9 +247,11 @@ class TestBlowupProfile:
             sol_quadratic.interpolate(5.0)
 
     def test_bookkeeping_fields(self, sol_quadratic):
-        assert len(sol_quadratic.newton_iterations) == len(sol_quadratic.m_ladder)
-        assert sol_quadratic.error > 0.0
-        assert np.isfinite(sol_quadratic.error)
+        assert sol_quadratic.h0 > bar.equilibrium(1.0, 1.0, 1.0)
+        assert sol_quadratic.h0 == np.min(sol_quadratic.h)
+        assert (sol_quadratic.A, sol_quadratic.a, sol_quadratic.b, sol_quadratic.theta) == (
+            5.0, 1.0, 1.0, 1.0,
+        )
 
 
 class TestStripBound:
@@ -221,6 +270,14 @@ class TestStripBound:
             bar.strip_bound(1.0, 1.0, 1.0, 5.0, 5.0, 1.0)
         with pytest.raises(bar.BarriersError):
             bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 0.0)
+
+    def test_rejects_solution_or_constants_of_other_parameters(self):
+        with pytest.raises(bar.BarriersError, match="solution"):
+            bar.strip_bound(1.0, 1.0, 1.0, 3.0, 0.0, 1.0, solution=bar.solve_hA(1.0, 1.0, 1.0, 5.0))
+        with pytest.raises(bar.BarriersError, match="constants"):
+            bar.strip_bound(
+                1.0, 1.0, 1.0, 5.0, 0.0, 1.0, constants=bar.strip_constants(1.0, 2.0, 1.0)
+            )
 
     def test_limits_in_t_and_x(self):
         tiny_t = bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 1e-4)

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from sbmlab.barriers import sandwich_bounds, solve_hA
 from sbmlab.cli import (
     EXIT_BUDGET,
     EXIT_NUMERIC,
@@ -131,6 +132,8 @@ CONFIG_MISTAKES = [
     ("kpp", {"kpp": {"t_end": 1, "dt": 0.3}}, "kpp.dt"),
     ("csbp", {"csbp": {"theta_grid": [-1]}}, "csbp.theta_grid"),
     ("barriers", {"barriers": {"strip_times": [0.5, 1.0]}}, "strip_times"),
+    ("barriers", {"barriers": {"m_ladder": [1e2, 1e3, 1e4]}}, "m_ladder"),
+    ("barriers", {"barriers": {"n_cells": 32}}, "n_cells"),
     ("fk", {"seed": 1, "fk": {"r": 2, "t": 1}}, "fk.r"),
     ("fk", {"seed": 1, "fk": {"r": 0.4, "t": 1.0, "dt": 0.2}}, "fk.dt"),
     (
@@ -215,8 +218,8 @@ class TestPrecedence:
 
 
 # one config per pipeline and its config_sha256, which parsing must never
-# move.  The barriers hash reflects that block's schema: no strip_times key,
-# and the default m_ladder written out.
+# move.  The barriers hash reflects that block's schema: a, b, theta and A
+# only, with no strip_times, m_ladder or n_cells key.
 PINNED_HASHES = {
     "mech-check": ({}, "5834ce6e8f1575b0022311e71912b0080f4eec12afe42b551d10ecb8e8d950a2"),
     "kpp": (
@@ -274,7 +277,7 @@ PINNED_HASHES = {
     ),
     "barriers": (
         {"barriers": {"a": 1.0, "b": 1.0, "theta": 1.0, "A": 5.0}},
-        "e0fac16aa8fd274d08e25c5d19475957c888b259aa33e40ac76dcfe84fce4691",
+        "d836d1b842e2757bd9f16a97f02028b3604e5239d7b0cee2c1c336b7e2e9e748",
     ),
 }
 
@@ -617,11 +620,18 @@ class TestBarriersPipeline:
         check_manifest_covers_dir(str(out))
         table = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
         x, h, lower, upper = table.T
-        interior = np.abs(x) < 4.0
-        assert np.all(h[interior] >= lower[interior] - 1e-9)
-        assert np.all(h[interior] <= upper[interior] + 1e-9)
+        assert x.size == 63 and np.all(np.abs(x) < 5.0)
+        assert np.all(lower <= h) and np.all(h <= upper)
+        # each row carries the envelopes of its own node
+        sol = solve_hA(1.0, 1.0, 1.0, 5.0)
+        expected_lower, expected_upper = sandwich_bounds(sol)
+        assert np.allclose(x, sol.x, rtol=1e-15, atol=0)
+        assert np.allclose(lower, expected_lower, rtol=1e-15, atol=0)
+        assert np.allclose(upper, expected_upper, rtol=1e-15, atol=0)
         with open(out / "constants.json") as fh:
             constants = json.load(fh)
+        assert constants["h0"] == sol.h0
+        assert not {"ladder_error", "n_cells", "newton_iterations"} & set(constants)
         assert abs(constants["c2"] - 2.0) < 1e-12
         assert constants["c4_convexity"] == 1.0
         assert abs(constants["c1"] - 12.0) < 1e-9

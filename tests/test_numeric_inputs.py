@@ -1,14 +1,16 @@
 """Non-numeric and non-finite arguments raise the layer's typed error.
 
-``fronts`` and ``feynman_kac`` share one argument converter; each passes
-its own error class, so a caller catching FrontsError or FkError never
-sees a bare TypeError or ValueError from ``float()``.
+``fronts``, ``feynman_kac`` and ``barriers`` share one argument converter;
+each passes its own error class, so a caller catching FrontsError, FkError
+or BarriersError never sees a bare TypeError or ValueError from ``float()``,
+nor a number computed from nan or inf.
 """
 
 import math
 
 import pytest
 
+from sbmlab.barriers import BarriersError, solve_hA, strip_bound, strip_constants
 from sbmlab.feynman_kac import FkError, bridge_crossing_prob
 from sbmlab.fronts import FrontsError, TestFunction, constant_C_hat
 from sbmlab.mechanism import BranchingMechanism
@@ -38,3 +40,33 @@ def test_fronts_rejects_non_finite_arguments():
 def test_feynman_kac_keeps_its_own_error():
     with pytest.raises(FkError, match="a must be a real number"):
         bridge_crossing_prob(None, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: strip_constants(math.nan, 1.0, 1.0),
+        lambda: strip_constants(1.0, 1.0, math.nan),
+        lambda: strip_constants(1.0, math.inf, 1.0),
+        lambda: strip_constants([1.0], 1.0, 1.0),
+        lambda: strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, math.nan),
+        lambda: strip_bound(1.0, 1.0, 1.0, 5.0, "x", 1.0),
+        lambda: solve_hA(1.0, 1.0, 1.0, math.nan),
+        lambda: solve_hA(1.0, 1.0, 1.0, math.inf),
+        lambda: solve_hA(None, 1.0, 1.0, 5.0),
+    ],
+    ids=[
+        "strip_constants-a-nan",
+        "strip_constants-theta-nan",
+        "strip_constants-b-inf",
+        "strip_constants-a-list",
+        "strip_bound-t-nan",
+        "strip_bound-x-str",
+        "solve_hA-A-nan",
+        "solve_hA-A-inf",
+        "solve_hA-a-None",
+    ],
+)
+def test_barriers_rejects_non_finite_and_non_numeric_arguments(call):
+    with pytest.raises(BarriersError, match="must be (finite|a real number)"):
+        call()
