@@ -154,6 +154,10 @@ def _nonnegative(v) -> str | None:
     return None if v >= 0 else "must be nonnegative"
 
 
+def _unit_interval(v) -> str | None:
+    return None if 0 < v <= 1 else "must be in (0, 1]"
+
+
 def _check_type(where: str, key: str, value, types: tuple):
     if isinstance(value, bool) and bool not in types:
         raise CliConfigError(f"{where}.{key}: expected {types}, got a boolean")
@@ -318,7 +322,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
     "barriers": {
         "a": _Key(_NUM, 1.0, check=_positive),
         "b": _Key(_NUM, 1.0, check=_positive),
-        "theta": _Key(_NUM, 1.0, check=_positive),
+        "theta": _Key(_NUM, 1.0, check=_unit_interval),
         "A": _Key(_NUM, 5.0, check=_positive),
     },
 }

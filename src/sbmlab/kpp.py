@@ -26,6 +26,7 @@ does instead of staying pinned at the truncation level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -119,9 +120,12 @@ class Grid1D:
     def nt(self) -> int:
         return round(self.t_end / self.dt)
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """The nodes, built once per grid and read-only."""
+        nodes = np.linspace(self.x_min, self.x_max, self.nx)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -210,25 +214,65 @@ class Field:
         return self.snapshots[self._row(t)]
 
     def interp(self, t: float, x) -> float | np.ndarray:
-        """Bilinear value between snapshots; t and x must be inside the grid."""
-        if t < self.times[0] - 1e-9 or t > self.times[-1] + 1e-9:
+        """Bilinear value between snapshots; t and x must be inside the grid.
+
+        Each point's cell comes from arithmetic on the uniform grid, not a
+        search: j = floor((x - x[0]) / dx), moved by at most one cell so that
+        x[j] <= x < x[j + 1] holds against the stored nodes.  The cell and
+        the offset x - x[j] serve both snapshot rows of the time blend.  Each
+        row is ``np.interp``'s own formula, so a row's values are those of
+        ``np.interp(x, grid.x, row)`` bit for bit, node hits included, and
+        points up to 1e-9 beyond either end take that end node's value.
+        """
+        times = self.times
+        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             raise KppError(f"t={t} outside snapshot range")
         xs = self.grid.x
+        x0, x_end, last = xs[0], xs[-1], xs.size - 1
         x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr < xs[0] - 1e-9) or np.any(x_arr > xs[-1] + 1e-9):
+        scalar = x_arr.ndim == 0
+        # NaN fails both comparisons, so it is rejected here too
+        lowest, highest = x_arr.min(initial=np.inf), x_arr.max(initial=-np.inf)
+        if not (lowest >= x0 - 1e-9 and highest <= x_end + 1e-9):
             raise KppError("x outside the spatial grid")
-        j = int(np.searchsorted(self.times, t))
-        j = min(max(j, 0), len(self.times) - 1)
-        if abs(self.times[j] - t) <= 1e-9:
-            out = np.interp(x_arr, xs, self.snapshots[j])
+        # np.interp gives a point beyond an end that end node's value
+        x_arr = x_arr.clip(x0, x_end)
+        # augmented assignments work in place on arrays and rebind the numpy
+        # scalars a 0-d input turns into, so one path serves both
+        cell = x_arr - x0
+        cell /= (x_end - x0) / last
+        cell = np.minimum(cell.astype(np.intp), last - 1)
+        cell -= x_arr < xs[cell]
+        cell += x_arr >= xs[cell + 1]
+        # cell == last only at x == x_end, a node hit, where the "clip"
+        # takes below give cell last - 1's width and fp[last]
+        offset = x_arr - xs[cell]
+        hit = offset == 0.0
+        width = (xs[1:] - xs[:-1]).take(cell, mode="clip")
+
+        def row(k: int) -> np.ndarray:
+            fp = self.snapshots[k]
+            f_cell = fp[cell]
+            val = fp[1:].take(cell, mode="clip")
+            val -= f_cell
+            val /= width
+            val *= offset
+            val += f_cell
+            return np.where(hit, f_cell, val)
+
+        j = int(times.searchsorted(t))
+        j = min(max(j, 0), len(times) - 1)
+        if abs(times[j] - t) <= 1e-9:
+            out = row(j)
         else:
             j0 = j - 1
-            t0, t1 = self.times[j0], self.times[j]
-            w = (t - t0) / (t1 - t0)
-            lo = np.interp(x_arr, xs, self.snapshots[j0])
-            hi = np.interp(x_arr, xs, self.snapshots[j])
-            out = (1.0 - w) * lo + w * hi
-        if np.ndim(x) == 0:
+            w = (t - times[j0]) / (times[j] - times[j0])
+            out = row(j0)
+            out *= 1.0 - w
+            upper = row(j)
+            upper *= w
+            out += upper
+        if scalar:
             return float(out)
         return out
 

@@ -134,6 +134,7 @@ CONFIG_MISTAKES = [
     ("barriers", {"barriers": {"strip_times": [0.5, 1.0]}}, "strip_times"),
     ("barriers", {"barriers": {"m_ladder": [1e2, 1e3, 1e4]}}, "m_ladder"),
     ("barriers", {"barriers": {"n_cells": 32}}, "n_cells"),
+    ("barriers", {"barriers": {"theta": 1.5}}, "barriers.theta"),
     ("fk", {"seed": 1, "fk": {"r": 2, "t": 1}}, "fk.r"),
     ("fk", {"seed": 1, "fk": {"r": 0.4, "t": 1.0, "dt": 0.2}}, "fk.dt"),
     (

@@ -199,6 +199,15 @@ class TestFkEstimate:
         b = fk_estimate(heaviside_field_t1, QUADRATIC, r=0.5, t=1.0, x=0.0, n_paths=500, seed=3)
         assert a.mean == b.mean
 
+    def test_fk_pipeline_defaults_are_frozen(self):
+        # the fk pipeline's default run, recorded while Field.interp still
+        # binary-searched with np.interp; the cell lookup must not move a bit
+        grid = Grid1D.auto(1.0, dx=0.02, dt=0.004, pad=14.0)
+        field = solve_U(QUADRATIC, InitialCondition.heaviside(), grid, snapshot_times=(0.5, 1.0))
+        res = fk_estimate(field, QUADRATIC, 0.5, 1.0, 0.0, n_paths=20000, seed=1, path_dt=0.002)
+        assert (res.mean, res.std_error) == (0.6464556602498297, 0.0022176976148456273)
+        assert res.n_paths == 20000
+
 
 class TestPsiSandwich:
     def test_zero_field_gives_zero(self):

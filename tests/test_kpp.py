@@ -68,6 +68,13 @@ class TestGrid1D:
         with pytest.raises(KppError):
             Grid1D(x_min=-1.0, x_max=1.0, dx=0.1, dt=0.3, t_end=1.0)
 
+    def test_nodes_are_built_once_and_read_only(self):
+        grid = Grid1D(x_min=-8.0, x_max=8.0, dx=0.1, dt=0.01, t_end=1.0)
+        assert grid.x is grid.x
+        assert np.array_equal(grid.x, np.linspace(-8.0, 8.0, 161))
+        with pytest.raises(ValueError):
+            grid.x[0] = 1.0
+
 
 class TestInitialCondition:
     def test_heaviside_field_orientation(self):
@@ -184,6 +191,85 @@ class TestSolveU:
         assert field.interp(0.5, grid.x[j]) == pytest.approx(u[j], rel=1e-12)
         mid = field.interp(0.5, grid.x[j] + grid.dx / 2.0)
         assert min(u[j], u[j + 1]) - 1e-12 <= mid <= max(u[j], u[j + 1]) + 1e-12
+
+
+def _np_interp_blend(field, t: float, x) -> np.ndarray:
+    """The time blend of two ``np.interp`` rows: Field.interp's reference."""
+    j = int(np.searchsorted(field.times, t))
+    if abs(field.times[j] - t) <= 1e-9:
+        return np.interp(x, field.grid.x, field.snapshots[j])
+    t0, t1 = field.times[j - 1], field.times[j]
+    w = (t - t0) / (t1 - t0)
+    lo = np.interp(x, field.grid.x, field.snapshots[j - 1])
+    hi = np.interp(x, field.grid.x, field.snapshots[j])
+    return (1.0 - w) * lo + w * hi
+
+
+class TestFieldInterp:
+    """Field.interp finds cells on the uniform grid and must equal np.interp bit for bit."""
+
+    GRIDS = {
+        "symmetric": Grid1D(x_min=-8.0, x_max=8.0, dx=0.1, dt=0.01, t_end=1.0),
+        "offset": Grid1D(x_min=-7.0 - 1.0 / 3.0, x_max=8.0, dx=1.0 / 30.0, dt=0.01, t_end=1.0),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(GRIDS))
+    def fields(self, request):
+        grid = self.GRIDS[request.param]
+        return [
+            solve_U(QUADRATIC, InitialCondition.heaviside(), grid, snapshot_times=[0.5]),
+            solve_V(QUADRATIC, None, grid, snapshot_times=[0.5]),
+        ]
+
+    @staticmethod
+    def _points(xs: np.ndarray) -> np.ndarray:
+        rng = np.random.default_rng(20)
+        return np.concatenate(
+            [
+                rng.uniform(xs[0], xs[-1], 100_000),
+                xs,
+                0.5 * (xs[:-1] + xs[1:]),
+                np.nextafter(xs, np.inf),
+                np.nextafter(xs, -np.inf),
+                [xs[0] - 5e-10, xs[-1] + 5e-10],
+            ]
+        )
+
+    # a snapshot time, a time between two snapshots and the two ends
+    @pytest.mark.parametrize("t", [0.5, 0.7, 0.0, 1.0])
+    def test_array_matches_np_interp_bit_for_bit(self, fields, t):
+        for field in fields:
+            x = self._points(field.grid.x)
+            got = field.interp(t, x)
+            want = _np_interp_blend(field, t, x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("t", [0.5, 0.7])
+    def test_scalar_matches_np_interp_bit_for_bit(self, fields, t):
+        for field in fields:
+            x = self._points(field.grid.x)[99_000:]  # 1000 random points and every special one
+            got = np.array([field.interp(t, float(p)) for p in x])
+            want = _np_interp_blend(field, t, x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert type(field.interp(t, float(x[0]))) is float
+
+    def test_shape_follows_input(self, fields):
+        field = fields[0]
+        x = self._points(field.grid.x)[:6].reshape(2, 3)
+        got = field.interp(0.7, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, _np_interp_blend(field, 0.7, x))
+        assert field.interp(0.7, np.empty(0)).shape == (0,)
+
+    def test_outside_the_grid_raises(self, fields):
+        field = fields[0]
+        xs = field.grid.x
+        for x in (xs[0] - 2e-9, xs[-1] + 2e-9, np.array([0.0, xs[-1] + 1.0]), math.nan):
+            with pytest.raises(KppError, match="outside the spatial grid"):
+                field.interp(0.5, x)
+        for t in (-1e-3, 1.0 + 1e-3):
+            with pytest.raises(KppError, match="outside snapshot range"):
+                field.interp(t, 0.0)
 
 
 class TestComparisonProperties:
