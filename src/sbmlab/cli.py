@@ -1015,6 +1015,7 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     sim_config = block["sim"]
     with art.timed("replicas"):
         result = simulate(sim_config)
+    art.diagnostics["replicas"] = dict(result.diagnostics)
     rows = []
     for s in result.stats:
         rows.append(

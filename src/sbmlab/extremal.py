@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .kpp import SQRT2
-from .particles import ConditionedClusterSample, PointMeasure
+from .particles import NEG_INF, ConditionedClusterSample, PointMeasure
 
 DEFAULT_EXPECTED_POINTS = 1000.0
 # length of the x window that cluster_shift_identity_check integrates over
@@ -85,6 +85,22 @@ class ClusterBank:
         wts = np.concatenate([c.weights for c in self.clusters])
         return locs, wts, starts, sizes
 
+    @functools.cached_property
+    def _tops(self) -> np.ndarray:
+        """Each cluster's rightmost atom."""
+        return np.array([c.rightmost for c in self.clusters])
+
+    def rightmost(self, shifts: np.ndarray, indices: np.ndarray) -> float:
+        """Rightmost atom of decorate(shifts, indices), -inf when there is none.
+
+        Rounded addition is monotone, so the largest translated atom of a
+        cluster is its translated top: this equals the maximum over every
+        atom of the decorated measure bit for bit, without building it.
+        """
+        if indices.size == 0:
+            return NEG_INF
+        return float(np.max(self._tops[indices] + shifts))
+
     def decorate(self, shifts: np.ndarray, indices: np.ndarray) -> PointMeasure:
         """Union of clusters indices[j] translated by shifts[j], in that order."""
         if indices.size == 0:
@@ -111,16 +127,20 @@ class ClusterBank:
 class DecoratedSample:
     """One draw of the decorated process above its truncation floor.
 
-    measure is the union of the decorating clusters translated by their
-    Poisson points; shifts and cluster_indices record, per point, the
-    translation e_j and which bank cluster was used, so the measure can
-    be reconstructed exactly from the bank.
+    shifts and cluster_indices record, per point, the translation e_j and
+    which cluster of bank decorates it.  measure, the union of those
+    clusters translated by their points, is built on first access; the
+    rightmost atom is read from the clusters' tops without it.
     """
 
-    measure: PointMeasure
+    bank: ClusterBank
     shifts: np.ndarray
     cluster_indices: np.ndarray
     x_floor: float
+
+    @functools.cached_property
+    def measure(self) -> PointMeasure:
+        return self.bank.decorate(self.shifts, self.cluster_indices)
 
     @property
     def n_points(self) -> int:
@@ -128,7 +148,7 @@ class DecoratedSample:
 
     @property
     def rightmost(self) -> float:
-        return self.measure.rightmost
+        return self.bank.rightmost(self.shifts, self.cluster_indices)
 
     def count_above(self, x: float) -> int:
         """Number of Poisson points (not atoms) above level x."""
@@ -168,7 +188,7 @@ def sample_E_infty(
     # tail of the intensity is exponential with rate sqrt(2)
     shifts = floor + rng.exponential(1.0 / SQRT2, n)
     indices = rng.integers(0, bank.size, n)
-    return DecoratedSample(bank.decorate(shifts, indices), shifts, indices, floor)
+    return DecoratedSample(bank, shifts, indices, floor)
 
 
 def sample_E_star(

@@ -41,13 +41,28 @@ so the grouping changes no result: the seed contract above is the same,
 bit for bit.  A group holding more than 2**15 particles splits in half,
 since past that size the flat bookkeeping costs more per particle than
 it saves in per-replica calls.
+
+Groups share nothing, so when there are at least two of them and the
+process may run on more than one CPU, the groups march in a pool of
+worker processes, one per CPU up to one per group.  The workers start
+with the ``fork`` method, so they inherit the loaded modules where
+``spawn`` would import numpy and scipy again in each of them.  Each
+worker returns its group's rows, which land in the result by replica id.
+The seed contract is unchanged: the result is the same bits as the
+in-process march that runs where there is one group, one CPU or no
+``fork``.  The pool lives only inside one ``simulate`` call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import math
+import multiprocessing
+import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,11 +399,13 @@ class SimResult:
     """All replica stats plus (unless stats_only) per-replica cloud snapshots.
 
     clouds[i] may be shorter than the snapshot grid when replica i hit the
-    explosion guard.
+    explosion guard.  diagnostics records the number of replica groups and
+    of processes that marched them (1 when they marched in this process).
     """
 
     stats: tuple[ReplicaStats, ...]
     clouds: tuple[tuple[ParticleCloud, ...], ...] | None
+    diagnostics: Mapping[str, int]
 
     def survival_frequency(self) -> float:
         return sum(1 for s in self.stats if s.survived) / len(self.stats)
@@ -425,27 +442,71 @@ def simulate(config: SimConfig) -> SimResult:
     Replica i draws from the generator of the i-th spawn of
     SeedSequence(seed), so its stats and clouds do not depend on
     n_replicas.  Up to _GROUP_REPLICAS consecutive replicas march
-    together as one group (see _march and _advance); the grouping changes
-    how the work is laid out, never the draws, their order or the result.
+    together as one group (see _march and _advance).  Two or more groups
+    march in fork-started worker processes, one per usable CPU, which
+    return each group's rows to be placed by replica id; the pool is
+    closed and joined before this returns, also when a worker raises.
+    Neither the grouping nor the process a group runs in changes the
+    draws, their order or the result.
     """
-    snap_steps = config.snapshot_steps()
-    children = np.random.SeedSequence(config.seed).spawn(config.n_replicas)
-    record = _Record(config, snap_steps)
-    initial = config.initial_positions()
+    n = config.n_replicas
+    seeds = np.random.SeedSequence(config.seed).spawn(n)
+    starts = range(0, n, _GROUP_REPLICAS)
+    groups = [seeds[lo:lo + _GROUP_REPLICAS] for lo in starts]
+    workers = _worker_count(len(groups))
+    march = functools.partial(_march_replicas, config, config.initial_positions())
+    record = _Record(config, n)
+    with _group_map(workers) as group_map:
+        for lo, part in zip(starts, group_map(march, groups)):
+            record.fill(lo, part)
+    return record.result({"groups": len(groups), "workers": workers})
+
+
+def _worker_count(n_groups: int) -> int:
+    """Processes to march n_groups groups in: 1, or one per usable CPU where fork exists."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n_groups, len(os.sched_getaffinity(0)))
+
+
+@contextlib.contextmanager
+def _group_map(workers: int):
+    """The builtin map for one worker, else the imap of a fork pool of that many.
+
+    The pool is closed and joined when the block ends; a block that raises
+    terminates the workers first.
+    """
+    if workers == 1:
+        yield map
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+
+
+def _march_replicas(
+    config: SimConfig, initial: np.ndarray, seeds: list[np.random.SeedSequence]
+) -> "_Record":
+    """March one group, replica k drawing from seeds[k], into a record of its own."""
+    record = _Record(config, len(seeds))
     if initial.size == 0:
-        for i in range(config.n_replicas):
-            record.extinct(i, 0, 0.0)
-        return record.result()
-    for lo in range(0, config.n_replicas, _GROUP_REPLICAS):
-        ids = list(range(lo, min(lo + _GROUP_REPLICAS, config.n_replicas)))
-        group = _Group(
-            ids=ids,
-            rngs=[np.random.default_rng(children[i]) for i in ids],
-            positions=np.tile(initial + 0.0, len(ids)),
-            counts=np.full(len(ids), initial.size),
-        )
-        _march(config, group, 0, record)
-    return record.result()
+        for k in range(len(seeds)):
+            record.extinct(k, 0, 0.0)
+        return record
+    group = _Group(
+        ids=list(range(len(seeds))),
+        rngs=[np.random.default_rng(s) for s in seeds],
+        positions=np.tile(initial + 0.0, len(seeds)),
+        counts=np.full(len(seeds), initial.size),
+    )
+    _march(config, group, 0, record)
+    return record
 
 
 def _event_thresholds(table: OffspringTable, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -488,14 +549,15 @@ class _Group:
 
 
 class _Record:
-    """Per-replica observables along the snapshot grid, filled as groups march.
+    """Observables of n replicas along the snapshot grid, filled as groups march.
 
     A replica that explodes keeps nan from then on; one that dies out
     gets -inf, 0 and an empty cloud at every later snapshot.
     """
 
-    def __init__(self, config: SimConfig, snap_steps: tuple[int, ...]):
-        n, k = config.n_replicas, len(snap_steps)
+    def __init__(self, config: SimConfig, n: int):
+        snap_steps = config.snapshot_steps()
+        k = len(snap_steps)
         self.config = config
         self.snap_steps = snap_steps
         self.m = np.full((n, k), math.nan)
@@ -535,7 +597,16 @@ class _Record:
                         ParticleCloud(self.config.snapshot_times[j], np.empty(0), self.config.epsilon)
                     )
 
-    def result(self) -> SimResult:
+    def fill(self, lo: int, part: "_Record") -> None:
+        """Copy in the rows of part, a record of replicas lo, lo + 1, ..."""
+        hi = lo + len(part.exploded)
+        self.m[lo:hi], self.z[lo:hi], self.mass[lo:hi] = part.m, part.z, part.mass
+        self.extinction_time[lo:hi] = part.extinction_time
+        self.exploded[lo:hi] = part.exploded
+        if self.clouds is not None:
+            self.clouds[lo:hi] = part.clouds
+
+    def result(self, diagnostics: Mapping[str, int]) -> SimResult:
         times = self.config.snapshot_times
         stats = tuple(
             ReplicaStats(
@@ -548,10 +619,10 @@ class _Record:
                 extinction_time=self.extinction_time[i],
                 exploded=self.exploded[i],
             )
-            for i in range(self.config.n_replicas)
+            for i in range(len(self.exploded))
         )
         clouds = None if self.clouds is None else tuple(tuple(c) for c in self.clouds)
-        return SimResult(stats, clouds)
+        return SimResult(stats, clouds, diagnostics)
 
 
 def _march(config: SimConfig, group: _Group, step: int, record: _Record) -> None:

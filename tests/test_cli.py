@@ -496,7 +496,8 @@ class TestSimulatePipeline:
         out = tmp_path / "sim"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         capsys.readouterr()
-        check_manifest_covers_dir(str(out))
+        manifest = check_manifest_covers_dir(str(out))
+        assert manifest["diagnostics"]["replicas"] == {"groups": 1, "workers": 1}
         rows = (out / "replicas.csv").read_text().strip().splitlines()
         assert len(rows) == 51
         snap = (out / "snapshots.csv").read_text().strip().splitlines()

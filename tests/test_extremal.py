@@ -184,6 +184,26 @@ class TestSampleStructure:
             "8e6f93720248fee2a4b3143195dbcd61710bb39e04771d05c72911d7df9bf8a2"
         )
 
+    def test_rightmost_equals_the_measure_maximum_bit_for_bit(self):
+        # tops a hair off 0, as rounding leaves them in a built bank
+        clusters = tuple(
+            PointMeasure(np.array([top, top - 0.3, -1.0]), np.full(3, 0.5))
+            for top in (1e-10, -1e-10, 0.0, 3e-10, -7e-10)
+        )
+        tipped = ClusterBank(clusters, z=0.0, t=0.0, acceptance=1.0, seed=0)
+        rng = np.random.default_rng(5)
+        for floor in (-2.0, 0.0, 60.0):
+            for _ in range(200):
+                d = sample_E_star(1.0, tipped, rng, x_floor=floor)
+                assert d.rightmost.hex() == d.measure.rightmost.hex()
+        assert d.n_points == 0 and d.rightmost == -math.inf
+
+    def test_measure_is_built_only_when_read(self, bank):
+        d = sample_E_star(1.0, bank, 3, x_floor=-1.0)
+        assert d.n_points > 0 and math.isfinite(d.rightmost)
+        assert "measure" not in vars(d)
+        assert d.measure is d.measure
+
     def test_atoms_never_exceed_the_tip_shift(self, bank):
         sample = sample_E_star(1.0, bank, 11, x_floor=-1.0)
         if sample.n_points:

@@ -12,6 +12,8 @@ is deterministic.
 
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -480,3 +482,61 @@ class TestFrozenStreams:
         for ca, cb in zip(few.clouds, many.clouds[:3]):
             for snap_a, snap_b in zip(ca, cb):
                 assert np.array_equal(snap_a.positions, snap_b.positions)
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
+    reason="groups march in worker processes only where fork and CPU affinity exist",
+)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@needs_fork
+class TestWorkerProcesses:
+    def test_pool_path_equals_serial_path(self, monkeypatch):
+        kwargs, digest = FROZEN["groups"]
+        _cpus(monkeypatch, 2)
+        pooled = simulate(SimConfig(**kwargs))
+        _cpus(monkeypatch, 1)
+        serial = simulate(SimConfig(**kwargs))
+        assert pooled.diagnostics == {"groups": 3, "workers": 2}
+        assert serial.diagnostics == {"groups": 3, "workers": 1}
+        assert pooled.clouds is not None
+        assert _digest(pooled) == _digest(serial) == digest
+
+    def test_one_group_marches_in_process(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        res = simulate(SimConfig(**FROZEN["quadratic"][0]))
+        assert res.diagnostics == {"groups": 1, "workers": 1}
+
+    def test_no_worker_outlives_simulate(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        res = simulate(SimConfig(**FROZEN["groups"][0]))
+        assert res.diagnostics["workers"] == 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_cluster_bank(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        cfg = SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=21,
+                        n_replicas=1, stats_only=True)
+        # 100 accepted clusters take batches of 100 replicas: two groups each
+        sample = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=100)
+        assert len(sample.clusters) == 100
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_worker_stops_the_pool(self, monkeypatch):
+        def fail(*args):
+            raise ParticlesError("group failed")
+
+        _cpus(monkeypatch, 2)
+        # the forked workers inherit the patched march
+        monkeypatch.setattr(particles_module, "_march", fail)
+        with pytest.raises(ParticlesError, match="group failed"):
+            simulate(SimConfig(**FROZEN["groups"][0]))
+        assert multiprocessing.active_children() == []
