@@ -6,8 +6,9 @@ Three rows, all with quadratic psi at the workload's resolution
 - one ``simulate`` of 256 replicas to t = 6 with ``stats_only``, the
   `simulate` pipeline's replica run at a quarter of its size (four groups);
 - one ``sample_E_star`` draw on a fixed bank, read the way the `extremal`
-  pipeline's draw loop reads it: the rightmost atom and the total mass of
-  the decorated measure;
+  pipeline's draw loop reads it: the rightmost atom and the total mass,
+  both from the bank's per-cluster tops and masses, with no decorated
+  measure built;
 - one ``exp_stability_check`` of 200 samples on that bank, with no phi
   panel, as the `extremal` pipeline runs it.
 
@@ -59,7 +60,7 @@ def test_sample_E_star_draw(benchmark, bank):
 
     def draw():
         d = sample_E_star(C_TILDE_0, bank, rng, x_floor=FLOOR)
-        return d.rightmost, float(d.measure.weights.sum())
+        return d.rightmost, d.total_mass
 
     rightmost, mass = benchmark(draw)
     assert math.isfinite(rightmost) and mass > 0.0

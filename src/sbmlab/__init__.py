@@ -17,7 +17,6 @@ from .mechanism import (
     BranchingMechanism,
     LevyMeasure,
     MechanismError,
-    NormalizedMechanism,
     check_hypotheses,
     k,
     lambda_star,
@@ -31,7 +30,6 @@ __all__ = [
     "BranchingMechanism",
     "LevyMeasure",
     "MechanismError",
-    "NormalizedMechanism",
     "check_hypotheses",
     "k",
     "lambda_star",

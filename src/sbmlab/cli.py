@@ -14,9 +14,13 @@ below.  Unknown keys are rejected anywhere in the document, so typos
 fail loudly instead of silently running defaults.  The chosen pipeline's
 block is parsed once, up front, into the values its runner uses, through
 the library's own constructors and validators; a mistake names
-``<block>.<key>`` and exits 2 before anything is written.  Parsing reads
-no files, so a bad saved cluster bank (``extremal.bank``) exits 2 only
-once the run has started.  The overridable
+``<block>.<key>`` and exits 2 before anything is written.
+
+Cluster banks come from one place: ``simulate`` with a ``bank`` block
+writes one under ``bank/`` in its output directory.  ``extremal`` only
+reads banks, and its ``bank`` key, the directory of a saved bank, is
+required.  Parsing reads no files, so a bad saved cluster bank exits 2
+only once the run has started.  The overridable
 settings (seed, output directory, replica count, quiet flag) resolve in
 the order: command line flag, then ``SBMLAB_*`` environment variable
 (``SBMLAB_SEED``, ``SBMLAB_OUT``, ``SBMLAB_REPLICAS``, ``SBMLAB_QUIET``),
@@ -73,7 +77,6 @@ from .mechanism import (
 )
 from .particles import (
     AcceptanceTooLowError,
-    ConditionedClusterSample,
     ParticlesError,
     PointMeasure,
     SimConfig,
@@ -302,14 +305,12 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "t_end": _Key(_NUM, 8.0, check=_positive),
         "snapshots": _Key((list,), None, min_len=1),
         "barrier_offset": _Key(_NUM, None, check=_positive),
-        "stats_only": _Key((bool,), True),
         "initial": _Key((list,), None),
         "bank": _Key((dict,), None),
     },
     "extremal": {
         "c_tilde_0": _Key(_NUM, required=True, check=_positive),
-        "bank": _Key((str,), None),
-        "build": _Key((dict,), None),
+        "bank": _Key((str,), required=True),
         "expected_points": _Key(_NUM, 200.0, check=_positive),
         "stability": _Key((dict,), None),
     },
@@ -334,21 +335,16 @@ _BANK_SCHEMA = {
     "max_attempts": _Key((int,), None, check=_positive),
 }
 
-_BUILD_SCHEMA = {
-    "epsilon": _Key(_NUM, 0.5, check=_positive),
-    "dt": _Key(_NUM, 0.025, check=_positive),
-    "t": _Key(_NUM, 6.0, check=_positive),
-    "z": _Key(_NUM, 1.0),
-    "n_accept": _Key((int,), 40, check=_positive),
-    "barrier_offset": _Key(_NUM, 3.0, check=_positive),
-}
-
 _STABILITY_SCHEMA = {
     "a": _Key(_NUM, -math.log(2.0) / SQRT2, check=lambda v: None if v < 0 else "must be negative"),
     "n_samples": _Key((int,), 400, check=_positive),
 }
 
 _TOP_KEYS = {"pipeline", "mechanism", "seed", "out", "replicas", "quiet"} | set(_BLOCK_SCHEMAS)
+
+# block keys that say where an input lives, not what the experiment is: the
+# hash leaves them out, as it leaves out the output directory
+_LOCATIONS = {("extremal", "bank")}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +411,8 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
             initial=initial,
             snapshot_times=opts["snapshots"],
             barrier_offset=opts["barrier_offset"],
-            stats_only=opts["stats_only"],
+            # the runner reads no cloud; the bank sampler turns clouds on for itself
+            stats_only=True,
         )
     bank = None
     if opts["bank"] is not None:
@@ -425,25 +422,10 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
 
 
 def _parse_extremal(opts: dict, mech, seed, replicas) -> dict:
-    spec = _validate(opts["build"] or {}, _BUILD_SCHEMA, "extremal.build")
-    build = None
-    if opts["bank"] is None:
-        with _blame("extremal.build", ParticlesError):
-            sim = SimConfig(
-                mech=mech,
-                epsilon=spec["epsilon"],
-                dt=spec["dt"],
-                t_end=spec["t"],
-                seed=seed,
-                n_replicas=256,
-                barrier_offset=spec["barrier_offset"],
-                stats_only=False,
-            )
-        build = {"sim": sim, "z": spec["z"], "t": spec["t"], "n_accept": spec["n_accept"]}
     stability = None
     if opts["stability"] is not None:
         stability = _validate(opts["stability"], _STABILITY_SCHEMA, "extremal.stability")
-    return {**opts, "build": build, "stability": stability}
+    return {**opts, "stability": stability}
 
 
 # the other pipelines run on their validated options as they are
@@ -492,8 +474,10 @@ class ExperimentConfig:
     ``SimConfig``, float tuples), which runners never change; ``config_hash``
     is the sha256 of the canonical experiment content (pipeline, mechanism,
     seed, replicas, the block as written with defaults filled), which excludes
-    the output directory and quiet flag on purpose so the same experiment
-    hashed in two directories matches.
+    the output directory, the quiet flag and the location of a saved cluster
+    bank (``extremal.bank``) on purpose, so the same experiment hashed in two
+    directories matches.  The ``extremal`` manifest records the loaded bank's
+    provenance instead.
     """
 
     pipeline: str
@@ -578,7 +562,10 @@ class ExperimentConfig:
                 "mechanism": mechanism_to_dict(mechanism),
                 "seed": seed,
                 "replicas": replicas,
-                "block": _filled(written, schema),
+                "block": {
+                    k: v for k, v in _filled(written, schema).items()
+                    if (pipeline, k) not in _LOCATIONS
+                },
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -727,6 +714,17 @@ def _gnuplot_lines(csv_name: str, n_cols: int, ylabel: str, title: str) -> str:
 # cluster bank serialization
 
 
+def _bank_meta(bank: ClusterBank) -> dict:
+    """The bank's provenance as bank.json stores it."""
+    return {
+        "n_clusters": bank.size,
+        "z": bank.z,
+        "t": bank.t,
+        "acceptance": bank.acceptance,
+        "seed": bank.seed,
+    }
+
+
 def save_bank(bank: ClusterBank, directory: Path | str) -> tuple[Path, Path]:
     """Write a cluster bank as clusters.csv plus bank.json in ``directory``."""
     directory = Path(directory)
@@ -740,18 +738,7 @@ def save_bank(bank: ClusterBank, directory: Path | str) -> tuple[Path, Path]:
                 writer.writerow([str(i), repr(float(loc)), repr(float(wt))])
     meta_path = directory / "bank.json"
     with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "n_clusters": bank.size,
-                "z": bank.z,
-                "t": bank.t,
-                "acceptance": bank.acceptance,
-                "seed": bank.seed,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(_bank_meta(bank), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, meta_path
 
@@ -1001,15 +988,6 @@ def _run_ldp(config: ExperimentConfig, art: _Artifacts) -> None:
     config.say(f"C_hat({delta:g})={est.value:.6g}(±{est.error:.1g})")
 
 
-def _write_bank(sample: ConditionedClusterSample, art: _Artifacts) -> ClusterBank:
-    """Save the sample's bank under bank/ and register both of its files."""
-    bank = ClusterBank.from_sample(sample)
-    save_bank(bank, art.out_dir / "bank")
-    art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
-    art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
-    return bank
-
-
 def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
     sim_config = block["sim"]
@@ -1090,7 +1068,10 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
                 n_accept=bank_spec["n_accept"],
                 max_attempts=bank_spec["max_attempts"],
             )
-            bank = _write_bank(sample, art)
+            bank = ClusterBank.from_sample(sample)
+            save_bank(bank, art.out_dir / "bank")
+        art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
+        art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
         config.say(
             f"bank: {bank.size} clusters at z={bank.z:g}, acceptance {bank.acceptance:.2e}"
         )
@@ -1099,15 +1080,9 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
 def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
     c0 = block["c_tilde_0"]
-    build = block["build"]
-    if build is None:
-        bank = load_bank(Path(block["bank"]))
-    else:
-        with art.timed("bank"):
-            sample = sample_conditioned_clusters(
-                build["sim"], z=build["z"], t=build["t"], n_accept=build["n_accept"]
-            )
-            bank = _write_bank(sample, art)
+    bank = load_bank(Path(block["bank"]))
+    # the config hash leaves the bank's location out; its provenance goes here
+    art.diagnostics["bank"] = _bank_meta(bank)
     expected = block["expected_points"]
     floor = -math.log(expected / c0) / SQRT2
     rng = np.random.default_rng([int(config.seed), 211])
@@ -1118,7 +1093,7 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
         for i in range(n_samples):
             draw = sample_E_star(c0, bank, rng, x_floor=floor)
             rightmosts[i] = draw.rightmost
-            rows.append((i, draw.rightmost, draw.n_points, float(draw.measure.weights.sum())))
+            rows.append((i, rightmosts[i], draw.n_points, draw.total_mass))
     art.write_csv(
         "samples.csv",
         ["sample", "rightmost", "n_points", "total_mass"],

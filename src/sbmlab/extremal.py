@@ -90,6 +90,11 @@ class ClusterBank:
         """Each cluster's rightmost atom."""
         return np.array([c.rightmost for c in self.clusters])
 
+    @functools.cached_property
+    def _masses(self) -> np.ndarray:
+        """Each cluster's total mass."""
+        return np.array([c.total_mass for c in self.clusters])
+
     def rightmost(self, shifts: np.ndarray, indices: np.ndarray) -> float:
         """Rightmost atom of decorate(shifts, indices), -inf when there is none.
 
@@ -100,6 +105,15 @@ class ClusterBank:
         if indices.size == 0:
             return NEG_INF
         return float(np.max(self._tops[indices] + shifts))
+
+    def total_mass(self, indices: np.ndarray) -> float:
+        """Total mass of decorate(shifts, indices) for any shifts, without building it.
+
+        The sum runs cluster by cluster, so it equals the measure's own sum
+        up to rounding, and exactly when all weights are one power of two,
+        as with epsilon = 0.5.
+        """
+        return float(self._masses[indices].sum())
 
     def decorate(self, shifts: np.ndarray, indices: np.ndarray) -> PointMeasure:
         """Union of clusters indices[j] translated by shifts[j], in that order."""
@@ -130,7 +144,8 @@ class DecoratedSample:
     shifts and cluster_indices record, per point, the translation e_j and
     which cluster of bank decorates it.  measure, the union of those
     clusters translated by their points, is built on first access; the
-    rightmost atom is read from the clusters' tops without it.
+    rightmost atom and the total mass are read from the bank's per-cluster
+    tops and masses without it.
     """
 
     bank: ClusterBank
@@ -150,13 +165,13 @@ class DecoratedSample:
     def rightmost(self) -> float:
         return self.bank.rightmost(self.shifts, self.cluster_indices)
 
+    @property
+    def total_mass(self) -> float:
+        return self.bank.total_mass(self.cluster_indices)
+
     def count_above(self, x: float) -> int:
         """Number of Poisson points (not atoms) above level x."""
         return int(np.sum(self.shifts > x))
-
-    def reconstruct(self, bank: ClusterBank) -> PointMeasure:
-        """Rebuild the measure from provenance; equals measure exactly."""
-        return bank.decorate(self.shifts, self.cluster_indices)
 
 
 def _default_floor(total_rate: float, expected: float = DEFAULT_EXPECTED_POINTS) -> float:
@@ -274,9 +289,8 @@ def exp_stability_check(
         right_two[i] = max(part_a.rightmost + a, part_b.rightmost + b)
         for k, phi in enumerate(phis):
             lap_one[k, i] = plain.measure.integrate(phi)
-            lap_two[k, i] = _shifted_integral(part_a, a, phi) + _shifted_integral(
-                part_b, b, phi
-            )
+            from_a = part_a.measure.integrate(lambda y: phi(y + a))
+            lap_two[k, i] = from_a + part_b.measure.integrate(lambda y: phi(y + b))
     ks = sps.ks_2samp(right_one, right_two)
     l_one = tuple(float(np.mean(np.exp(-row))) for row in lap_one)
     l_two = tuple(float(np.mean(np.exp(-row))) for row in lap_two)
@@ -291,13 +305,6 @@ def exp_stability_check(
         laplace_two=l_two,
         laplace_gaps=gaps,
     )
-
-
-def _shifted_integral(sample: DecoratedSample, shift: float, phi) -> float:
-    if sample.measure.size == 0:
-        return 0.0
-    vals = np.asarray(phi(sample.measure.locations + shift), dtype=float)
-    return float(np.sum(sample.measure.weights * vals))
 
 
 # ---------------------------------------------------------------------------

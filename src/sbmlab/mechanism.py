@@ -66,7 +66,6 @@ def _excess(x: np.ndarray | float) -> np.ndarray | float:
     """exp(-x) - 1 + x, stable for tiny x where direct evaluation cancels."""
     x = np.asarray(x, dtype=float)
     small = x < 1e-4
-    out = np.empty_like(x)
     xs = np.where(small, x, 0.0)
     out_small = xs * xs / 2.0 - xs**3 / 6.0 + xs**4 / 24.0
     with np.errstate(over="ignore"):
@@ -342,23 +341,6 @@ class BranchingMechanism:
             raise MechanismError("mechanism must be nonlinear: beta > 0 or a nontrivial jump measure")
 
 
-class NormalizedMechanism(BranchingMechanism):
-    """Mechanism brought to unit drift and unit largest zero.
-
-    Behaves exactly like a BranchingMechanism; it only remembers where it
-    came from so the rescaling stays inspectable.
-    """
-
-    def __init__(self, alpha, beta, levy, base: BranchingMechanism, lam_scale: float, rate_scale: float):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "levy", levy)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "lam_scale", lam_scale)
-        object.__setattr__(self, "rate_scale", rate_scale)
-        BranchingMechanism.__post_init__(self)
-
-
 def psi(mech: BranchingMechanism, lam) -> np.ndarray | float:
     """Mechanism value, vectorized over lam >= 0."""
     arr = np.asarray(lam, dtype=float)
@@ -405,7 +387,7 @@ def lambda_star(mech: BranchingMechanism) -> float:
     return float(root)
 
 
-def normalize(mech: BranchingMechanism) -> NormalizedMechanism:
+def normalize(mech: BranchingMechanism) -> BranchingMechanism:
     """Rescale argument and rate so drift and largest zero both equal one.
 
     With s = lambda_star and a = alpha, the map is
@@ -434,14 +416,7 @@ def normalize(mech: BranchingMechanism) -> NormalizedMechanism:
             y=tuple(s * y for y in levy.y_grid),
             density=tuple(d / (a * s * s) for d in levy.density),
         )
-    return NormalizedMechanism(
-        alpha=1.0,
-        beta=mech.beta * s / a,
-        levy=new_levy,
-        base=mech,
-        lam_scale=s,
-        rate_scale=a * s,
-    )
+    return BranchingMechanism(alpha=1.0, beta=mech.beta * s / a, levy=new_levy)
 
 
 @dataclass(frozen=True)

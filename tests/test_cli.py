@@ -11,6 +11,7 @@ completeness, and byte-level reproducibility of the CSV artifacts.
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -148,11 +149,10 @@ CONFIG_MISTAKES = [
         "fronts.phi.vals",
     ),
     ("simulate", {"seed": 1, "simulate": {"bank": {"z": 0.0}}}, "simulate.bank.n_accept"),
-    (
-        "extremal",
-        {"seed": 1, "extremal": {"c_tilde_0": 1.0, "build": {"dt": 5.0}}},
-        "extremal.build",
-    ),
+    # banks come only from simulate; extremal reads one and must be told where
+    ("extremal", {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "build": {}}}, "build"),
+    ("extremal", {"seed": 1, "extremal": {"c_tilde_0": 1.0}}, "extremal.bank"),
+    ("simulate", {"seed": 1, "simulate": {"stats_only": False}}, "stats_only"),
     (
         "extremal",
         {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "stability": {"a": 1.0}}},
@@ -220,7 +220,8 @@ class TestPrecedence:
 
 # one config per pipeline and its config_sha256, which parsing must never
 # move.  The barriers hash reflects that block's schema: a, b, theta and A
-# only, with no strip_times, m_ladder or n_cells key.
+# only, with no strip_times, m_ladder or n_cells key.  The simulate block has
+# no stats_only key, and the extremal hash leaves out where its bank lives.
 PINNED_HASHES = {
     "mech-check": ({}, "5834ce6e8f1575b0022311e71912b0080f4eec12afe42b551d10ecb8e8d950a2"),
     "kpp": (
@@ -262,7 +263,7 @@ PINNED_HASHES = {
                 "bank": {"z": 0.0, "t": 2.0, "n_accept": 5},
             },
         },
-        "67d4558cb32e2e0c2de17c0860d695a3be0b18a2bb947ed34a27c6b05b461c43",
+        "526b12a5e5f80afc4afbbe0d873317aa3b533aadbfdb6bc7a09e579da5f833ff",
     ),
     "extremal": (
         {
@@ -270,11 +271,11 @@ PINNED_HASHES = {
             "replicas": 40,
             "extremal": {
                 "c_tilde_0": 3.42,
-                "build": {"t": 3.0, "n_accept": 8},
+                "bank": "runs/simulate/bank",
                 "stability": {"n_samples": 60},
             },
         },
-        "2c48d529630de7a8bbafcba997d1a2b0eb4234df8d407bd6254772a7f76ed881",
+        "315e36ddf83ac45aa3dd2d0c9d795b2f598332ed5c63c9c5e627084bf954701b",
     ),
     "barriers": (
         {"barriers": {"a": 1.0, "b": 1.0, "theta": 1.0, "A": 5.0}},
@@ -582,7 +583,9 @@ class TestExtremalPipeline:
         out = tmp_path / "ext"
         assert main(["extremal", "--config", ext_cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         capsys.readouterr()
-        check_manifest_covers_dir(str(out))
+        manifest = check_manifest_covers_dir(str(out))
+        with open(sim_out / "bank" / "bank.json") as fh:
+            assert manifest["diagnostics"]["bank"] == json.load(fh)
         rows = (out / "samples.csv").read_text().strip().splitlines()
         assert len(rows) == 41
         cdf = np.loadtxt(out / "rightmost_cdf.csv", delimiter=",", skiprows=1)
@@ -592,6 +595,17 @@ class TestExtremalPipeline:
             stability = json.load(fh)
         assert stability["n_samples"] == 60
         assert 0.0 <= stability["ks_pvalue"] <= 1.0
+        # the same bank under another path: same hash, same bytes
+        moved = tmp_path / "moved"
+        shutil.copytree(sim_out / "bank", moved)
+        again = tmp_path / "again"
+        ext = json.loads((tmp_path / "ext.json").read_text())
+        ext["extremal"]["bank"] = str(moved)
+        ext_cfg = write_config(tmp_path, ext, name="ext.json")
+        assert main(["extremal", "--config", ext_cfg, "--out", str(again), "--quiet"]) == EXIT_OK
+        assert manifest_of(str(again))["config_sha256"] == manifest["config_sha256"]
+        for name in ("samples.csv", "rightmost_cdf.csv", "stability.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_missing_c_tilde_0_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 1, "extremal": {"bank": "somewhere"}})

@@ -143,7 +143,7 @@ class TestSampleStructure:
     def test_provenance_reconstructs_measure_exactly(self, bank):
         sample = sample_E_star(1.1, bank, 8, x_floor=-1.5)
         assert isinstance(sample, DecoratedSample)
-        rebuilt = sample.reconstruct(bank)
+        rebuilt = bank.decorate(sample.shifts, sample.cluster_indices)
         assert np.array_equal(rebuilt.locations, sample.measure.locations)
         assert np.array_equal(rebuilt.weights, sample.measure.weights)
 
@@ -152,7 +152,8 @@ class TestSampleStructure:
         assert sample.n_points == 0
         assert sample.measure.size == 0
         assert sample.rightmost == -math.inf
-        assert sample.reconstruct(bank).size == 0
+        assert bank.decorate(sample.shifts, sample.cluster_indices).size == 0
+        assert sample.total_mass == 0.0
 
     def test_matches_per_point_loop_and_reloaded_bank(self, bank, tmp_path):
         save_bank(bank, tmp_path / "bank")
@@ -160,7 +161,7 @@ class TestSampleStructure:
         rng = np.random.default_rng(77)
         for _ in range(20):
             sample = sample_E_star(1.2, bank, rng, x_floor=-1.5)
-            rebuilt = sample.reconstruct(reloaded)
+            rebuilt = reloaded.decorate(sample.shifts, sample.cluster_indices)
             assert np.array_equal(rebuilt.locations, sample.measure.locations)
             assert np.array_equal(rebuilt.weights, sample.measure.weights)
             # reference: translate the clusters one Poisson point at a time
@@ -203,6 +204,30 @@ class TestSampleStructure:
         assert d.n_points > 0 and math.isfinite(d.rightmost)
         assert "measure" not in vars(d)
         assert d.measure is d.measure
+
+    def test_total_mass_is_the_measure_mass_without_building_it(self, bank):
+        # the engine's weights at epsilon 0.5: every partial sum is exact
+        halves = ClusterBank(
+            tuple(PointMeasure(c.locations, np.full(c.size, 0.5)) for c in bank.clusters),
+            z=0.0, t=0.0, acceptance=1.0, seed=0,
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            d = sample_E_star(1.0, halves, rng, x_floor=-1.5)
+            mass = d.total_mass
+            assert "measure" not in d.__dict__
+            assert mass == d.measure.total_mass
+
+    def test_total_mass_agrees_to_rounding_for_inexact_weights(self):
+        rng = np.random.default_rng(15)
+        clusters = tuple(
+            PointMeasure(np.concatenate([[0.0], -rng.exponential(1.0, n)]), np.full(n + 1, 0.1))
+            for n in rng.integers(0, 40, 30)
+        )
+        tenths = ClusterBank(clusters, z=0.0, t=0.0, acceptance=1.0, seed=0)
+        for _ in range(50):
+            d = sample_E_star(1.0, tenths, rng, x_floor=-2.0)
+            assert d.total_mass == pytest.approx(d.measure.total_mass, rel=1e-12, abs=0.0)
 
     def test_atoms_never_exceed_the_tip_shift(self, bank):
         sample = sample_E_star(1.0, bank, 11, x_floor=-1.0)

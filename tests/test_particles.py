@@ -21,7 +21,7 @@ from scipy import stats as sps
 
 from sbmlab import csbp
 from sbmlab import particles as particles_module
-from sbmlab.kpp import front_m
+from sbmlab.kpp import Grid1D, InitialCondition, front_m, solve_U
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 from sbmlab.particles import (
     AcceptanceTooLowError,
@@ -293,6 +293,30 @@ class TestAgainstMassOracles:
         z = res.z_values()
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - math.exp(-SQRT2)) < 3.0 * se
+
+
+class TestExactRightmostLaw:
+    def test_front_law_matches_the_branching_brownian_oracle(self):
+        # with quadratic psi the engine is a branching Brownian motion from
+        # N = 1/epsilon particles at 0, each splitting at rate b and dying at
+        # rate b - alpha.  So P(M_t <= x) = (1 - p(t, x))^N, where
+        # p_t = p_xx/2 + alpha p - b p^2 from 1_{x<0} (McKean 1975): one
+        # solve_U with the mechanism (alpha, b).  The grid moves the oracle
+        # by under 1e-3, a tenth of a standard error here.
+        eps, t, n = 0.1, 3.0, 4000
+        split = offspring_table(QUADRATIC, eps).split_rate
+        grid = Grid1D.auto(t, dx=0.02, dt=0.0025)
+        p = solve_U(BranchingMechanism(alpha=1.0, beta=split), InitialCondition.heaviside(), grid)
+        xs = np.arange(6.0)
+        oracle = (1.0 - p.interp(t, xs)) ** round(1.0 / eps)
+        res = simulate(SimConfig(mech=QUADRATIC, epsilon=eps, dt=0.01, t_end=t,
+                                 seed=31, n_replicas=n, stats_only=True))
+        m = res.m_values()
+        assert not np.isnan(m).any()
+        empirical = np.array([np.mean(m <= x) for x in xs])
+        se = np.sqrt(oracle * (1.0 - oracle) / n)
+        assert oracle[3] == pytest.approx(0.6493, abs=1e-4)
+        assert np.all(np.abs(empirical - oracle) < 4.0 * se)
 
 
 class TestFrontTracking:
