@@ -1,6 +1,6 @@
 """Per-layer timings for the `particles` workload.
 
-Three rows, all with quadratic psi at the workload's resolution
+Six rows, all with quadratic psi at the workload's resolution
 (epsilon 0.5, dt 0.025):
 
 - one ``simulate`` of 256 replicas to t = 6 with ``stats_only``, the
@@ -10,7 +10,11 @@ Three rows, all with quadratic psi at the workload's resolution
   both from the bank's per-cluster tops and masses, with no decorated
   measure built;
 - one ``exp_stability_check`` of 200 samples on that bank, with no phi
-  panel, as the `extremal` pipeline runs it.
+  panel, as the `extremal` pipeline runs it;
+- one ``sample_conditioned_clusters`` that builds the bank, as the
+  `simulate` pipeline's ``bank`` stage does;
+- one ``save_bank`` of that bank and one ``load_bank`` of what it wrote,
+  the `simulate` pipeline's last step and the `extremal` pipeline's first.
 
 The bank is the workload's: 400 clusters conditioned on
 M_3 > sqrt(2) * 3 - 1.4, seed 1.  C~_0 is 1 and the draw floor puts 200
@@ -29,6 +33,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmlab.cli import load_bank, save_bank
 from sbmlab.extremal import ClusterBank, exp_stability_check, sample_E_star
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 from sbmlab.particles import SimConfig, sample_conditioned_clusters, simulate
@@ -76,3 +81,28 @@ def test_exp_stability_check_200_samples(benchmark, bank):
         warmup_rounds=1,
     )
     assert report.n_samples == 200
+
+
+def test_sample_conditioned_clusters_400(benchmark):
+    sample = benchmark.pedantic(
+        sample_conditioned_clusters,
+        args=(_config(1),),
+        kwargs={"z": -1.4, "t": 3.0, "n_accept": 400},
+        rounds=7,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert len(sample.clusters) == 400
+
+
+def test_save_bank(benchmark, bank, tmp_path):
+    csv_path, _ = benchmark.pedantic(save_bank, args=(bank, tmp_path / "bank"), rounds=15,
+                                     iterations=1, warmup_rounds=1)
+    assert csv_path.stat().st_size > 0
+
+
+def test_load_bank(benchmark, bank, tmp_path):
+    save_bank(bank, tmp_path / "bank")
+    loaded = benchmark.pedantic(load_bank, args=(tmp_path / "bank",), rounds=15, iterations=1,
+                                warmup_rounds=1)
+    assert loaded.size == bank.size

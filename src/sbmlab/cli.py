@@ -725,17 +725,24 @@ def _bank_meta(bank: ClusterBank) -> dict:
     }
 
 
+_BANK_HEADER = "cluster,location,weight\n"
+_BANK_ROW = np.dtype([("cluster", np.int64), ("location", float), ("weight", float)])
+
+
 def save_bank(bank: ClusterBank, directory: Path | str) -> tuple[Path, Path]:
     """Write a cluster bank as clusters.csv plus bank.json in ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "clusters.csv"
+    # the rows csv.writer would write, one write per cluster: a float's
+    # repr never needs quoting
     with open(csv_path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "location", "weight"])
+        fh.write(_BANK_HEADER)
         for i, cluster in enumerate(bank.clusters):
-            for loc, wt in zip(cluster.locations, cluster.weights):
-                writer.writerow([str(i), repr(float(loc)), repr(float(wt))])
+            fh.write("".join(
+                f"{i},{loc!r},{wt!r}\n"
+                for loc, wt in zip(cluster.locations.tolist(), cluster.weights.tolist())
+            ))
     meta_path = directory / "bank.json"
     with open(meta_path, "w") as fh:
         json.dump(_bank_meta(bank), fh, indent=2, sort_keys=True)
@@ -754,24 +761,28 @@ def load_bank(directory: Path | str) -> ClusterBank:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise CliConfigError(f"bank metadata {meta_path} is not valid JSON: {exc}") from exc
-    locs: dict[int, list[float]] = {}
-    wts: dict[int, list[float]] = {}
-    with open(csv_path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != ["cluster", "location", "weight"]:
-            raise CliConfigError(f"{csv_path} has unexpected header {header}")
-        for row in reader:
-            try:
-                idx, loc, wt = int(row[0]), float(row[1]), float(row[2])
-            except (ValueError, IndexError) as exc:
-                raise CliConfigError(f"{csv_path} has a malformed row {row}") from exc
-            locs.setdefault(idx, []).append(loc)
-            wts.setdefault(idx, []).append(wt)
-    if not locs:
-        raise CliConfigError(f"{csv_path} holds no clusters")
+    with open(csv_path) as fh:
+        header = fh.readline()
+        if header != _BANK_HEADER:
+            raise CliConfigError(f"{csv_path} has unexpected header {header.rstrip()!r}")
+        # np.loadtxt warns on a body with no rows, so look at the first one here
+        body = fh.tell()
+        if not fh.readline().strip():
+            raise CliConfigError(f"{csv_path} holds no clusters")
+        fh.seek(body)
+        try:
+            rows = np.loadtxt(fh, dtype=_BANK_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise CliConfigError(f"{csv_path} has a malformed row: {exc}") from exc
+    # clusters in index order, each cluster's atoms in file order
+    order = np.argsort(rows["cluster"], kind="stable")
+    index = rows["cluster"][order]
+    cuts = np.flatnonzero(np.diff(index)) + 1
     clusters = tuple(
-        PointMeasure(np.array(locs[i]), np.array(wts[i])) for i in sorted(locs)
+        PointMeasure(locs, wts)
+        for locs, wts in zip(
+            np.split(rows["location"][order], cuts), np.split(rows["weight"][order], cuts)
+        )
     )
     try:
         return ClusterBank(
@@ -1070,6 +1081,7 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
             )
             bank = ClusterBank.from_sample(sample)
             save_bank(bank, art.out_dir / "bank")
+        art.diagnostics["bank"] = dict(sample.diagnostics)
         art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
         art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
         config.say(

@@ -50,7 +50,9 @@ with the ``fork`` method, so they inherit the loaded modules where
 worker returns its group's rows, which land in the result by replica id.
 The seed contract is unchanged: the result is the same bits as the
 in-process march that runs where there is one group, one CPU or no
-``fork``.  The pool lives only inside one ``simulate`` call.
+``fork``.  A pool lives inside one call: one ``simulate``, or one
+``sample_conditioned_clusters``, whose rejection batches stream their
+groups through a single pool until the bank is full.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ _JUMP_TAIL_FRACTION = 1e-6
 _BARRIER_START_TIME = 1.0
 _GROUP_REPLICAS = 64
 _GROUP_PARTICLES = 1 << 15
+_GROUPS_IN_FLIGHT = 2
 
 
 class ParticlesError(ValueError):
@@ -444,8 +447,8 @@ def simulate(config: SimConfig) -> SimResult:
     n_replicas.  Up to _GROUP_REPLICAS consecutive replicas march
     together as one group (see _march and _advance).  Two or more groups
     march in fork-started worker processes, one per usable CPU, which
-    return each group's rows to be placed by replica id; the pool is
-    closed and joined before this returns, also when a worker raises.
+    return each group's rows to be placed by replica id; the workers are
+    joined before this returns, also when one of them raises.
     Neither the grouping nor the process a group runs in changes the
     draws, their order or the result.
     """
@@ -456,8 +459,8 @@ def simulate(config: SimConfig) -> SimResult:
     workers = _worker_count(len(groups))
     march = functools.partial(_march_replicas, config, config.initial_positions())
     record = _Record(config, n)
-    with _group_map(workers) as group_map:
-        for lo, part in zip(starts, group_map(march, groups)):
+    with contextlib.closing(_march_groups(march, groups, workers)) as parts:
+        for lo, part in zip(starts, parts):
             record.fill(lo, part)
     return record.result({"groups": len(groups), "workers": workers})
 
@@ -469,25 +472,82 @@ def _worker_count(n_groups: int) -> int:
     return min(n_groups, len(os.sched_getaffinity(0)))
 
 
-@contextlib.contextmanager
-def _group_map(workers: int):
-    """The builtin map for one worker, else the imap of a fork pool of that many.
+def _march_groups(march, groups, workers: int):
+    """Yield march(group) for each of the groups, in order.
 
-    The pool is closed and joined when the block ends; a block that raises
-    terminates the workers first.
+    With one worker (or none) the groups march here, one at a time as they
+    are asked for.  Otherwise that many fork-started worker processes march
+    them, one group at a time each, over a pipe per worker.  An idle worker
+    gets the next group while fewer than _GROUPS_IN_FLIGHT per worker are
+    handed out and not yet yielded, so groups may be an endless iterable
+    and a consumer that stops early wastes at most that window.  The
+    workers are killed and joined when the generator ends, is closed early
+    or meets a worker's error, which it raises; callers close it, say with
+    contextlib.closing.
+
+    multiprocessing.Pool does not fit: its imap takes the whole iterable
+    at once, and its terminate can hang for good when it kills a worker
+    that holds the lock of the result queue all workers share, which
+    stopping early would do routinely.  A worker here shares no lock.
     """
-    if workers == 1:
-        yield map
+    if workers <= 1:
+        yield from map(march, groups)
         return
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    # imported only here, since importing sbmlab otherwise pays for it
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    links = []
     try:
-        yield pool.imap
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        for _ in range(workers):
+            pipe, worker_end = context.Pipe()
+            proc = context.Process(target=_serve_marches, args=(march, worker_end), daemon=True)
+            proc.start()
+            worker_end.close()
+            links.append((proc, pipe))
+        idle = [pipe for _, pipe in links]
+        busy = {}  # pipe -> index of the group its worker marches
+        done = {}  # index -> result not yet yielded
+        groups = iter(groups)
+        sent = yielded = 0
+        while True:
+            while idle and sent - yielded < _GROUPS_IN_FLIGHT * workers:
+                group = next(groups, None)
+                if group is None:
+                    break
+                pipe = idle.pop()
+                pipe.send(group)
+                busy[pipe] = sent
+                sent += 1
+            if yielded in done:
+                yield done.pop(yielded)
+                yielded += 1
+            elif not busy:
+                return
+            else:
+                for pipe in wait(list(busy)):
+                    ok, part = pipe.recv()
+                    if not ok:
+                        raise part
+                    done[busy.pop(pipe)] = part
+                    idle.append(pipe)
     finally:
-        pool.join()
+        for proc, _ in links:
+            proc.kill()
+        for proc, pipe in links:
+            proc.join()
+            pipe.close()
+
+
+def _serve_marches(march, pipe) -> None:
+    """A worker's loop: send back (True, march(group)), or (False, error), per group received."""
+    while True:
+        group = pipe.recv()
+        try:
+            reply = (True, march(group))
+        except Exception as exc:
+            reply = (False, exc)
+        pipe.send(reply)
 
 
 def _march_replicas(
@@ -760,7 +820,9 @@ class ConditionedClusterSample:
     Each cluster is the final cloud recentered at its rightmost particle,
     so its rightmost point is exactly 0; overshoots[i] is M_t - sqrt(2) t - z
     for the i-th accepted replica.  seed is the config seed the rejection
-    batches were spawned from.
+    batches were spawned from.  diagnostics records the rejection batches
+    and replica groups whose results were used (the group that filled the
+    sample is the last) and the processes that marched them.
     """
 
     clusters: tuple[PointMeasure, ...]
@@ -769,6 +831,7 @@ class ConditionedClusterSample:
     t: float
     attempts: int
     seed: int
+    diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def acceptance(self) -> float:
@@ -784,11 +847,15 @@ def sample_conditioned_clusters(
 ) -> ConditionedClusterSample:
     """Collect n_accept clusters conditioned on the front exceeding sqrt(2) t + z.
 
-    Replicas run in batches with seeds spawned deterministically from
-    config.seed, so the accepted set depends only on (config, z, t).
-    Raises AcceptanceTooLowError when a long run of attempts produces
-    nothing (estimated acceptance below about 1e-6) or when max_attempts
-    (default 500 per requested cluster, at least 20000) is exhausted.
+    Replicas run in batches of max(64, min(4096, n_accept)); batch k
+    spawns its seeds from _batch_seed(config.seed, k), so the accepted set
+    depends only on (config, z, t, n_accept).  The batches' groups stream
+    in order through one pool (see _march_groups) and the stream stops at
+    the group that fills the sample.  attempts counts whole batches, the
+    one that filled the sample included.  A new batch starts only while
+    attempts is below max_attempts (default 500 per requested cluster, at
+    least 20000); AcceptanceTooLowError is raised when the batches so
+    allowed end with fewer than n_accept clusters.
     """
     if n_accept < 1:
         raise ParticlesError("n_accept must be at least 1")
@@ -796,6 +863,9 @@ def sample_conditioned_clusters(
         max_attempts = max(20_000, 500 * n_accept)
     level = SQRT2 * t + z
     batch = max(64, min(4096, n_accept))
+    # the batches that start while attempts is below max_attempts
+    n_batches = max(0, -(-max_attempts // batch))
+    per_batch = -(-batch // _GROUP_REPLICAS)
     base = dataclasses.replace(
         config,
         t_end=t,
@@ -803,42 +873,47 @@ def sample_conditioned_clusters(
         stats_only=False,
         n_replicas=batch,
     )
+    march = functools.partial(_march_replicas, base, base.initial_positions())
+    workers = _worker_count(n_batches * per_batch)
     clusters: list[PointMeasure] = []
     overshoots: list[float] = []
-    attempts = 0
-    batch_index = 0
-    while len(clusters) < n_accept:
-        if attempts >= max_attempts:
-            raise AcceptanceTooLowError(
-                f"{len(clusters)} accepted in {attempts} attempts "
-                f"(acceptance about {(len(clusters) + 1) / (attempts + 1):.2e})"
-            )
-        cfg = dataclasses.replace(base, seed=_batch_seed(config.seed, batch_index))
-        batch_index += 1
-        result = simulate(cfg)
-        attempts += cfg.n_replicas
-        for stats, snaps in zip(result.stats, result.clouds):
-            if stats.exploded or not snaps:
-                continue
-            cloud = snaps[-1]
-            m = max_position(cloud)
-            if m > level:
-                clusters.append(
-                    PointMeasure(
-                        cloud.positions - m,
-                        np.full(cloud.count, cloud.epsilon),
+    groups = 0
+    stream = _march_groups(march, _batch_groups(config.seed, batch, n_batches), workers)
+    with contextlib.closing(stream) as parts:
+        for part in parts:
+            groups += 1
+            for exploded, snaps in zip(part.exploded, part.clouds):
+                if exploded or not snaps:
+                    continue
+                cloud = snaps[-1]
+                m = max_position(cloud)
+                if m > level:
+                    clusters.append(
+                        PointMeasure(
+                            cloud.positions - m,
+                            np.full(cloud.count, cloud.epsilon),
+                        )
                     )
-                )
-                overshoots.append(m - level)
-                if len(clusters) == n_accept:
-                    break
+                    overshoots.append(m - level)
+                    if len(clusters) == n_accept:
+                        break
+            if len(clusters) == n_accept:
+                break
+    if len(clusters) < n_accept:
+        attempts = n_batches * batch
+        raise AcceptanceTooLowError(
+            f"{len(clusters)} accepted in {attempts} attempts "
+            f"(acceptance about {(len(clusters) + 1) / (attempts + 1):.2e})"
+        )
+    batches = -(-groups // per_batch)
     return ConditionedClusterSample(
         clusters=tuple(clusters),
         overshoots=np.asarray(overshoots),
         z=float(z),
         t=float(t),
-        attempts=attempts,
+        attempts=batches * batch,
         seed=config.seed,
+        diagnostics={"batches": batches, "groups": groups, "workers": workers},
     )
 
 
@@ -853,6 +928,18 @@ def sample_conditioned_cluster(
 def _batch_seed(seed: int, batch_index: int) -> int:
     # distinct deterministic seeds per rejection batch, clear of the base seed
     return (seed + 0x9E3779B97F4A7C15 * (batch_index + 1)) % (1 << 63)
+
+
+def _batch_groups(seed: int, batch: int, n_batches: int):
+    """The replica groups of rejection batches 0 .. n_batches - 1, in order.
+
+    Batch k is the replicas simulate would run for seed _batch_seed(seed, k)
+    and n_replicas batch, cut into the same groups.
+    """
+    for k in range(n_batches):
+        seeds = np.random.SeedSequence(_batch_seed(seed, k)).spawn(batch)
+        for lo in range(0, batch, _GROUP_REPLICAS):
+            yield seeds[lo:lo + _GROUP_REPLICAS]
 
 
 # ---------------------------------------------------------------------------

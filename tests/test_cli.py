@@ -8,10 +8,13 @@ environment over config, exit codes per failure class, manifest
 completeness, and byte-level reproducibility of the CSV artifacts.
 """
 
+import csv
+import io
 import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -508,7 +511,9 @@ class TestSimulatePipeline:
         assert cdf[0] == "m_minus_center,cdf"
         assert len(cdf) > 1
 
-    def test_bank_export_and_roundtrip(self, tmp_path, capsys):
+    def test_bank_export_and_roundtrip(self, tmp_path, capsys, monkeypatch):
+        # one CPU, so the bank's groups march in this process on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         payload = json.loads(json.dumps(self.CFG))
         payload["simulate"]["bank"] = {"z": 0.0, "t": 2.0, "n_accept": 5}
         cfg = write_config(tmp_path, payload)
@@ -519,6 +524,8 @@ class TestSimulatePipeline:
         kinds = {e["path"]: e["kind"] for e in manifest["outputs"]}
         assert kinds["bank/clusters.csv"] == "bank"
         assert kinds["bank/bank.json"] == "bank"
+        # one 64-replica batch of one group fills the bank
+        assert manifest["diagnostics"]["bank"] == {"batches": 1, "groups": 1, "workers": 1}
         bank = load_bank(out / "bank")
         assert bank.size == 5
         assert bank.z == 0.0
@@ -672,6 +679,61 @@ class TestBankSerialization:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CliConfigError, match="bank.json"):
             load_bank(tmp_path / "void")
+
+    def test_awkward_floats_write_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path):
+        awkward = [-0.0, 5e-324, 1e-5, 1.2345678901234567e16, 0.1 + 0.2]
+        clusters = (
+            PointMeasure(np.array([-1.2345678901234567e16, -(0.1 + 0.2), -1e-5, 5e-324]),
+                         np.array(awkward[1:])),
+            PointMeasure(np.array([-5e-324, -0.0]), np.array([0.1 + 0.2, 1e-5])),
+        )
+        bank = ClusterBank(clusters=clusters, z=0.5, t=4.0, acceptance=0.125, seed=3)
+        csv_path, _ = save_bank(bank, tmp_path / "bank")
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["cluster", "location", "weight"])
+        for i, cluster in enumerate(clusters):
+            for loc, wt in zip(cluster.locations, cluster.weights):
+                writer.writerow([str(i), repr(float(loc)), repr(float(wt))])
+        assert csv_path.read_bytes() == reference.getvalue().encode()
+        back = load_bank(tmp_path / "bank")
+        for original, loaded in zip(clusters, back.clusters):
+            assert loaded.locations.tobytes() == original.locations.tobytes()
+            assert loaded.weights.tobytes() == original.weights.tobytes()
+
+    @staticmethod
+    def _bank_dir(tmp_path, body: str):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        meta = {"n_clusters": 3, "z": 0.0, "t": 1.0, "acceptance": 0.5, "seed": 1}
+        (bank_dir / "bank.json").write_text(json.dumps(meta))
+        (bank_dir / "clusters.csv").write_text("cluster,location,weight\n" + body)
+        return bank_dir
+
+    def test_interleaved_indices_group_by_index_in_file_order(self, tmp_path):
+        body = "7,-1.0,0.5\n2,0.0,1.0\n7,0.0,0.25\n40,0.0,2.0\n2,-3.0,1.5\n7,-0.5,0.5\n"
+        bank = load_bank(self._bank_dir(tmp_path, body))
+        assert [c.locations.tolist() for c in bank.clusters] == [
+            [0.0, -3.0], [-1.0, 0.0, -0.5], [0.0]]
+        assert [c.weights.tolist() for c in bank.clusters] == [
+            [1.0, 1.5], [0.5, 0.25, 0.5], [2.0]]
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("0,0.0,1.0\n1.5,0.0,1.0\n", "malformed"),
+            ("0,0.0,one\n", "malformed"),
+            ("0,0.0,1.0\n1,0.0\n", "malformed"),
+            ("", "no clusters"),
+        ],
+        ids=["non-integer-index", "non-numeric-field", "short-row", "header-only"],
+    )
+    def test_bad_rows_are_config_errors_without_warnings(self, tmp_path, body, message):
+        bank_dir = self._bank_dir(tmp_path, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CliConfigError, match=message):
+                load_bank(bank_dir)
 
 
 class TestRunPipelineApi:

@@ -10,6 +10,7 @@ below was sized against a measured run; seeds are frozen so the suite
 is deterministic.
 """
 
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -563,4 +564,97 @@ class TestWorkerProcesses:
         monkeypatch.setattr(particles_module, "_march", fail)
         with pytest.raises(ParticlesError, match="group failed"):
             simulate(SimConfig(**FROZEN["groups"][0]))
+        assert multiprocessing.active_children() == []
+
+
+def _batchwise_clusters(config, z, t, n_accept, max_attempts):
+    """The sampler as one simulate call per rejection batch: the reference."""
+    level = SQRT2 * t + z
+    batch = max(64, min(4096, n_accept))
+    base = dataclasses.replace(
+        config, t_end=t, snapshot_times=(t,), stats_only=False, n_replicas=batch
+    )
+    clusters, overshoots = [], []
+    attempts = k = 0
+    while len(clusters) < n_accept:
+        if attempts >= max_attempts:
+            raise AcceptanceTooLowError(
+                f"{len(clusters)} accepted in {attempts} attempts "
+                f"(acceptance about {(len(clusters) + 1) / (attempts + 1):.2e})"
+            )
+        result = simulate(
+            dataclasses.replace(base, seed=particles_module._batch_seed(config.seed, k))
+        )
+        k += 1
+        attempts += batch
+        for s, snaps in zip(result.stats, result.clouds):
+            if s.exploded or not snaps:
+                continue
+            m = max_position(snaps[-1])
+            if m > level:
+                clusters.append(snaps[-1].positions - m)
+                overshoots.append(m - level)
+                if len(clusters) == n_accept:
+                    break
+    return clusters, overshoots, attempts
+
+
+# 100 clusters take batches of 100 replicas, a group of 64 and one of 36;
+# each case's last used group is pinned by its diagnostics
+STREAM_CASES = {
+    # the first group of the second batch fills the sample
+    "mid-batch": (21, -6.0, {"batches": 2, "groups": 3}),
+    # the last group of the twelfth batch fills it
+    "batch-boundary": (24, 0.5, {"batches": 12, "groups": 24}),
+}
+
+
+def _stream_config(seed: int) -> SimConfig:
+    return SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=seed,
+                     n_replicas=1, stats_only=True)
+
+
+@needs_fork
+class TestStreamedSampler:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_stream_equals_batch_by_batch_simulate(self, monkeypatch, case, cpus):
+        seed, z, used = STREAM_CASES[case]
+        _cpus(monkeypatch, cpus)
+        cfg = _stream_config(seed)
+        sample = sample_conditioned_clusters(cfg, z, 1.0, n_accept=100, max_attempts=20_000)
+        assert multiprocessing.active_children() == []
+        assert sample.diagnostics == dict(used, workers=cpus)
+        clusters, overshoots, attempts = _batchwise_clusters(cfg, z, 1.0, 100, 20_000)
+        assert sample.attempts == attempts == 100 * used["batches"]
+        assert np.array_equal(sample.overshoots, np.array(overshoots))
+        assert len(sample.clusters) == len(clusters)
+        for got, want in zip(sample.clusters, clusters):
+            assert np.array_equal(got.locations, want)
+            assert np.array_equal(got.weights, np.full(want.size, 0.5))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    # three batches of 64 start before 150 attempts are reached, none before 0
+    @pytest.mark.parametrize("max_attempts,attempts", [(150, 192), (0, 0)])
+    def test_exhausted_attempts_give_the_batchwise_error(
+        self, monkeypatch, cpus, max_attempts, attempts
+    ):
+        _cpus(monkeypatch, cpus)
+        cfg = _stream_config(608)
+        with pytest.raises(AcceptanceTooLowError) as streamed:
+            sample_conditioned_clusters(cfg, 8.0, 1.0, n_accept=5, max_attempts=max_attempts)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(AcceptanceTooLowError) as batchwise:
+            _batchwise_clusters(cfg, 8.0, 1.0, 5, max_attempts)
+        assert str(streamed.value) == str(batchwise.value)
+        assert f"0 accepted in {attempts} attempts" in str(streamed.value)
+
+    def test_a_failing_worker_stops_the_sampler(self, monkeypatch):
+        def fail(*args):
+            raise ParticlesError("group failed")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(particles_module, "_march", fail)
+        with pytest.raises(ParticlesError, match="group failed"):
+            sample_conditioned_clusters(_stream_config(21), -6.0, 1.0, n_accept=100)
         assert multiprocessing.active_children() == []
