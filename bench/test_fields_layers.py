@@ -1,13 +1,21 @@
-"""Per-layer timings for the `fields` workload's path estimate.
+"""Per-layer timings for the `fields` workload.
 
-Two rows, both on the `fk` pipeline's default field (quadratic psi,
-heaviside data, ``Grid1D.auto(1.0, dx=0.02, dt=0.004, pad=14.0)``, snapshots
-at t = 0.5 and 1):
+Two rows on the `fk` pipeline's default field (quadratic psi, heaviside
+data, ``Grid1D.auto(1.0, dx=0.02, dt=0.004, pad=14.0)``, snapshots at
+t = 0.5 and 1):
 
 - ``Field.interp`` on 20,000 points between the two snapshots, the call
   ``fk_estimate`` makes at each of its path steps;
 - one ``fk_estimate`` with the pipeline's defaults (r 0.5, t 1, x 0, 20,000
   paths, seed 1, path_dt 0.002).
+
+Two rows on the `fronts` and `ldp` pipelines' barrier field (quadratic psi,
+the workload's r ladder 4, 8, 16, dx 0.05, dt 0.01):
+
+- one ``solve_V`` march to t = 16 on the grid ``constant_C_tilde`` builds
+  for that ladder;
+- one ``constant_C_tilde`` (phi = None) on that ladder: the march plus the
+  three overshoot integrals and the ladder fit.
 
 Run from the repository root with pytest-benchmark installed:
 
@@ -17,14 +25,20 @@ Run from the repository root with pytest-benchmark installed:
 collects nor waits for it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from sbmlab.feynman_kac import fk_estimate
-from sbmlab.kpp import Grid1D, InitialCondition, solve_U
+from sbmlab.fronts import constant_C_tilde
+from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
+R_LADDER = (4.0, 8.0, 16.0)
+# constant_C_tilde's pad for a top rung of 16: its overshoot cap 6 sqrt(32) + 8, plus 4
+V_PAD = 6.0 * math.sqrt(2.0 * R_LADDER[-1]) + 8.0 + 4.0
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +64,28 @@ def test_fk_estimate_pipeline_defaults(benchmark, fk_field):
         warmup_rounds=1,
     )
     assert (res.mean, res.std_error) == (0.6464556602498297, 0.0022176976148456273)
+
+
+def test_solve_V_march_to_top_rung(benchmark):
+    grid = Grid1D.auto(R_LADDER[-1], dx=0.05, dt=0.01, pad=V_PAD)
+    field = benchmark.pedantic(
+        solve_V,
+        args=(QUADRATIC, None, grid),
+        kwargs={"snapshot_times": R_LADDER},
+        rounds=7,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert field.at(R_LADDER[-1]).shape == (grid.nx,)
+
+
+def test_constant_C_tilde_workload_ladder(benchmark):
+    est = benchmark.pedantic(
+        constant_C_tilde,
+        args=(QUADRATIC,),
+        kwargs={"r_ladder": R_LADDER},
+        rounds=7,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert (est.value, est.error) == (3.229282518959373, 0.20560773379812325)

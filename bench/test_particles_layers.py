@@ -34,13 +34,13 @@ import numpy as np
 import pytest
 
 from sbmlab.cli import load_bank, save_bank
-from sbmlab.extremal import ClusterBank, exp_stability_check, sample_E_star
+from sbmlab.extremal import ClusterBank, exp_stability_check, sample_E_star, truncation_floor
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 from sbmlab.particles import SimConfig, sample_conditioned_clusters, simulate
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
 C_TILDE_0 = 1.0
-FLOOR = -math.log(200.0 / C_TILDE_0) / math.sqrt(2.0)
+FLOOR = truncation_floor(C_TILDE_0, 200.0)
 
 
 def _config(n_replicas: int) -> SimConfig:

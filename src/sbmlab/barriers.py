@@ -109,6 +109,7 @@ def c2_constant(b: float, theta: float) -> float:
     return (2.0 / (b * theta)) ** (1.0 / theta)
 
 
+@functools.lru_cache(maxsize=32)
 def c4_convexity(theta: float) -> float:
     """inf over lam >= 0 of ((1+lam)**(1+theta) - (1+lam)) / lam**(1+theta).
 
@@ -128,18 +129,15 @@ def c4_convexity(theta: float) -> float:
     return float(min(np.min(ratio), 1.0))
 
 
-def c1_constant(a: float, theta: float, c4: float | None = None) -> float:
+def c1_constant(a: float, theta: float) -> float:
     """Upper-envelope amplitude (4 / (c4 a theta) * (2/theta + 1)) ** (1/theta)."""
-    if c4 is None:
-        c4 = c4_convexity(theta)
+    c4 = c4_convexity(theta)
     return (4.0 / (c4 * a * theta) * (2.0 / theta + 1.0)) ** (1.0 / theta)
 
 
-def c3_constant(a: float, theta: float, c4: float | None = None) -> float:
+def c3_constant(a: float, theta: float) -> float:
     """Log-derivative bound 2 a c1**theta in |h'| / h <= c3 / (A - |x|)."""
-    if c4 is None:
-        c4 = c4_convexity(theta)
-    return 2.0 * a * c1_constant(a, theta, c4) ** theta
+    return 2.0 * a * c1_constant(a, theta) ** theta
 
 
 def _mechanism_args(a, b, theta) -> tuple[float, float, float]:
@@ -325,9 +323,8 @@ def sandwich_bounds(sol: BlowupSolution) -> tuple[np.ndarray, np.ndarray]:
     """
     eq = equilibrium(sol.a, sol.b, sol.theta)
     shape = sol.A ** (2.0 / sol.theta) * (sol.A**2 - sol.x**2) ** (-2.0 / sol.theta)
-    c4 = c4_convexity(sol.theta)
     lower = np.maximum(eq, c2_constant(sol.b, sol.theta) * shape)
-    upper = eq * (1.0 + c1_constant(sol.a, sol.theta, c4) * shape)
+    upper = eq * (1.0 + c1_constant(sol.a, sol.theta) * shape)
     return lower, upper
 
 
@@ -452,10 +449,9 @@ def strip_constants(a: float, b: float, theta: float) -> StripConstants:
 
 @functools.lru_cache(maxsize=32)
 def _strip_constants(a: float, b: float, theta: float) -> StripConstants:
-    c4 = c4_convexity(theta)
-    c1 = c1_constant(a, theta, c4)
+    c1 = c1_constant(a, theta)
     c2 = c2_constant(b, theta)
-    c3 = c3_constant(a, theta, c4)
+    c3 = c3_constant(a, theta)
     witness = shape_witness()
     t_grid = np.geomspace(1e-3, 1e3, 121)
 
@@ -494,16 +490,12 @@ def strip_bound(
     A: float,
     x: float,
     t: float,
-    solution: BlowupSolution | None = None,
-    constants: StripConstants | None = None,
 ) -> float:
     """Upper bound for -log P(no mass leaves [-A, A] before t), start at x.
 
     Evaluates h_A(x) * exp(-(c4 (A - |x|)^2 / t - a t - c5)) with the
     documented defaults: c4 from the shape witness, c5 from bisection.
-    Conservative by construction; useful as a one-sided comparison.  A
-    ``solution`` or ``constants`` passed in must have been built for this
-    (a, b, theta, A).
+    Conservative by construction; useful as a one-sided comparison.
     """
     a, b, theta = _mechanism_args(a, b, theta)
     A, x, t = (_as_float(n, v, BarriersError) for n, v in (("A", A), ("x", x), ("t", t)))
@@ -511,21 +503,8 @@ def strip_bound(
         raise BarriersError("need |x| < A")
     if t <= 0.0:
         raise BarriersError("need t > 0")
-    if constants is None:
-        constants = strip_constants(a, b, theta)
-    elif (constants.a, constants.b, constants.theta) != (a, b, theta):
-        raise BarriersError(
-            f"constants were built for (a, b, theta) = {(constants.a, constants.b, constants.theta)}, "
-            f"not {(a, b, theta)}"
-        )
-    if solution is None:
-        solution = _solved(a, b, theta, A)
-    elif (solution.a, solution.b, solution.theta, solution.A) != (a, b, theta, A):
-        raise BarriersError(
-            f"solution was built for (a, b, theta, A) = "
-            f"{(solution.a, solution.b, solution.theta, solution.A)}, not {(a, b, theta, A)}"
-        )
-    h_x = solution.interpolate(x)
+    constants = strip_constants(a, b, theta)
+    h_x = _solved(a, b, theta, A).interpolate(x)
     exponent = constants.c4 * (A - abs(x)) ** 2 / t - a * t - constants.c5
     with np.errstate(over="ignore"):
         return float(h_x * np.exp(-exponent))

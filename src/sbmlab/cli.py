@@ -65,7 +65,9 @@ from .barriers import (
     strip_constants,
 )
 from .csbp import CsbpError, extinction_prob, mass_laplace
-from .extremal import ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star
+from .extremal import (
+    ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star, truncation_floor
+)
 from .feynman_kac import FkError, fk_estimate
 from .fronts import (
     FrontsError, TestFunction, _validate_ladder, constant_C, constant_C_hat, constant_C_tilde
@@ -778,6 +780,11 @@ def load_bank(directory: Path | str) -> ClusterBank:
     order = np.argsort(rows["cluster"], kind="stable")
     index = rows["cluster"][order]
     cuts = np.flatnonzero(np.diff(index)) + 1
+    if index[0] != 0 or index[-1] != cuts.size:
+        raise CliConfigError(
+            f"{csv_path} numbers its {cuts.size + 1} clusters from {index[0]} to {index[-1]}, "
+            f"not 0 to {cuts.size}"
+        )
     clusters = tuple(
         PointMeasure(locs, wts)
         for locs, wts in zip(
@@ -785,7 +792,8 @@ def load_bank(directory: Path | str) -> ClusterBank:
         )
     )
     try:
-        return ClusterBank(
+        stated = meta["n_clusters"]
+        bank = ClusterBank(
             clusters=clusters,
             z=float(meta["z"]),
             t=float(meta["t"]),
@@ -794,6 +802,11 @@ def load_bank(directory: Path | str) -> ClusterBank:
         )
     except (ExtremalError, KeyError, TypeError, ValueError) as exc:
         raise CliConfigError(f"bank in {directory} is inconsistent: {exc}") from exc
+    if stated != bank.size:
+        raise CliConfigError(
+            f"{csv_path} holds {bank.size} clusters, but {meta_path} states n_clusters {stated!r}"
+        )
+    return bank
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1109,7 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
     # the config hash leaves the bank's location out; its provenance goes here
     art.diagnostics["bank"] = _bank_meta(bank)
     expected = block["expected_points"]
-    floor = -math.log(expected / c0) / SQRT2
+    floor = truncation_floor(c0, expected)
     rng = np.random.default_rng([int(config.seed), 211])
     n_samples = int(config.replicas)
     rows = []

@@ -174,8 +174,8 @@ class DecoratedSample:
         return int(np.sum(self.shifts > x))
 
 
-def _default_floor(total_rate: float, expected: float = DEFAULT_EXPECTED_POINTS) -> float:
-    # total intensity above x is total_rate * e^{-sqrt(2) x}
+def truncation_floor(total_rate: float, expected: float = DEFAULT_EXPECTED_POINTS) -> float:
+    """Floor above which total_rate * sqrt(2) e^{-sqrt(2) x} dx has mass ``expected``."""
     return -math.log(expected / total_rate) / SQRT2
 
 
@@ -197,7 +197,7 @@ def sample_E_infty(
         raise ExtremalError("C_tilde_0 must be positive and finite")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     total = C_tilde_0 * Z
-    floor = _default_floor(total) if x_floor is None else float(x_floor)
+    floor = truncation_floor(total) if x_floor is None else float(x_floor)
     rate_above = total * math.exp(-SQRT2 * floor)
     n = int(rng.poisson(rate_above))
     # tail of the intensity is exponential with rate sqrt(2)
@@ -255,26 +255,23 @@ def exp_stability_check(
     seed,
     n_samples: int = 2000,
     phi_panel=(),
-    x_floor: float | None = None,
 ) -> ExpStabilityReport:
     """Check that a split into an a-shifted and a b-shifted copy is neutral.
 
     b solves e^{sqrt(2) a} + e^{sqrt(2) b} = 1, which needs a < 0.  One
     arm draws the plain process, the other superposes two independent
     draws shifted by a and b; the bank is split three ways so the arms
-    share no clusters.  Rightmost points are compared by a two-sample KS
-    test, and the empirical Laplace functionals over phi_panel by their
-    relative gaps.
+    share no clusters, and a bank of fewer than three clusters raises
+    ExtremalError.  Every draw is truncated where 200 points are expected.
+    Rightmost points are compared by a two-sample KS test, and the
+    empirical Laplace functionals over phi_panel by their relative gaps.
     """
     if not a < 0.0:
         raise ExtremalError("the shift a must be negative")
     b = math.log(1.0 - math.exp(SQRT2 * a)) / SQRT2
-    if bank.size >= 3:
-        bank_one, bank_a, bank_b = bank.split(3)
-    else:
-        bank_one = bank_a = bank_b = bank
+    bank_one, bank_a, bank_b = bank.split(3)
     rng = np.random.default_rng(seed)
-    floor = _default_floor(C_tilde_0, 200.0) if x_floor is None else float(x_floor)
+    floor = truncation_floor(C_tilde_0, 200.0)
     phis = [p.evaluate if hasattr(p, "evaluate") else p for p in phi_panel]
 
     right_one = np.empty(n_samples)

@@ -9,6 +9,13 @@ the deterministic tail approximation ``psi_sandwich`` together with the
 bridge-and-barrier bounds ``psi1_psi2_estimate`` that squeeze the field far
 ahead of the front.
 
+Bridges are marched by one generator, ``_bridge_march``, which both
+``BridgeSampler`` and ``psi1_psi2_estimate`` draw from.  The stay-above
+probability 1 - exp(-2 a b / span) of a bridge between clearances a and b
+has one implementation, ``_survival_step_factor``; ``bridge_crossing_prob``
+and the straight-line factor of ``psi_sandwich`` are that factor over a
+single step.
+
 Conventions: mechanisms are assumed normalized (largest zero of the
 branching polynomial at 1, drift coefficient 1), so the front speed is
 sqrt(2) and the growth rate k is at most 1.  Barrier curves are expressed
@@ -256,20 +263,28 @@ class BridgeSampler:
         """n paths as an (n, n_steps + 1) array."""
         if n < 1:
             raise FkError("need at least one path")
+        start = np.full(n, float(self.x))
         rng = np.random.default_rng(self.seed)
-        m = self.n_steps
-        h = self.dt
-        out = np.empty((n, m + 1))
-        out[:, 0] = self.x
-        b = np.full(n, float(self.x))
-        for i in range(m):
-            tau = self.span - i * h
-            mean = b + (self.y - b) * (h / tau)
-            sd = math.sqrt(max(h * (tau - h) / tau, 0.0))
-            b = mean + sd * rng.standard_normal(n)
-            out[:, i + 1] = b
-        out[:, m] = self.y
-        return out
+        return np.column_stack([start, *_bridge_march(rng, start, self.y, self.span, self.n_steps)])
+
+
+def _bridge_march(
+    rng: np.random.Generator, start: np.ndarray, end: float | np.ndarray, span: float, m: int
+):
+    """Yield the positions of Brownian bridges from start to end after each of m steps.
+
+    Step i draws from the exact law of the bridge at time (i + 1) span / m
+    given its current point; the last step yields end itself.
+    """
+    h = span / m
+    b = start
+    for i in range(m - 1):
+        tau = span - i * h
+        mean = b + (end - b) * (h / tau)
+        sd = math.sqrt(max(h * (tau - h) / tau, 0.0))
+        b = mean + sd * rng.standard_normal(b.shape)
+        yield b
+    yield np.broadcast_to(end, b.shape)
 
 
 def bridge_crossing_prob(a: float, b: float, span: float) -> float:
@@ -283,9 +298,7 @@ def bridge_crossing_prob(a: float, b: float, span: float) -> float:
     span = _as_float("span", span, FkError)
     if span <= 0.0:
         raise FkError("span must be positive")
-    if a <= 0.0 or b <= 0.0:
-        return 0.0
-    return -math.expm1(-2.0 * a * b / span)
+    return float(_survival_step_factor(np.float64(a), np.float64(b), span))
 
 
 def _survival_step_factor(d_prev: np.ndarray, d_new: np.ndarray, h: float) -> np.ndarray:
@@ -296,6 +309,17 @@ def _survival_step_factor(d_prev: np.ndarray, d_new: np.ndarray, h: float) -> np
         expo = np.minimum(-2.0 * d_prev * d_new / h, 0.0)
         fac = np.where(both, -np.expm1(expo), 0.0)
     return fac
+
+
+def _growth_rate(
+    mech: BranchingMechanism | None, k_fn: Callable[[np.ndarray], np.ndarray] | None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """k_fn when given, else the mechanism's growth rate k."""
+    if k_fn is not None:
+        return k_fn
+    if mech is None:
+        raise FkError("provide a mechanism or an explicit k_fn")
+    return lambda u: mechanism_k(mech, u)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +361,7 @@ def fk_estimate(
         raise FkError("need 0 <= r <= t")
     if n_paths < 1:
         raise FkError("n_paths must be at least 1")
-    if k_fn is None:
-        if mech is None:
-            raise FkError("provide a mechanism or an explicit k_fn")
-        k_fn = lambda u: mechanism_k(mech, u)
+    k_fn = _growth_rate(mech, k_fn)
     if r == t:
         return FkResult(mean=float(field.interp(t, x)), std_error=0.0, n_paths=0)
 
@@ -412,7 +433,7 @@ def psi_sandwich(
     if not np.any(u_vals > 0.0):
         return 0.0
     gauss = np.exp(-((x_tilde - y) ** 2) / (2.0 * span))
-    stay = -np.expm1(-2.0 * (x - m_t) * y / span)
+    stay = _survival_step_factor(x - m_t, y, span)
     integrand = u_vals * np.exp(SQRT2 * y) * gauss * stay
     integral = float(np.trapezoid(integrand, y))
     prefactor = math.exp(-SQRT2 * x_tilde) / math.sqrt(2.0 * math.pi * span)
@@ -439,7 +460,6 @@ def psi1_psi2_estimate(
     x: float,
     n_bridges: int = 256,
     seed: int = 0,
-    curves: BarrierCurves | None = None,
 ) -> Psi12Result:
     """The barrier bounds that squeeze the field at (t, x) from both sides.
 
@@ -464,8 +484,7 @@ def psi1_psi2_estimate(
         raise RegionViolationError(
             f"need x >= median(t) + 8 r = {m_til + 8.0 * r:.3f}, got x={x}"
         )
-    if curves is None:
-        curves = BarrierCurves.from_field(field, r=r, t=t, x=x)
+    curves = BarrierCurves.from_field(field, r=r, t=t, x=x)
 
     span = t - r
     xs = field.grid.x
@@ -485,47 +504,33 @@ def psi1_psi2_estimate(
     m = _BRIDGE_STEPS
     h = span / m
     s_grid = np.arange(m + 1) * h
-    bar_up, bar_low = curves.barrier_arrays(t - s_grid)
+    # one row per barrier: M_bar for psi1, M_lower for psi2
+    bars = np.array(curves.barrier_arrays(t - s_grid))[:, :, None]
 
     n_y = y_nodes.size
     total = n_y * n_bridges
     targets = np.repeat(y_nodes, n_bridges)
     rng = np.random.default_rng(seed)
 
-    b = np.full(total, x)
-    p1 = np.ones(total)
-    p2 = np.ones(total)
-    d1_prev = b - bar_up[0]
-    d2_prev = b - bar_low[0]
-    for i in range(m):
-        tau = span - i * h
-        mean = b + (targets - b) * (h / tau)
-        sd = math.sqrt(max(h * (tau - h) / tau, 0.0))
-        b = mean + sd * rng.standard_normal(total)
-        if i == m - 1:
-            b = targets.copy()
-        d1_new = b - bar_up[i + 1]
-        d2_new = b - bar_low[i + 1]
-        p1 *= _survival_step_factor(d1_prev, d1_new, h)
-        p2 *= _survival_step_factor(d2_prev, d2_new, h)
-        d1_prev, d2_prev = d1_new, d2_new
+    start = np.full(total, x)
+    p = np.ones((2, total))
+    d_prev = start - bars[:, 0]
+    for i, b in enumerate(_bridge_march(rng, start, targets, span, m), 1):
+        d_new = b - bars[:, i]
+        p *= _survival_step_factor(d_prev, d_new, h)
+        d_prev = d_new
 
-    p1 = p1.reshape(n_y, n_bridges)
-    p2 = p2.reshape(n_y, n_bridges)
-    surv1 = p1.mean(axis=1)
-    surv2 = p2.mean(axis=1)
-    var1 = p1.var(axis=1) / n_bridges
-    var2 = p2.var(axis=1) / n_bridges
+    p = p.reshape(2, n_y, n_bridges)
+    surv = p.mean(axis=2)
+    var = p.var(axis=2) / n_bridges
 
     # trapezoid coefficients on the kept (uniform) node set
     coef = np.full(n_y, y_step)
     coef[0] *= 0.5
     coef[-1] *= 0.5
     growth = math.exp(span)
-    psi1 = growth * float(np.sum(coef * weight * surv1))
-    psi2 = growth * float(np.sum(coef * weight * surv2))
-    se1 = growth * math.sqrt(float(np.sum((coef * weight) ** 2 * var1)))
-    se2 = growth * math.sqrt(float(np.sum((coef * weight) ** 2 * var2)))
+    psi1, psi2 = (growth * float(np.sum(coef * weight * row)) for row in surv)
+    se1, se2 = (growth * math.sqrt(float(np.sum((coef * weight) ** 2 * row))) for row in var)
     return Psi12Result(psi1=psi1, se1=se1, psi2=psi2, se2=se2, n_bridges=n_bridges)
 
 
@@ -564,10 +569,7 @@ def k_integral_diagnostic(
     t = _as_float("t", t, FkError)
     if t <= 3.0 * r:
         raise FkError("need t > 3 r for a nonempty integration window")
-    if k_fn is None:
-        if mech is None:
-            raise FkError("provide a mechanism or an explicit k_fn")
-        k_fn = lambda u: mechanism_k(mech, u)
+    k_fn = _growth_rate(mech, k_fn)
     s_grid = np.linspace(2.0 * r, t - r, _K_GRID)
     pos, u = _path_values(field, path, s_grid, t)
     bar = np.array([curves.M_bar(t - s) for s in s_grid])
@@ -600,10 +602,7 @@ def k_integral_deviation_bound(
     """
     r = _as_float("r", r, FkError)
     t = _as_float("t", t, FkError)
-    if k_fn is None:
-        if mech is None:
-            raise FkError("provide a mechanism or an explicit k_fn")
-        k_fn = lambda u: mechanism_k(mech, u)
+    k_fn = _growth_rate(mech, k_fn)
     a = curves.delta * (2.0 + gamma)
     if a <= 1.0:
         raise FkError("delta (2 + gamma) must exceed 1 for an integrable envelope")

@@ -490,6 +490,15 @@ def _phi_precheck(phi: TestFunction) -> InitialCondition:
     return ic
 
 
+def _plain_ladder(solve, mech, ic, rs, dx: float, dt: float) -> ConstantEstimate:
+    """Solve one field with ``solve`` up to the top rung and fit its plain rungs."""
+    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=_plain_cap(rs[-1]) + _PAD_SLACK)
+    field = solve(mech, ic, grid, snapshot_times=rs)
+    vals = tuple(_tail_integral(field, r, SQRT2, _plain_cap(r)) for r in rs)
+    value, err = _fit_algebraic(rs, vals)
+    return ConstantEstimate(value, err, rs, vals)
+
+
 def constant_C(
     mech: BranchingMechanism,
     phi: TestFunction,
@@ -508,11 +517,7 @@ def constant_C(
     ic = _phi_precheck(phi)
     if phi.is_trivial:
         return ConstantEstimate(0.0, 0.0, rs, tuple(0.0 for _ in rs))
-    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=_plain_cap(rs[-1]) + _PAD_SLACK)
-    field = solve_U(mech, ic, grid, snapshot_times=rs)
-    vals = tuple(_tail_integral(field, r, SQRT2, _plain_cap(r)) for r in rs)
-    value, err = _fit_algebraic(rs, vals)
-    return ConstantEstimate(value, err, rs, vals)
+    return _plain_ladder(solve_U, mech, ic, rs, dx, dt)
 
 
 def constant_C_tilde(
@@ -535,11 +540,7 @@ def constant_C_tilde(
     ic = None
     if phi is not None and not phi.is_trivial:
         ic = _phi_precheck(phi)
-    grid = Grid1D.auto(rs[-1], dx=dx, dt=dt, pad=_plain_cap(rs[-1]) + _PAD_SLACK)
-    field = solve_V(mech, ic, grid, snapshot_times=rs)
-    vals = tuple(_tail_integral(field, r, SQRT2, _plain_cap(r)) for r in rs)
-    value, err = _fit_algebraic(rs, vals)
-    return ConstantEstimate(value, err, rs, vals)
+    return _plain_ladder(solve_V, mech, ic, rs, dx, dt)
 
 
 def constant_C_hat(

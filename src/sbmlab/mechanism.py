@@ -154,24 +154,8 @@ class LevyMeasure:
         """integral (exp(-lam*y) - 1 + lam*y) n(dy) for one lam >= 0."""
         return float(_jump_excess(self, np.asarray(lam, dtype=float)))
 
-    def mass_between(self, lo: float, hi: float) -> float:
-        """n((lo, hi])."""
-        if self.is_trivial or hi <= lo:
-            return 0.0
-        if self.kind == "atoms":
-            return float(sum(w for y, w in self.points if lo < y <= hi))
-        if self.kind == "truncated-stable":
-            a = max(lo, 0.0)
-            b = min(hi, self.cutoff)
-            if b <= a:
-                return 0.0
-            if a == 0.0:
-                return math.inf
-            return self.c / self.index * (a ** (-self.index) - b ** (-self.index))
-        return self._tab_moment(0, lo, hi)
-
     def moment_between(self, power: int, lo: float, hi: float) -> float:
-        """integral y**power n(dy) over (lo, hi]."""
+        """integral y**power n(dy) over (lo, hi]; power 0 gives the mass n((lo, hi])."""
         if self.is_trivial or hi <= lo:
             return 0.0
         if self.kind == "atoms":
@@ -194,9 +178,7 @@ class LevyMeasure:
                     return math.inf
                 return -self.c / p * lo_term
             return self.c / p * (b**p - lo_term)
-        return self._tab_moment(power, lo, hi)
-
-    def _tab_moment(self, power: int, lo: float, hi: float) -> float:
+        # tabulated: the density is zero off its grid
         yg = np.asarray(self.y_grid)
         dg = np.asarray(self.density)
         a = max(lo, yg[0])
@@ -217,14 +199,13 @@ class LevyMeasure:
                 sum(w * y * math.log(y) ** p for y, w in self.points if y > 1.0)
             )
         if self.kind == "tabulated":
+            # the density is zero off its grid, as in moment_between
             yg = np.asarray(self.y_grid)
             dg = np.asarray(self.density)
-            mask = yg > 1.0
-            if not mask.any():
-                return 0.0
-            grid = np.concatenate([[1.0], yg[mask]]) if yg[mask][0] > 1.0 else yg[mask]
+            lo = max(1.0, yg[0])
+            grid = np.concatenate([[lo], yg[yg > lo]])
             dens = np.interp(grid, yg, dg)
-            return float(np.trapezoid(grid * np.log(np.maximum(grid, 1.0)) ** p * dens, grid))
+            return float(np.trapezoid(grid * np.log(grid) ** p * dens, grid))
         # with y = e^u the integral is c * int_0^log(cutoff) e^(-(s-1)u) u^p du,
         # a lower incomplete gamma function
         if self.cutoff <= 1.0:

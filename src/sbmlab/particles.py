@@ -231,11 +231,11 @@ def offspring_table(mech: BranchingMechanism, epsilon: float) -> OffspringTable:
         y_top = _support_top(levy, epsilon)
         k_top = max(1, int(math.ceil(y_top / epsilon)))
         for k in range(2, k_top + 1):
-            r = epsilon * levy.mass_between((k - 1) * epsilon, k * epsilon)
+            r = epsilon * levy.moment_between(0, (k - 1) * epsilon, k * epsilon)
             if r > 0.0:
                 counts.append(k)
                 rates.append(r)
-        tail_mass = levy.mass_between(k_top * epsilon, math.inf)
+        tail_mass = levy.moment_between(0, k_top * epsilon, math.inf)
         if tail_mass > 0.0:
             tail_mean = levy.moment_between(1, k_top * epsilon, math.inf) / tail_mass
             counts.append(max(k_top + 1, int(round(tail_mean / epsilon))))

@@ -271,14 +271,6 @@ class TestStripBound:
         with pytest.raises(bar.BarriersError):
             bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 0.0)
 
-    def test_rejects_solution_or_constants_of_other_parameters(self):
-        with pytest.raises(bar.BarriersError, match="solution"):
-            bar.strip_bound(1.0, 1.0, 1.0, 3.0, 0.0, 1.0, solution=bar.solve_hA(1.0, 1.0, 1.0, 5.0))
-        with pytest.raises(bar.BarriersError, match="constants"):
-            bar.strip_bound(
-                1.0, 1.0, 1.0, 5.0, 0.0, 1.0, constants=bar.strip_constants(1.0, 2.0, 1.0)
-            )
-
     def test_limits_in_t_and_x(self):
         tiny_t = bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 1e-4)
         assert tiny_t == 0.0

@@ -711,7 +711,7 @@ class TestBankSerialization:
         return bank_dir
 
     def test_interleaved_indices_group_by_index_in_file_order(self, tmp_path):
-        body = "7,-1.0,0.5\n2,0.0,1.0\n7,0.0,0.25\n40,0.0,2.0\n2,-3.0,1.5\n7,-0.5,0.5\n"
+        body = "1,-1.0,0.5\n0,0.0,1.0\n1,0.0,0.25\n2,0.0,2.0\n0,-3.0,1.5\n1,-0.5,0.5\n"
         bank = load_bank(self._bank_dir(tmp_path, body))
         assert [c.locations.tolist() for c in bank.clusters] == [
             [0.0, -3.0], [-1.0, 0.0, -0.5], [0.0]]
@@ -725,8 +725,14 @@ class TestBankSerialization:
             ("0,0.0,one\n", "malformed"),
             ("0,0.0,1.0\n1,0.0\n", "malformed"),
             ("", "no clusters"),
+            ("0,0.0,1.0\n5,0.0,1.0\n1,0.0,1.0\n", "clusters.csv numbers its 3 clusters from 0 to 5"),
+            ("1,0.0,1.0\n2,0.0,1.0\n3,0.0,1.0\n", "clusters.csv numbers its 3 clusters from 1 to 3"),
+            ("0,0.0,1.0\n1,0.0,1.0\n", "clusters.csv holds 2 clusters, but .*bank.json states n_clusters 3"),
         ],
-        ids=["non-integer-index", "non-numeric-field", "short-row", "header-only"],
+        ids=[
+            "non-integer-index", "non-numeric-field", "short-row", "header-only",
+            "index-gap", "no-cluster-zero", "count-below-bank-json",
+        ],
     )
     def test_bad_rows_are_config_errors_without_warnings(self, tmp_path, body, message):
         bank_dir = self._bank_dir(tmp_path, body)

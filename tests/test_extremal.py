@@ -24,6 +24,7 @@ from sbmlab.extremal import (
     rightmost_cdf,
     sample_E_infty,
     sample_E_star,
+    truncation_floor,
 )
 from sbmlab.fronts import TestFunction
 from sbmlab.particles import ConditionedClusterSample, PointMeasure
@@ -236,7 +237,7 @@ class TestSampleStructure:
 
     def test_rightmost_cdf_matches_samples(self, bank):
         c0 = 1.5
-        floor = _floor_for(c0, 200.0)
+        floor = truncation_floor(c0, 200.0)
         rng = np.random.default_rng(77)
         rights = np.array([
             sample_E_star(c0, bank, rng, x_floor=floor).rightmost
@@ -263,14 +264,14 @@ class TestSampleStructure:
         assert abs(merged.mean() - joint.mean()) < 3.0 * se
 
 
-def _floor_for(total_rate: float, expected: float) -> float:
-    return -math.log(expected / total_rate) / SQRT2
-
-
 class TestExpStability:
     def test_nonnegative_shift_rejected(self, bank):
         with pytest.raises(ExtremalError):
             exp_stability_check(1.0, bank, 0.0, seed=1)
+
+    def test_bank_too_small_for_disjoint_arms_rejected(self):
+        with pytest.raises(ExtremalError, match="split"):
+            exp_stability_check(1.0, toy_bank(2), -1.0, seed=1, n_samples=10)
 
     def test_symmetric_split_passes_two_sample_test(self):
         # needs a roomy bank: each arm sees a disjoint third, and the

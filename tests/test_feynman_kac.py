@@ -12,6 +12,7 @@ containment, bracket ordering) were measured once on the fixture field and
 are asserted as regression bands.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -65,6 +66,13 @@ class TestBridgeSampler:
         paths = s.sample(64)
         assert np.all(paths[:, 0] == 1.5)
         assert np.allclose(paths[:, -1], -2.0, atol=1e-12)
+
+    def test_stream_is_frozen(self):
+        # pins the bridge march, draw for draw
+        paths = BridgeSampler(1.0, 1.0, 2.0, 0.002, seed=29).sample(64)
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == (
+            "a0a5d0ca96f8e1334b50170c45f3014d97e251fb59676949bbf2045e4b87c93e"
+        )
 
     def test_mean_is_linear_interpolation(self):
         s = BridgeSampler(x=0.0, y=2.0, span=2.0, dt=0.002, seed=7)
@@ -329,3 +337,15 @@ class TestPsi1Psi2:
             ratios.append(res.psi2 / res.psi1)
         assert ratios[1] < ratios[0]
         assert ratios[1] < 100.0
+
+    def test_frozen_at_r4(self, heaviside_field_t32):
+        # pins the bridge march and the per-step stay-above product bit for bit
+        t, r = 32.0, 4.0
+        x = median_m_tilde(heaviside_field_t32, t) + 8.0 * r
+        res = psi1_psi2_estimate(heaviside_field_t32, r=r, t=t, x=x, n_bridges=192, seed=23)
+        assert [v.hex() for v in (res.psi1, res.se1, res.psi2, res.se2)] == [
+            "0x1.dbda25a925e10p-82",
+            "0x1.b2fc7266663eep-87",
+            "0x1.8fc2a93ff07f9p-77",
+            "0x1.af5ef7a244a67p-116",
+        ]

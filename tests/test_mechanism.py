@@ -168,6 +168,16 @@ class TestH1Integral:
         assert cut.h1_integral(0.5) == pytest.approx(0.81675963487, rel=1e-10)
         assert LevyMeasure.truncated_stable(1.0, 1.5, cutoff=0.3).h1_integral(0.5) == 0.0
 
+    def test_tabulated_grid_above_one_adds_nothing_below_its_first_node(self):
+        # the density is zero off its grid, so only the nodes 2 and 3 count
+        levy = LevyMeasure.tabulated(y=(2.0, 3.0), density=(1.0, 1.0))
+        expect = 0.5 * (2.0 * math.log(2.0) ** 2.5 + 3.0 * math.log(3.0) ** 2.5)
+        assert levy.h1_integral(0.5) == pytest.approx(expect, rel=1e-14)
+
+    def test_tabulated_grid_from_below_one_is_frozen(self):
+        levy = LevyMeasure.tabulated(y=(0.5, 1.0, 2.0, 4.0), density=(1.0, 0.5, 0.1, 0.01))
+        assert levy.h1_integral(0.5).hex() == "0x1.af209f8e1a124p-3"
+
     @pytest.mark.parametrize("cutoff", [5.0, math.inf])
     @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
     def test_stable_matches_mpmath_quadrature(self, index, cutoff):

@@ -152,7 +152,7 @@ class TestOffspringTable:
             alpha=1.0, beta=0.5, levy=LevyMeasure.truncated_stable(0.2, 1.5)
         )
         tab = offspring_table(mech, 0.05)
-        total = mech.levy.mass_between(0.05, math.inf) * 0.05
+        total = mech.levy.moment_between(0, 0.05, math.inf) * 0.05
         assert tab.jump_rates.sum() == pytest.approx(total, rel=1e-9)
         assert tab.split_rate > 0.0 and tab.death_rate > 0.0
 
