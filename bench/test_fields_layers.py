@@ -17,6 +17,19 @@ the workload's r ladder 4, 8, 16, dx 0.05, dt 0.01):
 - one ``constant_C_tilde`` (phi = None) on that ladder: the march plus the
   three overshoot integrals and the ladder fit.
 
+Two rows on one march step of the `jumps` workload's `kpp` pipeline
+(pure-jump truncated-stable psi: alpha 1, beta 0, c 1, index 1.5, cutoff 5;
+``Grid1D.auto(8.0)`` at the `kpp` defaults dx 0.05, dt 0.01, pad 20, so
+1255 nodes and 800 steps):
+
+- one ``solve_U`` from heaviside data to t = 8 with the pipeline's
+  snapshots (2, 4, 8), whose reaction is the mechanism's flow table;
+- one table ``flow_map`` call (time dt) on that field's t = 4 row, the
+  reaction half of a march step: 593 nodes descend to lambda*, 661 climb
+  and one stays at 0.
+
+Both pin their output bits, so a faster step must keep every bit.
+
 Run from the repository root with pytest-benchmark installed:
 
     python -m pytest bench --benchmark-json=bench-fields.json
@@ -25,6 +38,7 @@ Run from the repository root with pytest-benchmark installed:
 collects nor waits for it.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -33,9 +47,12 @@ import pytest
 from sbmlab.feynman_kac import fk_estimate
 from sbmlab.fronts import constant_C_tilde
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
-from sbmlab.mechanism import BranchingMechanism, LevyMeasure
+from sbmlab.mechanism import BranchingMechanism, LevyMeasure, flow_map
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
+JUMPS = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(1.0, 1.5, 5.0))
+JUMPS_GRID = Grid1D.auto(8.0, dx=0.05, dt=0.01, pad=20.0)
+JUMPS_SNAPSHOTS = (2.0, 4.0, 8.0)
 R_LADDER = (4.0, 8.0, 16.0)
 # constant_C_tilde's pad for a top rung of 16: its overshoot cap 6 sqrt(32) + 8, plus 4
 V_PAD = 6.0 * math.sqrt(2.0 * R_LADDER[-1]) + 8.0 + 4.0
@@ -89,3 +106,28 @@ def test_constant_C_tilde_workload_ladder(benchmark):
         warmup_rounds=1,
     )
     assert (est.value, est.error) == (3.229282518959373, 0.20560773379812325)
+
+
+def _sha(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_solve_U_jumps_kpp_defaults(benchmark):
+    field = benchmark.pedantic(
+        solve_U,
+        args=(JUMPS, InitialCondition.heaviside(), JUMPS_GRID),
+        kwargs={"snapshot_times": JUMPS_SNAPSHOTS},
+        rounds=7,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert field.diagnostics["reaction"] == "table"
+    assert _sha(field.snapshots) == "41d1573c4f41eb60b9d39ec62a7de5631b29f9ed5d1bd75a7c12d95740dda1e5"
+
+
+def test_table_flow_map_1255_node_row(benchmark):
+    row = solve_U(JUMPS, InitialCondition.heaviside(), JUMPS_GRID, snapshot_times=JUMPS_SNAPSHOTS).at(4.0)
+    flow = flow_map(JUMPS, JUMPS_GRID.dt)
+    out = benchmark(flow, row)
+    assert row.shape == (1255,)
+    assert _sha(out) == "4530a43dabc16ced6a1423de3157728ee92181743494e13812a59a7037bc64b0"

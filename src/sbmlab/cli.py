@@ -611,6 +611,9 @@ def _jsonable(obj):
 
 
 def _fmt_cell(v) -> str:
+    # most cells are floats; float.__repr__ reads an np.float64 as its double
+    if type(v) is float or type(v) is np.float64:
+        return float.__repr__(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):

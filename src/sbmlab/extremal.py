@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .kpp import SQRT2
 from .particles import NEG_INF, ConditionedClusterSample, PointMeasure
@@ -288,7 +287,11 @@ def exp_stability_check(
             lap_one[k, i] = plain.measure.integrate(phi)
             from_a = part_a.measure.integrate(lambda y: phi(y + a))
             lap_two[k, i] = from_a + part_b.measure.integrate(lambda y: phi(y + b))
-    ks = sps.ks_2samp(right_one, right_two)
+    # imported at its one use, so that no other pipeline pays for loading
+    # scipy.stats when the CLI starts
+    from scipy import stats
+
+    ks = stats.ks_2samp(right_one, right_two)
     l_one = tuple(float(np.mean(np.exp(-row))) for row in lap_one)
     l_two = tuple(float(np.mean(np.exp(-row))) for row in lap_two)
     gaps = tuple(abs(u - v) / v for u, v in zip(l_one, l_two))

@@ -245,6 +245,8 @@ class BridgeSampler:
     seed: int = 0
 
     def __post_init__(self):
+        x = _as_float("x", self.x, FkError)
+        y = _as_float("y", self.y, FkError)
         span = _as_float("span", self.span, FkError)
         if span <= 0.0:
             raise FkError("span must be positive")
@@ -252,6 +254,8 @@ class BridgeSampler:
         if dt <= 0.0 or dt > span:
             raise FkError("dt must lie in (0, span]")
         m = max(1, round(span / dt))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "dt", span / m)
 
@@ -263,7 +267,7 @@ class BridgeSampler:
         """n paths as an (n, n_steps + 1) array."""
         if n < 1:
             raise FkError("need at least one path")
-        start = np.full(n, float(self.x))
+        start = np.full(n, self.x)
         rng = np.random.default_rng(self.seed)
         return np.column_stack([start, *_bridge_march(rng, start, self.y, self.span, self.n_steps)])
 

@@ -586,7 +586,11 @@ def _integrate(edges: np.ndarray, density) -> tuple[np.ndarray, np.ndarray]:
 class _Hermite:
     """Cubic Hermite interpolant through (x, y) with slopes dy/dx, x increasing.
 
-    Arguments outside [x[0], x[-1]] get the end value.
+    Arguments outside [x[0], x[-1]] get the end value.  The coefficients are
+    stored one row per cell, so a call gathers each argument's four with one
+    ``take``.  Horner's rule runs in place in the fixed order
+    y0 + s*(d0 + s*(c2 + s*c3)): an in-place step may swap the operands of a
+    ``*`` or ``+``, which keeps every bit, but never regroups them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, slope: np.ndarray):
@@ -594,16 +598,22 @@ class _Hermite:
         d0, d1 = slope[:-1] * np.diff(x), slope[1:] * np.diff(x)
         # on a cell, y = y0 + s (d0 + s (c2 + s c3)) with s in [0, 1]; a last
         # constant cell takes s = 0 at x[-1]
-        coef = np.stack([y[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise])
-        self.coef = np.c_[coef, [y[-1], 0.0, 0.0, 0.0]]
+        coef = np.column_stack([y[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise])
+        self.coef = np.r_[coef, [[y[-1], 0.0, 0.0, 0.0]]]
         self.x, self.index = x, np.arange(x.size, dtype=float)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        pos = np.interp(q, self.x, self.index)
-        i = pos.astype(np.intp)
-        s = pos - i
-        y0, d0, c2, c3 = self.coef[:, i]
-        return y0 + s * (d0 + s * (c2 + s * c3))
+        s = np.interp(q, self.x, self.index)
+        i = s.astype(np.intp)
+        s -= i
+        cell = self.coef.take(i, axis=0)
+        out = cell[:, 3] * s
+        out += cell[:, 2]
+        out *= s
+        out += cell[:, 1]
+        out *= s
+        out += cell[:, 0]
+        return out
 
 
 class _FlowTable:
@@ -659,8 +669,10 @@ class _FlowTable:
     def advance(self, v0, t: float) -> np.ndarray:
         v0 = np.asarray(v0, dtype=float)
         # 0 and lambda* are fixed; negative values follow the linear part
-        out = np.where(v0 < 0.0, math.exp(self.alpha * t), 1.0)
-        out *= v0
+        out = v0.copy()
+        negative = v0 < 0.0
+        if negative.any():
+            out[negative] *= math.exp(self.alpha * t)
         above = v0 > self.lam
         if above.any():
             out[above] = self._descend(v0[above], t)
@@ -670,19 +682,38 @@ class _FlowTable:
         return out
 
     def _descend(self, v0: np.ndarray, t: float) -> np.ndarray:
-        w0 = np.log(v0 - self.lam) - math.log(self.lam)
+        w0 = v0 - self.lam
+        np.log(w0, out=w0)
+        w0 -= math.log(self.lam)
         if not self.grey and np.any(w0 > self.w_top):
             raise GreyViolatedError(
                 f"integral^inf du/psi(u) diverges (psi grows about linearly at {_FLOW_TOP:g}); "
                 f"the flow from above {_FLOW_TOP:g}, infinity included, is undefined"
             )
-        g0 = np.exp(-self.up(w0))
-        g0[w0 == math.inf] = 0.0
-        return self.lam + self.lam * np.exp(self.up_inv(-np.log(g0 + t)))
+        # g = exp(-up(w0)) + t, with G(inf) = 0
+        g = self.up(w0)
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        g[w0 == math.inf] = 0.0
+        g += t
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        v = self.up_inv(g)
+        np.exp(v, out=v)
+        v *= self.lam
+        v += self.lam
+        return v
 
     def _climb(self, v0: np.ndarray, t: float) -> np.ndarray:
-        w0 = np.log(v0 / (self.lam - v0))
-        return self.lam * special.expit(self.down_inv(self.down(w0) + t))
+        w0 = self.lam - v0
+        np.divide(v0, w0, out=w0)
+        np.log(w0, out=w0)
+        r = self.down(w0)
+        r += t
+        v = self.down_inv(r)
+        special.expit(v, out=v)
+        v *= self.lam
+        return v
 
 
 @functools.lru_cache(maxsize=8)
@@ -725,6 +756,15 @@ def flow_map(mech: BranchingMechanism, t: float):
 
     def flow(v0):
         arr = np.asarray(v0, dtype=float)
+        # with no sign bit set (no negative, and no -0.0, which np.maximum
+        # turns into +0.0) and nothing infinite or NaN, pos is arr and this
+        # is the last line's growth * pos / (1 + slope * pos), term for term
+        if not np.signbit(arr).any() and arr.max(initial=0.0) < math.inf:
+            out = arr * growth
+            den = arr * slope
+            den += 1.0
+            out /= den
+            return out
         pos = np.maximum(arr, 0.0)
         if pos.max(initial=0.0) == math.inf:
             top = pos == math.inf

@@ -14,11 +14,15 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbmlab
 from sbmlab.barriers import sandwich_bounds, solve_hA
 from sbmlab.cli import (
     EXIT_BUDGET,
@@ -316,6 +320,16 @@ class TestMainUsage:
         path.write_text("{not json")
         assert main(["kpp", "--config", str(path)]) == EXIT_USAGE
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # every CLI run pays for importing sbmlab.cli; scipy.stats serves
+        # only the extremal stability check, which imports it itself
+        src = str(Path(sbmlab.__file__).resolve().parents[1])
+        probe = "import sys, sbmlab.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestMechCheckPipeline:

@@ -97,6 +97,13 @@ class TestBridgeSampler:
                 se = np.std(paths[:, idx[a]] * paths[:, idx[b]]) / math.sqrt(6000)
                 assert abs(got - expect) < 4.0 * se
 
+    @pytest.mark.parametrize("end", ["x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_raises(self, end, value):
+        ends = {"x": 0.0, "y": 1.0, end: value}
+        with pytest.raises(FkError, match=f"{end} must be finite"):
+            BridgeSampler(ends["x"], ends["y"], 1.0, 0.25)
+
 
 class TestBridgeCrossing:
     def test_formula_value(self):

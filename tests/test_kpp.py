@@ -463,6 +463,18 @@ class TestDiagnostics:
         with pytest.raises(KppError, match="non-finite"):
             solve_U(QUADRATIC, init, grid)
 
+    @pytest.mark.parametrize("mech", [QUADRATIC, pure_stable(1.0, 1.5, 1.0)], ids=["logistic", "table"])
+    @pytest.mark.parametrize("nodes", [(4.95, 6.0), (4.75, 4.95), (-6.0, -4.95)], ids=["left edge", "left guard", "right edge"])
+    def test_non_finite_guard_node_raises(self, mech, nodes):
+        # a NaN that starts in the edge guard cells must still stop the march
+        grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
+        lo, hi = nodes
+        init = InitialCondition.bounded(
+            lambda s: np.where((np.asarray(s) > lo) & (np.asarray(s) < hi), np.nan, 0.5), sup_norm=0.5
+        )
+        with pytest.raises(KppError, match="field became non-finite at t=0.010"):
+            solve_U(mech, init, grid)
+
 
 # ---------------------------------------------------------------------------
 # frozen fields

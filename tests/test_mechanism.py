@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from sbmlab.csbp import extinction_prob
@@ -39,6 +40,7 @@ from sbmlab.mechanism import (
     GreyViolatedError,
     LevyMeasure,
     MechanismError,
+    _flow_table,
     check_hypotheses,
     flow_map,
     k,
@@ -331,6 +333,89 @@ class TestFlowMap:
             flow_map(QUADRATIC, 0.0)
         with pytest.raises(MechanismError):
             flow_map(PURE_JUMP_CUTOFF, -1.0)
+
+
+# The formulas of both flow forms as they read before their fast paths
+# (in-place Horner, no sign pass without negative input), kept here as the
+# reference the fast paths must match bit for bit.
+def logistic_reference(mech: BranchingMechanism, t: float, v0) -> np.ndarray:
+    growth = math.exp(mech.alpha * t)
+    slope = mech.beta * math.expm1(mech.alpha * t) / mech.alpha
+    arr = np.asarray(v0, dtype=float)
+    pos = np.maximum(arr, 0.0)
+    if pos.max(initial=0.0) == math.inf:
+        top = pos == math.inf
+        return np.where(top, growth / slope, logistic_reference(mech, t, np.where(top, 0.0, arr)))
+    return np.where(arr < 0, growth * arr, growth * pos / (1.0 + slope * pos))
+
+
+def hermite_reference(h, q: np.ndarray) -> np.ndarray:
+    pos = np.interp(q, h.x, h.index)
+    i = pos.astype(np.intp)
+    s = pos - i
+    y0, d0, c2, c3 = h.coef.T[:, i]
+    return y0 + s * (d0 + s * (c2 + s * c3))
+
+
+def table_reference(mech: BranchingMechanism, t: float, v0) -> np.ndarray:
+    table = _flow_table(mech)
+    lam = table.lam
+    v0 = np.asarray(v0, dtype=float)
+    out = np.where(v0 < 0.0, math.exp(table.alpha * t), 1.0)
+    out *= v0
+    above = v0 > lam
+    if above.any():
+        w0 = np.log(v0[above] - lam) - math.log(lam)
+        g0 = np.exp(-hermite_reference(table.up, w0))
+        g0[w0 == math.inf] = 0.0
+        out[above] = lam + lam * np.exp(hermite_reference(table.up_inv, -np.log(g0 + t)))
+    below = (v0 > 0.0) & (v0 < lam)
+    if below.any():
+        w0 = np.log(v0[below] / (lam - v0[below]))
+        out[below] = lam * special.expit(hermite_reference(table.down_inv, hermite_reference(table.down, w0) + t))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_inputs(lam: float) -> dict[str, np.ndarray]:
+    """Arrays that take each branch of both flow forms, -0.0 and NaN included."""
+    finite = np.array([0.0, 1e-300, 1e-8, 0.3 * lam, lam, np.nextafter(lam, 0.0), np.nextafter(lam, 3.0),
+                       1.7 * lam, 50.0, 1e6, 1e200])
+    return {
+        "nonnegative": finite,
+        "negative zero": np.r_[finite, -0.0],
+        "negatives": np.r_[finite, -0.0, -1e-9, -0.3, -7.0],
+        "infinite": np.r_[finite, math.inf, -0.0, -0.3],
+        "nan": np.r_[finite, math.nan, -0.0, -0.3],
+        "nan and infinite": np.r_[finite, math.nan, math.inf, -2.0],
+        "all zero": np.array([0.0, -0.0, 0.0]),
+        "empty": np.array([]),
+    }
+
+
+class TestFlowMapFastPaths:
+    @pytest.mark.parametrize("t", [0.01, 0.37, 2.0])
+    @pytest.mark.parametrize("mech", [QUADRATIC, BranchingMechanism(alpha=2.0, beta=0.5)])
+    def test_logistic_keeps_the_bits(self, mech, t):
+        flow = flow_map(mech, t)
+        # NaN beside inf hides the inf from the inf branch, so inf/inf warns
+        with np.errstate(invalid="ignore"):
+            for name, v0 in mixed_inputs(lambda_star(mech)).items():
+                assert same_bits(flow(v0), logistic_reference(mech, t, v0)), name
+                for v in v0:
+                    assert same_bits(flow(v), logistic_reference(mech, t, v)), (name, v)
+
+    @pytest.mark.parametrize("t", [0.01, 0.37, 2.0])
+    @pytest.mark.parametrize("name", sorted(TABLE_MECHANISMS))
+    def test_table_keeps_the_bits(self, name, t):
+        mech = TABLE_MECHANISMS[name]
+        flow = flow_map(mech, t)
+        for kind, v0 in mixed_inputs(lambda_star(mech)).items():
+            assert same_bits(flow(v0), table_reference(mech, t, v0)), kind
 
 
 class TestHypotheses:

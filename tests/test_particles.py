@@ -303,7 +303,9 @@ class TestExactRightmostLaw:
         # rate b - alpha.  So P(M_t <= x) = (1 - p(t, x))^N, where
         # p_t = p_xx/2 + alpha p - b p^2 from 1_{x<0} (McKean 1975): one
         # solve_U with the mechanism (alpha, b).  The grid moves the oracle
-        # by under 1e-3, a tenth of a standard error here.
+        # by about 1.8e-3 at x = 3 (0.6493 here, 0.6484 at dx 0.01 and
+        # dt 0.000625, about 0.6475 from an independent march), a quarter
+        # of a standard error here.
         eps, t, n = 0.1, 3.0, 4000
         split = offspring_table(QUADRATIC, eps).split_rate
         grid = Grid1D.auto(t, dx=0.02, dt=0.0025)
