@@ -1,10 +1,13 @@
 """Per-layer timings for the `particles` workload.
 
-Six rows, all with quadratic psi at the workload's resolution
+Seven rows with quadratic psi, six of them at the workload's resolution
 (epsilon 0.5, dt 0.025):
 
 - one ``simulate`` of 256 replicas to t = 6 with ``stats_only``, the
   `simulate` pipeline's replica run at a quarter of its size (four groups);
+- one ``simulate`` of 60 replicas to t = 10 at epsilon 0.2, dt 0.01 with a
+  barrier at offset 5: one group, which from t = 1 on gives every particle
+  a position at every step, as ``TestFrontTracking`` in the test suite does;
 - one ``sample_E_star`` draw on a fixed bank, read the way the `extremal`
   pipeline's draw loop reads it: the rightmost atom and the total mass,
   both from the bank's per-cluster tops and masses, with no decorated
@@ -58,6 +61,13 @@ def test_simulate_256_replicas(benchmark):
     res = benchmark.pedantic(simulate, args=(_config(256),), rounds=7, iterations=1,
                              warmup_rounds=1)
     assert len(res.stats) == 256
+
+
+def test_simulate_barrier_60_replicas(benchmark):
+    config = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=10.0, seed=55, n_replicas=60,
+                       stats_only=True, barrier_offset=5.0)
+    res = benchmark.pedantic(simulate, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
+    assert len(res.stats) == 60
 
 
 def test_sample_E_star_draw(benchmark, bank):

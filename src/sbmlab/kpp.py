@@ -149,13 +149,16 @@ class InitialCondition:
 
     @classmethod
     def bounded(cls, phi: Callable, sup_norm: float) -> "InitialCondition":
+        """Data phi with |phi| <= sup_norm, checked on the [0, 60] probe grid of the tail test."""
         if sup_norm < 0 or not math.isfinite(sup_norm):
             raise KppError("sup_norm must be finite and nonnegative")
+        y = np.linspace(0.0, 60.0, 2401)
+        vals = _checked_phi(_eval_phi(phi, -y), sup_norm, "[0, 60] probe grid")
         return cls(
             kind="bounded",
             phi=phi,
             sup_norm=float(sup_norm),
-            integrable_tail=_tail_weight_integrable(phi),
+            integrable_tail=_tail_weight_integrable(y, vals),
         )
 
     @classmethod
@@ -168,7 +171,7 @@ class InitialCondition:
         if self.kind == "heaviside":
             return np.where(x < 0.0, 1.0, 0.0)
         if self.kind == "bounded":
-            return _eval_phi(self.phi, -x)
+            return _checked_phi(_eval_phi(self.phi, -x), self.sup_norm, "march grid")
         raise KppError(f"unknown initial-condition kind {self.kind!r}")
 
 
@@ -179,9 +182,19 @@ def _eval_phi(phi: Callable, arg: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _tail_weight_integrable(phi: Callable) -> bool:
-    y = np.linspace(0.0, 60.0, 2401)
-    g = y * np.exp(SQRT2 * y) * _eval_phi(phi, -y)
+def _checked_phi(vals: np.ndarray, sup_norm: float, where: str) -> np.ndarray:
+    """vals, the values of phi on a grid, once they are finite and within sup_norm."""
+    if not np.all(np.isfinite(vals)):
+        raise KppError(f"phi is not finite on the {where} (sup_norm {sup_norm:.6g}); fix phi")
+    top = float(np.max(np.abs(vals), initial=0.0))
+    if top > sup_norm:
+        raise KppError(f"|phi| reaches {top:.6g} on the {where}, above sup_norm {sup_norm:.6g}")
+    return vals
+
+
+def _tail_weight_integrable(y: np.ndarray, phi_vals: np.ndarray) -> bool:
+    """Whether y e^{sqrt2 y} phi(-y), given phi(-y) on the grid y over [0, 60], has a negligible tail."""
+    g = y * np.exp(SQRT2 * y) * phi_vals
     peak = float(np.max(np.abs(g)))
     if peak == 0.0:
         return True

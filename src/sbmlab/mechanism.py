@@ -765,10 +765,11 @@ def flow_map(mech: BranchingMechanism, t: float):
             den += 1.0
             out /= den
             return out
-        pos = np.maximum(arr, 0.0)
-        if pos.max(initial=0.0) == math.inf:
-            top = pos == math.inf
+        # found by isposinf, so that a NaN elsewhere in arr cannot hide an inf
+        top = np.isposinf(arr)
+        if top.any():
             return np.where(top, growth / slope, flow(np.where(top, 0.0, arr)))
+        pos = np.maximum(arr, 0.0)
         return np.where(arr < 0, growth * arr, growth * pos / (1.0 + slope * pos))
 
     flow.form = "logistic"

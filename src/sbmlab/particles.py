@@ -27,20 +27,35 @@ front discards descendant mass that would return to the front with
 probability of order e^{-sqrt(2) L}, which bounds the relative bias;
 the tests compare two offsets to confirm the observables are stable.
 
-Replicas are independent: replica i draws from a generator seeded by the
-i-th spawn of SeedSequence(seed), so results are bit-identical for a
-fixed (seed, config) regardless of how many replicas run.
+The law is a stepped one: each step of length dt a particle moves by
+N(0, dt) and then has at most one event, with probability
+p = total rate * dt.  The engine does not visit every step, though: it
+marches each particle from one event to the next.  A particle whose
+position x is known at step b has its next event at step e = b + G, with
+G ~ Geometric(p); it is at x + N(0, (e - b) dt) there; the event is a
+split, a death or a k-jump, with probabilities rate / total rate; and the
+offspring start at step e from that position.  That is the stepped law
+exactly.  Positions are drawn only at events, at snapshot steps and, with
+a barrier, at every step from t = 1 on, where a particle below the line
+is pruned before its event makes copies.  So the cost follows the number
+of events, about three draws each (a position, a kind and one clock per
+offspring), rather than the number of particle-steps.
 
-The engine marches up to 64 consecutive replicas together as one group:
-their particles sit in one flat array, and everything but the random
-draws (event lookup, deaths, offspring, pruning, snapshots) runs as
-vector operations on the whole group.  Each replica still draws its
-Gaussian steps and then its event uniforms from its own generator, and
-its particles keep the order a replica marched alone would give them,
-so the grouping changes no result: the seed contract above is the same,
-bit for bit.  A group holding more than 2**15 particles splits in half,
-since past that size the flat bookkeeping costs more per particle than
-it saves in per-replica calls.
+Up to 64 consecutive replicas march together as one group, in epochs that
+end at the snapshot steps, at the first barrier step and at most two
+units of time apart (less when alpha > 1).  Within an epoch the group
+marches one generation at a time: the particles alive at its start, then
+the offspring of their events in the epoch, and so on; every generation
+is kept in replica order.  A replica's count is known exactly up to the
+step before its earliest event still to be drawn, so the explosion cap is
+checked there and a replica stops as soon as it trips.
+
+Replicas are independent: replica i draws only from the i-th spawn of
+SeedSequence(seed), through three child streams derived from its spawn
+key (clocks, moves and event kinds), each read through a buffer of its
+own that keeps its unread draws when it refills.  So a replica's stats and
+clouds do not depend on n_replicas, the group size, the buffer size or
+the worker count.
 
 Groups share nothing, so when there are at least two of them and the
 process may run on more than one CPU, the groups march in a pool of
@@ -48,11 +63,10 @@ worker processes, one per CPU up to one per group.  The workers start
 with the ``fork`` method, so they inherit the loaded modules where
 ``spawn`` would import numpy and scipy again in each of them.  Each
 worker returns its group's rows, which land in the result by replica id.
-The seed contract is unchanged: the result is the same bits as the
-in-process march that runs where there is one group, one CPU or no
-``fork``.  A pool lives inside one call: one ``simulate``, or one
-``sample_conditioned_clusters``, whose rejection batches stream their
-groups through a single pool until the bank is full.
+The result is the same bits as the in-process march that runs where there
+is one group, one CPU or no ``fork``.  A pool lives inside one call: one
+``simulate``, or one ``sample_conditioned_clusters``, whose rejection
+batches stream their groups through a single pool until the bank is full.
 """
 
 from __future__ import annotations
@@ -79,8 +93,10 @@ DEFAULT_EXPLOSION_CAP = 10_000_000
 _JUMP_TAIL_FRACTION = 1e-6
 _BARRIER_START_TIME = 1.0
 _GROUP_REPLICAS = 64
-_GROUP_PARTICLES = 1 << 15
 _GROUPS_IN_FLIGHT = 2
+_EPOCH_TIME = 2.0
+_BUFFER_DRAWS = 1 << 10
+_REFILL_DRAWS = 256
 
 
 class ParticlesError(ValueError):
@@ -278,16 +294,22 @@ def _support_top(levy, epsilon: float) -> float:
 class SimConfig:
     """Inputs for one batch of replicas.
 
+    The law is stepped: each step of length dt moves a particle by
+    N(0, dt) and then gives it at most one event, with probability total
+    rate times dt.  The engine marches from event to event (see the
+    module docstring), which changes the cost, not the law.
     snapshot_times defaults to (t_end,); t_end is appended when missing.
     Every snapshot must land on the step grid (a multiple of dt up to
     rounding).  The cap on the per-step event probability (total rate
     times dt at most 0.2) is a validity bound, not an accuracy target;
     the chance of a second event in the same step is dropped, so biases
     scale with rate * dt and accuracy-sensitive runs should keep that
-    product near 0.05.  barrier_offset, when set, prunes particles deeper than
-    that distance below the centered front once t >= 1; it requires the
-    unit-drift normalization since the front location is computed for
-    alpha = 1.  stats_only skips cloud snapshots to save memory.
+    product near 0.05.  barrier_offset, when set, prunes particles deeper
+    than that distance below the centered front at every step from
+    t = 1 on; it requires the unit-drift normalization since the front
+    location is computed for alpha = 1.  A replica whose count exceeds
+    explosion_cap at some step is truncated there.  stats_only skips
+    cloud snapshots to save memory.
     """
 
     mech: BranchingMechanism
@@ -403,7 +425,11 @@ class SimResult:
 
     clouds[i] may be shorter than the snapshot grid when replica i hit the
     explosion guard.  diagnostics records the number of replica groups and
-    of processes that marched them (1 when they marched in this process).
+    of processes that marched them (1 when they marched in this process),
+    and, summed over all replicas, the events by kind (splits, deaths,
+    jumps and the extra copies the jumps made), the particles the barrier
+    pruned and the replicas it left empty (barrier_emptied: those whose
+    last particle went at a step where the barrier pruned one).
     """
 
     stats: tuple[ReplicaStats, ...]
@@ -442,10 +468,10 @@ class SimResult:
 def simulate(config: SimConfig) -> SimResult:
     """Run all replicas; bit-identical for a fixed (seed, config).
 
-    Replica i draws from the generator of the i-th spawn of
-    SeedSequence(seed), so its stats and clouds do not depend on
-    n_replicas.  Up to _GROUP_REPLICAS consecutive replicas march
-    together as one group (see _march and _advance).  Two or more groups
+    Replica i draws from the i-th spawn of SeedSequence(seed) only, so
+    its stats and clouds do not depend on n_replicas.  Up to
+    _GROUP_REPLICAS consecutive replicas march together as one group (see
+    _march and _epoch).  Two or more groups
     march in fork-started worker processes, one per usable CPU, which
     return each group's rows to be placed by replica id; the workers are
     joined before this returns, also when one of them raises.
@@ -554,25 +580,24 @@ def _march_replicas(
     config: SimConfig, initial: np.ndarray, seeds: list[np.random.SeedSequence]
 ) -> "_Record":
     """March one group, replica k drawing from seeds[k], into a record of its own."""
-    record = _Record(config, len(seeds))
+    n = len(seeds)
+    record = _Record(config, n)
     if initial.size == 0:
-        for k in range(len(seeds)):
+        for k in range(n):
             record.extinct(k, 0, 0.0)
         return record
-    group = _Group(
-        ids=list(range(len(seeds))),
-        rngs=[np.random.default_rng(s) for s in seeds],
-        positions=np.tile(initial + 0.0, len(seeds)),
-        counts=np.full(len(seeds), initial.size),
-    )
-    _march(config, group, 0, record)
+    law = _Law(config)
+    draws = _Streams(seeds)
+    owner = np.repeat(np.arange(n), initial.size)
+    clocks = law.clock(draws.clocks.take(np.full(n, initial.size)))
+    group = _Group(owner, np.tile(initial + 0.0, n), np.zeros(owner.size, dtype=np.int64), clocks)
+    _march(law, group, draws, record)
     return record
 
 
-def _event_thresholds(table: OffspringTable, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative per-step event probabilities: split, death, then jumps."""
-    probs = np.concatenate([[table.split_rate, table.death_rate], table.jump_rates]) * dt
-    return np.cumsum(probs), table.jump_counts
+def _counts(owner: np.ndarray, n: int) -> np.ndarray:
+    """How many entries of the nondecreasing owner equal 0, 1, ..., n - 1."""
+    return np.diff(owner.searchsorted(np.arange(n + 1)))
 
 
 def _z_of(positions: np.ndarray, epsilon: float, t: float) -> float:
@@ -583,28 +608,198 @@ def _z_of(positions: np.ndarray, epsilon: float, t: float) -> float:
     return epsilon * float(np.sum(y * np.exp(-SQRT2 * y)))
 
 
-@dataclass(eq=False)
-class _Group:
-    """Live replicas marching together.
+class _Law:
+    """The stepped law of a config, read from event to event.
 
-    positions holds the particles of every replica in one flat array,
-    replica by replica in the order of ids; counts[k] > 0 is the number of
-    particles of replica ids[k] and rngs[k] is its generator.
+    Each step a particle moves by N(0, dt) and then has at most one event,
+    with probability p = total rate * dt: a split, a death or a k-jump,
+    with probabilities proportional to their rates.  So the steps to its
+    next event are Geometric(p), it moves by N(0, steps * dt) on the way,
+    and the event's kind is independent of both.
     """
 
-    ids: list[int]
-    rngs: list[np.random.Generator]
-    positions: np.ndarray
-    counts: np.ndarray
+    def __init__(self, config: SimConfig):
+        table = config.table
+        rates = np.concatenate([[table.split_rate, table.death_rate], table.jump_rates])
+        dt = config.dt
+        self.dt = dt
+        self.sqrt_dt = math.sqrt(dt)
+        self.log_stay = math.log1p(-table.total_rate * dt)
+        # an event's kind is the number of these bounds at or below its uniform
+        self.bounds = np.cumsum(rates)[:-1] / rates.sum()
+        # the particles an event of each kind leaves in place of one
+        self.sizes = np.concatenate([[2, 0], 1 + table.jump_counts]).astype(np.int64)
+        self.cap = config.explosion_cap
+        self.snap_steps = config.snapshot_steps()
+        self.window = max(1, int(_EPOCH_TIME / (max(config.mech.alpha, 1.0) * dt)))
+        self.barrier = config.barrier_offset
+        # the first step whose time step * dt reaches _BARRIER_START_TIME
+        start = max(1, math.ceil(_BARRIER_START_TIME / dt))
+        while start * dt < _BARRIER_START_TIME:
+            start += 1
+        while start > 1 and (start - 1) * dt >= _BARRIER_START_TIME:
+            start -= 1
+        self.barrier_start = start
+        # the pruning line by step, -inf where nothing is pruned; it rises
+        # with the step, since front_m(1, t) does from t = 1 on
+        self.levels = np.full(self.snap_steps[-1] + 1, -math.inf)
+        if self.barrier is not None:
+            for s in range(start, self.levels.size):
+                self.levels[s] = front_m(1.0, s * dt) - self.barrier
+
+    def clock(self, u: np.ndarray) -> np.ndarray:
+        """Steps to the next event, Geometric(p) on 1, 2, ..., from uniforms on [0, 1)."""
+        steps = np.log1p(-u)
+        steps /= self.log_stay
+        return steps.astype(np.int64) + 1
+
+    def kind(self, u: np.ndarray) -> np.ndarray:
+        """Event kinds from uniforms on [0, 1): 0 split, 1 death, 2 + i the i-th jump."""
+        return self.bounds.searchsorted(u, side="right")
+
+    def walks(self, step: int) -> bool:
+        """Whether every step after step is a barrier step."""
+        return self.barrier is not None and step >= self.barrier_start
+
+    def placed(self, step: int) -> bool:
+        """Whether every live particle gets a position at step: a snapshot or barrier step."""
+        return step in self.snap_steps or self.levels[step] > -math.inf
+
+    def epoch_end(self, step: int) -> int:
+        """The end of the epoch that starts at step.
+
+        An epoch ends at the next snapshot step, at the first barrier step,
+        and otherwise after at most self.window steps, so that an
+        explosion shows before a replica outgrows the cap by much.
+        """
+        end = min(next(s for s in self.snap_steps if s > step), step + self.window)
+        if self.barrier is not None and step < self.barrier_start:
+            end = min(end, self.barrier_start)
+        return end
+
+
+class _Draws:
+    """One kind of draw for every replica of a group, read through a buffer per replica.
+
+    Row k of buffer holds replica k's unread draws in read[k]:read[k] +
+    left[k].  A refill moves them to the row's start and appends fresh
+    draws from the replica's generator: refill[k] of them, or what the
+    take needs, and refill[k] doubles up to the row's width, so a replica
+    that draws much refills seldom and one that draws little wastes
+    little.  A take larger than a row reads past it, straight from the
+    generator.  So replica k reads the one sequence its generator yields,
+    however its takes and refills fall.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], fill):
+        self.rngs = rngs
+        self.fill = fill
+        # the pages of a row stay untouched until the row fills that far
+        self.buffer = np.empty((len(rngs), _BUFFER_DRAWS))
+        self.read = np.zeros(len(rngs), dtype=np.intp)
+        self.left = np.zeros(len(rngs), dtype=np.intp)
+        self.refill = np.full(len(rngs), min(_REFILL_DRAWS, _BUFFER_DRAWS))
+        self.rows = np.arange(len(rngs)) * _BUFFER_DRAWS
+
+    def take(self, counts: np.ndarray) -> np.ndarray:
+        """The next counts[k] draws of each replica k, replica by replica."""
+        short = counts > self.left
+        past = self._refill(short, counts) if short.any() else []
+        starts = counts.cumsum()
+        starts -= counts
+        if past:
+            # rows too small for their take: every row is copied out on its own
+            out = np.empty(starts[-1] + counts[-1])
+            for k in np.flatnonzero(counts).tolist():
+                a, c, read, left = starts[k], counts[k], self.read[k], self.left[k]
+                out[a:a + min(c, left)] = self.buffer[k, read:read + min(c, left)]
+                if c > left:
+                    self.fill(self.rngs[k], out=out[a + left:a + c])
+            self.read += counts
+            self.left -= counts
+            self.read[past] = self.left[past] = 0
+            return out
+        offset = self.rows + self.read
+        offset -= starts
+        index = offset.repeat(counts)
+        index += np.arange(index.size)
+        self.read += counts
+        self.left -= counts
+        return self.buffer.take(index)
+
+    def _refill(self, short: np.ndarray, counts: np.ndarray) -> list[int]:
+        """Refill the rows where short is True for the take of counts; return those it must read past."""
+        width = self.buffer.shape[1]
+        past = []
+        for k, need, read, left, refill in zip(
+            np.flatnonzero(short).tolist(),
+            counts[short].tolist(),
+            self.read[short].tolist(),
+            self.left[short].tolist(),
+            self.refill[short].tolist(),
+        ):
+            if need > width:
+                past.append(k)
+                continue
+            row = self.buffer[k]
+            row[:left] = row[read:read + left]
+            size = max(need, min(width, left + refill))
+            self.fill(self.rngs[k], out=row[left:size])
+            self.read[k], self.left[k], self.refill[k] = 0, size, min(width, 2 * refill)
+        return past
+
+
+class _Streams:
+    """A group's clock, move and event-kind draws.
+
+    Replica k's seed sequence has three children, derived from its
+    spawn_key: (..., 0) yields its clock uniforms, (..., 1) its standard
+    normal moves and (..., 2) its event-kind uniforms.
+    """
+
+    def __init__(self, seeds: list[np.random.SeedSequence]):
+        def rngs(stream: int) -> list[np.random.Generator]:
+            return [
+                np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                    s.entropy, spawn_key=s.spawn_key + (stream,), pool_size=s.pool_size
+                )))
+                for s in seeds
+            ]
+
+        self.clocks = _Draws(rngs(0), np.random.Generator.random)
+        self.moves = _Draws(rngs(1), np.random.Generator.standard_normal)
+        self.kinds = _Draws(rngs(2), np.random.Generator.random)
+
+
+@dataclass(eq=False)
+class _Group:
+    """Particles of a group of replicas, replica by replica.
+
+    owner[i] is the local index of the replica particle i belongs to, in
+    nondecreasing order; x[i] is its position at step born[i] and event[i]
+    the step of its next event.
+    """
+
+    owner: np.ndarray
+    x: np.ndarray
+    born: np.ndarray
+    event: np.ndarray
 
     def select(self, keep: np.ndarray) -> "_Group":
-        """The group restricted to the replicas where keep is True."""
-        flags = keep.tolist()
+        return _Group(self.owner[keep], self.x[keep], self.born[keep], self.event[keep])
+
+    @staticmethod
+    def merge(parts: list["_Group"]) -> "_Group":
+        """The particles of all parts, replica by replica, each replica's in the order of parts."""
+        if len(parts) == 1:
+            return parts[0]
+        owner = np.concatenate([p.owner for p in parts])
+        order = np.argsort(owner, kind="stable")
         return _Group(
-            ids=[i for i, k in zip(self.ids, flags) if k],
-            rngs=[g for g, k in zip(self.rngs, flags) if k],
-            positions=self.positions[np.repeat(keep, self.counts)],
-            counts=self.counts[keep],
+            owner[order],
+            np.concatenate([p.x for p in parts])[order],
+            np.concatenate([p.born for p in parts])[order],
+            np.concatenate([p.event for p in parts])[order],
         )
 
 
@@ -628,21 +823,28 @@ class _Record:
         self.clouds: list[list[ParticleCloud]] | None = (
             None if config.stats_only else [[] for _ in range(n)]
         )
+        # events of each kind (split, death, then the jumps), pruned particles
+        # and the replicas that pruning left empty
+        self.kinds = np.zeros(2 + config.table.jump_counts.size, dtype=np.int64)
+        self.pruned = 0
+        self.emptied = 0
 
-    def snapshot(self, group: _Group, j: int) -> None:
+    def snapshot(self, j: int, group: _Group, counts: np.ndarray) -> None:
+        """Record snapshot j of the replicas with counts[k] > 0 particles in group."""
         eps = self.config.epsilon
         t = self.config.snapshot_times[j]
-        pos = group.positions
+        pos = group.x
         y = SQRT2 * t - pos
         terms = y * np.exp(-SQRT2 * y)
-        a = 0
-        for i, b in zip(group.ids, np.cumsum(group.counts).tolist()):
+        ends = np.cumsum(counts).tolist()
+        for i in np.flatnonzero(counts).tolist():
+            b = ends[i]
+            a = b - int(counts[i])
             self.m[i, j] = float(pos[a:b].max())
             self.z[i, j] = eps * float(np.sum(terms[a:b]))
             self.mass[i, j] = eps * (b - a)
             if self.clouds is not None:
                 self.clouds[i].append(ParticleCloud(t, pos[a:b].copy(), eps))
-            a = b
 
     def extinct(self, i: int, step: int, t: float) -> None:
         """Replica i has no particle left after the given step."""
@@ -657,6 +859,10 @@ class _Record:
                         ParticleCloud(self.config.snapshot_times[j], np.empty(0), self.config.epsilon)
                     )
 
+    def tally(self, kind: np.ndarray) -> None:
+        """Count events of the given kinds."""
+        self.kinds += np.bincount(kind, minlength=self.kinds.size)
+
     def fill(self, lo: int, part: "_Record") -> None:
         """Copy in the rows of part, a record of replicas lo, lo + 1, ..."""
         hi = lo + len(part.exploded)
@@ -665,6 +871,9 @@ class _Record:
         self.exploded[lo:hi] = part.exploded
         if self.clouds is not None:
             self.clouds[lo:hi] = part.clouds
+        self.kinds += part.kinds
+        self.pruned += part.pruned
+        self.emptied += part.emptied
 
     def result(self, diagnostics: Mapping[str, int]) -> SimResult:
         times = self.config.snapshot_times
@@ -682,103 +891,222 @@ class _Record:
             for i in range(len(self.exploded))
         )
         clouds = None if self.clouds is None else tuple(tuple(c) for c in self.clouds)
-        return SimResult(stats, clouds, diagnostics)
+        jumps = self.kinds[2:]
+        counts = {
+            "splits": int(self.kinds[0]),
+            "deaths": int(self.kinds[1]),
+            "jumps": int(jumps.sum()),
+            "jump_copies": int(jumps @ self.config.table.jump_counts),
+            "pruned": self.pruned,
+            "barrier_emptied": self.emptied,
+        }
+        return SimResult(stats, clouds, {**diagnostics, **counts})
 
 
-def _march(config: SimConfig, group: _Group, step: int, record: _Record) -> None:
-    """Advance a group from step to the horizon, recording its snapshots.
+def _march(law: _Law, group: _Group, draws: _Streams, record: _Record) -> None:
+    """March a group from step 0 to the horizon, one epoch at a time (see _epoch)."""
+    step = 0
+    while group.owner.size and step < law.snap_steps[-1]:
+        end = law.epoch_end(step)
+        group = _epoch(law, group, draws, record, step, end)
+        step = end
 
-    Replicas leave the group when they die out or explode.  A group of
-    more than _GROUP_PARTICLES particles splits into two halves that march
-    on separately: bookkeeping over one flat array saves the per-replica
-    call overhead that dominates small populations, but past that size it
-    costs more per particle than marching fewer replicas at a time.
+
+def _epoch(
+    law: _Law, group: _Group, draws: _Streams, record: _Record, s0: int, s1: int
+) -> _Group:
+    """March the particles of group, alive at step s0, to step s1, one generation at a time.
+
+    The first generation is group; each next one is the offspring of the
+    events of the last that fall by s1.  An event moves its particle to
+    its step, where the event's kind is drawn and the offspring start with
+    clocks of their own.  A particle whose event falls after s1 is carried
+    to s1: moved there where s1 needs positions, and kept with its old
+    position otherwise.  Where the steps of the epoch are barrier steps a
+    particle walks there step by step instead (see _walk), and one that
+    falls below the line is pruned before its event makes copies; at the
+    first barrier step, s1 of the epoch before, the particles at s1 below
+    the line are pruned the same way.
+
+    After each generation a replica's count is known up to the step
+    before the earliest event of its next generation, so a replica that
+    may be over the cap is checked up to there, and it leaves the group as
+    soon as its count exceeds the cap.  Returns the particles alive at s1,
+    replica by replica.
     """
-    dt = config.dt
-    sqrt_dt = math.sqrt(dt)
-    thresholds, jump_counts = _event_thresholds(config.table, dt)
-    barrier = config.barrier_offset
-    cap = config.explosion_cap
-    snap_steps = record.snap_steps
-    while group.ids and step < snap_steps[-1]:
-        if len(group.ids) > 1 and group.positions.size > _GROUP_PARTICLES:
-            first = np.arange(len(group.ids)) < len(group.ids) // 2
-            _march(config, group.select(first), step, record)
-            _march(config, group.select(~first), step, record)
-            return
-        step += 1
-        t_now = step * dt
-        level = None
-        if barrier is not None and t_now >= _BARRIER_START_TIME:
-            level = front_m(1.0, t_now) - barrier
-        positions, counts = _advance(group, sqrt_dt, thresholds, jump_counts, level)
-        group.positions, group.counts = positions, counts
-        if counts.min() == 0 or (positions.size > cap and counts.max() > cap):
-            for i, n in zip(group.ids, counts.tolist()):
-                if n == 0:
-                    record.extinct(i, step, t_now)
-                elif n > cap:
-                    record.exploded[i] = True
-            group = group.select((counts > 0) & (counts <= cap))
-        if step in snap_steps:
-            record.snapshot(group, snap_steps.index(step))
+    n = len(record.exploded)
+    walking = law.walks(s0)
+    placed = law.placed(s1)
+    level = law.levels[s1]
+    base = _counts(group.owner, n)
+    room = law.cap - base  # births a replica may have before it could be over the cap
+    born = 0  # births of all replicas, a bound on the births of each
+    events = []  # (owner, step, kind) of every event so far
+    lost = []  # (owner, step) of every pruned particle so far
+    carried = []
+    gen = group
+    while gen.owner.size:
+        due = gen.event <= s1
+        if walking or placed:
+            # events move their particle to its step, the rest move to s1
+            to = np.minimum(gen.event, s1)
+            if walking:
+                x, cut = _walk(law, draws, gen, to, n)
+            else:
+                moving = to > gen.born
+                owner = gen.owner[moving]
+                gap = (to[moving] - gen.born[moving]) * law.dt
+                x = gen.x.copy()
+                x[moving] += np.sqrt(gap) * draws.moves.take(_counts(owner, n))
+                cut = np.where((to == s1) & (x < level), s1, 0)
+            low = cut > 0
+            if low.any():
+                lost.append((gen.owner[low], cut[low]))
+                due &= ~low
+            stay = ~(due | low)
+            carried.append(_Group(gen.owner[stay], x[stay], to[stay], gen.event[stay]))
+        else:
+            carried.append(gen.select(~due))
+        acting = np.flatnonzero(due)
+        owner = gen.owner[acting]
+        acted = _counts(owner, n)
+        at = gen.event[acting]
+        if walking or placed:
+            x = x[acting]
+        else:
+            x = gen.x[acting] + np.sqrt((at - gen.born[acting]) * law.dt) * draws.moves.take(acted)
+        gen, kind = _offspring(law, draws, owner, acted, x, at)
+        events.append((owner, at, kind))
+        born += gen.owner.size
+        if born > room.min():
+            births = np.bincount(
+                np.concatenate([e[0] for e in events]),
+                weights=law.sizes[np.concatenate([e[2] for e in events])],
+                minlength=n,
+            )
+            if not np.any(births > room):
+                continue
+            # the count is known exactly up to the step before the next events
+            known = np.full(n, s1)
+            np.minimum.at(known, gen.owner, gen.event - 1)
+            over = _over_cap(law, base, events, lost, known, s0, s1) & (births > room)
+            if over.any():
+                room[over] = np.iinfo(np.int64).max
+                for k in np.flatnonzero(over).tolist():
+                    record.exploded[k] = True
+                gen = gen.select(~over[gen.owner])
+
+    alive = _Group.merge(carried)
+    gone = np.array(record.exploded) & (base > 0)
+    if gone.any():
+        alive = alive.select(~gone[alive.owner])
+        base[gone] = 0
+    counts = _counts(alive.owner, n)
+    kinds = np.concatenate([e[2] for e in events])
+    record.tally(kinds)
+    dead = np.flatnonzero((base > 0) & (counts == 0))
+    if dead.size:
+        # a replica that dies out does so at its last death or pruning
+        owner = np.concatenate([e[0] for e in events])
+        at = np.concatenate([e[1] for e in events])
+        deaths = law.sizes[kinds] == 0
+        last_death = np.full(n, s0)
+        np.maximum.at(last_death, owner[deaths], at[deaths])
+        last_cut = np.full(n, s0)
+        for owner, step in lost:
+            np.maximum.at(last_cut, owner, step)
+        for k in dead.tolist():
+            step = int(max(last_death[k], last_cut[k]))
+            record.extinct(k, step, step * law.dt)
+        record.emptied += int(np.count_nonzero(last_cut[dead] >= last_death[dead]))
+    record.pruned += sum(owner.size for owner, _ in lost)
+    if s1 in law.snap_steps:
+        record.snapshot(law.snap_steps.index(s1), alive, counts)
+    return alive
 
 
-def _advance(
-    group: _Group,
-    sqrt_dt: float,
-    thresholds: np.ndarray,
-    jump_counts: np.ndarray,
-    level: float | None,
+def _walk(
+    law: _Law, draws: _Streams, gen: _Group, to: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of motion, branching and pruning below level for a group.
+    """Walk the particles of gen by N(0, dt) per step from step born + 1 to to, on barrier steps.
 
-    Each replica draws its n Gaussian steps and then random(n) from its
-    own generator, exactly as a replica marched alone; the rest runs on
-    the whole group.  Replica by replica the new particles are
-    [survivors, split copies, jump copies], each in the old order, less
-    those below level.  A copy sits at its parent's position, so pruning
-    the parents first prunes the same particles.
+    Returns where each one is at to, and the first step at which it was
+    below the line, 0 where it never was.  A replica's moves are summed
+    over all of its paths in one running sum, so its positions depend on
+    its own draws alone.
     """
-    counts = group.counts
-    sizes = counts.tolist()
-    # normal(0, s, n) is 0.0 + s * standard_normal(n); without the 0.0 a zero
-    # step may stay -0.0 where normal gives +0.0, which changes a sum only
-    # when the position is -0.0 too, and simulate starts from initial + 0.0,
-    # after which no position can be -0.0
-    noise = np.empty(group.positions.size)
-    draws = np.empty(group.positions.size)
-    a = 0
-    for rng, n in zip(group.rngs, sizes):
-        b = a + n
-        rng.standard_normal(out=noise[a:b])
-        rng.random(out=draws[a:b])
-        a = b
-    noise *= sqrt_dt
-    positions = group.positions + noise
-    # an event happens to few particles, so only those are classified
-    acting = np.flatnonzero(draws <= thresholds[-1])
-    event = thresholds.searchsorted(draws[acting])
-    parents = acting[event == 0]
-    if jump_counts.size:
-        jumping = event >= 2
-        parents = np.concatenate(
-            [parents, np.repeat(acting[jumping], jump_counts[event[jumping] - 2])]
-        )
-    if level is None:
-        keep = np.ones(positions.size, dtype=bool)
-    else:
-        keep = positions >= level
-        parents = parents[keep[parents]]
-    keep[acting[event == 1]] = False
-    ends = np.cumsum(counts)
-    kept = np.add.reduceat(keep, ends - counts, dtype=np.intp)
-    owner = ends.searchsorted(parents, side="right")
-    # each copy goes after the survivors of its parent's replica; np.insert
-    # keeps the given order of values that share a slot
-    slot = np.cumsum(kept)[owner]
-    positions = np.insert(positions[keep], slot, positions[parents])
-    return positions, kept + np.bincount(owner, minlength=counts.size)
+    steps = to - gen.born
+    cut = np.zeros(steps.size, dtype=np.int64)
+    moved = np.flatnonzero(steps > 0)
+    if moved.size == 0:
+        return gen.x, cut
+    last = np.cumsum(steps)  # each path's elements end here in the replica-by-replica draws
+    first = last - steps
+    bounds = np.concatenate([[0], last])[gen.owner.searchsorted(np.arange(n + 1))]
+    counts = np.diff(bounds)
+    z = draws.moves.take(counts)
+    for k in np.flatnonzero(counts).tolist():
+        np.cumsum(z[bounds[k]:bounds[k + 1]], out=z[bounds[k]:bounds[k + 1]])
+    # the running sum before each path, within its replica
+    before = np.where(first > bounds[gen.owner], z[first - 1], 0.0)
+    x = gen.x + law.sqrt_dt * (np.where(steps > 0, z[last - 1], before) - before)
+    # in units of sqrt(dt) a particle is below the line at a step where the
+    # running sum, less its sum before the path, is below (line - x); the
+    # line rises with the step, so only a path whose lowest running sum is
+    # below that bound at its last step can have been below it, and only
+    # those paths are checked step by step (the margin covers rounding)
+    offset = gen.x / law.sqrt_dt - before
+    lowest = np.minimum.reduceat(z, first[moved])
+    near = moved[lowest < law.levels[to[moved]] / law.sqrt_dt - offset[moved] + 1e-9]
+    if near.size:
+        lengths = steps[near]
+        path = np.repeat(np.arange(near.size), lengths)
+        offsets = np.arange(path.size) - (np.cumsum(lengths) - lengths)[path]
+        step = (gen.born[near] + 1)[path] + offsets
+        below = z[first[near][path] + offsets] < law.levels[step] / law.sqrt_dt - offset[near][path]
+        hit = np.flatnonzero(below)
+        # the first step below the line on each path that has one
+        hit = hit[np.flatnonzero(np.diff(path[hit], prepend=-1))]
+        cut[near[path[hit]]] = step[hit]
+    return x, cut
+
+
+def _offspring(
+    law: _Law, draws: _Streams, owner: np.ndarray, counts: np.ndarray, x: np.ndarray, at: np.ndarray
+) -> tuple[_Group, np.ndarray]:
+    """The offspring of events at steps at, and the kind of each event.
+
+    owner is nondecreasing and counts[k] is how many of its entries are k;
+    the offspring are born at their parent's position and step, and draw
+    the clocks of their next events.
+    """
+    kind = law.kind(draws.kinds.take(counts))
+    sizes = law.sizes[kind]
+    child = np.repeat(owner, sizes)
+    born = np.repeat(at, sizes)
+    clocks = law.clock(draws.clocks.take(_counts(child, counts.size)))
+    return _Group(child, np.repeat(x, sizes), born, born + clocks), kind
+
+
+def _over_cap(
+    law: _Law, base: np.ndarray, events, lost, known: np.ndarray, s0: int, s1: int
+) -> np.ndarray:
+    """Which replicas' counts exceed the cap at some step in s0 + 1 .. known[k].
+
+    base[k] is replica k's count at s0; events holds every event from
+    s0 + 1 on as (owner, step, kind) arrays, and lost every pruning as
+    (owner, step) arrays.
+    """
+    n = base.size
+    width = s1 - s0
+    owner = np.concatenate([e[0] for e in events] + [c[0] for c in lost])
+    step = np.concatenate([e[1] for e in events] + [c[1] for c in lost])
+    change = np.concatenate([law.sizes[e[2]] - 1 for e in events] + [np.full(c[0].size, -1) for c in lost])
+    cells = owner * width + step - (s0 + 1)
+    grid = np.bincount(cells, weights=change, minlength=n * width).reshape(n, width)
+    over = base[:, None] + np.cumsum(grid, axis=1) > law.cap
+    over &= np.arange(width) < (known - s0)[:, None]
+    return over.any(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,10 @@ class TestSimulatePipeline:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         capsys.readouterr()
         manifest = check_manifest_covers_dir(str(out))
-        assert manifest["diagnostics"]["replicas"] == {"groups": 1, "workers": 1}
+        replicas = manifest["diagnostics"]["replicas"]
+        assert {k: replicas[k] for k in ("groups", "workers")} == {"groups": 1, "workers": 1}
+        assert replicas["splits"] > 0 and replicas["deaths"] > 0
+        assert replicas["jumps"] == replicas["pruned"] == replicas["barrier_emptied"] == 0
         rows = (out / "replicas.csv").read_text().strip().splitlines()
         assert len(rows) == 51
         snap = (out / "snapshots.csv").read_text().strip().splitlines()

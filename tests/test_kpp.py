@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmlab import kpp as kpp_module
 from sbmlab.csbp import extinction_prob
 from sbmlab.kpp import (
     FrontTouchedBoundaryError,
@@ -97,6 +98,34 @@ class TestInitialCondition:
             lambda s: np.where(np.asarray(s) < 0, 1.0, 0.0), sup_norm=1.0
         )
         assert not left_indicator.integrable_tail
+
+    def test_phi_above_sup_norm_rejected(self):
+        with pytest.raises(KppError, match=r"\|phi\| reaches 5 .*above sup_norm 0.5"):
+            InitialCondition.bounded(lambda s: 5.0 + 0.0 * np.asarray(s), sup_norm=0.5)
+
+    def test_phi_nan_on_the_probe_grid_rejected(self):
+        # the probe grid of the tail test reads phi on [-60, 0]
+        with pytest.raises(KppError, match="phi is not finite on the \\[0, 60\\] probe grid"):
+            InitialCondition.bounded(
+                lambda s: np.where(np.abs(np.asarray(s) + 1.0) < 0.5, np.nan, 0.5), sup_norm=0.5
+            )
+
+    def test_phi_nan_on_the_march_grid_rejected(self):
+        # NaN only at s > 0, which the probe grid never reads: the march grid does
+        init = InitialCondition.bounded(
+            lambda s: np.where(np.asarray(s) > 2.0, np.nan, 0.5), sup_norm=0.5
+        )
+        grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
+        with pytest.raises(KppError, match="phi is not finite on the march grid .*sup_norm 0.5"):
+            solve_U(QUADRATIC, init, grid)
+
+    def test_phi_above_sup_norm_on_the_march_grid_rejected(self):
+        init = InitialCondition.bounded(
+            lambda s: np.where(np.asarray(s) > 2.0, 0.9, 0.5), sup_norm=0.5
+        )
+        grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
+        with pytest.raises(KppError, match="reaches 0.9 on the march grid, above sup_norm 0.5"):
+            solve_U(QUADRATIC, init, grid)
 
     def test_barrier_kind_rejected_by_solve_U(self):
         # barrier data has no InitialCondition kind; solve_V builds it
@@ -455,25 +484,25 @@ class TestDiagnostics:
         assert diag["steps"] == grid.nt
         assert 0.0 <= diag["max_guard_drift"] <= 1e-6
 
+    # InitialCondition.bounded refuses non-finite phi, so these feed the
+    # march its start field directly: its own guard must still hold
+
     def test_non_finite_field_raises(self):
         grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
-        init = InitialCondition.bounded(
-            lambda s: np.where(np.abs(np.asarray(s)) < 1.0, np.nan, 0.0), sup_norm=0.0
-        )
+        u0 = np.where(np.abs(grid.x) < 1.0, np.nan, 0.0)
         with pytest.raises(KppError, match="non-finite"):
-            solve_U(QUADRATIC, init, grid)
+            kpp_module._march(QUADRATIC, u0, grid, None, "U_phi", None)
 
     @pytest.mark.parametrize("mech", [QUADRATIC, pure_stable(1.0, 1.5, 1.0)], ids=["logistic", "table"])
     @pytest.mark.parametrize("nodes", [(4.95, 6.0), (4.75, 4.95), (-6.0, -4.95)], ids=["left edge", "left guard", "right edge"])
     def test_non_finite_guard_node_raises(self, mech, nodes):
-        # a NaN that starts in the edge guard cells must still stop the march
+        # a NaN that starts in the edge guard cells must still stop the march;
+        # phi(s) is NaN for s in nodes, which is -x in field coordinates
         grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
         lo, hi = nodes
-        init = InitialCondition.bounded(
-            lambda s: np.where((np.asarray(s) > lo) & (np.asarray(s) < hi), np.nan, 0.5), sup_norm=0.5
-        )
+        u0 = np.where((-grid.x > lo) & (-grid.x < hi), np.nan, 0.5)
         with pytest.raises(KppError, match="field became non-finite at t=0.010"):
-            solve_U(mech, init, grid)
+            kpp_module._march(mech, u0, grid, None, "U_phi", None)
 
 
 # ---------------------------------------------------------------------------

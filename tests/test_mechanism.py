@@ -342,10 +342,10 @@ def logistic_reference(mech: BranchingMechanism, t: float, v0) -> np.ndarray:
     growth = math.exp(mech.alpha * t)
     slope = mech.beta * math.expm1(mech.alpha * t) / mech.alpha
     arr = np.asarray(v0, dtype=float)
-    pos = np.maximum(arr, 0.0)
-    if pos.max(initial=0.0) == math.inf:
-        top = pos == math.inf
+    top = np.isposinf(arr)
+    if top.any():
         return np.where(top, growth / slope, logistic_reference(mech, t, np.where(top, 0.0, arr)))
+    pos = np.maximum(arr, 0.0)
     return np.where(arr < 0, growth * arr, growth * pos / (1.0 + slope * pos))
 
 
@@ -402,12 +402,18 @@ class TestFlowMapFastPaths:
     @pytest.mark.parametrize("mech", [QUADRATIC, BranchingMechanism(alpha=2.0, beta=0.5)])
     def test_logistic_keeps_the_bits(self, mech, t):
         flow = flow_map(mech, t)
-        # NaN beside inf hides the inf from the inf branch, so inf/inf warns
-        with np.errstate(invalid="ignore"):
-            for name, v0 in mixed_inputs(lambda_star(mech)).items():
-                assert same_bits(flow(v0), logistic_reference(mech, t, v0)), name
-                for v in v0:
-                    assert same_bits(flow(v), logistic_reference(mech, t, v)), (name, v)
+        for name, v0 in mixed_inputs(lambda_star(mech)).items():
+            assert same_bits(flow(v0), logistic_reference(mech, t, v0)), name
+            for v in v0:
+                assert same_bits(flow(v), logistic_reference(mech, t, v)), (name, v)
+
+    def test_logistic_infinity_beside_nan(self):
+        # a NaN in the same array once hid the inf, which then mapped to NaN
+        flow = flow_map(QUADRATIC, 0.5)
+        out = flow(np.array([math.nan, math.inf, 1.0]))
+        assert math.isnan(out[0])
+        assert same_bits(out[1:], flow(np.array([math.inf, 1.0])))
+        assert out[1] == pytest.approx(2.5415, abs=1e-4)
 
     @pytest.mark.parametrize("t", [0.01, 0.37, 2.0])
     @pytest.mark.parametrize("name", sorted(TABLE_MECHANISMS))

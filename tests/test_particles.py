@@ -233,12 +233,58 @@ class TestEngineBasics:
             assert s.survived
             assert math.isnan(s.m_path[-1])
 
+    def test_an_exploding_replica_never_holds_far_more_than_the_cap(self, monkeypatch):
+        # every array of particles passes through _counts; none may hold much
+        # more than the cap for one replica, though the mean grows to 2 e^12
+        largest = []
+        counts = particles_module._counts
+
+        def spy(owner, n):
+            c = counts(owner, n)
+            largest.append(int(c.max(initial=0)))
+            return c
+
+        monkeypatch.setattr(particles_module, "_counts", spy)
+        res = simulate(SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=12.0, seed=3,
+                                 n_replicas=20, stats_only=True, explosion_cap=500))
+        assert sum(s.exploded for s in res.stats) >= 10
+        assert max(largest) <= 3 * 500
+
     def test_replica_mass_is_particle_count_times_epsilon(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.2,
                         seed=4, n_replicas=3)
         res = simulate(cfg)
         for stats, snaps in zip(res.stats, res.clouds):
             assert stats.mass_path[-1] == pytest.approx(snaps[-1].total_mass)
+
+
+class TestEventCounts:
+    def _final_count(self, res, cfg) -> int:
+        return round(float(np.sum(res.mass_values())) / cfg.epsilon)
+
+    def test_counts_balance_the_population(self):
+        cfg = SimConfig(mech=ATOMIC, epsilon=0.05, dt=0.002, t_end=0.5, seed=9, n_replicas=40,
+                        stats_only=True)
+        res = simulate(cfg)
+        d = res.diagnostics
+        assert not any(s.exploded for s in res.stats)
+        assert d["pruned"] == d["barrier_emptied"] == 0
+        assert d["splits"] > 0 and d["deaths"] > 0
+        assert d["jump_copies"] > d["jumps"] > 0
+        n0 = cfg.initial_positions().size
+        assert 40 * n0 + d["splits"] + d["jump_copies"] - d["deaths"] == self._final_count(res, cfg)
+
+    def test_pruned_particles_close_the_balance(self):
+        cfg = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=4.0, seed=55, n_replicas=40,
+                        stats_only=True, barrier_offset=3.0)
+        res = simulate(cfg)
+        d = res.diagnostics
+        assert not any(s.exploded for s in res.stats)
+        assert d["pruned"] > 0 and d["jumps"] == d["jump_copies"] == 0
+        extinct = sum(1 for s in res.stats if not s.survived)
+        assert 0 < d["barrier_emptied"] <= extinct
+        n0 = cfg.initial_positions().size
+        assert (40 * n0 + d["splits"] - d["deaths"] - d["pruned"]) == self._final_count(res, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -322,9 +368,59 @@ class TestExactRightmostLaw:
         assert np.all(np.abs(empirical - oracle) < 4.0 * se)
 
 
+class TestSteppedLaw:
+    def test_mean_population_follows_the_stepped_law(self):
+        # epsilon 1 gives N0 = 1 and rates 1.5 (split) and 0.5 (death), so
+        # rate * dt = 0.2.  Each step multiplies the mean population by
+        # 1 + (1.5 - 0.5) * 0.1 = 1.1: 1.1**30 = 17.45 at t = 3, where the
+        # continuous process has e^3 = 20.09.  At seeds 5-7 the mean sat
+        # +1.7, -0.8 and +1.0 standard errors from the first and -7.2,
+        # -10.1 and -8.1 from the second
+        n = 6000
+        cfg = SimConfig(mech=QUADRATIC, epsilon=1.0, dt=0.1, t_end=3.0, seed=5, n_replicas=n,
+                        stats_only=True)
+        assert (cfg.table.split_rate, cfg.table.death_rate) == (1.5, 0.5)
+        pop = simulate(cfg).mass_values()
+        se = pop.std(ddof=1) / math.sqrt(n)
+        assert abs(pop.mean() - 1.1 ** 30) < 4.0 * se
+        assert abs(pop.mean() - math.exp(3.0)) > 4.0 * se
+
+
+class TestBarrierWalk:
+    def test_walk_matches_a_step_by_step_loop(self):
+        # particles of five replicas walk from random steps and positions
+        # near the line; the loop moves each one step at a time with its
+        # replica's normals, in the engine's order, and notes its first
+        # step below the line
+        cfg = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=3.0, seed=1, n_replicas=1,
+                        barrier_offset=0.5)
+        law = particles_module._Law(cfg)
+        rng = np.random.default_rng(4)
+        seeds = np.random.SeedSequence(9).spawn(5)
+        owner = np.sort(rng.integers(0, 5, 400))
+        born = rng.integers(150, 200, owner.size)
+        to = born + rng.integers(0, 40, owner.size)
+        x = law.levels[200] + rng.normal(0.5, 0.6, owner.size)
+        group = particles_module._Group(owner, x, born, to + 5)
+        x_end, cut = particles_module._walk(law, particles_module._Streams(seeds), group, to, 5)
+        want_x, want_cut = x.copy(), np.zeros(owner.size, dtype=np.int64)
+        for k, seed in enumerate(seeds):
+            child = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (1,))
+            z = iter(np.random.default_rng(child).standard_normal(int((to - born)[owner == k].sum())))
+            for i in np.flatnonzero(owner == k):
+                for step in range(born[i] + 1, to[i] + 1):
+                    want_x[i] += math.sqrt(cfg.dt) * next(z)
+                    if want_cut[i] == 0 and want_x[i] < law.levels[step]:
+                        want_cut[i] = step
+        assert 50 < np.count_nonzero(want_cut) < 350
+        assert np.array_equal(cut, want_cut)
+        kept = want_cut == 0
+        assert np.allclose(x_end[kept], want_x[kept], rtol=0.0, atol=1e-12)
+
+
 class TestFrontTracking:
     def test_speed_band_at_t_twenty(self):
-        # measured once at this seed: mean M/t = 1.281, inside the band
+        # measured once at this seed: mean M/t = 1.255 (s.e. 0.017), inside the band
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.01, t_end=20.0,
                         seed=101, n_replicas=60, stats_only=True,
                         barrier_offset=5.0)
@@ -414,8 +510,9 @@ class TestJointFrontStats:
 # frozen random streams
 #
 # Digests of every replica's paths, flags and cloud positions, recorded
-# from the per-replica engine that marched one replica at a time.  The
-# engine must reproduce them bit for bit however it lays out the work.
+# from the engine that marches each particle from event to event.  The
+# engine must reproduce them bit for bit however it lays out the work:
+# group sizes, draw buffers and worker processes.
 
 
 def _digest(result) -> str:
@@ -435,22 +532,22 @@ FROZEN = {
     "quadratic": (
         dict(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=1.0, seed=1, n_replicas=5,
              snapshot_times=(0.5, 1.0)),
-        "6d70344c4d1a10a5a360f6537ecf244e8c0c981e370cef61fac2f109366d3318",
+        "16def8a7c8ba8f88d23960e0b8e36f49a5cdc99bdc3b6a2be367b78337bebb27",
     ),
     "atoms": (
         dict(mech=ATOMIC, epsilon=0.05, dt=0.002, t_end=0.5, seed=9, n_replicas=6,
              snapshot_times=(0.2, 0.5)),
-        "2a00abd2126647894525f6d7c27ff916ec9248bbb75bff57b037605aad5d49fe",
+        "6bf56d4692acde800bcc3330e6beeaf3a24cdd72062930a4f14f5db4854eaf1b",
     ),
     "barrier": (
         dict(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=4.0, seed=55, n_replicas=6,
              barrier_offset=3.0, snapshot_times=(1.0, 2.5, 4.0)),
-        "4eff512f306b676d26fe5d00c05c8321304101e8e8c891926816c238bc27d5ee",
+        "4a21aabdd2512745530859abad3db38a5d99c79dc7655fdd92eac91f164f2b30",
     ),
     "explosion": (
         dict(mech=QUADRATIC, epsilon=0.05, dt=0.002, t_end=3.0, seed=12, n_replicas=6,
              explosion_cap=60, snapshot_times=(1.0, 2.0, 3.0)),
-        "aa2269fd24c08346113e071caef3efef49a2356258d8c11bd18565d6871488a3",
+        "d04f5d9d4fd7274fc48d24064641f8bb515988706839237889e632093bd0a2be",
     ),
     "empty": (
         dict(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.5, seed=3, n_replicas=3,
@@ -461,7 +558,7 @@ FROZEN = {
         dict(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=2.0, seed=5, n_replicas=150,
              snapshot_times=(1.0, 2.0),
              initial=PointMeasure(np.array([0.0, -0.5]), np.array([1.0, 0.5]))),
-        "d1e59ff0cb54df75cf621445c1b9261152017473c1e4e118657a02cbec44cc6b",
+        "5f363fadc6a74fba278388c912d0a09ef9582243a662bdacfd67bb25c3fb457c",
     ),
 }
 
@@ -473,30 +570,33 @@ class TestFrozenStreams:
         assert _digest(simulate(SimConfig(**kwargs))) == digest
 
     @pytest.mark.parametrize("name", ["groups", "barrier", "atoms"])
-    @pytest.mark.parametrize("replicas,particles", [(1, 1), (3, 40), (16, 1 << 30)])
-    def test_group_layout_does_not_change_the_streams(self, monkeypatch, name, replicas, particles):
-        # tiny groups and eager halving march the replicas in many layouts
+    @pytest.mark.parametrize(
+        "replicas,buffer", [(1, 1), (3, 7), (64, particles_module._BUFFER_DRAWS)]
+    )
+    def test_group_layout_does_not_change_the_streams(self, monkeypatch, name, replicas, buffer):
+        # tiny groups and buffers march and draw in many layouts: a buffer of
+        # one draw refills, or reads past itself, on nearly every take
         monkeypatch.setattr(particles_module, "_GROUP_REPLICAS", replicas)
-        monkeypatch.setattr(particles_module, "_GROUP_PARTICLES", particles)
+        monkeypatch.setattr(particles_module, "_BUFFER_DRAWS", buffer)
         kwargs, digest = FROZEN[name]
         assert _digest(simulate(SimConfig(**kwargs))) == digest
 
     def test_frozen_values_in_the_clear(self):
         res = simulate(SimConfig(**FROZEN["quadratic"][0]))
-        assert res.stats[0].m_path == (1.3828673264077782, 1.0073468669440018)
-        assert [s.extinction_time for s in res.stats] == [None, None, 0.405, 0.755, None]
+        assert res.stats[0].m_path == (0.5439335171321195, 1.1730388555962665)
+        assert [s.extinction_time for s in res.stats] == [None, None, None, None, 0.55]
 
     def test_explosion_mid_run_is_never_marked_extinct(self):
         res = simulate(SimConfig(**FROZEN["explosion"][0]))
-        assert [s.exploded for s in res.stats] == [True] * 5 + [False]
-        # replica 3 trips the cap between the first two snapshots
-        assert res.stats[3].m_path[0] == 1.61088251626685
-        assert all(math.isnan(v) for v in res.stats[3].m_path[1:])
-        assert len(res.clouds[3]) == 1
-        for s in res.stats[:5]:
+        assert [s.exploded for s in res.stats] == [True] * 3 + [False] + [True] * 2
+        # replica 2 trips the cap between the first two snapshots
+        assert res.stats[2].m_path[0] == 1.2134595108505046
+        assert all(math.isnan(v) for v in res.stats[2].m_path[1:])
+        assert len(res.clouds[2]) == 1
+        for s in res.stats[:3] + res.stats[4:]:
             assert s.extinction_time is None and s.survived
-        assert res.stats[5].extinction_time == 1.118
-        assert res.stats[5].m_path[1:] == (-math.inf, -math.inf)
+        assert res.stats[3].extinction_time == 0.79
+        assert res.stats[3].m_path[1:] == (-math.inf, -math.inf)
 
     def test_replica_stats_do_not_depend_on_n_replicas(self):
         kwargs = dict(FROZEN["atoms"][0], snapshot_times=(0.2, 0.5))
@@ -509,6 +609,35 @@ class TestFrozenStreams:
         for ca, cb in zip(few.clouds, many.clouds[:3]):
             for snap_a, snap_b in zip(ca, cb):
                 assert np.array_equal(snap_a.positions, snap_b.positions)
+
+
+class TestDrawBuffers:
+    @pytest.mark.parametrize("buffer", [1, 7, particles_module._BUFFER_DRAWS])
+    @pytest.mark.parametrize("stream,kind", [(0, "clocks"), (1, "moves"), (2, "kinds")])
+    def test_two_takes_read_what_one_take_reads(self, monkeypatch, stream, kind, buffer):
+        monkeypatch.setattr(particles_module, "_BUFFER_DRAWS", buffer)
+        seeds = np.random.SeedSequence(3).spawn(3)
+
+        def read(takes):
+            draws = getattr(particles_module._Streams(seeds), kind)
+            parts = [[], [], []]
+            for counts in takes:
+                counts = np.array(counts)
+                out = draws.take(counts)
+                for k, part in enumerate(np.split(out, np.cumsum(counts)[:-1])):
+                    parts[k].append(part)
+            return [np.concatenate(p) for p in parts]
+
+        split = read([(5, 0, 300), (2, 9, 1), (0, 40, 3)])
+        whole = read([(7, 49, 304)])
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(split[k], whole[k])
+            # replica k reads child (k, stream) of the seed, spawned from its key
+            child = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (stream,))
+            rng = np.random.default_rng(child)
+            n = whole[k].size
+            direct = rng.standard_normal(n) if kind == "moves" else rng.random(n)
+            assert np.array_equal(whole[k], direct)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +653,14 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _layout(result) -> dict:
+    return {k: result.diagnostics[k] for k in ("groups", "workers")}
+
+
+def _events(result) -> dict:
+    return {k: v for k, v in result.diagnostics.items() if k not in ("groups", "workers")}
+
+
 @needs_fork
 class TestWorkerProcesses:
     def test_pool_path_equals_serial_path(self, monkeypatch):
@@ -532,15 +669,16 @@ class TestWorkerProcesses:
         pooled = simulate(SimConfig(**kwargs))
         _cpus(monkeypatch, 1)
         serial = simulate(SimConfig(**kwargs))
-        assert pooled.diagnostics == {"groups": 3, "workers": 2}
-        assert serial.diagnostics == {"groups": 3, "workers": 1}
+        assert _layout(pooled) == {"groups": 3, "workers": 2}
+        assert _layout(serial) == {"groups": 3, "workers": 1}
+        assert _events(pooled) == _events(serial)
         assert pooled.clouds is not None
         assert _digest(pooled) == _digest(serial) == digest
 
     def test_one_group_marches_in_process(self, monkeypatch):
         _cpus(monkeypatch, 2)
         res = simulate(SimConfig(**FROZEN["quadratic"][0]))
-        assert res.diagnostics == {"groups": 1, "workers": 1}
+        assert _layout(res) == {"groups": 1, "workers": 1}
 
     def test_no_worker_outlives_simulate(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -606,8 +744,8 @@ def _batchwise_clusters(config, z, t, n_accept, max_attempts):
 STREAM_CASES = {
     # the first group of the second batch fills the sample
     "mid-batch": (21, -6.0, {"batches": 2, "groups": 3}),
-    # the last group of the twelfth batch fills it
-    "batch-boundary": (24, 0.5, {"batches": 12, "groups": 24}),
+    # the last group of the tenth batch fills it
+    "batch-boundary": (24, 0.45, {"batches": 10, "groups": 20}),
 }
 
 
