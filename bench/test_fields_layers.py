@@ -30,6 +30,11 @@ Two rows on one march step of the `jumps` workload's `kpp` pipeline
 
 Both pin their output bits, so a faster step must keep every bit.
 
+One ``check_hypotheses`` on that mechanism, the first stage of the `jumps`
+workload's `mech-check` pipeline, and one ``solve_hA`` at the `barriers`
+pipeline's defaults (a 1, b 1, theta 1, A 5).  Both pin their output bits
+too: the report's fields as JSON, and the profile nodes and values.
+
 Run from the repository root with pytest-benchmark installed:
 
     python -m pytest bench --benchmark-json=bench-fields.json
@@ -38,16 +43,19 @@ Run from the repository root with pytest-benchmark installed:
 collects nor waits for it.
 """
 
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sbmlab.barriers import solve_hA
 from sbmlab.feynman_kac import fk_estimate
 from sbmlab.fronts import constant_C_tilde
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
-from sbmlab.mechanism import BranchingMechanism, LevyMeasure, flow_map
+from sbmlab.mechanism import BranchingMechanism, LevyMeasure, check_hypotheses, flow_map
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
 JUMPS = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(1.0, 1.5, 5.0))
@@ -131,3 +139,14 @@ def test_table_flow_map_1255_node_row(benchmark):
     out = benchmark(flow, row)
     assert row.shape == (1255,)
     assert _sha(out) == "4530a43dabc16ced6a1423de3157728ee92181743494e13812a59a7037bc64b0"
+
+
+def test_check_hypotheses_jumps(benchmark):
+    report = benchmark.pedantic(check_hypotheses, args=(JUMPS,), rounds=7, iterations=1, warmup_rounds=1)
+    digest = hashlib.sha256(json.dumps(dataclasses.asdict(report)).encode()).hexdigest()
+    assert digest == "2bc38d73c09831c479e560ebae89ec29aeb69f9af5f660c912b3bea0dd327eda"
+
+
+def test_solve_hA_barriers_defaults(benchmark):
+    sol = benchmark.pedantic(solve_hA, args=(1.0, 1.0, 1.0, 5.0), rounds=7, iterations=1, warmup_rounds=1)
+    assert _sha(np.concatenate((sol.x, sol.h))) == "a1fc13b41bb952e3158866ff56395511de239ac61644c4812f3321a0cd3bdd5c"

@@ -6,11 +6,11 @@ family of numerical experiments that probe its front behavior:
 * ``mechanism``: mechanism algebra, hypothesis checks, normalization.
 * ``csbp``: the total-mass ordinary differential equation and extinction.
 * ``kpp``: reaction-diffusion solver, centering, and median tracking.
-* ``feynman_kac``: path-integral representations and barrier diagnostics.
-* ``fronts``: traveling waves and the front limit constants.
+* ``feynman_kac``: path-integral representations and barrier curves.
+* ``fronts``: the front limit constants.
 * ``particles``: branching-particle approximation of the measure process.
-* ``extremal``: decorated Poisson point process sampling and identities.
-* ``barriers``: blow-up profiles and strip confinement bounds.
+* ``extremal``: decorated Poisson point process sampling and its stability check.
+* ``barriers``: blow-up profiles and the constants of the strip confinement bound.
 """
 
 from .mechanism import (

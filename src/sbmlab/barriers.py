@@ -1,4 +1,4 @@
-"""Blow-up boundary layers, strip-confinement bounds, and tail integrability.
+"""Blow-up boundary layers and the constants of the strip-confinement bound.
 
 The central object is the even solution h_A of the stationary problem
 
@@ -18,9 +18,9 @@ tends to a multiple of e^{w/2} at the centre; beyond 2 h0 in
 s = z**(-theta/2), where it is bounded and smooth up to s = 0, so infinity
 needs no cutoff.  Both pieces depend on h0 only through h0**theta.
 
-From h_A the module evaluates a closed-form upper bound for the negative
-log probability that a cloud started at x stays inside [-A, A] up to time
-t:
+Together with h_A, the module's constants give a closed-form upper bound
+for the negative log probability that a cloud started at x stays inside
+[-A, A] up to time t:
 
     h_A(x) * exp(-(c4 * (A - |x|)**2 / t - a * t - c5)).
 
@@ -30,14 +30,7 @@ curvature bound K; a damping delta < 1/K then gives
 c4 = delta * inf f(y) / (1 - y)**2, and c5 is the smallest value passing
 the two sufficient inequalities (checked on a time grid, found by
 bisection).  That c5 is sufficient, not sharp, so the bound is conservative
-by orders of magnitude; the Monte Carlo cross-check is one-sided for
-exactly this reason.
-
-The integrability check consumes a barrier field V and verifies the
-Gaussian-type spatial decay that makes int_0^inf V(t, x) x e^{theta x} dx
-finite: a straight-line fit of log V against x^2 on the far right tail must
-return a negative slope, and the weighted integral is reported as a grid
-part plus a closed-form Gaussian tail extrapolation.
+by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -48,18 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erfc
 
-from .kpp import Field, _as_float
+from .kpp import _as_float
 from .mechanism import _GAUSS_NODES, _GAUSS_WEIGHTS
 
 __all__ = [
     "BarriersError",
-    "TailFitError",
     "BlowupSolution",
     "ShapeWitness",
     "StripConstants",
-    "IntegrabilityReport",
     "equilibrium",
     "c2_constant",
     "c4_convexity",
@@ -69,8 +59,6 @@ __all__ = [
     "strip_constants",
     "solve_hA",
     "sandwich_bounds",
-    "strip_bound",
-    "v_integrability_check",
 ]
 
 #: Cells of the Chebyshev grid on [-A, A] whose interior nodes carry the profile.
@@ -93,10 +81,6 @@ _WITNESS_GRID = 20001
 
 class BarriersError(ValueError):
     """Invalid input or violated precondition in the barrier machinery."""
-
-
-class TailFitError(BarriersError):
-    """The far-tail window of the field was too thin or did not decay."""
 
 
 def equilibrium(a: float, b: float, theta: float) -> float:
@@ -475,124 +459,4 @@ def _strip_constants(a: float, b: float, theta: float) -> StripConstants:
     return StripConstants(
         a=float(a), b=float(b), theta=float(theta),
         c1=c1, c2=c2, c3=c3, witness=witness, c5=float(hi),
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _solved(a: float, b: float, theta: float, A: float) -> BlowupSolution:
-    return solve_hA(a, b, theta, A)
-
-
-def strip_bound(
-    a: float,
-    b: float,
-    theta: float,
-    A: float,
-    x: float,
-    t: float,
-) -> float:
-    """Upper bound for -log P(no mass leaves [-A, A] before t), start at x.
-
-    Evaluates h_A(x) * exp(-(c4 (A - |x|)^2 / t - a t - c5)) with the
-    documented defaults: c4 from the shape witness, c5 from bisection.
-    Conservative by construction; useful as a one-sided comparison.
-    """
-    a, b, theta = _mechanism_args(a, b, theta)
-    A, x, t = (_as_float(n, v, BarriersError) for n, v in (("A", A), ("x", x), ("t", t)))
-    if not abs(x) < A:
-        raise BarriersError("need |x| < A")
-    if t <= 0.0:
-        raise BarriersError("need t > 0")
-    constants = strip_constants(a, b, theta)
-    h_x = _solved(a, b, theta, A).interpolate(x)
-    exponent = constants.c4 * (A - abs(x)) ** 2 / t - a * t - constants.c5
-    with np.errstate(over="ignore"):
-        return float(h_x * np.exp(-exponent))
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Tail fit and weighted integral of a barrier field at its last time.
-
-    The fit is log V = intercept + slope * x^2 over ``fit_window``; the
-    reported integral of V(t, x) x e^{theta x} over x >= 0 is the grid
-    trapezoid plus the closed-form Gaussian continuation beyond the domain
-    edge implied by the fit.
-    """
-
-    theta: float
-    time: float
-    slope: float
-    intercept: float
-    fit_window: tuple[float, float]
-    n_fit_points: int
-    grid_part: float
-    tail_part: float
-
-    @property
-    def integral(self) -> float:
-        return self.grid_part + self.tail_part
-
-
-def _gaussian_tail(
-    x0: float, slope: float, intercept: float, theta: float
-) -> float:
-    """Closed form of int_{x0}^inf x exp(intercept + slope x^2 + theta x) dx."""
-    s = -slope
-    mu = theta / (2.0 * s)
-    amp = math.exp(intercept + theta * theta / (4.0 * s))
-    u0 = x0 - mu
-    first = math.exp(-s * u0 * u0) / (2.0 * s)
-    second = mu * 0.5 * math.sqrt(math.pi / s) * float(erfc(math.sqrt(s) * u0))
-    return amp * (first + second)
-
-
-def v_integrability_check(field_V: Field, theta: float) -> IntegrabilityReport:
-    """Verify Gaussian-type right-tail decay of V and report the weighted
-    integral int_0^inf V(t, x) x e^{theta x} dx at the field's last time.
-
-    The fit window is where V has fallen to between 1e-14 and 1e-3 of its
-    right-half peak (and stays above hard floor 1e-250); fewer than six
-    usable points or a non-negative fitted slope raises.  theta = 0 is
-    accepted even though the interesting weights are positive; the integral
-    only gets smaller.
-    """
-    if theta < 0.0:
-        raise BarriersError("theta must be nonnegative")
-    t = float(field_V.times[-1])
-    xs = field_V.grid.x
-    v = field_V.at(t)
-    right = xs >= 0.0
-    x_r = xs[right]
-    v_r = np.maximum(v[right], 0.0)
-    peak = float(np.max(v_r))
-    if peak <= 0.0:
-        raise TailFitError("field vanishes on the right half; nothing to fit")
-
-    window = (v_r <= 1e-3 * peak) & (v_r >= max(1e-14 * peak, 1e-250))
-    if int(np.count_nonzero(window)) < 6:
-        raise TailFitError(
-            "tail fit window has fewer than 6 points; widen the domain"
-        )
-    xw = x_r[window]
-    logv = np.log(v_r[window])
-    slope, intercept = np.polyfit(xw * xw, logv, 1)
-    if slope >= 0.0:
-        raise TailFitError(f"fitted quadratic coefficient {slope:.3e} is not negative")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = v_r * x_r * np.exp(theta * x_r)
-    weighted = np.where(np.isfinite(weighted), weighted, 0.0)
-    grid_part = float(np.trapezoid(weighted, x_r))
-    tail_part = _gaussian_tail(float(x_r[-1]), float(slope), float(intercept), theta)
-
-    return IntegrabilityReport(
-        theta=float(theta),
-        time=t,
-        slope=float(slope),
-        intercept=float(intercept),
-        fit_window=(float(xw[0]), float(xw[-1])),
-        n_fit_points=int(xw.size),
-        grid_part=grid_part,
-        tail_part=tail_part,
     )

@@ -29,8 +29,6 @@ from .kpp import SQRT2
 from .particles import NEG_INF, ConditionedClusterSample, PointMeasure
 
 DEFAULT_EXPECTED_POINTS = 1000.0
-# length of the x window that cluster_shift_identity_check integrates over
-_SHIFT_EXTENT = 20.0
 
 
 class ExtremalError(ValueError):
@@ -304,56 +302,4 @@ def exp_stability_check(
         laplace_one=l_one,
         laplace_two=l_two,
         laplace_gaps=gaps,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cluster shift identity
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftIdentityReport:
-    """Both sides of the constant-ratio identity and their relative gap."""
-
-    constant_ratio: float
-    cluster_integral: float
-    relative_gap: float
-
-
-def cluster_shift_identity_check(
-    phi,
-    C_phi: float,
-    C_tilde_0: float,
-    bank: ClusterBank,
-    dx: float = 0.02,
-) -> ShiftIdentityReport:
-    """Compare C(phi)/C_tilde_0 with the bank functional it should equal.
-
-    The right side integrates sqrt(2) e^{-sqrt(2) x} times the bank
-    average of 1 - exp(-<phi(. + x), Delta>) over x.  For phi vanishing
-    left of a the integrand vanishes for x < a (cluster tips are at 0),
-    so the quadrature runs on [a, a + _SHIFT_EXTENT].
-    """
-    phi_eval = phi.evaluate if hasattr(phi, "evaluate") else phi
-    a = phi.support_left if hasattr(phi, "support_left") else 0.0
-    xs = np.arange(a, a + _SHIFT_EXTENT + dx / 2.0, dx)
-    mean_defect = np.zeros_like(xs)
-    for cluster in bank.clusters:
-        inner = np.zeros_like(xs)
-        for j, x in enumerate(xs):
-            vals = np.asarray(phi_eval(cluster.locations + x), dtype=float)
-            inner[j] = float(np.sum(cluster.weights * vals))
-        mean_defect += -np.expm1(-inner)
-    mean_defect /= bank.size
-    integrand = SQRT2 * np.exp(-SQRT2 * xs) * mean_defect
-    integral = float(np.trapezoid(integrand, xs))
-    ratio = C_phi / C_tilde_0
-    if ratio == 0.0 and integral == 0.0:
-        gap = 0.0
-    else:
-        gap = abs(integral - ratio) / max(abs(ratio), 1e-300)
-    return ShiftIdentityReport(
-        constant_ratio=float(ratio),
-        cluster_integral=integral,
-        relative_gap=float(gap),
     )

@@ -25,6 +25,7 @@ a barrier evaluated along a bridge is read at field time t - s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +40,6 @@ __all__ = [
     "FkError",
     "RegionViolationError",
     "PathExitedFieldError",
-    "PathBelowBarrierError",
     "BarrierCurves",
     "BridgeSampler",
     "FkResult",
@@ -48,14 +48,10 @@ __all__ = [
     "bridge_crossing_prob",
     "psi_sandwich",
     "psi1_psi2_estimate",
-    "k_integral_diagnostic",
-    "k_integral_deviation_bound",
 ]
 
 # time steps per bridge in psi1_psi2_estimate
 _BRIDGE_STEPS = 1000
-# s nodes on [2 r, t - r] for the growth integrals along a path
-_K_GRID = 2001
 
 
 class FkError(ValueError):
@@ -68,10 +64,6 @@ class RegionViolationError(FkError):
 
 class PathExitedFieldError(FkError):
     """A Monte Carlo path left the spatial grid of the field."""
-
-
-class PathBelowBarrierError(FkError):
-    """A supplied path dips below the upper barrier it must clear."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +307,6 @@ def _survival_step_factor(d_prev: np.ndarray, d_new: np.ndarray, h: float) -> np
     return fac
 
 
-def _growth_rate(
-    mech: BranchingMechanism | None, k_fn: Callable[[np.ndarray], np.ndarray] | None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """k_fn when given, else the mechanism's growth rate k."""
-    if k_fn is not None:
-        return k_fn
-    if mech is None:
-        raise FkError("provide a mechanism or an explicit k_fn")
-    return lambda u: mechanism_k(mech, u)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo representation
 
@@ -365,7 +346,10 @@ def fk_estimate(
         raise FkError("need 0 <= r <= t")
     if n_paths < 1:
         raise FkError("n_paths must be at least 1")
-    k_fn = _growth_rate(mech, k_fn)
+    if k_fn is None:
+        if mech is None:
+            raise FkError("provide a mechanism or an explicit k_fn")
+        k_fn = functools.partial(mechanism_k, mech)
     if r == t:
         return FkResult(mean=float(field.interp(t, x)), std_error=0.0, n_paths=0)
 
@@ -536,84 +520,3 @@ def psi1_psi2_estimate(
     psi1, psi2 = (growth * float(np.sum(coef * weight * row)) for row in surv)
     se1, se2 = (growth * math.sqrt(float(np.sum((coef * weight) ** 2 * row))) for row in var)
     return Psi12Result(psi1=psi1, se1=se1, psi2=psi2, se2=se2, n_bridges=n_bridges)
-
-
-# ---------------------------------------------------------------------------
-# growth diagnostics
-
-
-def _path_values(
-    field: Field,
-    path: Callable[[float], float],
-    s_grid: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.array([float(path(s)) for s in s_grid])
-    u = np.array([float(field.interp(t - s, p)) for s, p in zip(s_grid, pos)])
-    return pos, u
-
-
-def k_integral_diagnostic(
-    field: Field,
-    path: Callable[[float], float],
-    r: float,
-    t: float,
-    curves: BarrierCurves,
-    mech: BranchingMechanism | None = None,
-    k_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """exp of the growth integral along a path, normalized by its maximum.
-
-    Integrates k(u(t - s, path(s))) over s in [2r, t - r] by trapezoid and
-    returns exp(integral - (t - 3r)), which is 1 when the growth rate sits
-    at its cap along the whole path and at most 1 otherwise.  The path must
-    stay strictly above the upper barrier read at field time t - s.
-    """
-    r = _as_float("r", r, FkError)
-    t = _as_float("t", t, FkError)
-    if t <= 3.0 * r:
-        raise FkError("need t > 3 r for a nonempty integration window")
-    k_fn = _growth_rate(mech, k_fn)
-    s_grid = np.linspace(2.0 * r, t - r, _K_GRID)
-    pos, u = _path_values(field, path, s_grid, t)
-    bar = np.array([curves.M_bar(t - s) for s in s_grid])
-    if np.any(pos <= bar):
-        j = int(np.argmax(pos - bar <= 0.0))
-        raise PathBelowBarrierError(
-            f"path at s={s_grid[j]:.3f} sits at {pos[j]:.3f}, barrier {bar[j]:.3f}"
-        )
-    k_vals = np.asarray(k_fn(u), dtype=float)
-    integral = float(np.trapezoid(k_vals, s_grid))
-    return math.exp(integral - (t - 3.0 * r))
-
-
-def k_integral_deviation_bound(
-    field: Field,
-    path: Callable[[float], float],
-    r: float,
-    t: float,
-    curves: BarrierCurves,
-    mech: BranchingMechanism | None = None,
-    k_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    gamma: float = 2.0,
-) -> float:
-    """Integrable envelope for the growth deficit along a barrier path.
-
-    Fits the smallest c1 with 1 - k(u(t - s, path(s))) <= c1 * w(s)^(-a),
-    where w(s) = min(s, t - s) and a = delta (2 + gamma), then returns
-    2 c1 * r^(1 - a) / (a - 1), an upper bound for the full-line integral
-    of the envelope.  The diagnostic above is then at least exp(-bound).
-    """
-    r = _as_float("r", r, FkError)
-    t = _as_float("t", t, FkError)
-    k_fn = _growth_rate(mech, k_fn)
-    a = curves.delta * (2.0 + gamma)
-    if a <= 1.0:
-        raise FkError("delta (2 + gamma) must exceed 1 for an integrable envelope")
-    s_grid = np.linspace(2.0 * r, t - r, _K_GRID)
-    _, u = _path_values(field, path, s_grid, t)
-    deficit = 1.0 - np.asarray(k_fn(u), dtype=float)
-    deficit = np.maximum(deficit, 0.0)
-    w = np.minimum(s_grid, t - s_grid)
-    c1 = float(np.max(deficit * w**a))
-    return 2.0 * c1 * r ** (1.0 - a) / (a - 1.0)

@@ -1,4 +1,4 @@
-"""Front-limit constants, the traveling wave, and limit-law cross checks.
+"""Front-limit constants of the wave field and of the barrier field.
 
 The three constants share one numerical pattern: solve the field up to a
 ladder of reference times r, integrate the time-r profile ahead of sqrt(2) r
@@ -13,13 +13,6 @@ slowly decaying r corrections rather than trusting the fit residual.  The
 barrier-field constants C~ and C^ read the field V that ``kpp.solve_V``
 marches once from the truncation level theta = 1e4; the error bar covers
 neither that truncation nor the time-step bias of the march.
-
-The traveling wave is computed by shooting along the one-dimensional
-unstable manifold of the occupied state.  At the critical speed the origin
-is a degenerate node, so the connection is attracting in forward x and no
-boundary-value iteration is needed; the left tail of the table comes from
-the manifold linearization, which is accurate to the square of the starting
-offset.
 """
 
 from __future__ import annotations
@@ -28,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .kpp import (
     SQRT2,
@@ -37,26 +28,19 @@ from .kpp import (
     Grid1D,
     InitialCondition,
     _as_float,
-    front_m,
     solve_U,
     solve_V,
     tail_error_estimate,
 )
-from .mechanism import BranchingMechanism, check_hypotheses, lambda_star, psi
+from .mechanism import BranchingMechanism, check_hypotheses
 
 DEFAULT_R_LADDER = (4.0, 8.0, 16.0, 32.0)
 # room the constants' grids keep beyond what the top rung's overshoot integral reaches
 _PAD_SLACK = 4.0
-# domain padding of the field front_limit_check solves
-_FRONT_LIMIT_PAD = 25.0
 
 
 class FrontsError(ValueError):
     """Invalid input or a precondition failure in the front-constant layer."""
-
-
-class ShootingNotConvergedError(FrontsError):
-    """The wave trajectory did not reach the far side of the requested table."""
 
 
 class NonConvergentLadderError(FrontsError):
@@ -218,130 +202,6 @@ class TestFunction:
 
     def to_initial_condition(self) -> InitialCondition:
         return InitialCondition.bounded(self.evaluate, self.sup_norm)
-
-
-@dataclass(frozen=True, eq=False)
-class TravelingWave:
-    """Monotone wave profile table moving at the critical speed.
-
-    The table is non-increasing with values in [0, lam_star] and is
-    normalized so the profile crosses lam_star / 2 at x = 0.
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-    speed: float
-    lam_star: float
-
-    def evaluate(self, x) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        out = np.interp(arr, self.xs, self.values,
-                        left=float(self.values[0]), right=float(self.values[-1]))
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-
-def ode_residual(mech: BranchingMechanism, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Wave-equation defect 0.5 w'' + sqrt(2) w' - psi(w) on interior nodes.
-
-    Derivatives use fourth-order central stencils, so the defect of a smooth
-    exact profile is O(dx^4) and constants are reproduced to rounding.
-    """
-    xs = np.asarray(xs, dtype=float)
-    w = np.asarray(values, dtype=float)
-    if xs.shape != w.shape or xs.size < 5:
-        raise FrontsError("need matching xs and values with >= 5 points")
-    steps = np.diff(xs)
-    dx = float(steps[0])
-    if np.max(np.abs(steps - dx)) > 1e-9 * max(1.0, dx):
-        raise FrontsError("xs must be uniformly spaced")
-    wp = (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / (12.0 * dx)
-    wpp = (
-        -w[:-4] + 16.0 * w[1:-3] - 30.0 * w[2:-2] + 16.0 * w[3:-1] - w[4:]
-    ) / (12.0 * dx * dx)
-    return 0.5 * wpp + SQRT2 * wp - np.asarray(psi(mech, w[2:-2]), dtype=float)
-
-
-def traveling_wave_solve(
-    mech: BranchingMechanism,
-    half_width: float = 30.0,
-    dx: float = 0.01,
-) -> TravelingWave:
-    """Critical-speed wave by shooting from the occupied state.
-
-    The trajectory starts on the unstable manifold at distance 1e-8 below
-    lam_star and is integrated until the profile has decayed through the
-    whole table window; the left part of the table beyond the starting
-    point is filled with the manifold linearization.  The table keeps the
-    natural tail amplitude instead of pinning a boundary value at the right
-    edge, because the true profile at x = 30 sits far below any fixed small
-    pin and a pinned edge would distort the tail the table is for.
-    """
-    _require_unit_drift(mech)
-    half_width = _as_float("half_width", half_width, FrontsError)
-    dx = _as_float("dx", dx, FrontsError)
-    if half_width <= 0 or dx <= 0 or half_width < 10 * dx:
-        raise FrontsError("need positive dx and a table at least 10 dx wide")
-    lam = lambda_star(mech)
-    h = 1e-6
-    slope = (float(psi(mech, lam + h)) - float(psi(mech, lam - h))) / (2.0 * h)
-    if slope <= 0:
-        raise ShootingNotConvergedError("mechanism slope at lam_star must be positive")
-    mu = -SQRT2 + math.sqrt(2.0 + 2.0 * slope)
-    eps = 1e-8
-
-    def rhs(_x, state):
-        w, p = state
-        return [p, 2.0 * float(psi(mech, max(w, 0.0))) - 2.0 * SQRT2 * p]
-
-    def floor_event(_x, state):
-        return state[0] - 1e-19
-
-    floor_event.terminal = True
-    floor_event.direction = -1.0
-
-    x_max = 10.0 * half_width
-    sol = solve_ivp(
-        rhs,
-        (0.0, x_max),
-        [lam - eps, -mu * eps],
-        method="DOP853",
-        rtol=1e-12,
-        # per component: near the start p is about 1e-8 while psi(lam - d)
-        # carries rounding error near 1e-16, and a 1e-22 floor on p made the
-        # step controller chase that noise over tens of thousands of steps
-        atol=[1e-22, 1e-16],
-        dense_output=True,
-        events=floor_event,
-    )
-    if not sol.success:
-        raise ShootingNotConvergedError(f"wave integration failed: {sol.message}")
-    x_stop = float(sol.t[-1])
-
-    def profile(x):
-        return float(sol.sol(x)[0])
-
-    scan = np.linspace(0.0, x_stop, 4096)
-    below = scan[[profile(s) < lam / 2.0 for s in scan]]
-    if below.size == 0:
-        raise ShootingNotConvergedError("profile never reached lam_star / 2")
-    x_half = brentq(lambda s: profile(s) - lam / 2.0, 0.0, float(below[0]))
-    if x_half + half_width > x_stop:
-        raise ShootingNotConvergedError(
-            "trajectory ended before the right table edge; widen the floor"
-        )
-
-    n = round(2.0 * half_width / dx)
-    xs = np.linspace(-half_width, half_width, n + 1)
-    phys = xs + x_half
-    vals = np.empty_like(xs)
-    left = phys < 0.0
-    vals[left] = lam - eps * np.exp(mu * phys[left])
-    vals[~left] = sol.sol(phys[~left])[0]
-    vals = np.clip(vals, 0.0, lam)
-    vals = np.minimum.accumulate(vals)
-    return TravelingWave(xs=xs, values=vals, speed=SQRT2, lam_star=lam)
 
 
 @dataclass(frozen=True)
@@ -596,124 +456,3 @@ def constant_C_hat(
         vals.append(raw / (2.0 * delta * delta * r) * damp)
     value, err = _aitken(tuple(vals))
     return ConstantEstimate(value, err, rs, tuple(vals))
-
-
-def limit_wave_profile(c: float, z_samples, x) -> np.ndarray | float:
-    """-log E[exp(-c Z e^{-sqrt(2) x})] over an empirical sample of Z.
-
-    Non-increasing in x and bounded by -log P(Z = 0), so a sample with the
-    correct extinction atom keeps the profile inside [0, lam_star].
-    """
-    c = _as_float("c", c, FrontsError)
-    if c < 0:
-        raise FrontsError("c must be nonnegative")
-    z = np.asarray(z_samples, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise FrontsError("z_samples must be a nonempty 1-d array")
-    if np.any(z < 0):
-        raise FrontsError("z_samples must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    ee = np.exp(-SQRT2 * np.atleast_1d(arr))
-    means = np.mean(np.exp(-c * np.outer(ee, z)), axis=1)
-    out = -np.log(means)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out
-
-
-@dataclass(frozen=True)
-class FrontLimitReport:
-    """Self-consistency report for the rescaled front tail; no verdicts.
-
-    ``scaled`` holds t^{3/2} / ((3 / (2 sqrt(2))) log t) times the field at
-    sqrt(2) t + x, to be compared with ``target`` = C e^{-sqrt(2) x}; the
-    match sharpens only logarithmically in t.  ``u_at_front`` is the field
-    at the centered front position plus x, and ``wave_gaps`` compares it
-    with the sample-based limit profile when Z samples were supplied.
-    """
-
-    t_values: tuple[float, ...]
-    x: float
-    c_value: float
-    scaled: tuple[float, ...]
-    target: float
-    gaps: tuple[float, ...]
-    u_at_front: tuple[float, ...]
-    wave_value: float | None
-    wave_gaps: tuple[float, ...] | None
-
-
-def front_limit_check(
-    mech: BranchingMechanism,
-    phi: TestFunction,
-    t_ladder=(10.0, 20.0, 40.0),
-    x: float = 0.0,
-    c_phi: ConstantEstimate | float | None = None,
-    z_samples=None,
-    dx: float = 0.05,
-    dt: float = 0.01,
-) -> FrontLimitReport:
-    """Report how the rescaled field tail approaches its limit form.
-
-    Purely diagnostic: it returns the ladder of rescaled values, the target
-    built from the front constant, and the pointwise gaps, leaving any
-    pass-fail decision to the caller.
-    """
-    _require_unit_drift(mech)
-    ts = tuple(float(t) for t in t_ladder)
-    if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 1.0:
-        raise FrontsError("t_ladder must be increasing with entries > 1")
-    x = _as_float("x", x, FrontsError)
-    ic = _phi_precheck(phi)
-    if c_phi is None:
-        c_est = constant_C(mech, phi, dx=dx, dt=dt)
-        c_value = c_est.value
-    elif isinstance(c_phi, ConstantEstimate):
-        c_value = c_phi.value
-    else:
-        c_value = _as_float("c_phi", c_phi, FrontsError)
-
-    if phi.is_trivial:
-        zeros = tuple(0.0 for _ in ts)
-        return FrontLimitReport(
-            t_values=ts,
-            x=x,
-            c_value=0.0,
-            scaled=zeros,
-            target=0.0,
-            gaps=zeros,
-            u_at_front=zeros,
-            wave_value=0.0 if z_samples is not None else None,
-            wave_gaps=zeros if z_samples is not None else None,
-        )
-
-    grid = Grid1D.auto(ts[-1], dx=dx, dt=dt, pad=_FRONT_LIMIT_PAD)
-    field = solve_U(mech, ic, grid, snapshot_times=ts)
-    scaled = []
-    u_front = []
-    for t in ts:
-        u_val = float(field.interp(t, SQRT2 * t + x))
-        scale = t ** 1.5 / ((3.0 / (2.0 * SQRT2)) * math.log(t))
-        scaled.append(scale * u_val)
-        u_front.append(float(field.interp(t, front_m(mech.alpha, t) + x)))
-    target = c_value * math.exp(-SQRT2 * x)
-    if target > 0:
-        gaps = tuple(abs(s / target - 1.0) for s in scaled)
-    else:
-        gaps = tuple(abs(s) for s in scaled)
-    wave_value = None
-    wave_gaps = None
-    if z_samples is not None:
-        wave_value = float(limit_wave_profile(c_value, z_samples, x))
-        wave_gaps = tuple(abs(u - wave_value) for u in u_front)
-    return FrontLimitReport(
-        t_values=ts,
-        x=x,
-        c_value=c_value,
-        scaled=tuple(scaled),
-        target=target,
-        gaps=gaps,
-        u_at_front=tuple(u_front),
-        wave_value=wave_value,
-        wave_gaps=wave_gaps,
-    )

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 H1_GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 H1_NUMERIC_CAP = 1e12
@@ -464,7 +464,9 @@ def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
         lo = lam_star + 1.0
         xi = np.geomspace(lo, H2_CAP, 600)
         psi_vals = np.asarray(psi(mech, xi))
-        inner = integrate.cumulative_trapezoid(psi_vals, xi, initial=0.0)
+        # cumulative trapezoid of psi along xi, 0 at lo
+        cells = np.diff(xi) * (psi_vals[1:] + psi_vals[:-1]) / 2.0
+        inner = np.concatenate(([0.0], np.cumsum(cells)))
         # shift by the integral from lambda* to lo, done on its own fine grid
         head = np.linspace(lam_star, lo, 200)
         inner = inner + np.trapezoid(np.asarray(psi(mech, head)), head)

@@ -77,7 +77,6 @@ import functools
 import math
 import multiprocessing
 import os
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -600,12 +599,11 @@ def _counts(owner: np.ndarray, n: int) -> np.ndarray:
     return np.diff(owner.searchsorted(np.arange(n + 1)))
 
 
-def _z_of(positions: np.ndarray, epsilon: float, t: float) -> float:
-    """Derivative-martingale value of an equal-mass cloud at time t."""
-    if positions.size == 0:
-        return 0.0
+def _z_terms(positions: np.ndarray, t: float) -> np.ndarray:
+    """Per-particle terms (sqrt(2) t - x) e^{-sqrt(2) (sqrt(2) t - x)} of the
+    derivative martingale; a cloud's value at time t is its mass times their sum."""
     y = SQRT2 * t - positions
-    return epsilon * float(np.sum(y * np.exp(-SQRT2 * y)))
+    return y * np.exp(-SQRT2 * y)
 
 
 class _Law:
@@ -834,8 +832,7 @@ class _Record:
         eps = self.config.epsilon
         t = self.config.snapshot_times[j]
         pos = group.x
-        y = SQRT2 * t - pos
-        terms = y * np.exp(-SQRT2 * y)
+        terms = _z_terms(pos, t)
         ends = np.cumsum(counts).tolist()
         for i in np.flatnonzero(counts).tolist():
             b = ends[i]
@@ -1110,34 +1107,6 @@ def _over_cap(
 
 
 # ---------------------------------------------------------------------------
-# cloud observables
-
-
-def max_position(cloud: ParticleCloud) -> float:
-    """Rightmost particle position, -inf for an empty cloud."""
-    return float(cloud.positions.max()) if cloud.count else NEG_INF
-
-
-def derivative_martingale(cloud: ParticleCloud, t: float) -> float:
-    """Sum of mass * (sqrt(2) t - x) * exp(-sqrt(2)(sqrt(2) t - x)).
-
-    Weights are signed: particles beyond sqrt(2) t contribute negatively,
-    and the value of an empty cloud is 0.
-    """
-    return _z_of(cloud.positions, cloud.epsilon, t)
-
-
-def extremal_measure(cloud: ParticleCloud, t: float) -> PointMeasure:
-    """The cloud seen from the centered front: every atom shifted by -m(t)."""
-    if t <= 0.0:
-        raise ParticlesError("extremal measure needs t > 0")
-    if cloud.count == 0:
-        return PointMeasure.empty()
-    shift = front_m(1.0, t)
-    return PointMeasure(cloud.positions - shift, np.full(cloud.count, cloud.epsilon))
-
-
-# ---------------------------------------------------------------------------
 # conditioned clusters
 
 
@@ -1211,10 +1180,10 @@ def sample_conditioned_clusters(
         for part in parts:
             groups += 1
             for exploded, snaps in zip(part.exploded, part.clouds):
-                if exploded or not snaps:
+                if exploded or not snaps or not snaps[-1].alive:
                     continue
                 cloud = snaps[-1]
-                m = max_position(cloud)
+                m = float(cloud.positions.max())
                 if m > level:
                     clusters.append(
                         PointMeasure(
@@ -1245,14 +1214,6 @@ def sample_conditioned_clusters(
     )
 
 
-def sample_conditioned_cluster(
-    config: SimConfig, z: float, t: float
-) -> tuple[PointMeasure, float]:
-    """One draw from the conditioned-cluster distribution."""
-    sample = sample_conditioned_clusters(config, z, t, n_accept=1)
-    return sample.clusters[0], float(sample.overshoots[0])
-
-
 def _batch_seed(seed: int, batch_index: int) -> int:
     # distinct deterministic seeds per rejection batch, clear of the base seed
     return (seed + 0x9E3779B97F4A7C15 * (batch_index + 1)) % (1 << 63)
@@ -1268,94 +1229,3 @@ def _batch_groups(seed: int, batch: int, n_batches: int):
         seeds = np.random.SeedSequence(_batch_seed(seed, k)).spawn(batch)
         for lo in range(0, batch, _GROUP_REPLICAS):
             yield seeds[lo:lo + _GROUP_REPLICAS]
-
-
-# ---------------------------------------------------------------------------
-# joint front statistics
-
-
-@dataclass(frozen=True, eq=False)
-class FrontStatsReport:
-    """Survival-conditioned front observables along a time ladder.
-
-    For each time: number of surviving replicas used (those with a
-    positive derivative-martingale value), the sample correlation between
-    the integral of phi against the recentered measure and that value,
-    and the empirical Laplace functional with its target gap when a limit
-    constant was supplied.
-    """
-
-    t_values: tuple[float, ...]
-    n_used: tuple[int, ...]
-    correlations: tuple[float, ...]
-    laplace_values: tuple[float, ...]
-    laplace_target: float | None
-    laplace_gaps: tuple[float, ...] | None
-
-
-def joint_front_stats(
-    config: SimConfig,
-    phi,
-    t_ladder: tuple[float, ...] = (5.0, 10.0, 20.0),
-    c_phi: float | None = None,
-) -> FrontStatsReport:
-    """Correlate front-recentered integrals of phi with the martingale value.
-
-    phi may be a callable on ndarrays or any object with an evaluate
-    method.  Each surviving replica with Z_t > 0 contributes the integral
-    of phi against the cloud shifted by -(m(t) + log(Z_t)/sqrt(2)); the
-    report carries the correlation with Z_t per time and the empirical
-    Laplace functional, compared against exp(-c_phi) when given.
-    """
-    phi_eval = phi.evaluate if hasattr(phi, "evaluate") else phi
-    ladder = tuple(sorted(float(t) for t in t_ladder))
-    if len(ladder) < 1 or len(set(ladder)) != len(ladder):
-        raise ParticlesError("t_ladder must contain distinct times")
-    cfg = dataclasses.replace(
-        config, t_end=ladder[-1], snapshot_times=ladder, stats_only=False
-    )
-    result = simulate(cfg)
-
-    n_used = []
-    correlations = []
-    laplace_values = []
-    for j, t in enumerate(ladder):
-        shift0 = front_m(1.0, t)
-        integrals = []
-        z_vals = []
-        for stats, snaps in zip(result.stats, result.clouds):
-            if stats.exploded or j >= len(snaps):
-                continue
-            z = stats.z_path[j]
-            if not (z > 0.0) or not stats.survived:
-                continue
-            cloud = snaps[j]
-            shifted = cloud.positions - shift0 - math.log(z) / SQRT2
-            integrals.append(cfg.epsilon * float(np.sum(phi_eval(shifted))))
-            z_vals.append(z)
-        n = len(integrals)
-        n_used.append(n)
-        if n < 10:
-            warnings.warn(
-                f"only {n} usable survivors at t = {t}", RuntimeWarning, stacklevel=2
-            )
-        arr = np.asarray(integrals)
-        zs = np.asarray(z_vals)
-        if n >= 2 and arr.std() > 0.0 and zs.std() > 0.0:
-            correlations.append(float(np.corrcoef(arr, zs)[0, 1]))
-        else:
-            correlations.append(0.0)
-        laplace_values.append(float(np.mean(np.exp(-arr))) if n else math.nan)
-
-    target = math.exp(-float(c_phi)) if c_phi is not None else None
-    gaps = None
-    if target is not None:
-        gaps = tuple(abs(v - target) / target for v in laplace_values)
-    return FrontStatsReport(
-        t_values=ladder,
-        n_used=tuple(n_used),
-        correlations=tuple(correlations),
-        laplace_values=tuple(laplace_values),
-        laplace_target=target,
-        laplace_gaps=gaps,
-    )

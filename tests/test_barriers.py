@@ -1,4 +1,4 @@
-"""Blow-up BVP solver, confinement-bound constants, and tail integrability."""
+"""Blow-up BVP solver and confinement-bound constants."""
 
 import math
 
@@ -8,9 +8,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from sbmlab import barriers as bar
-from sbmlab.kpp import Field, Grid1D, solve_V
-from sbmlab.particles import PointMeasure, SimConfig, simulate
-from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 
 QUADRATIC_CASE = (1.0, 1.0, 1.0, 5.0)
 HEAVY_CASE = (1.0, 2.0, 0.5, 3.0)
@@ -264,93 +261,3 @@ class TestStripBound:
         expected = 0.5 * ((4 * c3 + 2) + math.sqrt((4 * c3 + 2) ** 2 + 16 * rhs))
         assert sc.c5 == pytest.approx(expected, abs=1e-3)
         assert sc.c4 == pytest.approx(1.0 / 32.0, abs=1e-10)
-
-    def test_domain_violations_raise(self):
-        with pytest.raises(bar.BarriersError):
-            bar.strip_bound(1.0, 1.0, 1.0, 5.0, 5.0, 1.0)
-        with pytest.raises(bar.BarriersError):
-            bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 0.0)
-
-    def test_limits_in_t_and_x(self):
-        tiny_t = bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 1e-4)
-        assert tiny_t == 0.0
-        center = bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 1.0)
-        near_wall = bar.strip_bound(1.0, 1.0, 1.0, 5.0, 4.9, 1.0)
-        assert near_wall > center > 0.0
-
-    def test_bound_dominates_confinement_mc(self):
-        """One-sided: the analytic value must exceed the measured negative
-        log confinement frequency.  The constants are sufficient rather
-        than sharp, so the margin is huge by construction."""
-        mech = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
-        config = SimConfig(
-            mech=mech,
-            epsilon=0.1,
-            dt=0.01,
-            t_end=1.0,
-            seed=4242,
-            n_replicas=150,
-            initial=PointMeasure.single(0.0),
-            snapshot_times=tuple(np.round(np.arange(0.1, 1.01, 0.1), 10)),
-        )
-        result = simulate(config)
-        confined = 0
-        for stats, clouds in zip(result.stats, result.clouds):
-            inside = all(
-                cloud.positions.size == 0 or np.max(np.abs(cloud.positions)) <= 5.0
-                for cloud in clouds
-            )
-            confined += bool(inside)
-        freq = confined / config.n_replicas
-        assert freq > 0.5
-        neg_log = -math.log(freq)
-        assert bar.strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, 1.0) >= neg_log
-
-
-def _barrier_field(half: float) -> Field:
-    mech = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
-    grid = Grid1D(x_min=-half, x_max=half, dx=0.05, dt=0.001, t_end=1.0)
-    return solve_V(mech, None, grid)
-
-
-@pytest.fixture(scope="module")
-def v_field():
-    return _barrier_field(12.0)
-
-
-class TestIntegrability:
-    def test_gaussian_tail_and_finite_integral(self, v_field):
-        report = bar.v_integrability_check(v_field, theta=0.5)
-        assert report.slope < 0.0
-        assert report.n_fit_points >= 6
-        assert 0.0 < report.fit_window[0] < report.fit_window[1] <= 12.0
-        assert report.integral > 0.0
-        assert report.tail_part < 0.05 * report.grid_part
-
-    def test_integral_stable_under_domain_doubling(self, v_field):
-        base = bar.v_integrability_check(v_field, theta=0.5)
-        doubled = bar.v_integrability_check(_barrier_field(24.0), theta=0.5)
-        rel = abs(doubled.integral - base.integral) / base.integral
-        assert rel < 0.02
-
-    def test_zero_theta_weight_is_smaller(self, v_field):
-        weighted = bar.v_integrability_check(v_field, theta=0.5)
-        plain = bar.v_integrability_check(v_field, theta=0.0)
-        assert 0.0 < plain.integral < weighted.integral
-
-    def test_failure_modes(self, v_field):
-        with pytest.raises(bar.BarriersError):
-            bar.v_integrability_check(v_field, theta=-0.5)
-        grid = Grid1D(x_min=-4.0, x_max=4.0, dx=0.5, dt=0.01, t_end=0.1)
-        x = grid.x
-        flat = Field(
-            grid=grid,
-            times=np.array([0.1]),
-            snapshots=np.zeros((1, x.size)),
-            provenance="V",
-            theta=None,
-            median_times=np.array([0.0]),
-            median_values=np.array([0.0]),
-        )
-        with pytest.raises(bar.TailFitError):
-            bar.v_integrability_check(flat, theta=0.5)

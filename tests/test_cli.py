@@ -9,10 +9,12 @@ completeness, and byte-level reproducibility of the CSV artifacts.
 """
 
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -323,13 +325,22 @@ class TestMainUsage:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # every CLI run pays for importing sbmlab.cli; scipy.stats serves
-        # only the extremal stability check, which imports it itself
+        # only the extremal stability check, which imports it itself, and
+        # nothing in the package calls scipy.integrate
         src = str(Path(sbmlab.__file__).resolve().parents[1])
-        probe = "import sys, sbmlab.cli; print('scipy.stats' in sys.modules)"
+        probe = "import sys, sbmlab.cli; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_every_exported_name_resolves(self):
+        modules = ["sbmlab"] + [f"sbmlab.{m.name}" for m in pkgutil.iter_modules(sbmlab.__path__)]
+        missing = []
+        for name in modules:
+            module = importlib.import_module(name)
+            missing += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+        assert missing == []
 
 
 class TestMechCheckPipeline:

@@ -2,9 +2,8 @@
 
 Oracles: Poisson count means from the explicit intensity, the closed-form
 void probability and rightmost-point CDF (exact because clusters are
-recentred at 0), a one-atom bank that collapses the shift identity to an
-elementary integral, and distributional invariances (superposability,
-the symmetric stability split) at frozen seeds.
+recentred at 0), and distributional invariances (superposability, the
+symmetric stability split) at frozen seeds.
 """
 
 import hashlib
@@ -19,7 +18,6 @@ from sbmlab.extremal import (
     ClusterBank,
     DecoratedSample,
     ExtremalError,
-    cluster_shift_identity_check,
     exp_stability_check,
     rightmost_cdf,
     sample_E_infty,
@@ -291,33 +289,3 @@ class TestExpStability:
         # b is then essentially 0 and the split is the identity
         assert abs(report.b) < 1e-6
         assert report.ks_pvalue > 0.01
-
-
-class TestShiftIdentity:
-    def test_zero_test_function_gives_zero_both_sides(self, bank):
-        report = cluster_shift_identity_check(TestFunction.zero(), 0.0, 1.0, bank)
-        assert report.constant_ratio == 0.0
-        assert report.cluster_integral == pytest.approx(0.0, abs=1e-15)
-        assert report.relative_gap == 0.0
-
-    def test_single_atom_bank_has_elementary_value(self):
-        # one cluster = unit atom at 0: the integral collapses to
-        # (1 - e^{-lam}) e^{-sqrt(2) a}
-        bank1 = ClusterBank(
-            (PointMeasure(np.array([0.0]), np.array([1.0])),),
-            z=0.0, t=0.0, acceptance=1.0, seed=0,
-        )
-        lam, a = 0.9, 0.4
-        phi = TestFunction.scaled_indicator(lam, a=a)
-        report = cluster_shift_identity_check(phi, 0.0, 1.0, bank1, dx=0.005)
-        target = (1.0 - math.exp(-lam)) * math.exp(-SQRT2 * a)
-        assert report.cluster_integral == pytest.approx(target, rel=2e-3)
-
-    def test_small_amplitude_scales_linearly(self, bank):
-        phi = TestFunction.compact_bump(center=0.0, width=1.0, height=1.0)
-        vals = []
-        for lam in (0.02, 0.01):
-            scaled = phi.scaled(lam)
-            report = cluster_shift_identity_check(scaled, 0.0, 1.0, bank)
-            vals.append(report.cluster_integral)
-        assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.02)

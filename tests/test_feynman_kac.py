@@ -22,12 +22,9 @@ from sbmlab.feynman_kac import (
     BarrierCurves,
     BridgeSampler,
     FkError,
-    PathBelowBarrierError,
     RegionViolationError,
     bridge_crossing_prob,
     fk_estimate,
-    k_integral_deviation_bound,
-    k_integral_diagnostic,
     psi1_psi2_estimate,
     psi_sandwich,
 )
@@ -254,72 +251,6 @@ class TestPsiSandwich:
             ratios[r] = max(u / psi, psi / u)
         assert ratios[4.0] < 1.3
         assert ratios[4.0] < ratios[2.0]
-
-
-def _clearing_path(curves, t, margin=0.5):
-    """A path that rides the straight line, lifted just above the barrier."""
-    probe = np.linspace(2.0 * curves.r, t - curves.r, 801)
-    gap = max(curves.M_bar(t - s) - curves.n(t - s) for s in probe)
-    offset = max(gap, 0.0) + margin
-    return lambda s: curves.n(t - s) + offset
-
-
-class TestKIntegralDiagnostic:
-    def test_constant_growth_gives_one(self, heaviside_field_t32):
-        r, t = 4.0, 32.0
-        x = front_m(1.0, t) + 9.0 * r
-        c = BarrierCurves.from_field(heaviside_field_t32, r=r, t=t, x=x)
-        got = k_integral_diagnostic(
-            heaviside_field_t32,
-            _clearing_path(c, t),
-            r=r,
-            t=t,
-            curves=c,
-            k_fn=lambda u: np.ones_like(np.asarray(u)),
-        )
-        assert got == pytest.approx(1.0, abs=1e-9)
-
-    def test_trend_toward_one_in_r(self, heaviside_field_t32):
-        # deterministic quadrature: 1 - diag measured 7.9e-8 at r=2 and
-        # 3.2e-8 at r=4, so the value climbs toward 1 as r grows
-        t = 32.0
-        vals = []
-        for r in (2.0, 4.0):
-            x = front_m(1.0, t) + 9.0 * r
-            c = BarrierCurves.from_field(heaviside_field_t32, r=r, t=t, x=x)
-            vals.append(
-                k_integral_diagnostic(
-                    heaviside_field_t32, _clearing_path(c, t), r=r, t=t, curves=c, mech=QUADRATIC
-                )
-            )
-        assert 0.0 < vals[0] < vals[1] < 1.0
-
-    def test_path_below_barrier_raises(self, heaviside_field_t32):
-        r, t = 4.0, 32.0
-        x = front_m(1.0, t) + 9.0 * r
-        c = BarrierCurves.from_field(heaviside_field_t32, r=r, t=t, x=x)
-        with pytest.raises(PathBelowBarrierError):
-            k_integral_diagnostic(
-                heaviside_field_t32,
-                lambda s: c.n(t - s) - 50.0,
-                r=r,
-                t=t,
-                curves=c,
-                mech=QUADRATIC,
-            )
-
-    def test_deviation_bound_contains_diagnostic(self, heaviside_field_t32):
-        r, t = 4.0, 32.0
-        x = front_m(1.0, t) + 9.0 * r
-        c = BarrierCurves.from_field(heaviside_field_t32, r=r, t=t, x=x)
-        path = _clearing_path(c, t)
-        diag = k_integral_diagnostic(
-            heaviside_field_t32, path, r=r, t=t, curves=c, mech=QUADRATIC
-        )
-        bound = k_integral_deviation_bound(
-            heaviside_field_t32, path, r=r, t=t, curves=c, mech=QUADRATIC
-        )
-        assert math.exp(-bound) - 1e-12 <= diag <= 1.0 + 1e-9
 
 
 class TestPsi1Psi2:

@@ -19,6 +19,7 @@ Oracle notes
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -244,6 +245,13 @@ TABLE_MECHANISMS = {
         beta=0.3,
         levy=LevyMeasure.tabulated(y=(0.5, 1.0, 2.0, 4.0), density=(1.0, 0.5, 0.1, 0.01)),
     ),
+}
+# sha256 of each mechanism's check_hypotheses report as JSON
+HYPOTHESIS_DIGESTS = {
+    "quadratic": "43e1e83ac07b40afad908967470aff773597ca4796a86127c750e9749d72b8b2",
+    "jumps": "2bc38d73c09831c479e560ebae89ec29aeb69f9af5f660c912b3bea0dd327eda",
+    "atoms": "6f35aaa51e6f119c0b09453207d6251bb36e7758fbd69a5209c21a9f7e0256fb",
+    "tabulated": "8e3248d0400587e93f385a6395a74c9020d30e7e833a4ba4b011e902e4fc1279",
 }
 # psi grows only linearly at infinity, so integral^inf du/psi diverges
 ATOMS_NO_GREY = BranchingMechanism(alpha=0.5, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
@@ -514,6 +522,14 @@ class TestHypotheses:
         if report.h3_witness is not None:
             assert all(type(v) is float for v in report.h3_witness)
         json.dumps(dataclasses.asdict(report))
+
+    @pytest.mark.parametrize("name", sorted(HYPOTHESIS_DIGESTS))
+    def test_report_matches_frozen_digest(self, name):
+        # JSON writes each float as its shortest round-trip repr, so the
+        # digest pins every bit of every field
+        mech = {"quadratic": QUADRATIC, **TABLE_MECHANISMS}[name]
+        report = json.dumps(dataclasses.asdict(check_hypotheses(mech)))
+        assert hashlib.sha256(report.encode()).hexdigest() == HYPOTHESIS_DIGESTS[name]
 
 
 class TestNormalize:

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from sbmlab.barriers import BarriersError, solve_hA, strip_bound, strip_constants
+from sbmlab.barriers import BarriersError, solve_hA, strip_constants
 from sbmlab.feynman_kac import FkError, bridge_crossing_prob
 from sbmlab.fronts import FrontsError, TestFunction, constant_C_hat
 from sbmlab.mechanism import BranchingMechanism
@@ -49,8 +49,6 @@ def test_feynman_kac_keeps_its_own_error():
         lambda: strip_constants(1.0, 1.0, math.nan),
         lambda: strip_constants(1.0, math.inf, 1.0),
         lambda: strip_constants([1.0], 1.0, 1.0),
-        lambda: strip_bound(1.0, 1.0, 1.0, 5.0, 0.0, math.nan),
-        lambda: strip_bound(1.0, 1.0, 1.0, 5.0, "x", 1.0),
         lambda: solve_hA(1.0, 1.0, 1.0, math.nan),
         lambda: solve_hA(1.0, 1.0, 1.0, math.inf),
         lambda: solve_hA(None, 1.0, 1.0, 5.0),
@@ -60,8 +58,6 @@ def test_feynman_kac_keeps_its_own_error():
         "strip_constants-theta-nan",
         "strip_constants-b-inf",
         "strip_constants-a-list",
-        "strip_bound-t-nan",
-        "strip_bound-x-str",
         "solve_hA-A-nan",
         "solve_hA-A-inf",
         "solve_hA-a-None",

@@ -22,21 +22,15 @@ from scipy import stats as sps
 
 from sbmlab import csbp
 from sbmlab import particles as particles_module
-from sbmlab.kpp import Grid1D, InitialCondition, front_m, solve_U
+from sbmlab.kpp import Grid1D, InitialCondition, solve_U
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 from sbmlab.particles import (
     AcceptanceTooLowError,
     ConditionedClusterSample,
-    ParticleCloud,
     ParticlesError,
     PointMeasure,
     SimConfig,
-    derivative_martingale,
-    extremal_measure,
-    joint_front_stats,
-    max_position,
     offspring_table,
-    sample_conditioned_cluster,
     sample_conditioned_clusters,
     simulate,
 )
@@ -90,39 +84,17 @@ class TestPointMeasure:
 
 
 class TestCloudObservables:
-    def test_max_position_of_empty_cloud(self):
-        cloud = ParticleCloud(1.0, np.empty(0), 0.1)
-        assert max_position(cloud) == -math.inf
-        assert not cloud.alive
-
-    def test_max_position_single_particle(self):
-        cloud = ParticleCloud(1.0, np.array([3.2]), 0.1)
-        assert max_position(cloud) == pytest.approx(3.2)
-
     def test_derivative_martingale_unit_mass_one_behind(self):
         # unit mass at sqrt(2) t - 1 contributes 1 * e^{-sqrt(2)}
         t = 2.0
-        cloud = ParticleCloud(t, np.array([SQRT2 * t - 1.0]), 1.0)
-        assert derivative_martingale(cloud, t) == pytest.approx(math.exp(-SQRT2))
-        assert derivative_martingale(cloud, t) == pytest.approx(0.24312, abs=5e-6)
+        z = float(np.sum(particles_module._z_terms(np.array([SQRT2 * t - 1.0]), t)))
+        assert z == pytest.approx(math.exp(-SQRT2))
+        assert z == pytest.approx(0.24312, abs=5e-6)
 
     def test_derivative_martingale_vanishes_at_the_line(self):
         t = 3.0
-        cloud = ParticleCloud(t, np.array([SQRT2 * t]), 1.0)
-        assert derivative_martingale(cloud, t) == pytest.approx(0.0, abs=1e-15)
-
-    def test_extremal_measure_recenters_by_front_position(self):
-        cloud = ParticleCloud(10.0, np.array([5.0, 11.0]), 0.5)
-        meas = extremal_measure(cloud, 10.0)
-        assert meas.rightmost == pytest.approx(11.0 - front_m(1.0, 10.0))
-        assert meas.total_mass == pytest.approx(1.0)
-
-    def test_extremal_measure_of_empty_cloud_is_empty(self):
-        assert extremal_measure(ParticleCloud(5.0, np.empty(0), 0.1), 5.0).size == 0
-
-    def test_extremal_measure_needs_positive_time(self):
-        with pytest.raises(ParticlesError):
-            extremal_measure(ParticleCloud(0.0, np.array([0.0]), 0.1), 0.0)
+        z = float(np.sum(particles_module._z_terms(np.array([SQRT2 * t]), t)))
+        assert z == pytest.approx(0.0, abs=1e-15)
 
 
 class TestOffspringTable:
@@ -464,46 +436,12 @@ class TestConditionedClusters:
         assert small_cluster_sample.attempts >= 25
         assert small_cluster_sample.seed == 606
 
-    def test_single_draw_wrapper(self):
-        cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=6.0,
-                        seed=607, n_replicas=64, stats_only=True,
-                        barrier_offset=4.0)
-        delta, overshoot = sample_conditioned_cluster(cfg, 0.0, 6.0)
-        assert delta.rightmost == pytest.approx(0.0, abs=1e-12)
-        assert overshoot > 0.0
-
     def test_hopeless_conditioning_raises(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=4.0,
                         seed=608, n_replicas=64, stats_only=True,
                         barrier_offset=4.0)
         with pytest.raises(AcceptanceTooLowError):
             sample_conditioned_clusters(cfg, 8.0, 4.0, n_accept=5, max_attempts=256)
-
-
-class TestJointFrontStats:
-    def test_zero_test_function_gives_unit_laplace(self):
-        cfg = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=8.0,
-                        seed=77, n_replicas=40, stats_only=True,
-                        barrier_offset=4.0)
-        report = joint_front_stats(cfg, lambda x: np.zeros_like(x),
-                                   t_ladder=(4.0, 8.0))
-        assert report.laplace_values == pytest.approx((1.0, 1.0))
-        assert report.laplace_target is None
-
-    def test_report_shape_with_compact_bump(self):
-        from sbmlab.fronts import TestFunction
-
-        cfg = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=8.0,
-                        seed=78, n_replicas=40, stats_only=True,
-                        barrier_offset=4.0)
-        phi = TestFunction.compact_bump(center=0.0, width=2.0, height=1.0)
-        report = joint_front_stats(cfg, phi, t_ladder=(4.0, 8.0), c_phi=0.5)
-        assert report.t_values == (4.0, 8.0)
-        assert all(n > 0 for n in report.n_used)
-        assert all(-1.0 <= c <= 1.0 for c in report.correlations)
-        assert all(0.0 < v <= 1.0 for v in report.laplace_values)
-        assert report.laplace_target == pytest.approx(math.exp(-0.5))
-        assert len(report.laplace_gaps) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +666,9 @@ def _batchwise_clusters(config, z, t, n_accept, max_attempts):
         k += 1
         attempts += batch
         for s, snaps in zip(result.stats, result.clouds):
-            if s.exploded or not snaps:
+            if s.exploded or not snaps or not snaps[-1].alive:
                 continue
-            m = max_position(snaps[-1])
+            m = snaps[-1].positions.max()
             if m > level:
                 clusters.append(snaps[-1].positions - m)
                 overshoots.append(m - level)
