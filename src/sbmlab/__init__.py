@@ -6,7 +6,7 @@ family of numerical experiments that probe its front behavior:
 * ``mechanism``: mechanism algebra, hypothesis checks, normalization.
 * ``csbp``: the total-mass ordinary differential equation and extinction.
 * ``kpp``: reaction-diffusion solver, centering, and median tracking.
-* ``feynman_kac``: path-integral representations and barrier curves.
+* ``feynman_kac``: Monte Carlo estimate of the path-integral representation.
 * ``fronts``: the front limit constants.
 * ``particles``: branching-particle approximation of the measure process.
 * ``extremal``: decorated Poisson point process sampling and its stability check.

@@ -65,8 +65,7 @@ class TestFunction:
     Kinds: "zero", "scaled-indicator" (lam on [a, inf)), "compact-bump"
     (smooth bump of given center, half-width, peak height), "table"
     (linear interpolation of sample points, zero to the left of the data,
-    held constant to the right).  ``in_class_h`` reports membership in the
-    admissible class: nonnegative, bounded, vanishing on a left half line.
+    held constant to the right).
     """
 
     # tells pytest not to collect this class despite the Test prefix
@@ -146,23 +145,6 @@ class TestFunction:
         if self.kind == "compact-bump":
             return self.height
         return float(np.max(np.abs(self.vals)))
-
-    @property
-    def support_left(self) -> float:
-        """Left edge below which the function vanishes (0.0 for the zero kind)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "scaled-indicator":
-            return self.a
-        if self.kind == "compact-bump":
-            return self.center - self.width
-        return self.ys[0]
-
-    @property
-    def in_class_h(self) -> bool:
-        if self.kind == "table":
-            return all(v >= 0.0 for v in self.vals)
-        return True
 
     @property
     def is_trivial(self) -> bool:

@@ -59,7 +59,6 @@ class TestTestFunction:
             [0.0, 0.0, 0.7, 0.7]
         )
         assert phi.sup_norm == 0.7
-        assert phi.support_left == 1.0
 
     def test_bump_is_compact_with_given_peak(self):
         phi = TestFunction.compact_bump(center=2.0, width=0.5, height=0.3)
@@ -67,7 +66,6 @@ class TestTestFunction:
         assert phi.evaluate(1.5) == 0.0
         assert phi.evaluate(2.5) == 0.0
         assert phi.evaluate(2.2) > 0.0
-        assert phi.support_left == pytest.approx(1.5)
 
     def test_table_interpolates_and_extends(self):
         phi = TestFunction.table((0.0, 1.0), (0.5, 0.2))
@@ -88,7 +86,6 @@ class TestTestFunction:
     def test_shifted_moves_support_toward_front(self):
         phi = TestFunction.compact_bump(center=3.0, width=1.0, height=1.0)
         moved = phi.shifted(2.0)
-        assert moved.support_left == pytest.approx(phi.support_left - 2.0)
         for y in (0.5, 1.2, 2.7):
             assert moved.evaluate(y) == pytest.approx(phi.evaluate(y + 2.0))
 
@@ -99,10 +96,6 @@ class TestTestFunction:
         assert phi.sup_norm == pytest.approx(0.25)
         assert not phi.is_trivial
         assert phi.scaled(0.0).is_trivial
-
-    def test_class_membership_flag(self):
-        assert PHI.in_class_h
-        assert not TestFunction.table((0.0, 1.0), (0.5, -0.1)).in_class_h
 
     def test_initial_condition_reflects_support(self):
         # data supported on y >= 0 must enter the field on x <= 0

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from sbmlab.barriers import BarriersError, solve_hA, strip_constants
-from sbmlab.feynman_kac import FkError, bridge_crossing_prob
+from sbmlab.feynman_kac import FkError, fk_estimate
 from sbmlab.fronts import FrontsError, TestFunction, constant_C_hat
 from sbmlab.mechanism import BranchingMechanism
 
@@ -38,8 +38,9 @@ def test_fronts_rejects_non_finite_arguments():
 
 
 def test_feynman_kac_keeps_its_own_error():
-    with pytest.raises(FkError, match="a must be a real number"):
-        bridge_crossing_prob(None, 0.0, 1.0)
+    # r is converted before the field is read
+    with pytest.raises(FkError, match="r must be a real number"):
+        fk_estimate(None, None, None, 1.0, 0.0, 1)
 
 
 @pytest.mark.parametrize(
