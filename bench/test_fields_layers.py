@@ -17,6 +17,12 @@ the workload's r ladder 4, 8, 16, dx 0.05, dt 0.01):
 - one ``constant_C_tilde`` (phi = None) on that ladder: the march plus the
   three overshoot integrals and the ladder fit.
 
+One row on the whole `fronts` pipeline at the `fields` workload's config
+(quadratic psi, bump phi with centre 1, width 1 and height 1, that ladder,
+the pipeline's dx and dt, quiet): one ``run_pipeline`` computing C_phi,
+C~_phi and C~_0, with the CLI's artifacts written.  It pins the bytes of
+``constants.json``, which do not depend on the worker count.
+
 Two rows on one march step of the `jumps` workload's `kpp` pipeline
 (pure-jump truncated-stable psi: alpha 1, beta 0, c 1, index 1.5, cutoff 5;
 ``Grid1D.auto(8.0)`` at the `kpp` defaults dx 0.05, dt 0.01, pad 20, so
@@ -52,6 +58,7 @@ import numpy as np
 import pytest
 
 from sbmlab.barriers import solve_hA
+from sbmlab.cli import ExperimentConfig, run_pipeline
 from sbmlab.feynman_kac import fk_estimate
 from sbmlab.fronts import constant_C_tilde
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
@@ -114,6 +121,21 @@ def test_constant_C_tilde_workload_ladder(benchmark):
         warmup_rounds=1,
     )
     assert (est.value, est.error) == (3.229282518959373, 0.20560773379812325)
+
+
+def test_fronts_pipeline_workload_config(benchmark, tmp_path):
+    bump = {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}
+    config = ExperimentConfig.from_sources(
+        "fronts",
+        {"fronts": {"phi": bump, "r_ladder": list(R_LADDER)}},
+        out=str(tmp_path / "fronts"),
+        quiet=True,
+        env={},
+    )
+    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
+    assert code == 0
+    digest = hashlib.sha256((out / "constants.json").read_bytes()).hexdigest()
+    assert digest == "b07c25e9caf7f69ccca61accb862d1767895a56a46b80b68024b2233777512a3"
 
 
 def _sha(arr: np.ndarray) -> str:

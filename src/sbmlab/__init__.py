@@ -11,6 +11,7 @@ family of numerical experiments that probe its front behavior:
 * ``particles``: branching-particle approximation of the measure process.
 * ``extremal``: decorated Poisson point process sampling and its stability check.
 * ``barriers``: blow-up profiles and the constants of the strip confinement bound.
+* ``pool``: the fork pool that runs replica groups and front constants on the CPUs.
 """
 
 from .mechanism import (

@@ -40,10 +40,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kpp import _as_float
-from .mechanism import _GAUSS_NODES, _GAUSS_WEIGHTS
+from .mechanism import _GAUSS_NODES, _GAUSS_WEIGHTS, _brentq
 
 __all__ = [
     "BarriersError",
@@ -259,7 +258,7 @@ class BlowupSolution:
 def solve_hA(a: float, b: float, theta: float, A: float) -> BlowupSolution:
     """Blow-up profile on (-A, A) from its first integral.
 
-    The centre value h0 is the root of D(h0) = A, found by brentq in
+    The centre value h0 is the root of D(h0) = A, found by Brent's method in
     theta * log(h0 / equilibrium) (D decreases in h0); each node value is
     then the root of D(h) = A - |x|, by Newton in log(h - h0) with
     dD/dh = -1/sqrt(2 (G(h) - G(h0))), inside a bisection bracket.  Against
@@ -289,7 +288,8 @@ def solve_hA(a: float, b: float, theta: float, A: float) -> BlowupSolution:
         hi *= 2.0
         if hi > 700.0 * theta:
             raise BarriersError(f"A = {A:g} is too narrow: h_A(0) exceeds e^700 times the equilibrium")
-    ell = brentq(excess, _CENTRE_FLOOR, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    what = f"solve_hA centre (a {a:g}, b {b:g}, theta {theta:g}, A {A:g})"
+    ell = _brentq(excess, _CENTRE_FLOOR, hi, 1e-300, 4.0 * np.finfo(float).eps, BarriersError, what)
     h0 = equilibrium(a, b, theta) * math.exp(ell / theta)
     if not math.isfinite(h0):
         raise BarriersError(f"A = {A:g} is too narrow: h_A(0) overflows a double")

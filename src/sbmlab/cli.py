@@ -42,6 +42,7 @@ import argparse
 import contextlib
 import csv as _csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -85,6 +86,7 @@ from .particles import (
     sample_conditioned_clusters,
     simulate,
 )
+from .pool import ordered_map, worker_count
 
 __all__ = [
     "ENV_PREFIX",
@@ -960,22 +962,36 @@ def _estimate_payload(est) -> dict:
     }
 
 
+_FRONT_CONSTANTS = ("C_phi", "C_tilde_phi", "C_tilde_0")
+
+
+def _front_constant(config: ExperimentConfig, name: str):
+    """One constant of the fronts pipeline and its wall time: a pool task."""
+    block = config.block
+    grid = {"r_ladder": block["r_ladder"], "dx": block["dx"], "dt": block["dt"]}
+    t0 = time.perf_counter()
+    if name == "C_phi":
+        est = constant_C(config.mechanism, block["phi"], **grid)
+    else:
+        phi = block["phi"] if name == "C_tilde_phi" else None
+        est = constant_C_tilde(config.mechanism, phi, **grid)
+    return est, time.perf_counter() - t0
+
+
 def _run_fronts(config: ExperimentConfig, art: _Artifacts) -> None:
     block = config.block
-    phi, ladder, dx, dt = block["phi"], block["r_ladder"], block["dx"], block["dt"]
+    wanted = (True, block["with_tilde"], block["with_base"])
+    names = [name for name, want in zip(_FRONT_CONSTANTS, wanted) if want]
+    # the constants are few and about equally long, so each gets a worker
+    # of its own wherever the pool runs at all
+    workers = len(names) if worker_count(len(names)) > 1 else 1
+    art.diagnostics["constants"] = {"workers": workers}
     estimates: dict[str, object] = {}
-    with art.timed("C_phi"):
-        estimates["C_phi"] = constant_C(config.mechanism, phi, r_ladder=ladder, dx=dx, dt=dt)
-    if block["with_tilde"]:
-        with art.timed("C_tilde_phi"):
-            estimates["C_tilde_phi"] = constant_C_tilde(
-                config.mechanism, phi, r_ladder=ladder, dx=dx, dt=dt
-            )
-    if block["with_base"]:
-        with art.timed("C_tilde_0"):
-            estimates["C_tilde_0"] = constant_C_tilde(
-                config.mechanism, None, r_ladder=ladder, dx=dx, dt=dt
-            )
+    task = functools.partial(_front_constant, config)
+    with contextlib.closing(ordered_map(task, names, workers)) as results:
+        for name, (est, seconds) in zip(names, results):
+            estimates[name] = est
+            art.wall_times[name] = seconds
     n_cols = _ladder_csv(art, estimates, "ladder.csv")
     art.write_json(
         "constants.json",

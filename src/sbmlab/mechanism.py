@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 H1_GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 H1_NUMERIC_CAP = 1e12
@@ -53,6 +53,8 @@ EST_K_CAP = 1e7
 EST_K_LAMBDA_GRID = tuple(np.logspace(-8.0, -0.05, 40))
 _TAIL_EXPONENT_MARGIN = 1.001
 _ROOT_BRACKET_CAP = 1e12
+# scipy.optimize.brentq's default
+_BRENT_MAXITER = 100
 # terms n = 2..21 of the small-argument series; the first one dropped is
 # below 1e-22 of the sum for X <= 1
 _SERIES_TERMS = 20
@@ -350,6 +352,65 @@ def k(mech: BranchingMechanism, lam) -> np.ndarray | float:
     return out
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, error: type[Exception], what: str) -> float:
+    """Root of f in [xa, xb] by Brent's method: scipy.optimize.brentq's steps and bits.
+
+    The step rules and the arithmetic are those of scipy's C brentq, so the
+    root is the same double; the tests pin that.  A bracket whose ends have
+    one sign, a NaN value and _BRENT_MAXITER iterations spent without
+    convergence raise error, naming what is solved.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise error(f"{what}: the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise error(f"{what}: no sign change on the bracket [{xa!r}, {xb!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise error(f"{what}: no convergence in {_BRENT_MAXITER} iterations on [{xa!r}, {xb!r}] (last {xcur!r})")
+
+
 def lambda_star(mech: BranchingMechanism) -> float:
     """Largest zero of the mechanism, bracketed then polished to 1e-12."""
     hi = 1.0
@@ -364,8 +425,8 @@ def lambda_star(mech: BranchingMechanism) -> float:
         lo /= 2.0
         if lo < 1e-12:
             raise MechanismError("failed to bracket the largest zero from below")
-    root = optimize.brentq(lambda u: psi(mech, u), lo, hi, xtol=1e-14, rtol=1e-12)
-    return float(root)
+    what = f"lambda_star (alpha {mech.alpha:g}, beta {mech.beta:g}, {mech.levy.kind} jumps)"
+    return float(_brentq(lambda u: psi(mech, u), lo, hi, 1e-14, 1e-12, MechanismError, what))
 
 
 def normalize(mech: BranchingMechanism) -> BranchingMechanism:

@@ -57,14 +57,12 @@ own that keeps its unread draws when it refills.  So a replica's stats and
 clouds do not depend on n_replicas, the group size, the buffer size or
 the worker count.
 
-Groups share nothing, so when there are at least two of them and the
-process may run on more than one CPU, the groups march in a pool of
-worker processes, one per CPU up to one per group.  The workers start
-with the ``fork`` method, so they inherit the loaded modules where
-``spawn`` would import numpy and scipy again in each of them.  Each
-worker returns its group's rows, which land in the result by replica id.
-The result is the same bits as the in-process march that runs where there
-is one group, one CPU or no ``fork``.  A pool lives inside one call: one
+Groups share nothing, so they march as the tasks of the fork pool in
+``sbmlab.pool``, whose docstring states its policy: one worker per usable
+CPU up to one per group (``pool.worker_count``), and the march in this
+process where there is one group, one CPU or no ``fork``.  Each group's
+rows land in the result by replica id, so the result is the same bits
+whatever the worker count.  A pool lives inside one call: one
 ``simulate``, or one ``sample_conditioned_clusters``, whose rejection
 batches stream their groups through a single pool until the bank is full.
 """
@@ -75,8 +73,6 @@ import contextlib
 import dataclasses
 import functools
 import math
-import multiprocessing
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -84,6 +80,7 @@ import numpy as np
 
 from .kpp import SQRT2, front_m
 from .mechanism import BranchingMechanism
+from .pool import ordered_map, worker_count
 
 NEG_INF = float("-inf")
 
@@ -92,7 +89,6 @@ DEFAULT_EXPLOSION_CAP = 10_000_000
 _JUMP_TAIL_FRACTION = 1e-6
 _BARRIER_START_TIME = 1.0
 _GROUP_REPLICAS = 64
-_GROUPS_IN_FLIGHT = 2
 _EPOCH_TIME = 2.0
 _BUFFER_DRAWS = 1 << 10
 _REFILL_DRAWS = 256
@@ -481,98 +477,13 @@ def simulate(config: SimConfig) -> SimResult:
     seeds = np.random.SeedSequence(config.seed).spawn(n)
     starts = range(0, n, _GROUP_REPLICAS)
     groups = [seeds[lo:lo + _GROUP_REPLICAS] for lo in starts]
-    workers = _worker_count(len(groups))
+    workers = worker_count(len(groups))
     march = functools.partial(_march_replicas, config, config.initial_positions())
     record = _Record(config, n)
-    with contextlib.closing(_march_groups(march, groups, workers)) as parts:
+    with contextlib.closing(ordered_map(march, groups, workers)) as parts:
         for lo, part in zip(starts, parts):
             record.fill(lo, part)
     return record.result({"groups": len(groups), "workers": workers})
-
-
-def _worker_count(n_groups: int) -> int:
-    """Processes to march n_groups groups in: 1, or one per usable CPU where fork exists."""
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_groups, len(os.sched_getaffinity(0)))
-
-
-def _march_groups(march, groups, workers: int):
-    """Yield march(group) for each of the groups, in order.
-
-    With one worker (or none) the groups march here, one at a time as they
-    are asked for.  Otherwise that many fork-started worker processes march
-    them, one group at a time each, over a pipe per worker.  An idle worker
-    gets the next group while fewer than _GROUPS_IN_FLIGHT per worker are
-    handed out and not yet yielded, so groups may be an endless iterable
-    and a consumer that stops early wastes at most that window.  The
-    workers are killed and joined when the generator ends, is closed early
-    or meets a worker's error, which it raises; callers close it, say with
-    contextlib.closing.
-
-    multiprocessing.Pool does not fit: its imap takes the whole iterable
-    at once, and its terminate can hang for good when it kills a worker
-    that holds the lock of the result queue all workers share, which
-    stopping early would do routinely.  A worker here shares no lock.
-    """
-    if workers <= 1:
-        yield from map(march, groups)
-        return
-    # imported only here, since importing sbmlab otherwise pays for it
-    from multiprocessing.connection import wait
-
-    context = multiprocessing.get_context("fork")
-    links = []
-    try:
-        for _ in range(workers):
-            pipe, worker_end = context.Pipe()
-            proc = context.Process(target=_serve_marches, args=(march, worker_end), daemon=True)
-            proc.start()
-            worker_end.close()
-            links.append((proc, pipe))
-        idle = [pipe for _, pipe in links]
-        busy = {}  # pipe -> index of the group its worker marches
-        done = {}  # index -> result not yet yielded
-        groups = iter(groups)
-        sent = yielded = 0
-        while True:
-            while idle and sent - yielded < _GROUPS_IN_FLIGHT * workers:
-                group = next(groups, None)
-                if group is None:
-                    break
-                pipe = idle.pop()
-                pipe.send(group)
-                busy[pipe] = sent
-                sent += 1
-            if yielded in done:
-                yield done.pop(yielded)
-                yielded += 1
-            elif not busy:
-                return
-            else:
-                for pipe in wait(list(busy)):
-                    ok, part = pipe.recv()
-                    if not ok:
-                        raise part
-                    done[busy.pop(pipe)] = part
-                    idle.append(pipe)
-    finally:
-        for proc, _ in links:
-            proc.kill()
-        for proc, pipe in links:
-            proc.join()
-            pipe.close()
-
-
-def _serve_marches(march, pipe) -> None:
-    """A worker's loop: send back (True, march(group)), or (False, error), per group received."""
-    while True:
-        group = pipe.recv()
-        try:
-            reply = (True, march(group))
-        except Exception as exc:
-            reply = (False, exc)
-        pipe.send(reply)
 
 
 def _march_replicas(
@@ -1147,7 +1058,7 @@ def sample_conditioned_clusters(
     Replicas run in batches of max(64, min(4096, n_accept)); batch k
     spawns its seeds from _batch_seed(config.seed, k), so the accepted set
     depends only on (config, z, t, n_accept).  The batches' groups stream
-    in order through one pool (see _march_groups) and the stream stops at
+    in order through one pool (see pool.ordered_map) and the stream stops at
     the group that fills the sample.  attempts counts whole batches, the
     one that filled the sample included.  A new batch starts only while
     attempts is below max_attempts (default 500 per requested cluster, at
@@ -1171,11 +1082,11 @@ def sample_conditioned_clusters(
         n_replicas=batch,
     )
     march = functools.partial(_march_replicas, base, base.initial_positions())
-    workers = _worker_count(n_batches * per_batch)
+    workers = worker_count(n_batches * per_batch)
     clusters: list[PointMeasure] = []
     overshoots: list[float] = []
     groups = 0
-    stream = _march_groups(march, _batch_groups(config.seed, batch, n_batches), workers)
+    stream = ordered_map(march, _batch_groups(config.seed, batch, n_batches), workers)
     with contextlib.closing(stream) as parts:
         for part in parts:
             groups += 1

@@ -13,11 +13,13 @@ import importlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 
 import sbmlab
+import sbmlab.cli as cli_module
 from sbmlab.barriers import sandwich_bounds, solve_hA
 from sbmlab.cli import (
     EXIT_BUDGET,
@@ -39,6 +42,7 @@ from sbmlab.cli import (
     save_bank,
 )
 from sbmlab.extremal import ClusterBank
+from sbmlab.fronts import FrontsError
 from sbmlab.particles import PointMeasure
 
 QUAD = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none"}}
@@ -47,6 +51,12 @@ JUMPS = {
     "beta": 0.0,
     "levy": {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0},
 }
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
+    reason="the constants run in worker processes only where fork and CPU affinity exist",
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -325,14 +335,18 @@ class TestMainUsage:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # every CLI run pays for importing sbmlab.cli; scipy.stats serves
-        # only the extremal stability check, which imports it itself, and
-        # nothing in the package calls scipy.integrate
+        # only the extremal stability check, which imports it itself,
+        # nothing in the package calls scipy.integrate, and the package's
+        # own Brent root finder stands in for scipy.optimize
         src = str(Path(sbmlab.__file__).resolve().parents[1])
-        probe = "import sys, sbmlab.cli; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+        probe = (
+            "import sys, sbmlab.cli; "
+            "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))"
+        )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
+        assert proc.stdout.split() == ["False", "False", "False"]
 
     def test_every_exported_name_resolves(self):
         modules = ["sbmlab"] + [f"sbmlab.{m.name}" for m in pkgutil.iter_modules(sbmlab.__path__)]
@@ -495,6 +509,61 @@ class TestFrontsPipeline:
         assert constants["C_phi"]["value"] > 0
         assert constants["C_tilde_0"]["value"] > 0
         assert len(constants["C_phi"]["ladder"]) == 3
+        manifest = manifest_of(out)
+        assert set(manifest["diagnostics"]["constants"]) == {"workers"}
+        assert set(manifest["wall_times_s"]) == {"C_phi", "C_tilde_0", "total"}
+
+    ALL_THREE = {
+        "fronts": {
+            "phi": {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0},
+            "r_ladder": [2.0, 4.0, 8.0],
+            "dx": 0.1,
+            "dt": 0.02,
+        }
+    }
+
+    @staticmethod
+    def _run_with_cpus(tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = write_config(tmp_path, TestFrontsPipeline.ALL_THREE, name=f"config-{cpus}.json")
+        out = tmp_path / f"fronts-{cpus}"
+        code = main(["fronts", "--config", cfg, "--out", str(out), "--quiet"])
+        assert multiprocessing.active_children() == []
+        return code, out
+
+    @needs_fork
+    def test_constants_do_not_depend_on_the_worker_count(self, tmp_path, capsys, monkeypatch):
+        outputs = {}
+        for cpus, workers in ((1, 1), (2, 3)):
+            code, out = self._run_with_cpus(tmp_path, monkeypatch, cpus)
+            assert code == EXIT_OK
+            manifest = check_manifest_covers_dir(str(out))
+            assert manifest["diagnostics"]["constants"] == {"workers": workers}
+            assert set(manifest["wall_times_s"]) == {"C_phi", "C_tilde_phi", "C_tilde_0", "total"}
+            outputs[cpus] = [(out / name).read_bytes() for name in ("constants.json", "ladder.csv")]
+        capsys.readouterr()
+        assert outputs[1] == outputs[2]
+
+    def test_failing_constants_fail_as_in_process(self, tmp_path, capsys, monkeypatch):
+        def slow_failure(*args, **kwargs):
+            time.sleep(0.3)
+            raise FrontsError("C_phi failed")
+
+        def quick_failure(*args, **kwargs):
+            raise FrontsError("C_tilde failed")
+
+        # the forked workers inherit the patches
+        monkeypatch.setattr(cli_module, "constant_C", slow_failure)
+        monkeypatch.setattr(cli_module, "constant_C_tilde", quick_failure)
+        messages = []
+        for cpus in (1, 2):
+            code, out = self._run_with_cpus(tmp_path, monkeypatch, cpus)
+            assert code == EXIT_NUMERIC
+            manifest = manifest_of(out)
+            assert manifest["status"] == "numeric-error"
+            messages.append(manifest["message"])
+        capsys.readouterr()
+        assert messages == ["C_phi failed", "C_phi failed"]
 
 
 class TestLdpPipeline:

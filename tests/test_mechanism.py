@@ -41,6 +41,7 @@ from sbmlab.mechanism import (
     GreyViolatedError,
     LevyMeasure,
     MechanismError,
+    _brentq,
     _flow_table,
     check_hypotheses,
     flow_map,
@@ -215,6 +216,122 @@ class TestLambdaStar:
         mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.atoms([(0.5, 0.1)]))
         with pytest.raises(MechanismError):
             lambda_star(mech)
+
+
+def _recording(monkeypatch, module):
+    """Patch module._brentq to record each (f, xa, xb, xtol, rtol) and its root."""
+    calls = []
+    inner = module._brentq
+
+    def spy(f, xa, xb, xtol, rtol, error, what):
+        root = inner(f, xa, xb, xtol, rtol, error, what)
+        calls.append(((f, xa, xb, xtol, rtol), root))
+        return root
+
+    monkeypatch.setattr(module, "_brentq", spy)
+    return calls
+
+
+class TestBrentq:
+    """The private Brent root finder against scipy.optimize.brentq, bit for bit."""
+
+    MECHANISMS = {
+        "quadratic": QUADRATIC,
+        "shifted": BranchingMechanism(alpha=2.0, beta=0.3),
+        "stable": stable_mechanism(1.5),
+        "pure-jump-cutoff": PURE_JUMP_CUTOFF,
+        "atoms": BranchingMechanism(alpha=0.7, beta=0.2, levy=LevyMeasure.atoms([(0.5, 1.0), (3.0, 0.2)])),
+        "tabulated": BranchingMechanism(
+            alpha=1.0, beta=0.5, levy=LevyMeasure.tabulated([0.1, 1.0, 4.0], [2.0, 0.5, 0.0])
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_lambda_star_problems(self, monkeypatch, name):
+        from scipy.optimize import brentq
+
+        import sbmlab.mechanism as mechanism_module
+
+        calls = _recording(monkeypatch, mechanism_module)
+        root = lambda_star(self.MECHANISMS[name])
+        assert len(calls) == 1
+        (f, xa, xb, xtol, rtol), got = calls[0]
+        assert root == got == brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize(
+        "case", [(1.0, 1.0, 1.0, 5.0), (1.0, 2.0, 0.5, 3.0), (2.0, 0.5, 0.3, 2.0), (1.0, 1.0, 1.0, 0.3)]
+    )
+    def test_solve_hA_centre_problems(self, monkeypatch, case):
+        from scipy.optimize import brentq
+
+        import sbmlab.barriers as barriers_module
+
+        calls = _recording(monkeypatch, barriers_module)
+        barriers_module.solve_hA(*case)
+        assert len(calls) == 1
+        (f, xa, xb, xtol, rtol), got = calls[0]
+        assert got == brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+    def test_random_problems(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            c, p, s = rng.uniform(0.1, 3.0), rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0)
+            xtol, rtol = 10.0 ** rng.uniform(-300, -6), 10.0 ** rng.uniform(-15.05, -6)
+
+            def f(x):
+                return c * math.copysign(abs(x) ** p, x) + math.sinh(x) - s
+
+            got = _brentq(f, -5.0, 5.0, xtol, rtol, MechanismError, "test")
+            assert got == brentq(f, -5.0, 5.0, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("xa,xb", [(1.0, 2.0), (0.0, 1.0)])
+    def test_root_at_an_end(self, xa, xb):
+        from scipy.optimize import brentq
+
+        def f(x):
+            return x * x - 1.0
+
+        got = _brentq(f, xa, xb, 1e-12, 1e-12, MechanismError, "test")
+        assert got == brentq(f, xa, xb, xtol=1e-12, rtol=1e-12) == 1.0
+
+    def test_equal_signs_raise_the_callers_error(self):
+        from scipy.optimize import brentq
+
+        def f(x):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(f, -1.0, 1.0)
+        with pytest.raises(MechanismError, match=r"lambda_star \(x\): no sign change on the bracket \[-1.0, 1.0\]"):
+            _brentq(f, -1.0, 1.0, 1e-12, 1e-12, MechanismError, "lambda_star (x)")
+
+    def test_nan_raises_the_callers_error(self):
+        from scipy.optimize import brentq
+
+        def f(x):
+            return math.nan if x > 0.5 else x - 0.7
+
+        with pytest.raises(ValueError, match="is NaN"):
+            brentq(f, 0.0, 1.0)
+        with pytest.raises(MechanismError, match=r"lambda_star \(x\): the function is NaN at 1.0"):
+            _brentq(f, 0.0, 1.0, 1e-12, 1e-12, MechanismError, "lambda_star (x)")
+
+    def test_spent_iterations_raise_the_callers_error(self):
+        from scipy.optimize import brentq
+
+        from sbmlab.barriers import BarriersError
+
+        def f(x):
+            # a jump at 0 with solve_hA's xtol: about 1000 bisections to converge
+            return math.copysign(1.0, x)
+
+        rtol = 4 * np.finfo(float).eps
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            brentq(f, -1.0, 2.0, xtol=1e-300, rtol=rtol)
+        with pytest.raises(BarriersError, match=r"solve_hA centre \(A 5\): no convergence in 100 iterations"):
+            _brentq(f, -1.0, 2.0, 1e-300, rtol, BarriersError, "solve_hA centre (A 5)")
 
 
 class TestExactFlow:
