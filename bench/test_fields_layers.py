@@ -36,6 +36,15 @@ Two rows on one march step of the `jumps` workload's `kpp` pipeline
 
 Both pin their output bits, so a faster step must keep every bit.
 
+Two rows on that mechanism's own kernels, the work behind its flow table:
+
+- one ``psi`` on a fixed grid of 10^4 points, geometric from 1e-4 to 1e4;
+- one flow table build, ``mechanism._FlowTable``, called directly so the
+  per-mechanism cache of ``flow_map`` does not serve it.
+
+Both pin their output bits: the psi values, and the table's lambda* and
+the cell coefficients and nodes of its four Hermite interpolants.
+
 One ``check_hypotheses`` on that mechanism, the first stage of the `jumps`
 workload's `mech-check` pipeline, and one ``solve_hA`` at the `barriers`
 pipeline's defaults (a 1, b 1, theta 1, A 5).  Both pin their output bits
@@ -62,7 +71,7 @@ from sbmlab.cli import ExperimentConfig, run_pipeline
 from sbmlab.feynman_kac import fk_estimate
 from sbmlab.fronts import constant_C_tilde
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
-from sbmlab.mechanism import BranchingMechanism, LevyMeasure, check_hypotheses, flow_map
+from sbmlab.mechanism import BranchingMechanism, LevyMeasure, _FlowTable, check_hypotheses, flow_map, psi
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
 JUMPS = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(1.0, 1.5, 5.0))
@@ -161,6 +170,20 @@ def test_table_flow_map_1255_node_row(benchmark):
     out = benchmark(flow, row)
     assert row.shape == (1255,)
     assert _sha(out) == "4530a43dabc16ced6a1423de3157728ee92181743494e13812a59a7037bc64b0"
+
+
+def test_psi_jumps_10000_points(benchmark):
+    lam = np.geomspace(1e-4, 1e4, 10_000)
+    out = benchmark(psi, JUMPS, lam)
+    assert _sha(out) == "a26b5d9c522afa5f24fbe774f60cc174e0bcfa2e7aedfcc6436031a5413f7f6e"
+
+
+def test_flow_table_build_jumps(benchmark):
+    table = benchmark.pedantic(_FlowTable, args=(JUMPS,), rounds=20, iterations=1, warmup_rounds=1)
+    parts = [np.array([table.lam])]
+    for h in (table.up, table.up_inv, table.down, table.down_inv):
+        parts += [h.coef.ravel(), h.x]
+    assert _sha(np.concatenate(parts)) == "cfd20c5f934fafd33007bc341855bcf5479a86582498e509a7a371f471dde694"
 
 
 def test_check_hypotheses_jumps(benchmark):

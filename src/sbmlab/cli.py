@@ -14,7 +14,8 @@ below.  Unknown keys are rejected anywhere in the document, so typos
 fail loudly instead of silently running defaults.  The chosen pipeline's
 block is parsed once, up front, into the values its runner uses, through
 the library's own constructors and validators; a mistake names
-``<block>.<key>`` and exits 2 before anything is written.
+``<block>.<key>`` and exits 2 before anything is written.  So does a time
+a block names that is not a whole number of steps of the block's dt.
 
 Cluster banks come from one place: ``simulate`` with a ``bank`` block
 writes one under ``bank/`` in its output directory.  ``extremal`` only
@@ -73,7 +74,7 @@ from .feynman_kac import FkError, fk_estimate
 from .fronts import (
     FrontsError, TestFunction, _validate_ladder, constant_C, constant_C_hat, constant_C_tilde
 )
-from .kpp import SQRT2, Grid1D, InitialCondition, KppError, front_m, solve_U
+from .kpp import SQRT2, Grid1D, InitialCondition, KppError, _grid_step, front_m, solve_U
 from .mechanism import (
     BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star,
     mechanism_from_json, mechanism_to_dict,
@@ -358,13 +359,13 @@ _LOCATIONS = {("extremal", "bank")}
 
 def _parse_kpp(opts: dict, mech, seed, replicas) -> dict:
     t_end, dt = opts["t_end"], opts["dt"]
-    snaps = opts["snapshots"] or tuple(t_end * f for f in (0.25, 0.5, 1.0))
-    snapped = tuple(round(s / dt) * dt for s in snaps)
-    if any(s <= 0 or s > t_end + 1e-9 for s in snapped):
-        raise CliConfigError("kpp.snapshots must lie in (0, t_end]")
     with _blame("kpp.dt", KppError):
         grid = Grid1D.auto(t_end, dx=opts["dx"], dt=dt, pad=opts["pad"])
-    return {"grid": grid, "init": _parse_data(opts["data"], "kpp.data"), "snapshots": snapped}
+    snaps = opts["snapshots"] or tuple(round(t_end * f / dt) * dt for f in (0.25, 0.5, 1.0))
+    steps = [_grid_step("kpp.snapshots entry", s, dt, CliConfigError) for s in snaps]
+    if not all(1 <= k <= grid.nt for k in steps):
+        raise CliConfigError("kpp.snapshots must lie in (0, t_end]")
+    return {"grid": grid, "init": _parse_data(opts["data"], "kpp.data"), "snapshots": snaps}
 
 
 def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
@@ -372,8 +373,7 @@ def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
     if r > t:
         raise CliConfigError("fk.r must not exceed fk.t")
     for name in ("r", "t"):
-        if abs(round(opts[name] / dt) * dt - opts[name]) > 1e-6:
-            raise CliConfigError(f"fk.{name}={opts[name]:g} is not a multiple of fk.dt={dt:g}")
+        _grid_step(f"fk.{name}", opts[name], dt, CliConfigError)
     with _blame("fk.dt", KppError):
         grid = Grid1D.auto(t, dx=dx, dt=dt, pad=pad)
     # the grid-error estimate solves again with both steps doubled
@@ -385,13 +385,13 @@ def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
 
 def _parse_fronts(opts: dict, mech, seed, replicas) -> dict:
     with _blame("fronts.r_ladder", FrontsError):
-        ladder = _validate_ladder(opts["r_ladder"])
+        ladder = _validate_ladder(opts["r_ladder"], opts["dt"])
     return {**opts, "phi": _parse_phi(opts["phi"], "fronts.phi"), "r_ladder": ladder}
 
 
 def _parse_ldp(opts: dict, mech, seed, replicas) -> dict:
     with _blame("ldp.r_ladder", FrontsError):
-        return {**opts, "r_ladder": _validate_ladder(opts["r_ladder"])}
+        return {**opts, "r_ladder": _validate_ladder(opts["r_ladder"], opts["dt"])}
 
 
 def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
@@ -404,6 +404,9 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
             initial = PointMeasure(
                 np.array([float(p[0]) for p in pairs]), np.array([float(p[1]) for p in pairs])
             )
+    _grid_step("simulate.t_end", opts["t_end"], opts["dt"], CliConfigError)
+    for s in opts["snapshots"] or ():
+        _grid_step("simulate.snapshots entry", s, opts["dt"], CliConfigError)
     with _blame("simulate", ParticlesError):
         sim = SimConfig(
             mech=mech,
@@ -422,6 +425,7 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
     if opts["bank"] is not None:
         bank = _validate(opts["bank"], _BANK_SCHEMA, "simulate.bank")
         bank["t"] = sim.t_end if bank["t"] is None else bank["t"]
+        _grid_step("simulate.bank.t", bank["t"], sim.dt, CliConfigError)
     return {"sim": sim, "bank": bank}
 
 
@@ -873,7 +877,7 @@ def _run_kpp(config: ExperimentConfig, art: _Artifacts) -> None:
         field = solve_U(config.mechanism, block["init"], grid, snapshot_times=block["snapshots"])
     art.diagnostics["solve"] = dict(field.diagnostics)
     header = ["x"] + [f"u_t{float(t):g}" for t in field.times]
-    rows = zip(grid.x, *[field.at(float(t)) for t in field.times])
+    rows = zip(grid.x, *field.snapshots)
     art.write_csv("profiles.csv", header, rows, "field profiles at the snapshot times")
     med_rows = []
     for t, xm in zip(field.median_times, field.median_values):

@@ -28,6 +28,7 @@ from .kpp import (
     Grid1D,
     InitialCondition,
     _as_float,
+    _grid_step,
     solve_U,
     solve_V,
     tail_error_estimate,
@@ -201,7 +202,7 @@ class ConstantEstimate:
     ladder: tuple[float, ...]
 
 
-def _validate_ladder(r_ladder) -> tuple[float, ...]:
+def _validate_ladder(r_ladder, dt: float) -> tuple[float, ...]:
     rs = tuple(float(r) for r in r_ladder)
     if len(rs) < 3:
         raise FrontsError("r_ladder needs at least three rungs to extrapolate")
@@ -209,6 +210,8 @@ def _validate_ladder(r_ladder) -> tuple[float, ...]:
         raise FrontsError("r_ladder must be strictly increasing")
     if rs[0] <= 0:
         raise FrontsError("r_ladder entries must be positive")
+    for r in rs:
+        _grid_step("r_ladder rung", r, dt, FrontsError)
     return rs
 
 
@@ -355,7 +358,7 @@ def constant_C(
     the cap grows like sqrt(r) and one field solve serves the whole ladder.
     """
     _require_unit_drift(mech)
-    rs = _validate_ladder(r_ladder)
+    rs = _validate_ladder(r_ladder, dt)
     ic = _phi_precheck(phi)
     if phi.is_trivial:
         return ConstantEstimate(0.0, 0.0, rs, tuple(0.0 for _ in rs))
@@ -375,7 +378,7 @@ def constant_C_tilde(
     level theta = 1e4 (``kpp.V_THETA``).
     """
     _require_unit_drift(mech)
-    rs = _validate_ladder(r_ladder)
+    rs = _validate_ladder(r_ladder, dt)
     report = check_hypotheses(mech)
     if not (report.h1 and report.h3):
         raise FrontsError("barrier-field constants need the moment and regularity checks to pass")
@@ -416,7 +419,7 @@ def constant_C_hat(
     delta = _as_float("delta", delta, FrontsError)
     if delta <= 0:
         raise FrontsError("delta must be positive")
-    rs = _validate_ladder(r_ladder)
+    rs = _validate_ladder(r_ladder, dt)
     report = check_hypotheses(mech)
     if not (report.h1 and report.h3):
         raise FrontsError("barrier-field constants need the moment and regularity checks to pass")

@@ -27,6 +27,9 @@ x < 0.  Boundary values follow the reaction flow b' = -psi(b), which is the
 exact spatially flat solution; plateaus at 0 and the equilibrium are
 unchanged by it, and the barrier plateau relaxes the way the total-mass flow
 does instead of staying pinned at the truncation level.
+
+Which step a time names has one rule, ``_grid_step``, which every module
+that turns a time into a step, or looks up a stored time, goes through.
 """
 
 from __future__ import annotations
@@ -79,9 +82,23 @@ def _as_float(name: str, value, error: type[Exception]) -> float:
     return out
 
 
+def _grid_step(name: str, t: float, step: float, error: type[Exception] | None) -> int | None:
+    """The step k = round(t / step) that t names: |k step - t| <= 1e-9 max(1, |t|).
+
+    Any other t raises ``error`` naming it, or returns None when ``error`` is None.
+    """
+    t = float(t)  # a numpy scalar would warn where t / step overflows
+    k = round(t / step) if step > 0 and math.isfinite(t / step) else None
+    if k is None or abs(k * step - t) > 1e-9 * max(1.0, abs(t)):
+        if error is None:
+            return None
+        raise error(f"{name} {t:.12g} is not a whole number of steps of {step:.12g}")
+    return k
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform space-time grid; dx must divide the span and dt the horizon."""
+    """Uniform space-time grid: the span is whole steps dx and the horizon whole steps dt."""
 
     x_min: float
     x_max: float
@@ -90,16 +107,10 @@ class Grid1D:
     t_end: float
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min):
-            raise KppError("x_max must exceed x_min")
         if self.dx <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise KppError("dx, dt, t_end must be positive")
-        span = self.x_max - self.x_min
-        if abs(round(span / self.dx) * self.dx - span) > 1e-9 * max(1.0, span):
-            raise KppError("dx must divide x_max - x_min")
-        steps = round(self.t_end / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise KppError("dt must divide t_end")
+        if self.nx < 2 or self.nt < 1:
+            raise KppError("x_max - x_min and t_end must each be at least one step")
 
     @classmethod
     def auto(
@@ -119,11 +130,11 @@ class Grid1D:
 
     @property
     def nx(self) -> int:
-        return round((self.x_max - self.x_min) / self.dx) + 1
+        return _grid_step("x_max - x_min", self.x_max - self.x_min, self.dx, KppError) + 1
 
     @property
     def nt(self) -> int:
-        return round(self.t_end / self.dt)
+        return _grid_step("t_end", self.t_end, self.dt, KppError)
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -222,14 +233,11 @@ class Field:
     median_values: np.ndarray
     diagnostics: Mapping[str, object] = field(default_factory=dict)
 
-    def _row(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9)[0]
-        if hits.size == 0:
-            raise KppError(f"no snapshot at t={t}; have {self.times}")
-        return int(hits[0])
-
     def at(self, t: float) -> np.ndarray:
-        return self.snapshots[self._row(t)]
+        j0, j1, _ = _rows(self.times, self.grid.dt, t)
+        if j0 != j1:
+            raise KppError(f"no snapshot at t={t}; have {self.times}")
+        return self.snapshots[j0]
 
     def interp(self, t: float, x) -> float | np.ndarray:
         """Bilinear value between snapshots; t and x must be inside the grid.
@@ -242,9 +250,7 @@ class Field:
         ``np.interp(x, grid.x, row)`` bit for bit, node hits included, and
         points up to 1e-9 beyond either end take that end node's value.
         """
-        times = self.times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise KppError(f"t={t} outside snapshot range")
+        j0, j1, w = _rows(self.times, self.grid.dt, t)
         xs = self.grid.x
         x0, x_end, last = xs[0], xs[-1], xs.size - 1
         x_arr = np.asarray(x, dtype=float)
@@ -278,16 +284,10 @@ class Field:
             val += f_cell
             return np.where(hit, f_cell, val)
 
-        j = int(times.searchsorted(t))
-        j = min(max(j, 0), len(times) - 1)
-        if abs(times[j] - t) <= 1e-9:
-            out = row(j)
-        else:
-            j0 = j - 1
-            w = (t - times[j0]) / (times[j] - times[j0])
-            out = row(j0)
+        out = row(j0)
+        if j1 != j0:
             out *= 1.0 - w
-            upper = row(j)
+            upper = row(j1)
             upper *= w
             out += upper
         if scalar:
@@ -330,18 +330,22 @@ def median_m_tilde(field: Field, t: float) -> float:
     rightmost cell is still above it.
     """
     times, meds = field.median_times, field.median_values
-    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-        raise KppError(f"t={t} outside the solved horizon")
-    j = int(np.searchsorted(times, t))
-    j = min(max(j, 0), len(times) - 1)
-    if abs(times[j] - t) <= 1e-9:
-        return float(meds[j])
-    j0 = j - 1
-    v0, v1 = meds[j0], meds[j]
+    j0, j1, w = _rows(times, field.grid.dt, t)
+    v0, v1 = meds[j0], meds[j1]
     if not (math.isfinite(v0) and math.isfinite(v1)):
-        return float(v0 if t - times[j0] <= times[j] - t else v1)
-    w = (t - times[j0]) / (times[j] - times[j0])
+        return float(v0 if t - times[j0] <= times[j1] - t else v1)
     return float((1.0 - w) * v0 + w * v1)
+
+
+def _rows(times: np.ndarray, dt: float, t: float) -> tuple[int, int, float]:
+    """Rows j0, j1 of the ascending stored steps ``times`` and weight w of j1 that blend to t."""
+    k = _grid_step("t", t, dt, None)
+    j = int(times.searchsorted(t if k is None else k * dt))
+    if k is not None and j < times.size and times[j] == k * dt:
+        return j, j, 0.0
+    if not 0 < j < times.size:
+        raise KppError(f"t={t} outside snapshot range [{times[0]:g}, {times[-1]:g}]")
+    return j - 1, j, (t - times[j - 1]) / (times[j] - times[j - 1])
 
 
 def _median_of_profile(u: np.ndarray, x: np.ndarray) -> float:
@@ -358,13 +362,10 @@ def _median_of_profile(u: np.ndarray, x: np.ndarray) -> float:
 
 
 def _snapshot_steps(grid: Grid1D, snapshot_times: Sequence[float] | None) -> list[int]:
-    steps = {0, grid.nt}
-    for t in snapshot_times or ():
-        k = round(t / grid.dt)
-        if k < 0 or k > grid.nt or abs(k * grid.dt - t) > 1e-6:
-            raise KppError(f"snapshot time {t} is not on the time grid")
-        steps.add(k)
-    return sorted(steps)
+    steps = [_grid_step("snapshot time", t, grid.dt, KppError) for t in snapshot_times or ()]
+    if not all(0 <= k <= grid.nt for k in steps):
+        raise KppError(f"snapshot times {list(snapshot_times)} must lie in [0, t_end]")
+    return sorted({0, grid.nt, *steps})
 
 
 def _march(

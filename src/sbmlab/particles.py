@@ -39,7 +39,8 @@ exactly.  Positions are drawn only at events, at snapshot steps and, with
 a barrier, at every step from t = 1 on, where a particle below the line
 is pruned before its event makes copies.  So the cost follows the number
 of events, about three draws each (a position, a kind and one clock per
-offspring), rather than the number of particle-steps.
+offspring), rather than the number of particle-steps.  Every time a
+configuration names must be a whole number of steps (``kpp._grid_step``).
 
 Up to 64 consecutive replicas march together as one group, in epochs that
 end at the snapshot steps, at the first barrier step and at most two
@@ -78,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kpp import SQRT2, front_m
+from .kpp import SQRT2, _grid_step, front_m
 from .mechanism import BranchingMechanism
 from .pool import ordered_map, worker_count
 
@@ -294,8 +295,8 @@ class SimConfig:
     rate times dt.  The engine marches from event to event (see the
     module docstring), which changes the cost, not the law.
     snapshot_times defaults to (t_end,); t_end is appended when missing.
-    Every snapshot must land on the step grid (a multiple of dt up to
-    rounding).  The cap on the per-step event probability (total rate
+    t_end and every snapshot must be k steps, |k dt - t| <= 1e-9 max(1, t)
+    (``kpp._grid_step``).  The cap on the per-step event probability (total rate
     times dt at most 0.2) is a validity bound, not an accuracy target;
     the chance of a second event in the same step is dropped, so biases
     scale with rate * dt and accuracy-sensitive runs should keep that
@@ -349,26 +350,20 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", self._resolve_snapshots())
 
     def _resolve_snapshots(self) -> tuple[float, ...]:
+        last = _grid_step("t_end", self.t_end, self.dt, ParticlesError)
         times = list(self.snapshot_times) if self.snapshot_times else []
         if not times or times[-1] < self.t_end:
             times.append(self.t_end)
         times = sorted(float(t) for t in times)
-        steps = []
-        for t in times:
-            if not 0.0 < t <= self.t_end + 1e-9:
-                raise ParticlesError("snapshot times must lie in (0, t_end]")
-            step = int(round(t / self.dt))
-            if step < 1 or abs(step * self.dt - t) > 0.5 * self.dt:
-                raise ParticlesError(
-                    f"snapshot time {t} does not land on the dt = {self.dt} grid"
-                )
-            steps.append(step)
+        steps = [_grid_step("snapshot time", t, self.dt, ParticlesError) for t in times]
+        if steps[0] < 1 or steps[-1] > last:
+            raise ParticlesError("snapshot times must lie in (0, t_end]")
         if len(set(steps)) != len(steps):
             raise ParticlesError("snapshot times collide on the step grid")
         return tuple(times)
 
     def snapshot_steps(self) -> tuple[int, ...]:
-        return tuple(int(round(t / self.dt)) for t in self.snapshot_times)
+        return tuple(_grid_step("snapshot", t, self.dt, ParticlesError) for t in self.snapshot_times)
 
     def initial_positions(self) -> np.ndarray:
         """Expand the initial measure into particle positions.
@@ -542,12 +537,8 @@ class _Law:
         self.snap_steps = config.snapshot_steps()
         self.window = max(1, int(_EPOCH_TIME / (max(config.mech.alpha, 1.0) * dt)))
         self.barrier = config.barrier_offset
-        # the first step whose time step * dt reaches _BARRIER_START_TIME
-        start = max(1, math.ceil(_BARRIER_START_TIME / dt))
-        while start * dt < _BARRIER_START_TIME:
-            start += 1
-        while start > 1 and (start - 1) * dt >= _BARRIER_START_TIME:
-            start -= 1
+        # the step that is _BARRIER_START_TIME, else the first one after it
+        start = _grid_step("t", _BARRIER_START_TIME, dt, None) or math.ceil(_BARRIER_START_TIME / dt)
         self.barrier_start = start
         # the pruning line by step, -inf where nothing is pruned; it rises
         # with the step, since front_m(1, t) does from t = 1 on

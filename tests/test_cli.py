@@ -177,12 +177,28 @@ CONFIG_MISTAKES = [
         {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "stability": {"a": 1.0}}},
         "extremal.stability.a",
     ),
+    # a time off its block's step grid exits 2 at parse, before any file
+    ("fronts", {"fronts": {"r_ladder": [4.005, 8, 16]}}, "fronts.r_ladder"),
+    ("ldp", {"ldp": {"r_ladder": [4.005, 8, 16]}}, "ldp.r_ladder"),
+    ("kpp", {"kpp": {"snapshots": [0.013]}}, "kpp.snapshots"),
+    ("simulate", {"seed": 1, "simulate": {"dt": 0.025, "snapshots": [1.013]}}, "simulate.snapshots"),
+    ("simulate", {"seed": 1, "simulate": {"dt": 0.025, "t_end": 2.01}}, "simulate.t_end"),
+    (
+        "simulate",
+        {"seed": 1, "simulate": {"dt": 0.025, "bank": {"z": 0.0, "t": 2.01, "n_accept": 1}}},
+        "simulate.bank.t",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "pipeline,data,key", CONFIG_MISTAKES, ids=[f"{p}-{k}" for p, _, k in CONFIG_MISTAKES]
-)
+# "<pipeline>-<key>", and the case's index after it where an earlier case has that id
+MISTAKE_IDS = [
+    f"{p}-{k}" + (f"-{i}" if (p, k) in [(q, c) for q, _, c in CONFIG_MISTAKES[:i]] else "")
+    for i, (p, _, k) in enumerate(CONFIG_MISTAKES)
+]
+
+
+@pytest.mark.parametrize("pipeline,data,key", CONFIG_MISTAKES, ids=MISTAKE_IDS)
 def test_config_mistake_exits_2_before_the_run(tmp_path, capsys, pipeline, data, key):
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"

@@ -132,11 +132,21 @@ class TestLadderExtrapolation:
 
     def test_ladder_validation(self):
         with pytest.raises(FrontsError):
-            _validate_ladder((4.0, 8.0))
+            _validate_ladder((4.0, 8.0), 0.01)
         with pytest.raises(FrontsError):
-            _validate_ladder((4.0, 8.0, 8.0))
+            _validate_ladder((4.0, 8.0, 8.0), 0.01)
         with pytest.raises(FrontsError):
-            _validate_ladder((0.0, 4.0, 8.0))
+            _validate_ladder((0.0, 4.0, 8.0), 0.01)
+
+
+@pytest.mark.parametrize(
+    "constant,arg",
+    [(constant_C, PHI), (constant_C_tilde, None), (constant_C_hat, 0.5)],
+    ids=["C", "C_tilde", "C_hat"],
+)
+def test_off_grid_rung_is_refused_before_the_march(constant, arg):
+    with pytest.raises(FrontsError, match="r_ladder rung 4.005 is not a whole number of steps"):
+        constant(QUADRATIC, arg, r_ladder=(4.005, 8.0, 16.0), dt=0.01)
 
 
 class TestConstantC:

@@ -69,6 +69,15 @@ class TestGrid1D:
         with pytest.raises(KppError):
             Grid1D(x_min=-1.0, x_max=1.0, dx=0.1, dt=0.3, t_end=1.0)
 
+    def test_step_rule_is_relative_beyond_one(self):
+        # a time names step k when |k dt - t| <= 1e-9 max(1, |t|)
+        assert kpp_module._grid_step("t", 0.3, 0.1, KppError) == 3
+        assert kpp_module._grid_step("t", 1000.0 + 5e-7, 0.01, KppError) == 100_000
+        assert kpp_module._grid_step("t", 0.3 + 2e-9, 0.1, None) is None
+        for t in (0.3 + 2e-9, 1000.0 + 2e-6, math.nan, math.inf):
+            with pytest.raises(KppError, match="not a whole number of steps"):
+                kpp_module._grid_step("t", t, 0.1, KppError)
+
     def test_nodes_are_built_once_and_read_only(self):
         grid = Grid1D(x_min=-8.0, x_max=8.0, dx=0.1, dt=0.01, t_end=1.0)
         assert grid.x is grid.x
@@ -136,6 +145,12 @@ class TestInitialCondition:
 
 
 class TestSolveU:
+    def test_off_grid_snapshot_is_refused(self):
+        # 1e-7 off the grid names no step, though it is within an absolute 1e-6
+        grid = Grid1D(x_min=-8.0, x_max=8.0, dx=0.1, dt=0.01, t_end=1.0)
+        with pytest.raises(KppError, match="snapshot time 0.5000001 is not a whole number"):
+            solve_U(QUADRATIC, InitialCondition.heaviside(), grid, snapshot_times=[0.5 + 1e-7])
+
     def test_zero_is_a_fixed_point(self):
         grid = Grid1D(x_min=-8.0, x_max=8.0, dx=0.1, dt=0.01, t_end=1.0)
         field = solve_U(

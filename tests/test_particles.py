@@ -150,7 +150,14 @@ class TestSimConfig:
     def test_snapshots_colliding_on_step_grid_rejected(self):
         with pytest.raises(ParticlesError, match="collide"):
             SimConfig(mech=QUADRATIC, epsilon=2.0, dt=0.1, t_end=1.0,
-                      seed=1, n_replicas=1, snapshot_times=(0.26, 0.3))
+                      seed=1, n_replicas=1, snapshot_times=(0.3, 0.1 * 3))
+
+    @pytest.mark.parametrize(
+        "times", [{"t_end": 2.01}, {"t_end": 2.0, "snapshot_times": (1.013,)}], ids=["t_end", "snapshot"]
+    )
+    def test_off_grid_times_rejected(self, times):
+        with pytest.raises(ParticlesError, match="not a whole number of steps of 0.025"):
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, seed=1, n_replicas=1, **times)
 
     def test_barrier_requires_unit_drift(self):
         tilted = BranchingMechanism(alpha=2.0, beta=1.0)
@@ -261,8 +268,9 @@ class TestEventCounts:
 
 @pytest.fixture(scope="module")
 def extinction_run():
-    # quadratic, t = log 2: the limiting extinction probability is e^{-2}
-    cfg = SimConfig(mech=QUADRATIC, epsilon=0.02, dt=0.001, t_end=math.log(2.0),
+    # quadratic, t = 0.693, the step of dt 0.001 nearest log 2: the limiting
+    # extinction probability is exp(-v_bar(0.693)) = 0.13530, near e^{-2}
+    cfg = SimConfig(mech=QUADRATIC, epsilon=0.02, dt=0.001, t_end=0.693,
                     seed=20250822, n_replicas=1500, stats_only=True)
     return simulate(cfg)
 
@@ -270,13 +278,13 @@ def extinction_run():
 class TestAgainstMassOracles:
     def test_extinction_frequency_matches_closed_form(self, extinction_run):
         p = 1.0 - extinction_run.survival_frequency()
-        target = math.exp(-2.0)
+        target = csbp.extinction_prob(QUADRATIC, t=0.693).prob
         se = math.sqrt(target * (1.0 - target) / len(extinction_run.stats))
         assert abs(p - target) < 3.0 * se
 
     def test_extinction_frequency_robust_under_epsilon_halving(self, extinction_run):
         coarse = simulate(SimConfig(mech=QUADRATIC, epsilon=0.04, dt=0.002,
-                                    t_end=math.log(2.0), seed=20250823,
+                                    t_end=0.694, seed=20250823,
                                     n_replicas=1500, stats_only=True))
         p_fine = 1.0 - extinction_run.survival_frequency()
         p_coarse = 1.0 - coarse.survival_frequency()
