@@ -50,6 +50,11 @@ workload's `mech-check` pipeline, and one ``solve_hA`` at the `barriers`
 pipeline's defaults (a 1, b 1, theta 1, A 5).  Both pin their output bits
 too: the report's fields as JSON, and the profile nodes and values.
 
+One row on the whole `barriers` pipeline at its defaults (quiet): one
+``run_pipeline`` solving h_A, its envelopes and the strip constants, with
+the CLI's artifacts written.  It pins the bytes of ``profile.csv`` and
+``constants.json``.
+
 Run from the repository root with pytest-benchmark installed:
 
     python -m pytest bench --benchmark-json=bench-fields.json
@@ -195,3 +200,17 @@ def test_check_hypotheses_jumps(benchmark):
 def test_solve_hA_barriers_defaults(benchmark):
     sol = benchmark.pedantic(solve_hA, args=(1.0, 1.0, 1.0, 5.0), rounds=7, iterations=1, warmup_rounds=1)
     assert _sha(np.concatenate((sol.x, sol.h))) == "a1fc13b41bb952e3158866ff56395511de239ac61644c4812f3321a0cd3bdd5c"
+
+
+def test_barriers_pipeline_defaults(benchmark, tmp_path):
+    config = ExperimentConfig.from_sources(
+        "barriers", {}, out=str(tmp_path / "barriers"), quiet=True, env={}
+    )
+    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
+    assert code == 0
+    names = ("profile.csv", "constants.json")
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+    assert digests == [
+        "bc96494189f461bb6d758ba4e1863d16191a27f50e703dfd414608f19a68a458",
+        "38778a2363538953098da1d5f7d0b9de3ca8c66bf329656dd570e54b7ea24012",
+    ]

@@ -24,20 +24,22 @@ for the negative log probability that a cloud started at x stays inside
 
     h_A(x) * exp(-(c4 * (A - |x|)**2 / t - a * t - c5)).
 
-The constants come from an explicit comparison argument.  An auxiliary
-shape function f on [-1, 1], here f(y) = (1 - y**2)**2, supplies a measured
-curvature bound K; a damping delta < 1/K then gives
-c4 = delta * inf f(y) / (1 - y)**2, and c5 is the smallest value passing
-the two sufficient inequalities (checked on a time grid, found by
-bisection).  That c5 is sufficient, not sharp, so the bound is conservative
-by orders of magnitude.
+The constants come from an explicit comparison argument, each in closed
+form.  An auxiliary shape function f on [-1, 1], here f(y) = (1 - y**2)**2,
+has curvature bound K = 16; the damping delta = 1/(2K) < 1/K then gives
+c4 = delta * inf f(y) / (1 - y)**2 = 1/32.  c5 is the positive root of the
+quadratic that the first of two sufficient inequalities reduces to, up to
+rounding, and the second is checked at that root (``strip_constants``).
+That c5 is sufficient, not sharp, so the bound is conservative by orders
+of magnitude.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,14 +49,12 @@ from .mechanism import _GAUSS_NODES, _GAUSS_WEIGHTS, _brentq
 __all__ = [
     "BarriersError",
     "BlowupSolution",
-    "ShapeWitness",
     "StripConstants",
     "equilibrium",
     "c2_constant",
     "c4_convexity",
     "c1_constant",
     "c3_constant",
-    "shape_witness",
     "strip_constants",
     "solve_hA",
     "sandwich_bounds",
@@ -74,8 +74,6 @@ _INVERSION_MAX_ITER = 100
 
 # log grid on [1e-6, 1e8] for the infimum of c4_convexity
 _C4_GRID = 4001
-# grid on [0, 1] on which shape_witness checks f(y) = (1 - y^2)^2
-_WITNESS_GRID = 20001
 
 
 class BarriersError(ValueError):
@@ -87,9 +85,19 @@ def equilibrium(a: float, b: float, theta: float) -> float:
     return (a / b) ** (1.0 / theta)
 
 
+def _amplitude(name: str, base: float, theta: float) -> float:
+    """base ** (1 / theta), or BarriersError naming theta where that overflows a double."""
+    try:
+        return base ** (1.0 / theta)
+    except OverflowError:
+        raise BarriersError(
+            f"{name} = {base:g} ** (1 / theta) overflows a double at theta = {theta:g}"
+        ) from None
+
+
 def c2_constant(b: float, theta: float) -> float:
     """Lower-envelope amplitude (2 / (b * theta)) ** (1 / theta)."""
-    return (2.0 / (b * theta)) ** (1.0 / theta)
+    return _amplitude("c2", 2.0 / (b * theta), theta)
 
 
 @functools.lru_cache(maxsize=32)
@@ -115,7 +123,7 @@ def c4_convexity(theta: float) -> float:
 def c1_constant(a: float, theta: float) -> float:
     """Upper-envelope amplitude (4 / (c4 a theta) * (2/theta + 1)) ** (1/theta)."""
     c4 = c4_convexity(theta)
-    return (4.0 / (c4 * a * theta) * (2.0 / theta + 1.0)) ** (1.0 / theta)
+    return _amplitude("c1", 4.0 / (c4 * a * theta) * (2.0 / theta + 1.0), theta)
 
 
 def c3_constant(a: float, theta: float) -> float:
@@ -313,70 +321,19 @@ def sandwich_bounds(sol: BlowupSolution) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ShapeWitness:
-    """Measured properties of the shape function f(y) = (1 - y^2)^2.
+class StripConstants:
+    """Everything the confinement bound needs for the mechanism (a, b, theta).
 
-    ``K`` bounds (f')^2 / f, |f'| / (1 - y), and f'' on [0, 1]; ``delta``
-    is the damping 1 / (2K), strictly below the required 1 / K; ``c4`` is
-    delta times the infimum of f(y) / (1 - y)^2.
+    The class attributes are those of the shape function f(y) = (1 - y^2)^2
+    on [0, 1].  (f')^2 / f = 16 y^2, |f'| / (1 - y) = 4 y (1 + y) and
+    |f''| = |12 y^2 - 4| have sup ``K`` = 16; the damping ``delta`` is
+    1 / (2K), strictly below the required 1 / K; and f / (1 - y)^2 = (1 + y)^2
+    is least at y = 0, where it is 1, so ``c4`` = delta.
     """
 
-    K: float
-    delta: float
-    inf_ratio: float
-    c4: float
-    endpoint_checks: dict = field(repr=False, default_factory=dict)
-
-
-@functools.lru_cache(maxsize=1)
-def shape_witness() -> ShapeWitness:
-    """Verify the required properties of f(y) = (1 - y^2)^2 numerically."""
-    y = np.linspace(0.0, 1.0, _WITNESS_GRID)
-    f = (1.0 - y * y) ** 2
-    fp = -4.0 * y * (1.0 - y * y)
-    fpp = -4.0 + 12.0 * y * y
-
-    interior = slice(0, _WITNESS_GRID - 1)
-    quot_sq = np.zeros_like(y)
-    quot_sq[interior] = fp[interior] ** 2 / f[interior]
-    quot_sq[-1] = 16.0
-    quot_lin = np.empty_like(y)
-    quot_lin[interior] = np.abs(fp[interior]) / (1.0 - y[interior])
-    quot_lin[-1] = 8.0
-
-    K = float(max(np.max(quot_sq), np.max(quot_lin), np.max(np.abs(fpp))))
-    delta = 1.0 / (2.0 * K)
-    ratio = np.empty_like(y)
-    ratio[interior] = f[interior] / (1.0 - y[interior]) ** 2
-    ratio[-1] = 4.0
-    inf_ratio = float(np.min(ratio))
-
-    checks = {
-        "f(0)": float(f[0]),
-        "f'(0)": float(fp[0]),
-        "f(1)": float(f[-1]),
-        "f'(1)": float(fp[-1]),
-        "f''(1)": float(fpp[-1]),
-        "min f on (0,1)": float(np.min(f[1:-1])),
-    }
-    if not (
-        abs(checks["f(0)"] - 1.0) < 1e-12
-        and abs(checks["f'(0)"]) < 1e-12
-        and abs(checks["f(1)"]) < 1e-12
-        and abs(checks["f'(1)"]) < 1e-12
-        and checks["f''(1)"] > 0.0
-        and checks["min f on (0,1)"] > 0.0
-    ):
-        raise BarriersError("shape witness failed its endpoint checks")
-    return ShapeWitness(
-        K=K, delta=delta, inf_ratio=inf_ratio, c4=delta * inf_ratio,
-        endpoint_checks=checks,
-    )
-
-
-@dataclass(frozen=True)
-class StripConstants:
-    """Everything the confinement bound needs, with c5 from bisection."""
+    K: ClassVar[float] = 16.0
+    delta: ClassVar[float] = 1.0 / 32.0
+    c4: ClassVar[float] = 1.0 / 32.0
 
     a: float
     b: float
@@ -384,79 +341,37 @@ class StripConstants:
     c1: float
     c2: float
     c3: float
-    witness: ShapeWitness
     c5: float
-
-    @property
-    def c4(self) -> float:
-        return self.witness.c4
-
-
-def _c5_conditions_hold(
-    c5: float,
-    a: float,
-    b: float,
-    theta: float,
-    c1: float,
-    c2: float,
-    c3: float,
-    witness: ShapeWitness,
-    t_grid: np.ndarray,
-) -> bool:
-    # First regime: the quadratic-in-f part of the comparison supersolution
-    # dominates; needs a + c5/(4t) - c3/t - 1/(2t) >= a + 2 a c1^theta / (c5 t).
-    lhs1 = a + (0.25 * c5 - c3 - 0.5) / t_grid
-    rhs1 = a + 2.0 * a * c1**theta / (c5 * t_grid)
-    if np.any(lhs1 < rhs1):
-        return False
-    # Second regime: the exponential lift of the boundary layer dominates;
-    # needs a - c3/t - 1/(2t) >= -coef / t with
-    # coef = b c2^theta delta (e^{theta c5 / 2} - 1) / (2 c5) * inf f/(1-y)^2.
-    arg = min(0.5 * theta * c5, 700.0)
-    coef = (
-        b * c2**theta * witness.delta * math.expm1(arg) / (2.0 * c5)
-    ) * witness.inf_ratio
-    lhs2 = a + (coef - c3 - 0.5) / t_grid
-    return not np.any(lhs2 < 0.0)
 
 
 def strip_constants(a: float, b: float, theta: float) -> StripConstants:
     """Constants of the confinement bound for the mechanism (a, b, theta).
 
-    c5 is the smallest value satisfying both sufficient inequalities on a
-    log time grid spanning [1e-3, 1e3], located by doubling then bisection.
-    Both conditions are monotone in c5, so the bisection is exact up to the
-    stopping width.
+    c5 is the least value that passes the comparison argument's two
+    sufficient inequalities at every t > 0.  The first,
+    a + (c5/4 - c3 - 1/2) / t >= a + 2 a c1**theta / (c5 t), does not depend
+    on t because 2 a c1**theta = c3; it holds from the positive root of
+    c5**2 - (4 c3 + 2) c5 - 4 c3 = 0 on, so
+
+        c5 = (2 c3 + 1) + sqrt((2 c3 + 1)**2 + 4 c3),
+
+    up to rounding, and c5 depends on theta alone.  The second,
+    a - (c3 + 1/2) / t >= -coef / t with
+    coef = b c2**theta delta (e**(theta c5 / 2) - 1) / (2 c5) * inf f/(1-y)**2,
+    holds at every t > 0 once coef >= c3 + 1/2; coef grows with c5, and at
+    the root it exceeds c3 + 1/2 by a factor above 3.9e16 for theta in
+    [0.05, 1].  It is checked here, and a failure raises BarriersError.  So
+    does a theta small enough that c1 or c2 overflows a double (for a = 1,
+    theta = 0.01).
     """
-    return _strip_constants(*_mechanism_args(a, b, theta))
-
-
-@functools.lru_cache(maxsize=32)
-def _strip_constants(a: float, b: float, theta: float) -> StripConstants:
-    c1 = c1_constant(a, theta)
-    c2 = c2_constant(b, theta)
-    c3 = c3_constant(a, theta)
-    witness = shape_witness()
-    t_grid = np.geomspace(1e-3, 1e3, 121)
-
-    def ok(c5: float) -> bool:
-        return _c5_conditions_hold(c5, a, b, theta, c1, c2, c3, witness, t_grid)
-
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            raise BarriersError("no admissible c5 below 1e9; parameters degenerate")
-    lo = hi / 2.0 if hi > 1.0 else 1e-6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9 * hi:
-            break
-    return StripConstants(
-        a=float(a), b=float(b), theta=float(theta),
-        c1=c1, c2=c2, c3=c3, witness=witness, c5=float(hi),
-    )
+    a, b, theta = _mechanism_args(a, b, theta)
+    c1, c2, c3 = c1_constant(a, theta), c2_constant(b, theta), c3_constant(a, theta)
+    c5 = (2.0 * c3 + 1.0) + math.sqrt((2.0 * c3 + 1.0) ** 2 + 4.0 * c3)
+    # e^{theta c5 / 2} is capped at e^700, which only lowers coef
+    lift = math.expm1(min(0.5 * theta * c5, 700.0))
+    coef = b * c2**theta * StripConstants.delta * lift / (2.0 * c5)
+    if not coef >= c3 + 0.5:
+        raise BarriersError(
+            f"c5 = {c5:g} fails the second confinement inequality at theta = {theta:g}"
+        )
+    return StripConstants(a=a, b=b, theta=theta, c1=c1, c2=c2, c3=c3, c5=c5)

@@ -11,9 +11,10 @@ rerunning the same configuration and seed rewrites identical CSVs.
 
 Configuration is a single JSON document validated against the schemas
 below.  Unknown keys are rejected anywhere in the document, so typos
-fail loudly instead of silently running defaults.  The chosen pipeline's
-block is parsed once, up front, into the values its runner uses, through
-the library's own constructors and validators; a mistake names
+fail loudly instead of silently running defaults, and so are numbers that
+are NaN or infinite.  The chosen pipeline's block is parsed once, up
+front, into the values its runner uses, through the library's own
+constructors and validators; a mistake names
 ``<block>.<key>`` and exits 2 before anything is written.  So does a time
 a block names that is not a whole number of steps of the block's dt.
 
@@ -174,11 +175,22 @@ def _check_type(where: str, key: str, value, types: tuple):
         raise CliConfigError(f"{where}.{key}: expected {names}, got {type(value).__name__}")
 
 
-def _validate(data: dict, schema: dict, where: str) -> dict:
-    """The values ``data`` sets, defaults filled in, numbers as floats.
+def _finite(where: str, key: str, value) -> float:
+    """``value`` as a finite float, or a CliConfigError naming ``<where>.<key>``."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise CliConfigError(f"{where}.{key}: {value!r} is not a finite number")
+    return out
 
-    Unknown keys, wrong types and failed checks raise a CliConfigError
-    naming ``<where>.<key>``.
+
+def _validate(data: dict, schema: dict, where: str) -> dict:
+    """The values ``data`` sets, defaults filled in, numbers as finite floats.
+
+    Unknown keys, wrong types, NaN, infinities and failed checks raise a
+    CliConfigError naming ``<where>.<key>``.
     """
     if not isinstance(data, dict):
         raise CliConfigError(f"{where}: expected an object, got {type(data).__name__}")
@@ -201,9 +213,9 @@ def _validate(data: dict, schema: dict, where: str) -> dict:
                 raise CliConfigError(
                     f"{where}.{key}: expected a list of at least {spec.min_len} numbers"
                 )
-            value = tuple(float(v) for v in value)
+            value = tuple(_finite(where, key, v) for v in value)
         elif spec.types is _NUM:
-            value = float(value)
+            value = _finite(where, key, value)
         for entry in value if spec.min_len else (value,):
             msg = spec.check(entry) if spec.check is not None else None
             if msg:
@@ -541,6 +553,8 @@ class ExperimentConfig:
         seed = seed if seed is not None else _env_int(env, ENV_PREFIX + "SEED")
         if seed is None:
             seed = data.get("seed")
+        if seed is not None and seed < 0:
+            raise CliConfigError(f"seed must be nonnegative, got {seed}")
         replicas = replicas if replicas is not None else _env_int(env, ENV_PREFIX + "REPLICAS")
         if replicas is None:
             replicas = data.get("replicas")
@@ -1213,8 +1227,8 @@ def _run_barriers(config: ExperimentConfig, art: _Artifacts) -> None:
         "c2": strip.c2,
         "c3": strip.c3,
         "c4_convexity": c4_convexity(theta),
-        "strip_delta": strip.witness.delta,
-        "strip_K": strip.witness.K,
+        "strip_delta": strip.delta,
+        "strip_K": strip.K,
         "strip_c4": strip.c4,
         "c5": strip.c5,
         "h0": sol.h0,

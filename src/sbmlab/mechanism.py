@@ -112,11 +112,11 @@ class LevyMeasure:
 
     @classmethod
     def truncated_stable(cls, c: float, index: float, cutoff: float = math.inf) -> "LevyMeasure":
-        if c <= 0:
-            raise MechanismError("stable coefficient must be positive")
+        if not 0 < c < math.inf:
+            raise MechanismError("stable coefficient must be positive and finite")
         if not 1.0 < index < 2.0:
             raise MechanismError("stable index must lie in (1, 2)")
-        if cutoff <= 0:
+        if not cutoff > 0:
             raise MechanismError("cutoff must be positive (math.inf allowed)")
         return cls(kind="truncated-stable", c=float(c), index=float(index), cutoff=float(cutoff))
 
@@ -124,8 +124,8 @@ class LevyMeasure:
     def atoms(cls, points) -> "LevyMeasure":
         pts = tuple((float(y), float(w)) for y, w in points)
         for y, w in pts:
-            if y <= 0 or w <= 0:
-                raise MechanismError("atom positions and weights must be positive")
+            if not (0 < y < math.inf and 0 < w < math.inf):
+                raise MechanismError("atom positions and weights must be positive and finite")
         return cls(kind="atoms", points=pts)
 
     @classmethod
@@ -134,6 +134,8 @@ class LevyMeasure:
         dg = tuple(float(v) for v in density)
         if len(yg) != len(dg) or len(yg) < 2:
             raise MechanismError("tabulated measure needs matching grids of length >= 2")
+        if not all(math.isfinite(v) for v in yg + dg):
+            raise MechanismError("tabulated grid and density must be finite")
         if any(b <= a for a, b in zip(yg, yg[1:])) or yg[0] <= 0:
             raise MechanismError("tabulated grid must be positive and strictly increasing")
         if any(d < 0 for d in dg):

@@ -328,6 +328,8 @@ class SimConfig:
             raise ParticlesError("dt must be positive and finite")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ParticlesError("t_end must be positive and finite")
+        if self.seed < 0:
+            raise ParticlesError("seed must be nonnegative")
         if self.n_replicas < 1:
             raise ParticlesError("n_replicas must be at least 1")
         if self.explosion_cap < 1:
@@ -351,10 +353,9 @@ class SimConfig:
 
     def _resolve_snapshots(self) -> tuple[float, ...]:
         last = _grid_step("t_end", self.t_end, self.dt, ParticlesError)
-        times = list(self.snapshot_times) if self.snapshot_times else []
+        times = sorted(float(t) for t in self.snapshot_times or ())
         if not times or times[-1] < self.t_end:
-            times.append(self.t_end)
-        times = sorted(float(t) for t in times)
+            times.append(float(self.t_end))
         steps = [_grid_step("snapshot time", t, self.dt, ParticlesError) for t in times]
         if steps[0] < 1 or steps[-1] > last:
             raise ParticlesError("snapshot times must lie in (0, t_end]")

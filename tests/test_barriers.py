@@ -118,17 +118,19 @@ class TestConstants:
 
 class TestShapeWitness:
     def test_measured_bounds(self):
-        w = bar.shape_witness()
-        assert w.K == pytest.approx(16.0, abs=1e-9)
-        assert w.delta == pytest.approx(1.0 / 32.0, abs=1e-12)
-        assert w.inf_ratio == pytest.approx(1.0, abs=1e-9)
-        assert w.c4 == pytest.approx(1.0 / 32.0, abs=1e-10)
-
-    def test_endpoint_checks_recorded(self):
-        checks = bar.shape_witness().endpoint_checks
-        assert checks["f(0)"] == pytest.approx(1.0)
-        assert checks["f''(1)"] > 0.0
-        assert checks["min f on (0,1)"] > 0.0
+        # the closed forms against the four quotients of f(y) = (1 - y^2)^2 on
+        # a 20,001-point grid of [0, 1], with their limits at y = 1
+        y = np.linspace(0.0, 1.0, 20001)
+        inner = y[:-1]
+        f = (1.0 - inner**2) ** 2
+        fp = -4.0 * inner * (1.0 - inner**2)
+        quot_sq = np.append(fp**2 / f, 16.0)
+        quot_lin = np.append(np.abs(fp) / (1.0 - inner), 8.0)
+        K = max(np.max(quot_sq), np.max(quot_lin), np.max(np.abs(12.0 * y**2 - 4.0)))
+        inf_ratio = np.min(np.append(f / (1.0 - inner) ** 2, 4.0))
+        sc = bar.StripConstants
+        assert (sc.K, sc.delta, sc.c4) == (K, 1.0 / (2.0 * K), 1.0 / (2.0 * K) * inf_ratio)
+        assert (sc.K, sc.delta, sc.c4) == (16.0, 0.03125, 0.03125)
 
 
 class TestSolveInputs:
@@ -259,5 +261,33 @@ class TestStripBound:
         c3 = bar.c3_constant(1.0, 1.0)
         rhs = 2.0 * bar.c1_constant(1.0, 1.0)
         expected = 0.5 * ((4 * c3 + 2) + math.sqrt((4 * c3 + 2) ** 2 + 16 * rhs))
-        assert sc.c5 == pytest.approx(expected, abs=1e-3)
+        assert sc.c5 == pytest.approx(expected, rel=1e-15)
         assert sc.c4 == pytest.approx(1.0 / 32.0, abs=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 1.0])
+    def test_c5_is_least_admissible(self, theta):
+        # the two sufficient inequalities on a log time grid: both hold just
+        # above c5, and the first fails just below it
+        t = np.geomspace(1e-3, 1e3, 121)
+
+        def first_holds(c5, a, sc):
+            rhs = a + 2.0 * a * sc.c1**theta / (c5 * t)
+            return np.all(a + (0.25 * c5 - sc.c3 - 0.5) / t >= rhs)
+
+        def second_holds(c5, a, b, sc):
+            lift = math.expm1(min(0.5 * theta * c5, 700.0))
+            # inf f(y) / (1 - y)^2 = 1
+            coef = b * sc.c2**theta * sc.delta * lift / (2.0 * c5)
+            return np.all(a + (coef - sc.c3 - 0.5) / t >= 0.0)
+
+        for a, b in [(1.0, 1.0), (0.2, 3.0), (5.0, 0.5), (2.0, 2.0)]:
+            sc = bar.strip_constants(a, b, theta)
+            assert sc.c3 == bar.c3_constant(a, theta)
+            assert sc.c5 == (2.0 * sc.c3 + 1.0) + math.sqrt((2.0 * sc.c3 + 1.0) ** 2 + 4.0 * sc.c3)
+            above, below = sc.c5 * (1.0 + 1e-12), sc.c5 * (1.0 - 1e-12)
+            assert first_holds(above, a, sc) and second_holds(above, a, b, sc)
+            assert not first_holds(below, a, sc)
+
+    def test_overflowing_theta_raises(self):
+        with pytest.raises(bar.BarriersError, match="theta = 0.01"):
+            bar.strip_constants(1.0, 1.0, 0.01)

@@ -188,6 +188,22 @@ CONFIG_MISTAKES = [
         {"seed": 1, "simulate": {"dt": 0.025, "bank": {"z": 0.0, "t": 2.01, "n_accept": 1}}},
         "simulate.bank.t",
     ),
+    # NaN and infinities in a number key or a list entry
+    ("kpp", {"kpp": {"pad": 1e400}}, "kpp.pad"),
+    ("kpp", {"kpp": {"t_end": 1e400}}, "kpp.t_end"),
+    ("fk", {"seed": 1, "fk": {"x": math.nan}}, "fk.x"),
+    ("csbp", {"csbp": {"t_grid": [math.nan]}}, "csbp.t_grid"),
+    (
+        "simulate",
+        {"seed": 1, "simulate": {"bank": {"z": math.nan, "n_accept": 1}}},
+        "simulate.bank.z",
+    ),
+    # and in the jump measure
+    (
+        "mech-check",
+        {"mechanism": {"levy": {"kind": "atoms", "atoms": [[math.nan, 1.0]]}}},
+        "mechanism",
+    ),
 ]
 
 
@@ -223,6 +239,18 @@ class TestPrecedence:
         config = ExperimentConfig.from_sources("kpp", {}, env=env)
         assert config.out == tmp_path / "envdir"
         assert config.quiet is True
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, source):
+        cfg = write_config(tmp_path, {"seed": -1} if source == "config" else {})
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--quiet"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        monkeypatch.setenv("SBMLAB_SEED", "-1" if source == "env" else "")
+        assert main(argv) == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_env_value_is_config_error(self):
         with pytest.raises(CliConfigError, match="SBMLAB_SEED"):

@@ -740,6 +740,31 @@ class TestValidation:
         with pytest.raises(MechanismError):
             LevyMeasure.tabulated(y=(1.0, 0.5), density=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LevyMeasure.truncated_stable(c=math.nan, index=1.5),
+            lambda: LevyMeasure.truncated_stable(c=math.inf, index=1.5),
+            lambda: LevyMeasure.truncated_stable(c=1.0, index=1.5, cutoff=math.nan),
+            lambda: LevyMeasure.atoms([(math.nan, 1.0)]),
+            lambda: LevyMeasure.atoms([(math.inf, 1.0)]),
+            lambda: LevyMeasure.atoms([(1.0, math.nan)]),
+            lambda: LevyMeasure.atoms([(1.0, math.inf)]),
+            lambda: LevyMeasure.tabulated(y=(math.nan, 1.0), density=(1.0, 1.0)),
+            lambda: LevyMeasure.tabulated(y=(0.5, math.inf), density=(1.0, 1.0)),
+            lambda: LevyMeasure.tabulated(y=(0.5, 1.0), density=(math.nan, 1.0)),
+            lambda: LevyMeasure.tabulated(y=(0.5, 1.0), density=(1.0, math.inf)),
+        ],
+        ids=[
+            "stable-c-nan", "stable-c-inf", "stable-cutoff-nan",
+            "atom-position-nan", "atom-position-inf", "atom-weight-nan", "atom-weight-inf",
+            "grid-nan", "grid-inf", "density-nan", "density-inf",
+        ],
+    )
+    def test_non_finite_measure_rejected(self, make):
+        with pytest.raises(MechanismError):
+            make()
+
 
 def random_mechanisms() -> st.SearchStrategy[BranchingMechanism]:
     atom_positions = st.floats(min_value=0.05, max_value=20.0)

@@ -152,6 +152,18 @@ class TestSimConfig:
             SimConfig(mech=QUADRATIC, epsilon=2.0, dt=0.1, t_end=1.0,
                       seed=1, n_replicas=1, snapshot_times=(0.3, 0.1 * 3))
 
+    def test_snapshot_order_does_not_matter(self):
+        configs = [
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=2.0,
+                      seed=1, n_replicas=1, snapshot_times=times)
+            for times in ((2.0, 1.0), (1.0, 2.0), (1.0,))
+        ]
+        assert all(c.snapshot_times == (1.0, 2.0) for c in configs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParticlesError, match="seed"):
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=-1, n_replicas=1)
+
     @pytest.mark.parametrize(
         "times", [{"t_end": 2.01}, {"t_end": 2.0, "snapshot_times": (1.013,)}], ids=["t_end", "snapshot"]
     )
