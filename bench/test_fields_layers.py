@@ -50,6 +50,10 @@ workload's `mech-check` pipeline, and one ``solve_hA`` at the `barriers`
 pipeline's defaults (a 1, b 1, theta 1, A 5).  Both pin their output bits
 too: the report's fields as JSON, and the profile nodes and values.
 
+One row on the whole `mech-check` pipeline on that mechanism (quiet), the
+`jumps` workload's first operation: one ``run_pipeline`` with the CLI's
+artifacts written.  It pins the bytes of ``report.json``.
+
 One row on the whole `barriers` pipeline at its defaults (quiet): one
 ``run_pipeline`` solving h_A, its envelopes and the strip constants, with
 the CLI's artifacts written.  It pins the bytes of ``profile.csv`` and
@@ -194,7 +198,22 @@ def test_flow_table_build_jumps(benchmark):
 def test_check_hypotheses_jumps(benchmark):
     report = benchmark.pedantic(check_hypotheses, args=(JUMPS,), rounds=7, iterations=1, warmup_rounds=1)
     digest = hashlib.sha256(json.dumps(dataclasses.asdict(report)).encode()).hexdigest()
-    assert digest == "2bc38d73c09831c479e560ebae89ec29aeb69f9af5f660c912b3bea0dd327eda"
+    assert digest == "130bdef9c68130a1cb5fc1451f5be9e6041383cd1cf2e9d044266db8f058c287"
+
+
+def test_mech_check_pipeline_jumps(benchmark, tmp_path):
+    levy = {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0}
+    config = ExperimentConfig.from_sources(
+        "mech-check",
+        {"mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy}},
+        out=str(tmp_path / "mech-check"),
+        quiet=True,
+        env={},
+    )
+    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
+    assert code == 0
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == "effaabc08c28807df779c2655c672dfe355068d063bdeb98885266dcff0cae87"
 
 
 def test_solve_hA_barriers_defaults(benchmark):

@@ -371,7 +371,7 @@ _LOCATIONS = {("extremal", "bank")}
 
 def _parse_kpp(opts: dict, mech, seed, replicas) -> dict:
     t_end, dt = opts["t_end"], opts["dt"]
-    with _blame("kpp.dt", KppError):
+    with _blame("kpp.dx or kpp.dt", KppError):
         grid = Grid1D.auto(t_end, dx=opts["dx"], dt=dt, pad=opts["pad"])
     snaps = opts["snapshots"] or tuple(round(t_end * f / dt) * dt for f in (0.25, 0.5, 1.0))
     steps = [_grid_step("kpp.snapshots entry", s, dt, CliConfigError) for s in snaps]
@@ -386,10 +386,10 @@ def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
         raise CliConfigError("fk.r must not exceed fk.t")
     for name in ("r", "t"):
         _grid_step(f"fk.{name}", opts[name], dt, CliConfigError)
-    with _blame("fk.dt", KppError):
+    with _blame("fk.dx or fk.dt", KppError):
         grid = Grid1D.auto(t, dx=dx, dt=dt, pad=pad)
     # the grid-error estimate solves again with both steps doubled
-    with _blame("fk.dt (doubled for the coarse solve)", KppError):
+    with _blame("fk.dx or fk.dt (doubled for the coarse solve)", KppError):
         coarse = Grid1D.auto(t, dx=2 * dx, dt=2 * dt, pad=pad)
     init = _parse_data(opts["data"], "fk.data")
     return {**opts, "init": init, "grid": grid, "coarse_grid": coarse}

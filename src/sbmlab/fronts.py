@@ -59,6 +59,16 @@ def _require_unit_drift(mech: BranchingMechanism) -> None:
         )
 
 
+def _require_h1_h3(mech: BranchingMechanism) -> None:
+    report = check_hypotheses(mech)
+    failed = [name for name in ("h1", "h3") if not getattr(report, name)]
+    if failed:
+        raise FrontsError(
+            f"barrier-field constants need (H1) and (H3); {' and '.join(failed)} failed "
+            f"(psi grows like u**{report.growth:g} at infinity)"
+        )
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Spatial test function phi(y) for the front-limit functionals.
@@ -379,9 +389,7 @@ def constant_C_tilde(
     """
     _require_unit_drift(mech)
     rs = _validate_ladder(r_ladder, dt)
-    report = check_hypotheses(mech)
-    if not (report.h1 and report.h3):
-        raise FrontsError("barrier-field constants need the moment and regularity checks to pass")
+    _require_h1_h3(mech)
     ic = None
     if phi is not None and not phi.is_trivial:
         ic = _phi_precheck(phi)
@@ -420,9 +428,7 @@ def constant_C_hat(
     if delta <= 0:
         raise FrontsError("delta must be positive")
     rs = _validate_ladder(r_ladder, dt)
-    report = check_hypotheses(mech)
-    if not (report.h1 and report.h3):
-        raise FrontsError("barrier-field constants need the moment and regularity checks to pass")
+    _require_h1_h3(mech)
 
     def y_req(r: float) -> float:
         return 3.0 * r + 40.0 / (SQRT2 + delta)

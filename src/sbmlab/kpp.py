@@ -61,6 +61,9 @@ SQRT2 = math.sqrt(2.0)  # front speed under the unit-drift normalization
 V_THETA = 1e4  # truncation level of the barrier data
 FRONT_GUARD_CELLS = 5
 FRONT_GUARD_TOL = 1e-6
+# the most nodes per row, and the most time steps, a grid may have (a row of
+# doubles is then 80 MB); the particle engine caps its steps the same way
+STEP_CAP = 10_000_000
 
 
 class KppError(ValueError):
@@ -111,6 +114,10 @@ class Grid1D:
             raise KppError("dx, dt, t_end must be positive")
         if self.nx < 2 or self.nt < 1:
             raise KppError("x_max - x_min and t_end must each be at least one step")
+        if self.nx > STEP_CAP:
+            raise KppError(f"dx {self.dx:g} makes {self.nx} nodes per row, above the cap of {STEP_CAP}")
+        if self.nt > STEP_CAP:
+            raise KppError(f"dt {self.dt:g} makes {self.nt} steps, above the cap of {STEP_CAP}")
 
     @classmethod
     def auto(

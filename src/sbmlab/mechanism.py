@@ -23,17 +23,20 @@ without jumps; a jump mechanism gets a table of the flow's time coordinate
 on each side of lambda*, built once from one vectorized psi call after Grey
 (1974), G(v) = integral_v^inf du/psi(u) and v(t) = G^-1(G(v0) + t).
 
-The numeric hypothesis report mirrors the analytic conditions under which the
+The hypothesis report mirrors the analytic conditions under which the
 front theory operates:
 
-* moment condition on large jumps, scanned over an exponent grid,
-* finiteness of integral [int_psi]**(-1/2) at infinity (front formation),
-* a lower envelope -a*u + b*u**(1+theta) fitted on a log grid,
-* instant-extinction integral (reciprocal of psi at infinity),
+* (H1), the moment condition on large jumps, scanned over an exponent grid;
+* (H2), finiteness of integral^inf [integral_lambda*^u psi]**(-1/2) du
+  (front formation);
+* (H3), a lower envelope psi(u) >= -a*u + b*u**(1+theta) with b > 0;
+* Grey's condition, integral^inf du/psi(u) < inf (instant extinction);
 * smallness of alpha - k near zero against a logarithmic envelope.
 
-Each check is a bounded computation: integrals are capped, tails are fitted
-with a power law, and a report never silently extrapolates past its cap.
+(H2), (H3) and Grey's condition come from one closed-form rule, psi's
+growth exponent at infinity (``_growth`` gives the argument).  (H1) and the
+k check evaluate on fixed grids, module constants, so a report can be
+reproduced exactly.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ from scipy import special
 
 H1_GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 H1_NUMERIC_CAP = 1e12
-H2_CAP = 1e6
 EST_K_CAP = 1e7
 EST_K_LAMBDA_GRID = tuple(np.logspace(-8.0, -0.05, 40))
-_TAIL_EXPONENT_MARGIN = 1.001
 _ROOT_BRACKET_CAP = 1e12
 # scipy.optimize.brentq's default
 _BRENT_MAXITER = 100
@@ -428,7 +429,9 @@ def lambda_star(mech: BranchingMechanism) -> float:
         if lo < 1e-12:
             raise MechanismError("failed to bracket the largest zero from below")
     what = f"lambda_star (alpha {mech.alpha:g}, beta {mech.beta:g}, {mech.levy.kind} jumps)"
-    return float(_brentq(lambda u: psi(mech, u), lo, hi, 1e-14, 1e-12, MechanismError, what))
+    # an absolute tolerance alone would stop short of 1e-12 for a small root
+    xtol = min(1e-14, 1e-12 * lo)
+    return float(_brentq(lambda u: psi(mech, u), lo, hi, xtol, 1e-12, MechanismError, what))
 
 
 def normalize(mech: BranchingMechanism) -> BranchingMechanism:
@@ -463,6 +466,36 @@ def normalize(mech: BranchingMechanism) -> BranchingMechanism:
     return BranchingMechanism(alpha=1.0, beta=mech.beta * s / a, levy=new_levy)
 
 
+def _growth(mech: BranchingMechanism) -> tuple[float, tuple[float, float, float] | None]:
+    """psi's growth exponent p at infinity, psi(u) ~ u**p, and an (H3) witness.
+
+    The witness (a, b, theta) is an envelope psi(u) >= -a*u + b*u**(1+theta)
+    for every u >= 0, exact rather than fitted:
+
+    * beta > 0: p = 2 and (alpha, beta, 1), since the jump term is nonnegative;
+    * truncated-stable jumps of index s, beta = 0: p = s.  With no cutoff
+      psi is exactly -alpha*u + C*u**s, C = c Gamma(2-s)/(s(s-1)), so the
+      witness is (alpha, C, s-1).  With cutoff L the jump term
+      c u**s F(u L) is at least b u**s, b = c F(1), for u >= 1/L and
+      nonnegative below, which gives (alpha + b L**(1-s), b, s-1);
+    * atoms or a tabulated density, beta = 0: a finite measure, so psi
+      grows linearly, p = 1, and no envelope with b > 0 exists.
+
+    (H2), (H3) and Grey's condition each hold exactly when p > 1: the
+    integrands of (H2) and Grey decay like u**(-(p+1)/2) and u**(-p).
+    """
+    if mech.beta > 0.0:
+        return 2.0, (float(mech.alpha), float(mech.beta), 1.0)
+    levy = mech.levy
+    if levy.kind != "truncated-stable":
+        return 1.0, None
+    s = levy.index
+    if math.isinf(levy.cutoff):
+        return s, (float(mech.alpha), levy.c * math.gamma(2.0 - s) / (s * (s - 1.0)), s - 1.0)
+    b = levy.c * float(_stable_cutoff_excess(np.array(1.0), s))
+    return s, (mech.alpha + b * levy.cutoff ** (1.0 - s), b, s - 1.0)
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of every desk-scale hypothesis check for one mechanism."""
@@ -470,40 +503,22 @@ class HypothesisReport:
     h1: bool
     h1_gamma: float | None
     h1_values: tuple[tuple[float, float], ...]
+    growth: float
     h2: bool
-    h2_inconclusive: bool
-    h2_cap_integral: float
-    h2_tail_estimate: float
     h3: bool
     h3_witness: tuple[float, float, float] | None
     grey: bool
-    grey_cap_integral: float
-    grey_tail_estimate: float
     est_k: bool
     est_k_c1: float
     est_k_gamma: float
     lambda_star: float | None
 
 
-def _tail_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Fit y ~ C * x**(-p) on the trailing decade; returns (p, tail integral)."""
-    mask = x >= x[-1] / 10.0
-    lx, ly = np.log(x[mask]), np.log(np.maximum(y[mask], 1e-300))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    p = -float(slope)
-    if p <= _TAIL_EXPONENT_MARGIN:
-        return p, math.inf
-    c = math.exp(intercept)
-    tail = c * float(x[-1]) ** (1.0 - p) / (p - 1.0)
-    return p, tail
-
-
 def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
     """Run every hypothesis check and collect one structured report.
 
-    All verdicts are numeric statements about capped integrals and fitted
-    tails, not proofs; the caps and grids are module constants so a report
-    can be reproduced exactly.
+    (H2), (H3) and Grey's condition come from ``_growth``; (H1) and the
+    k check are numeric statements on the module's fixed grids.
     """
     # moment condition on large jumps, largest exponent on the grid that
     # stays below the numeric cap
@@ -515,69 +530,12 @@ def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
         if math.isfinite(value) and value <= H1_NUMERIC_CAP:
             h1_gamma = gamma
     h1 = h1_gamma is not None
+    growth, witness = _growth(mech)
 
     try:
         lam_star = lambda_star(mech)
     except MechanismError:
         lam_star = None
-
-    # front-formation integral and the instant-extinction integral share a
-    # capped grid from lambda*+1 to the cap, with a power-law tail fit
-    if lam_star is not None:
-        lo = lam_star + 1.0
-        xi = np.geomspace(lo, H2_CAP, 600)
-        psi_vals = np.asarray(psi(mech, xi))
-        # cumulative trapezoid of psi along xi, 0 at lo
-        cells = np.diff(xi) * (psi_vals[1:] + psi_vals[:-1]) / 2.0
-        inner = np.concatenate(([0.0], np.cumsum(cells)))
-        # shift by the integral from lambda* to lo, done on its own fine grid
-        head = np.linspace(lam_star, lo, 200)
-        inner = inner + np.trapezoid(np.asarray(psi(mech, head)), head)
-        integrand = 1.0 / np.sqrt(np.maximum(inner, 1e-300))
-        h2_cap_integral = float(np.trapezoid(integrand, xi))
-        p2, h2_tail = _tail_fit(xi, integrand)
-        h2 = math.isfinite(h2_tail)
-        h2_inconclusive = h2 and (h2_tail > 0.05 * h2_cap_integral)
-
-        grey_integrand = 1.0 / np.maximum(psi_vals, 1e-300)
-        grey_cap = float(np.trapezoid(grey_integrand, xi))
-        pg, grey_tail = _tail_fit(xi, grey_integrand)
-        grey = math.isfinite(grey_tail)
-    else:
-        h2 = grey = False
-        h2_inconclusive = False
-        h2_cap_integral = grey_cap = math.inf
-        h2_tail = grey_tail = math.inf
-
-    # lower envelope -a*u + b*u**(1+theta): least squares per theta, then a
-    # pointwise check with small slack; the best-fitting passing witness wins
-    lam_grid = np.logspace(-3.0, 3.0, 61)
-    psi_grid = np.asarray(psi(mech, lam_grid))
-    slack = 1e-9 * np.maximum(1.0, np.abs(psi_grid))
-    best = None
-    for theta in np.arange(0.1, 1.01, 0.1):
-        theta = round(float(theta), 10)
-        design = np.column_stack([-lam_grid, lam_grid ** (1.0 + theta)])
-        coef, *_ = np.linalg.lstsq(design, psi_grid, rcond=None)
-        a_fit, b_fit = float(coef[0]), float(coef[1])
-        candidates = []
-        if a_fit > 0 and b_fit > 0:
-            candidates.append((a_fit, b_fit))
-        # constructive fallback: keep the fitted drift, lower the envelope
-        a_c = a_fit if a_fit > 0 else mech.alpha
-        with np.errstate(divide="ignore"):
-            b_c = float(np.min((psi_grid + a_c * lam_grid) / lam_grid ** (1.0 + theta)))
-        if b_c > 0:
-            candidates.append((a_c, b_c))
-        for a_w, b_w in candidates:
-            envelope = -a_w * lam_grid + b_w * lam_grid ** (1.0 + theta)
-            if np.all(psi_grid >= envelope - slack):
-                resid = float(np.max(np.abs(psi_grid - envelope) / np.maximum(1.0, np.abs(psi_grid))))
-                if best is None or resid < best[0]:
-                    best = (resid, (a_w, b_w, theta))
-                break
-    h3 = best is not None
-    h3_witness = best[1] if best else None
 
     # envelope on alpha - k near zero, using the reported moment exponent
     est_gamma = h1_gamma if h1_gamma is not None else 0.5
@@ -596,15 +554,11 @@ def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
         h1=h1,
         h1_gamma=h1_gamma,
         h1_values=tuple(h1_vals),
-        h2=h2,
-        h2_inconclusive=h2_inconclusive,
-        h2_cap_integral=h2_cap_integral,
-        h2_tail_estimate=h2_tail,
-        h3=h3,
-        h3_witness=h3_witness,
-        grey=grey,
-        grey_cap_integral=grey_cap,
-        grey_tail_estimate=grey_tail,
+        growth=growth,
+        h2=growth > 1.0,
+        h3=witness is not None,
+        h3_witness=witness,
+        grey=growth > 1.0,
         est_k=est_ok,
         est_k_c1=c1,
         est_k_gamma=est_gamma,
@@ -695,10 +649,11 @@ class _FlowTable:
     directions of both tables are cubic Hermite with the exact slopes.
 
     Past the cells, G and R are linear in w at the fixed points and, above
-    _FLOW_TOP, psi is the power law u**p of its local exponent there.
-    Grey's condition holds when p - 1 exceeds the margin of the hypothesis
-    checks; otherwise G is anchored at _FLOW_TOP instead of infinity, and an
-    argument above _FLOW_TOP raises GreyViolatedError.
+    _FLOW_TOP, psi is the power law u**p of its local exponent there, read
+    off the last cell.  Whether Grey's condition holds is psi's growth
+    exponent at infinity (``_growth``), not that local reading; where it
+    fails, G is anchored at _FLOW_TOP instead of infinity, and an argument
+    above _FLOW_TOP raises GreyViolatedError.
     """
 
     def __init__(self, mech: BranchingMechanism):
@@ -709,7 +664,15 @@ class _FlowTable:
         up = _cell_edges(-25.0, math.log(_FLOW_TOP / lam))
         f, cells = _integrate(up, lambda w: lam * np.exp(w) / psi(mech, lam + lam * np.exp(w)))
         tail = -math.log(f[-1] / f[-2]) / (up[-1] - up[-2])  # p - 1 for psi ~ u**p
-        self.grey = tail > _TAIL_EXPONENT_MARGIN - 1.0
+        growth = _growth(mech)[0]
+        self.grey = growth > 1.0
+        # G(_FLOW_TOP) = f[-1] / tail holds once psi is near its power law;
+        # a tail near 0 (a linear psi, positive only by rounding) would make it huge
+        if self.grey and not tail > 0.5 * (growth - 1.0):
+            raise MechanismError(
+                f"psi's local exponent at {_FLOW_TOP:g} is {tail + 1.0:.6g}, short of its growth "
+                f"exponent {growth:g} at infinity; the flow from infinity cannot be tabulated"
+            )
         g_top = f[-1] / tail if self.grey else f[-1]
         g = g_top + np.r_[np.cumsum(cells[::-1])[::-1], 0.0]
         g_far = g[0] + f[0] * (up[0] + _FLOW_FAR_W)

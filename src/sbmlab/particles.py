@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kpp import SQRT2, _grid_step, front_m
+from .kpp import SQRT2, STEP_CAP, _grid_step, front_m
 from .mechanism import BranchingMechanism
 from .pool import ordered_map, worker_count
 
@@ -353,6 +353,10 @@ class SimConfig:
 
     def _resolve_snapshots(self) -> tuple[float, ...]:
         last = _grid_step("t_end", self.t_end, self.dt, ParticlesError)
+        if last > STEP_CAP:
+            raise ParticlesError(
+                f"dt {self.dt:g} makes {last} steps to t_end {self.t_end:g}, above the cap of {STEP_CAP}"
+            )
         times = sorted(float(t) for t in self.snapshot_times or ())
         if not times or times[-1] < self.t_end:
             times.append(float(self.t_end))

@@ -198,6 +198,12 @@ CONFIG_MISTAKES = [
         {"seed": 1, "simulate": {"bank": {"z": math.nan, "n_accept": 1}}},
         "simulate.bank.z",
     ),
+    # a grid or a particle march past 10^7 nodes per row or steps
+    ("kpp", {"kpp": {"dx": 1e-9}}, "62627416999 nodes per row"),
+    ("kpp", {"kpp": {"dt": 1e-7}}, "80000000 steps"),
+    ("fk", {"seed": 1, "fk": {"dx": 1e-9}}, "30828427127 nodes per row"),
+    ("fk", {"seed": 1, "fk": {"dt": 5e-8}}, "20000000 steps"),
+    ("simulate", {"seed": 1, "simulate": {"dt": 1e-7}}, "80000000 steps"),
     # and in the jump measure
     (
         "mech-check",

@@ -30,8 +30,8 @@ from sbmlab.fronts import (
     constant_C_hat,
     constant_C_tilde,
 )
-from sbmlab.kpp import Grid1D, front_m, solve_U, solve_V
-from sbmlab.mechanism import BranchingMechanism
+from sbmlab.kpp import Grid1D, KppError, front_m, solve_U, solve_V
+from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0)
 PHI = TestFunction.scaled_indicator(1.0)
@@ -147,6 +147,24 @@ class TestLadderExtrapolation:
 def test_off_grid_rung_is_refused_before_the_march(constant, arg):
     with pytest.raises(FrontsError, match="r_ladder rung 4.005 is not a whole number of steps"):
         constant(QUADRATIC, arg, r_ladder=(4.005, 8.0, 16.0), dt=0.01)
+
+
+@pytest.mark.parametrize(
+    "constant,arg",
+    [(constant_C, PHI), (constant_C_tilde, None), (constant_C_hat, 0.5)],
+    ids=["C", "C_tilde", "C_hat"],
+)
+def test_grid_past_the_cap_is_refused_before_the_march(constant, arg):
+    with pytest.raises(KppError, match="dx 1e-09 makes [0-9]+ nodes per row, above the cap"):
+        constant(QUADRATIC, arg, r_ladder=(4.0, 8.0, 16.0), dx=1e-9)
+
+
+@pytest.mark.parametrize("constant,arg", [(constant_C_tilde, None), (constant_C_hat, 0.5)], ids=["C_tilde", "C_hat"])
+def test_linear_psi_is_refused(constant, arg):
+    # psi(u) = -u + 2 (e^-u - 1 + u) grows linearly: (H1) holds, (H3) does not
+    mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
+    with pytest.raises(FrontsError, match=r"h3 failed \(psi grows like u\*\*1 at infinity\)"):
+        constant(mech, arg, r_ladder=(4.0, 8.0, 16.0))
 
 
 class TestConstantC:

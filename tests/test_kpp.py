@@ -69,6 +69,20 @@ class TestGrid1D:
         with pytest.raises(KppError):
             Grid1D(x_min=-1.0, x_max=1.0, dx=0.1, dt=0.3, t_end=1.0)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"dx": 1e-9}, "dx 1e-09 makes 62627416999 nodes per row, above the cap of 10000000"),
+            ({"dt": 1e-7}, "dt 1e-07 makes 80000000 steps, above the cap of 10000000"),
+        ],
+        ids=["dx", "dt"],
+    )
+    def test_grid_past_the_cap_raises(self, spec, message):
+        # construction only: the nodes are built on first use of x
+        with pytest.raises(KppError, match=message):
+            Grid1D.auto(8.0, **spec)
+        assert Grid1D.auto(1.0, dt=1e-7).nt == kpp_module.STEP_CAP
+
     def test_step_rule_is_relative_beyond_one(self):
         # a time names step k when |k dt - t| <= 1e-9 max(1, |t|)
         assert kpp_module._grid_step("t", 0.3, 0.1, KppError) == 3
@@ -468,7 +482,9 @@ class TestFlatDataFlowOracles:
             assert np.max(np.abs(field.at(t) / exact - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "alpha, index, c_prime", [(1.0, 1.5, 1.0), (2.0, 1.3, 0.7), (0.5, 1.8, 2.0)]
+        "alpha, index, c_prime",
+        # the last has lambda* = 1e-10, which needs lambda_star's relative tolerance
+        [(1.0, 1.5, 1.0), (2.0, 1.3, 0.7), (0.5, 1.8, 2.0), (1.0, 1.1, 10.0)],
     )
     @pytest.mark.parametrize("theta", [0.2, 3.0, 1e3])
     def test_stable_march_matches_the_bernoulli_flow(self, alpha, index, c_prime, theta):

@@ -36,7 +36,6 @@ from sbmlab.mechanism import (
     EST_K_LAMBDA_GRID,
     H1_GAMMA_GRID,
     H1_NUMERIC_CAP,
-    H2_CAP,
     BranchingMechanism,
     GreyViolatedError,
     LevyMeasure,
@@ -132,7 +131,7 @@ def mp_stable_cutoff_excess(c: float, index: float, cutoff: float, lam: float):
 
 
 class TestFiniteCutoffKernel:
-    LAMS = np.geomspace(1e-8, H2_CAP, 8)
+    LAMS = np.geomspace(1e-8, 1e6, 8)
 
     @pytest.mark.parametrize("cutoff", [0.3, 5.0])
     @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
@@ -210,6 +209,14 @@ class TestLambdaStar:
         # psi = -2u + u**2 has largest zero 2
         mech = BranchingMechanism(alpha=2.0, beta=1.0)
         assert lambda_star(mech) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c, index", [(1.0, 1.1), (0.1, 1.05)])
+    def test_small_root_keeps_relative_accuracy(self, c, index):
+        # psi = -u + C u**s has the root C**(-1/(s-1)): 1.3e-10 and 1.4e-6 here,
+        # where an absolute tolerance of 1e-14 alone leaves 5.5e-6 and 2.4e-10 relative
+        mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=c, index=index))
+        big_c = c * math.gamma(2.0 - index) / (index * (index - 1.0))
+        assert lambda_star(mech) == pytest.approx(big_c ** (-1.0 / (index - 1.0)), rel=1e-12, abs=0.0)
 
     def test_no_supercritical_root_raises(self):
         # beta = 0 with one small atom: psi stays negative, no positive zero
@@ -365,13 +372,22 @@ TABLE_MECHANISMS = {
 }
 # sha256 of each mechanism's check_hypotheses report as JSON
 HYPOTHESIS_DIGESTS = {
-    "quadratic": "43e1e83ac07b40afad908967470aff773597ca4796a86127c750e9749d72b8b2",
-    "jumps": "2bc38d73c09831c479e560ebae89ec29aeb69f9af5f660c912b3bea0dd327eda",
-    "atoms": "6f35aaa51e6f119c0b09453207d6251bb36e7758fbd69a5209c21a9f7e0256fb",
-    "tabulated": "8e3248d0400587e93f385a6395a74c9020d30e7e833a4ba4b011e902e4fc1279",
+    "quadratic": "476419305964de2c9684dd9d7fc9a6638f9797f746d688f705f54acbce183568",
+    "jumps": "130bdef9c68130a1cb5fc1451f5be9e6041383cd1cf2e9d044266db8f058c287",
+    "atoms": "2fb68d84ac10dd6a4cdccd9c956d1a7e84979d4100b26d04d7c7535fcf5e8378",
+    "tabulated": "8947ca482eb9b11c016b15cfcc6f1a1ae613ed675c7a44062317d9ccbcc136a8",
 }
 # psi grows only linearly at infinity, so integral^inf du/psi diverges
 ATOMS_NO_GREY = BranchingMechanism(alpha=0.5, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
+# one of each kind of (H3) witness: beta > 0, stable jumps with no cutoff and with one
+WITNESS_MECHANISMS = {
+    "quadratic": QUADRATIC,
+    **TABLE_MECHANISMS,
+    "stable": stable_mechanism(1.5),
+    "stable-cutoff": BranchingMechanism(
+        alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=0.7, index=1.1, cutoff=0.3)
+    ),
+}
 
 
 def reference_flow(mech: BranchingMechanism, theta: float, times) -> np.ndarray:
@@ -442,6 +458,14 @@ class TestFlowMap:
             flow_map(ATOMS_NO_GREY, 1.0)(math.inf)
         with pytest.raises(GreyViolatedError):
             extinction_prob(ATOMS_NO_GREY, 1.0)
+
+    def test_table_refuses_a_tail_short_of_the_growth(self):
+        # beta > 0 makes psi grow like u**2 only past u ~ 1e300; at the table's
+        # top, 1e150, it is still linear, so G there cannot come from its tail
+        mech = BranchingMechanism(alpha=0.5, beta=1e-300, levy=LevyMeasure.atoms([(1.0, 2.0)]))
+        assert check_hypotheses(mech).grey
+        with pytest.raises(MechanismError, match="local exponent"):
+            flow_map(mech, 1.0)
 
     def test_jump_extinction_at_t1_returns_the_flow_from_infinity(self):
         # the theta ladder refused this case; the flow from theta = 1e16 lies
@@ -553,13 +577,11 @@ class TestHypotheses:
     def test_quadratic_report(self):
         report = check_hypotheses(QUADRATIC)
         assert report.h1 and report.h2 and report.h3 and report.grey
-        assert not report.h2_inconclusive
+        assert report.growth == 2.0
         # no jump measure: the moment integral is zero at every gamma on the grid
         assert report.h1_gamma == max(H1_GAMMA_GRID)
-        a, b, theta = report.h3_witness
-        assert a == pytest.approx(1.0, abs=1e-6)
-        assert b == pytest.approx(1.0, abs=1e-6)
-        assert theta == pytest.approx(1.0)
+        # psi is its own envelope -u + u**2
+        assert report.h3_witness == (1.0, 1.0, 1.0)
 
     def test_stable_witness_prefers_exact_exponent(self):
         report = check_hypotheses(stable_mechanism(1.5))
@@ -597,15 +619,25 @@ class TestHypotheses:
 
     def test_h2_and_grey_fail_without_strong_nonlinearity(self):
         # a single atom gives psi growing only linearly at infinity, so the
-        # reciprocal integrals diverge and both checks must say so
-        mech = BranchingMechanism(alpha=0.5, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
-        report = check_hypotheses(mech)
+        # reciprocal integrals diverge and both checks must say so; and no
+        # envelope -a u + b u**(1+theta) with b > 0 lies below psi
+        report = check_hypotheses(ATOMS_NO_GREY)
+        assert report.growth == 1.0
         assert not report.h2
         assert not report.grey
+        assert not report.h3
+        assert report.h3_witness is None
+
+    @pytest.mark.parametrize("name", sorted(WITNESS_MECHANISMS))
+    def test_witness_lies_below_psi(self, name):
+        mech = WITNESS_MECHANISMS[name]
+        a, b, theta = check_hypotheses(mech).h3_witness
+        u = np.geomspace(1e-8, 1e12, 20001)
+        values = psi(mech, u)
+        assert np.all(values >= -a * u + b * u ** (1.0 + theta) - 1e-12 * np.abs(values))
 
     def test_pure_jump_cutoff_mechanism_passes_every_check(self):
-        # psi grows like lam**1.5 up to the cap and beyond, so every check
-        # must pass
+        # psi grows like lam**1.5 at infinity, so every check must pass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = check_hypotheses(PURE_JUMP_CUTOFF)
@@ -622,16 +654,9 @@ class TestHypotheses:
     )
     def test_report_holds_plain_python_types(self, mech):
         report = check_hypotheses(mech)
-        for name in ("h1", "h2", "h2_inconclusive", "h3", "grey", "est_k"):
+        for name in ("h1", "h2", "h3", "grey", "est_k"):
             assert type(getattr(report, name)) is bool, name
-        for name in (
-            "h2_cap_integral",
-            "h2_tail_estimate",
-            "grey_cap_integral",
-            "grey_tail_estimate",
-            "est_k_c1",
-            "est_k_gamma",
-        ):
+        for name in ("growth", "est_k_c1", "est_k_gamma"):
             assert type(getattr(report, name)) is float, name
         assert report.lambda_star is None or type(report.lambda_star) is float
         for pair in report.h1_values:

@@ -137,6 +137,10 @@ class TestOffspringTable:
 
 
 class TestSimConfig:
+    def test_steps_past_the_cap_rejected(self):
+        with pytest.raises(ParticlesError, match="dt 1e-07 makes 80000000 steps to t_end 8, above the cap"):
+            SimConfig(mech=QUADRATIC, epsilon=0.1, dt=1e-7, t_end=8.0, seed=1, n_replicas=1)
+
     def test_dt_above_stability_cap_rejected(self):
         with pytest.raises(ParticlesError, match="stability cap"):
             SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.02, t_end=1.0,
