@@ -198,7 +198,7 @@ def test_flow_table_build_jumps(benchmark):
 def test_check_hypotheses_jumps(benchmark):
     report = benchmark.pedantic(check_hypotheses, args=(JUMPS,), rounds=7, iterations=1, warmup_rounds=1)
     digest = hashlib.sha256(json.dumps(dataclasses.asdict(report)).encode()).hexdigest()
-    assert digest == "130bdef9c68130a1cb5fc1451f5be9e6041383cd1cf2e9d044266db8f058c287"
+    assert digest == "5f18bbac8eae2c096dc5a75a924c9ee367f87ddfd2d29020743bb7a9ff97bf48"
 
 
 def test_mech_check_pipeline_jumps(benchmark, tmp_path):
@@ -213,7 +213,7 @@ def test_mech_check_pipeline_jumps(benchmark, tmp_path):
     code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
     assert code == 0
     digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-    assert digest == "effaabc08c28807df779c2655c672dfe355068d063bdeb98885266dcff0cae87"
+    assert digest == "3372366248c0043276d41fbe916b4bbcc101cdbebdc47358a4f504474d9dc1f3"
 
 
 def test_solve_hA_barriers_defaults(benchmark):

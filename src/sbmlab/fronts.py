@@ -59,12 +59,12 @@ def _require_unit_drift(mech: BranchingMechanism) -> None:
         )
 
 
-def _require_h1_h3(mech: BranchingMechanism) -> None:
+def _require_h3(mech: BranchingMechanism) -> None:
+    """Refuse a mechanism without (H3); (H1) holds for every expressible one."""
     report = check_hypotheses(mech)
-    failed = [name for name in ("h1", "h3") if not getattr(report, name)]
-    if failed:
+    if not report.h3:
         raise FrontsError(
-            f"barrier-field constants need (H1) and (H3); {' and '.join(failed)} failed "
+            "barrier-field constants need (H3); h3 failed "
             f"(psi grows like u**{report.growth:g} at infinity)"
         )
 
@@ -385,11 +385,12 @@ def constant_C_tilde(
     """Ladder estimate of the barrier-field constant; phi = None gives the base one.
 
     The rows come from the barrier field marched once from the truncation
-    level theta = 1e4 (``kpp.V_THETA``).
+    level theta = 1e4 (``kpp.V_THETA``).  A mechanism without (H3), such as
+    a psi that grows only linearly, raises FrontsError.
     """
     _require_unit_drift(mech)
     rs = _validate_ladder(r_ladder, dt)
-    _require_h1_h3(mech)
+    _require_h3(mech)
     ic = None
     if phi is not None and not phi.is_trivial:
         ic = _phi_precheck(phi)
@@ -406,7 +407,8 @@ def constant_C_hat(
     """Ladder estimate of the tilted barrier-field constant for delta > 0.
 
     The rows come from the barrier field marched once from the truncation
-    level theta = 1e4 (``kpp.V_THETA``), as for ``constant_C_tilde``.
+    level theta = 1e4 (``kpp.V_THETA``), as for ``constant_C_tilde``, and
+    a mechanism without (H3) raises FrontsError.
     The tilt e^{delta y} moves the integrand peak out to y = delta r, so the
     cap must grow linearly in r; the default 3 r + 40 / (sqrt(2) + delta)
     covers tilts up to delta = 3 with room for the Gaussian spread.
@@ -428,7 +430,7 @@ def constant_C_hat(
     if delta <= 0:
         raise FrontsError("delta must be positive")
     rs = _validate_ladder(r_ladder, dt)
-    _require_h1_h3(mech)
+    _require_h3(mech)
 
     def y_req(r: float) -> float:
         return 3.0 * r + 40.0 / (SQRT2 + delta)

@@ -246,6 +246,12 @@ class Field:
             raise KppError(f"no snapshot at t={t}; have {self.times}")
         return self.snapshots[j0]
 
+    @functools.cached_property
+    def _slopes(self) -> np.ndarray:
+        """Each stored row's per-cell slope (row[j+1] - row[j]) / (x[j+1] - x[j])."""
+        xs = self.grid.x
+        return (self.snapshots[:, 1:] - self.snapshots[:, :-1]) / (xs[1:] - xs[:-1])
+
     def interp(self, t: float, x) -> float | np.ndarray:
         """Bilinear value between snapshots; t and x must be inside the grid.
 
@@ -253,7 +259,8 @@ class Field:
         search: j = floor((x - x[0]) / dx), moved by at most one cell so that
         x[j] <= x < x[j + 1] holds against the stored nodes.  The cell and
         the offset x - x[j] serve both snapshot rows of the time blend.  Each
-        row is ``np.interp``'s own formula, so a row's values are those of
+        row is ``np.interp``'s own formula, slope * (x - x[j]) + row[j] with
+        the slopes computed once per field, so a row's values are those of
         ``np.interp(x, grid.x, row)`` bit for bit, node hits included, and
         points up to 1e-9 beyond either end take that end node's value.
         """
@@ -276,17 +283,13 @@ class Field:
         cell -= x_arr < xs[cell]
         cell += x_arr >= xs[cell + 1]
         # cell == last only at x == x_end, a node hit, where the "clip"
-        # takes below give cell last - 1's width and fp[last]
+        # take below gives cell last - 1's slope and the hit gives fp[last]
         offset = x_arr - xs[cell]
         hit = offset == 0.0
-        width = (xs[1:] - xs[:-1]).take(cell, mode="clip")
 
         def row(k: int) -> np.ndarray:
-            fp = self.snapshots[k]
-            f_cell = fp[cell]
-            val = fp[1:].take(cell, mode="clip")
-            val -= f_cell
-            val /= width
+            f_cell = self.snapshots[k][cell]
+            val = self._slopes[k].take(cell, mode="clip")
             val *= offset
             val += f_cell
             return np.where(hit, f_cell, val)

@@ -26,17 +26,19 @@ on each side of lambda*, built once from one vectorized psi call after Grey
 The hypothesis report mirrors the analytic conditions under which the
 front theory operates:
 
-* (H1), the moment condition on large jumps, scanned over an exponent grid;
+* (H1), the moment condition on large jumps;
 * (H2), finiteness of integral^inf [integral_lambda*^u psi]**(-1/2) du
   (front formation);
 * (H3), a lower envelope psi(u) >= -a*u + b*u**(1+theta) with b > 0;
-* Grey's condition, integral^inf du/psi(u) < inf (instant extinction);
-* smallness of alpha - k near zero against a logarithmic envelope.
+* Grey's condition, integral^inf du/psi(u) < inf (instant extinction).
 
-(H2), (H3) and Grey's condition come from one closed-form rule, psi's
-growth exponent at infinity (``_growth`` gives the argument).  (H1) and the
-k check evaluate on fixed grids, module constants, so a report can be
-reproduced exactly.
+Each verdict is decided from the kind of measure, with no grid and no cap.
+(H1) holds for every measure a ``LevyMeasure`` can express (see
+``HypothesisReport``).  (H2), (H3) and Grey's condition come from psi's
+growth exponent at infinity (``_growth`` gives the argument).  The bound on
+alpha - k(u) = beta*u + J(u)/u near zero needs no check either: it is at
+most u (beta + integral y**2 n(dy) / 2) for a finite measure and exactly
+beta*u + C*u**(s-1) for a stable part with no cutoff.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-H1_GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
-H1_NUMERIC_CAP = 1e12
-EST_K_CAP = 1e7
-EST_K_LAMBDA_GRID = tuple(np.logspace(-8.0, -0.05, 40))
 _ROOT_BRACKET_CAP = 1e12
+# the last power of two lambda_star tries from below, sqrt(sys.float_info.min).
+# Below it u**2, and u**index for a large stable coefficient, go subnormal:
+# psi can then change sign where it has no zero (alpha 1 and stable jumps of
+# index 1.5 with their zero at 1e-250 have a bracket at 1.45e-216), and the
+# products in Brent's steps underflow (a zero at 1e-180 does not converge)
+_ROOT_FLOOR = 2.0**-511
 # scipy.optimize.brentq's default
 _BRENT_MAXITER = 100
 # terms n = 2..21 of the small-argument series; the first one dropped is
@@ -193,31 +197,6 @@ class LevyMeasure:
         grid = np.unique(np.concatenate([[a, b], yg[(yg > a) & (yg < b)]]))
         dens = np.interp(grid, yg, dg)
         return float(np.trapezoid(grid**power * dens, grid))
-
-    def h1_integral(self, gamma: float) -> float:
-        """integral over y > 1 of y * (log y)**(2+gamma) n(dy)."""
-        if self.is_trivial:
-            return 0.0
-        p = 2.0 + gamma
-        if self.kind == "atoms":
-            return float(
-                sum(w * y * math.log(y) ** p for y, w in self.points if y > 1.0)
-            )
-        if self.kind == "tabulated":
-            # the density is zero off its grid, as in moment_between
-            yg = np.asarray(self.y_grid)
-            dg = np.asarray(self.density)
-            lo = max(1.0, yg[0])
-            grid = np.concatenate([[lo], yg[yg > lo]])
-            dens = np.interp(grid, yg, dg)
-            return float(np.trapezoid(grid * np.log(grid) ** p * dens, grid))
-        # with y = e^u the integral is c * int_0^log(cutoff) e^(-(s-1)u) u^p du,
-        # a lower incomplete gamma function
-        if self.cutoff <= 1.0:
-            return 0.0
-        s = self.index
-        frac = float(special.gammainc(p + 1.0, (s - 1.0) * math.log(self.cutoff)))
-        return self.c * math.gamma(p + 1.0) * frac / (s - 1.0) ** (p + 1.0)
 
     # ---- serialization ------------------------------------------------
 
@@ -415,20 +394,30 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, error: type[Excep
 
 
 def lambda_star(mech: BranchingMechanism) -> float:
-    """Largest zero of the mechanism, bracketed then polished to 1e-12."""
+    """Largest zero of the mechanism, bracketed then polished to 1e-12 relative.
+
+    The bracket doubles up from 1 until psi > 0, then halves down until
+    psi < 0, through powers of two to the floor 2**-511, about 1.5e-154.
+    A mechanism whose psi is still >= 0 there raises MechanismError naming
+    that floor: alpha 1 with stable jumps of c 1 and index 1.001, say,
+    whose zero lies near 1e-3000.
+    """
+    what = f"lambda_star (alpha {mech.alpha:g}, beta {mech.beta:g}, {mech.levy.kind} jumps)"
     hi = 1.0
     while psi(mech, hi) <= 0.0:
         hi *= 2.0
         if hi > _ROOT_BRACKET_CAP:
             raise MechanismError(
-                "no positive zero below the bracket cap; mechanism may not be supercritical enough"
+                f"{what}: no positive zero below the bracket cap {_ROOT_BRACKET_CAP:g}; "
+                "mechanism may not be supercritical enough"
             )
     lo = hi / 2.0
     while psi(mech, lo) >= 0.0:
+        if lo <= _ROOT_FLOOR:
+            raise MechanismError(
+                f"{what}: psi >= 0 down to the floor {_ROOT_FLOOR!r}; the zero lies below every normal double"
+            )
         lo /= 2.0
-        if lo < 1e-12:
-            raise MechanismError("failed to bracket the largest zero from below")
-    what = f"lambda_star (alpha {mech.alpha:g}, beta {mech.beta:g}, {mech.levy.kind} jumps)"
     # an absolute tolerance alone would stop short of 1e-12 for a small root
     xtol = min(1e-14, 1e-12 * lo)
     return float(_brentq(lambda u: psi(mech, u), lo, hi, xtol, 1e-12, MechanismError, what))
@@ -498,70 +487,48 @@ def _growth(mech: BranchingMechanism) -> tuple[float, tuple[float, float, float]
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of every desk-scale hypothesis check for one mechanism."""
+    """Outcome of every desk-scale hypothesis check for one mechanism.
+
+    h1           (H1): integral_{y>1} y (log y)**(2+gamma) n(dy) < inf for
+                 some gamma > 0.  True for every measure a LevyMeasure can
+                 express: atoms, a tabulated density and a stable part with
+                 a cutoff have compact support, and a stable part of index
+                 s with no cutoff gives c Gamma(3+gamma)/(s-1)**(3+gamma).
+    growth       psi's growth exponent p at infinity, psi(u) ~ u**p.
+    h2           (H2), front formation: p > 1.
+    h3           (H3): an envelope psi(u) >= -a*u + b*u**(1+theta), b > 0.
+    h3_witness   that envelope's (a, b, theta), None when h3 is False.
+    grey         Grey's condition, integral^inf du/psi(u) < inf: p > 1.
+    lambda_star  the largest zero of psi, None when ``lambda_star`` raises.
+    """
 
     h1: bool
-    h1_gamma: float | None
-    h1_values: tuple[tuple[float, float], ...]
     growth: float
     h2: bool
     h3: bool
     h3_witness: tuple[float, float, float] | None
     grey: bool
-    est_k: bool
-    est_k_c1: float
-    est_k_gamma: float
     lambda_star: float | None
 
 
 def check_hypotheses(mech: BranchingMechanism) -> HypothesisReport:
     """Run every hypothesis check and collect one structured report.
 
-    (H2), (H3) and Grey's condition come from ``_growth``; (H1) and the
-    k check are numeric statements on the module's fixed grids.
+    (H1) holds for every expressible measure; (H2), (H3) and Grey's
+    condition come from ``_growth``.
     """
-    # moment condition on large jumps, largest exponent on the grid that
-    # stays below the numeric cap
-    h1_vals = []
-    h1_gamma = None
-    for gamma in H1_GAMMA_GRID:
-        value = mech.levy.h1_integral(gamma)
-        h1_vals.append((gamma, value))
-        if math.isfinite(value) and value <= H1_NUMERIC_CAP:
-            h1_gamma = gamma
-    h1 = h1_gamma is not None
     growth, witness = _growth(mech)
-
     try:
         lam_star = lambda_star(mech)
     except MechanismError:
         lam_star = None
-
-    # envelope on alpha - k near zero, using the reported moment exponent
-    est_gamma = h1_gamma if h1_gamma is not None else 0.5
-    if lam_star is not None:
-        norm = normalize(mech)
-        grid = np.array(EST_K_LAMBDA_GRID)
-        one_minus_k = 1.0 - np.asarray(k(norm, grid))
-        weights = np.abs(np.log(grid)) ** (2.0 + est_gamma)
-        c1 = float(np.max(one_minus_k * weights))
-        est_ok = bool(np.all(one_minus_k >= -1e-12) and math.isfinite(c1) and c1 < EST_K_CAP)
-    else:
-        c1 = math.inf
-        est_ok = False
-
     return HypothesisReport(
-        h1=h1,
-        h1_gamma=h1_gamma,
-        h1_values=tuple(h1_vals),
+        h1=True,
         growth=growth,
         h2=growth > 1.0,
         h3=witness is not None,
         h3_witness=witness,
         grey=growth > 1.0,
-        est_k=est_ok,
-        est_k_c1=c1,
-        est_k_gamma=est_gamma,
         lambda_star=lam_star,
     )
 

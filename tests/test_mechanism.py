@@ -9,7 +9,7 @@ Oracle notes
   c * Gamma(2-s) / (s*(s-1)) * u**s.  Picking c = s*(s-1)/Gamma(2-s) makes the
   jump part exactly u**s; the test recomputes c from math.gamma so the oracle
   is independent of the package.
-* The giant-atom report case is a direct finite sum, done inline with floats.
+* The giant-atom root is checked by the sign of psi on either side of it.
 * Truncated-stable jumps with a finite cutoff are checked against 30-digit
   mpmath quadrature of the defining integrals, after substitutions that make
   the integrands smooth at the origin; the package evaluates them through
@@ -33,9 +33,6 @@ from scipy.integrate import solve_ivp
 
 from sbmlab.csbp import extinction_prob
 from sbmlab.mechanism import (
-    EST_K_LAMBDA_GRID,
-    H1_GAMMA_GRID,
-    H1_NUMERIC_CAP,
     BranchingMechanism,
     GreyViolatedError,
     LevyMeasure,
@@ -164,40 +161,6 @@ class TestFiniteCutoffKernel:
         assert abs(j_above - j_below) <= 1e-13 * ref
 
 
-class TestH1Integral:
-    def test_stable_closed_form_spot_values(self):
-        assert LevyMeasure.truncated_stable(1.0, 1.5).h1_integral(1.0) == pytest.approx(96.0, rel=1e-14)
-        cut = LevyMeasure.truncated_stable(1.0, 1.5, cutoff=5.0)
-        assert cut.h1_integral(0.5) == pytest.approx(0.81675963487, rel=1e-10)
-        assert LevyMeasure.truncated_stable(1.0, 1.5, cutoff=0.3).h1_integral(0.5) == 0.0
-
-    def test_tabulated_grid_above_one_adds_nothing_below_its_first_node(self):
-        # the density is zero off its grid, so only the nodes 2 and 3 count
-        levy = LevyMeasure.tabulated(y=(2.0, 3.0), density=(1.0, 1.0))
-        expect = 0.5 * (2.0 * math.log(2.0) ** 2.5 + 3.0 * math.log(3.0) ** 2.5)
-        assert levy.h1_integral(0.5) == pytest.approx(expect, rel=1e-14)
-
-    def test_tabulated_grid_from_below_one_is_frozen(self):
-        levy = LevyMeasure.tabulated(y=(0.5, 1.0, 2.0, 4.0), density=(1.0, 0.5, 0.1, 0.01))
-        assert levy.h1_integral(0.5).hex() == "0x1.af209f8e1a124p-3"
-
-    @pytest.mark.parametrize("cutoff", [5.0, math.inf])
-    @pytest.mark.parametrize("index", [1.2, 1.5, 1.8])
-    def test_stable_matches_mpmath_quadrature(self, index, cutoff):
-        mp = pytest.importorskip("mpmath")
-        levy = LevyMeasure.truncated_stable(c=0.7, index=index, cutoff=cutoff)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = [levy.h1_integral(gamma) for gamma in H1_GAMMA_GRID]
-        for gamma, value in zip(H1_GAMMA_GRID, values):
-            # y = e^u turns the integral over (1, cutoff) into one over (0, log cutoff)
-            with mp.workdps(30):
-                s, p = mp.mpf(index), 2 + mp.mpf(gamma)
-                top = mp.inf if math.isinf(cutoff) else mp.log(cutoff)
-                ref = 0.7 * mp.quad(lambda u: mp.exp(-(s - 1) * u) * u**p, [0, top])
-            assert value == pytest.approx(float(ref), rel=1e-10)
-
-
 class TestLambdaStar:
     def test_quadratic_root(self):
         assert lambda_star(QUADRATIC) == pytest.approx(1.0, abs=1e-12)
@@ -217,6 +180,33 @@ class TestLambdaStar:
         mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=c, index=index))
         big_c = c * math.gamma(2.0 - index) / (index * (index - 1.0))
         assert lambda_star(mech) == pytest.approx(big_c ** (-1.0 / (index - 1.0)), rel=1e-12, abs=0.0)
+
+    def test_uncut_stable_root_far_below_one(self, monkeypatch):
+        # psi = -u + C u**1.05 with C = Gamma(0.95)/(1.05 * 0.05): the root
+        # C**(-1/0.05) = 1.36e-26 takes 85 halvings from 1/2 to bracket
+        import sbmlab.mechanism as mechanism_module
+
+        calls = _recording(monkeypatch, mechanism_module)
+        mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=1.0, index=1.05))
+        big_c = math.gamma(0.95) / (1.05 * 0.05)
+        root = lambda_star(mech)
+        assert root == pytest.approx((1.0 / big_c) ** (1.0 / 0.05), rel=1e-12, abs=0.0)
+        assert root == pytest.approx(1.3620546413589e-26, rel=1e-12, abs=0.0)
+        (_f, xa, xb, _xtol, _rtol), _root = calls[0]
+        assert (xa, xb) == (0.5 * 2.0**-85, 1.0)
+
+    @pytest.mark.parametrize("c, index", [(1.0, 1.001), (1e125 * 0.75 / math.gamma(0.5), 1.5)])
+    def test_root_below_the_floor_raises(self, c, index):
+        # psi = -u + C u**s with C = c Gamma(2-s)/(s(s-1)) has its root at
+        # C**(-1/(s-1)): about 1e-3000 for the first, 1e-250 for the second.
+        # There u**1.5 is subnormal near 1e-216, where the computed psi turns
+        # negative although the true one is positive; the floor 2**-511 stops
+        # the bracket above that
+        mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=c, index=index))
+        assert psi(mech, 2.0**-511) > 0.0
+        with pytest.raises(MechanismError, match=r"lambda_star .*floor 1\.4916681462400413e-154"):
+            lambda_star(mech)
+        assert check_hypotheses(mech).lambda_star is None
 
     def test_no_supercritical_root_raises(self):
         # beta = 0 with one small atom: psi stays negative, no positive zero
@@ -372,10 +362,10 @@ TABLE_MECHANISMS = {
 }
 # sha256 of each mechanism's check_hypotheses report as JSON
 HYPOTHESIS_DIGESTS = {
-    "quadratic": "476419305964de2c9684dd9d7fc9a6638f9797f746d688f705f54acbce183568",
-    "jumps": "130bdef9c68130a1cb5fc1451f5be9e6041383cd1cf2e9d044266db8f058c287",
-    "atoms": "2fb68d84ac10dd6a4cdccd9c956d1a7e84979d4100b26d04d7c7535fcf5e8378",
-    "tabulated": "8947ca482eb9b11c016b15cfcc6f1a1ae613ed675c7a44062317d9ccbcc136a8",
+    "quadratic": "642becc2b2b45f74f60dec957bf4c6f0505f9730936ddb8d14b8e52eb60eb3f0",
+    "jumps": "5f18bbac8eae2c096dc5a75a924c9ee367f87ddfd2d29020743bb7a9ff97bf48",
+    "atoms": "07ce96deecad09e647441af42520b407311ef9fa75ec52e842e8a92c771e31b5",
+    "tabulated": "a151b4d7a2c405309f127cf71f250b850656fb94cec8e749cdb59ff71adf4b89",
 }
 # psi grows only linearly at infinity, so integral^inf du/psi diverges
 ATOMS_NO_GREY = BranchingMechanism(alpha=0.5, beta=0.0, levy=LevyMeasure.atoms([(1.0, 2.0)]))
@@ -578,8 +568,6 @@ class TestHypotheses:
         report = check_hypotheses(QUADRATIC)
         assert report.h1 and report.h2 and report.h3 and report.grey
         assert report.growth == 2.0
-        # no jump measure: the moment integral is zero at every gamma on the grid
-        assert report.h1_gamma == max(H1_GAMMA_GRID)
         # psi is its own envelope -u + u**2
         assert report.h3_witness == (1.0, 1.0, 1.0)
 
@@ -591,31 +579,28 @@ class TestHypotheses:
         assert a == pytest.approx(1.0, abs=1e-5)
         assert b == pytest.approx(1.0, abs=1e-5)
 
-    def test_giant_atom_h1_saturates_at_large_gamma(self):
-        # w*y = 100 and log(y) = 100*log(10); the weighted moment passes the
-        # numeric cap up to gamma = 2 and overflows it from gamma = 4 on
+    def test_giant_atom_root_far_below_one(self, monkeypatch):
+        # below 1e-100 the atom adds 1e102 u**2 / 2 to psi, above it about
+        # 100 u, so the root is near 2 / 1e102; bracketing takes 337 halvings
+        # from 1/2
+        import sbmlab.mechanism as mechanism_module
+
+        calls = _recording(monkeypatch, mechanism_module)
         mech = BranchingMechanism(
             alpha=1.0, beta=1.0, levy=LevyMeasure.atoms([(1e100, 1e-98)])
         )
-        log_y = 100.0 * math.log(10.0)
-        for gamma in H1_GAMMA_GRID:
-            value = 100.0 * log_y ** (2.0 + gamma)
-            if gamma <= 2.0:
-                assert value < H1_NUMERIC_CAP
-            else:
-                assert value > H1_NUMERIC_CAP
         report = check_hypotheses(mech)
         assert report.h1
-        assert report.h1_gamma == 2.0
+        root = report.lambda_star
+        assert root == pytest.approx(2.0134e-102, rel=1e-4)
+        assert psi(mech, root * (1.0 - 1e-9)) < 0.0 < psi(mech, root * (1.0 + 1e-9))
+        (_f, xa, xb, _xtol, _rtol), _root = calls[0]
+        assert (xa, xb) == (0.5 * 2.0**-337, 1.0)
 
-    def test_est_k_quadratic_c1_matches_direct_formula(self):
-        report = check_hypotheses(QUADRATIC)
-        assert report.est_k
-        # normalized quadratic: 1 - k(u) = u, so the fitted constant is the
-        # grid maximum of u * |log u|**(2+gamma), computable directly
-        gamma = report.est_k_gamma
-        direct = max(u * abs(math.log(u)) ** (2.0 + gamma) for u in EST_K_LAMBDA_GRID)
-        assert report.est_k_c1 == pytest.approx(direct, rel=1e-6)
+    def test_h1_holds_for_a_stable_index_near_one(self):
+        # c Gamma(3 + gamma)/(s - 1)**(3 + gamma) is finite for every gamma
+        mech = BranchingMechanism(alpha=1.0, beta=0.0, levy=LevyMeasure.truncated_stable(c=1.0, index=1.0001))
+        assert check_hypotheses(mech).h1 is True
 
     def test_h2_and_grey_fail_without_strong_nonlinearity(self):
         # a single atom gives psi growing only linearly at infinity, so the
@@ -654,13 +639,10 @@ class TestHypotheses:
     )
     def test_report_holds_plain_python_types(self, mech):
         report = check_hypotheses(mech)
-        for name in ("h1", "h2", "h3", "grey", "est_k"):
+        for name in ("h1", "h2", "h3", "grey"):
             assert type(getattr(report, name)) is bool, name
-        for name in ("growth", "est_k_c1", "est_k_gamma"):
-            assert type(getattr(report, name)) is float, name
+        assert type(report.growth) is float
         assert report.lambda_star is None or type(report.lambda_star) is float
-        for pair in report.h1_values:
-            assert all(type(v) is float for v in pair)
         if report.h3_witness is not None:
             assert all(type(v) is float for v in report.h3_witness)
         json.dumps(dataclasses.asdict(report))
