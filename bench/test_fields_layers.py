@@ -23,6 +23,14 @@ the pipeline's dx and dt, quiet): one ``run_pipeline`` computing C_phi,
 C~_phi and C~_0, with the CLI's artifacts written.  It pins the bytes of
 ``constants.json``, which do not depend on the worker count.
 
+Two rows on the `fields` workload's other whole pipelines (quadratic psi,
+quiet, the CLI's artifacts written):
+
+- one `kpp` ``run_pipeline`` from heaviside data to t_end 16, pinning the
+  bytes of ``profiles.csv`` and ``median.csv``;
+- one `ldp` ``run_pipeline`` on the ladder 4, 8, 16, pinning the bytes of
+  ``ldp.json``.
+
 Two rows on one march step of the `jumps` workload's `kpp` pipeline
 (pure-jump truncated-stable psi: alpha 1, beta 0, c 1, index 1.5, cutoff 5;
 ``Grid1D.auto(8.0)`` at the `kpp` defaults dx 0.05, dt 0.01, pad 20, so
@@ -141,19 +149,32 @@ def test_constant_C_tilde_workload_ladder(benchmark):
     assert (est.value, est.error) == (3.229282518959373, 0.20560773379812325)
 
 
-def test_fronts_pipeline_workload_config(benchmark, tmp_path):
-    bump = {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}
-    config = ExperimentConfig.from_sources(
-        "fronts",
-        {"fronts": {"phi": bump, "r_ladder": list(R_LADDER)}},
-        out=str(tmp_path / "fronts"),
-        quiet=True,
-        env={},
-    )
+def _run_quiet(benchmark, pipeline: str, data: dict, tmp_path, names: tuple[str, ...]) -> list[str]:
+    """Time one quiet ``run_pipeline`` of ``pipeline`` on ``data``; the sha256 of each named artifact."""
+    config = ExperimentConfig.from_sources(pipeline, data, out=str(tmp_path / pipeline), quiet=True, env={})
     code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
     assert code == 0
-    digest = hashlib.sha256((out / "constants.json").read_bytes()).hexdigest()
-    assert digest == "b07c25e9caf7f69ccca61accb862d1767895a56a46b80b68024b2233777512a3"
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+
+
+def test_fronts_pipeline_workload_config(benchmark, tmp_path):
+    bump = {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}
+    data = {"fronts": {"phi": bump, "r_ladder": list(R_LADDER)}}
+    digests = _run_quiet(benchmark, "fronts", data, tmp_path, ("constants.json",))
+    assert digests == ["b07c25e9caf7f69ccca61accb862d1767895a56a46b80b68024b2233777512a3"]
+
+
+def test_kpp_pipeline_workload_config(benchmark, tmp_path):
+    digests = _run_quiet(benchmark, "kpp", {"kpp": {"t_end": 16.0}}, tmp_path, ("profiles.csv", "median.csv"))
+    assert digests == [
+        "6701a86094bf02591012ba86c245841834c4f3390c8d93ad47cec29dbdf62079",
+        "9d4f821bac69bb23d4253517413a037937bb0e57d46bd8f43ce795b16adf3e2d",
+    ]
+
+
+def test_ldp_pipeline_workload_ladder(benchmark, tmp_path):
+    digests = _run_quiet(benchmark, "ldp", {"ldp": {"r_ladder": list(R_LADDER)}}, tmp_path, ("ldp.json",))
+    assert digests == ["e47f2a4270525137baf34a88fe92f34db17cc7b86b40239eb07fa75e1b1695c1"]
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -203,17 +224,9 @@ def test_check_hypotheses_jumps(benchmark):
 
 def test_mech_check_pipeline_jumps(benchmark, tmp_path):
     levy = {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0}
-    config = ExperimentConfig.from_sources(
-        "mech-check",
-        {"mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy}},
-        out=str(tmp_path / "mech-check"),
-        quiet=True,
-        env={},
-    )
-    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
-    assert code == 0
-    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-    assert digest == "3372366248c0043276d41fbe916b4bbcc101cdbebdc47358a4f504474d9dc1f3"
+    data = {"mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy}}
+    digests = _run_quiet(benchmark, "mech-check", data, tmp_path, ("report.json",))
+    assert digests == ["3372366248c0043276d41fbe916b4bbcc101cdbebdc47358a4f504474d9dc1f3"]
 
 
 def test_solve_hA_barriers_defaults(benchmark):
@@ -222,13 +235,7 @@ def test_solve_hA_barriers_defaults(benchmark):
 
 
 def test_barriers_pipeline_defaults(benchmark, tmp_path):
-    config = ExperimentConfig.from_sources(
-        "barriers", {}, out=str(tmp_path / "barriers"), quiet=True, env={}
-    )
-    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
-    assert code == 0
-    names = ("profile.csv", "constants.json")
-    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+    digests = _run_quiet(benchmark, "barriers", {}, tmp_path, ("profile.csv", "constants.json"))
     assert digests == [
         "bc96494189f461bb6d758ba4e1863d16191a27f50e703dfd414608f19a68a458",
         "38778a2363538953098da1d5f7d0b9de3ca8c66bf329656dd570e54b7ea24012",

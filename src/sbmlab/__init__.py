@@ -3,7 +3,7 @@
 The package is organized around one object, a branching mechanism, and the
 family of numerical experiments that probe its front behavior:
 
-* ``mechanism``: mechanism algebra, hypothesis checks, normalization.
+* ``mechanism``: mechanism algebra, hypothesis checks, the scalar flow.
 * ``csbp``: the total-mass ordinary differential equation and extinction.
 * ``kpp``: reaction-diffusion solver, centering, and median tracking.
 * ``feynman_kac``: Monte Carlo estimate of the path-integral representation.
@@ -23,7 +23,6 @@ from .mechanism import (
     lambda_star,
     mechanism_from_json,
     mechanism_to_json,
-    normalize,
     psi,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "lambda_star",
     "mechanism_from_json",
     "mechanism_to_json",
-    "normalize",
     "psi",
 ]
 

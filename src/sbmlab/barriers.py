@@ -36,7 +36,6 @@ of magnitude.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -72,8 +71,9 @@ _NEAR_CELLS = 60
 _CENTRE_FLOOR = 1e-12
 _INVERSION_MAX_ITER = 100
 
-# log grid on [1e-6, 1e8] for the infimum of c4_convexity
-_C4_GRID = 4001
+# the bracket in t = log(1 / (1 + lam)) of c4_convexity's stationary point
+_C4_T_LOW = -700.0
+_C4_T_HIGH = -(2.0**-30)
 
 
 class BarriersError(ValueError):
@@ -100,24 +100,36 @@ def c2_constant(b: float, theta: float) -> float:
     return _amplitude("c2", 2.0 / (b * theta), theta)
 
 
-@functools.lru_cache(maxsize=32)
 def c4_convexity(theta: float) -> float:
-    """inf over lam >= 0 of ((1+lam)**(1+theta) - (1+lam)) / lam**(1+theta).
+    """inf over lam >= 0 of ((1+lam)**(1+theta) - (1+lam)) / lam**(1+theta), from its stationary point.
 
-    The quotient tends to +inf at 0 and to 1 at infinity, so the limit 1
-    bounds the infimum from above and always enters the minimum; for
-    theta = 1 the quotient is 1 + 1/lam and the infimum is exactly 1.  For
-    theta < 1 the infimum sits at a finite lam and dips below 1, so it is
-    taken numerically on a wide log grid.  For theta above about 0.96 the
-    minimiser lies beyond the grid's top at lam = 1e8, and from about 0.963
-    on the result is 1.0; it then overestimates the true infimum by at most
-    about 3e-10 (2.7e-10 near theta = 0.9634, by a 250-digit mpmath check).
+    With s = 1/(1+lam) = e^t the quotient is
+    f(t) = -expm1(theta t) / (-expm1(t))**(1+theta) on t < 0; it tends to
+    +inf as t -> 0 and to 1 as t -> -inf, so the limit 1 bounds the infimum
+    and enters the minimum.  f' = 0 where
+
+        g(t) = (1+theta) (-expm1(theta t)) - theta e^{(theta-1) t} (-expm1(t))
+
+    vanishes.  g is positive near t = 0 and, for theta < 1, negative far
+    below, with one sign change on [-700, -2**-30]; Brent's method finds it
+    and f there is the infimum, to a few ulps (against a 60-digit mpmath
+    minimum, 7.4e-16 relative or better at 121 theta from 1e-4 to 1).  Where
+    g(-700) >= 0 (theta = 1, whose quotient is 1 + 1/lam, and theta above
+    about 0.999) the minimiser lies below s = e^-700 and the infimum is 1.0
+    to double precision.
     """
-    lam = np.geomspace(1e-6, 1e8, _C4_GRID)
-    ratio = (np.power(1.0 + lam, 1.0 + theta) - (1.0 + lam)) / np.power(
-        lam, 1.0 + theta
-    )
-    return float(min(np.min(ratio), 1.0))
+
+    def g(t: float) -> float:
+        return (1.0 + theta) * -math.expm1(theta * t) - theta * math.exp((theta - 1.0) * t) * -math.expm1(t)
+
+    if g(_C4_T_LOW) >= 0.0:
+        return 1.0
+    what = f"c4_convexity stationary point (theta {theta:g})"
+    # near -700 g reaches theta e^{700 (1 - theta)}, so Brent's interpolation
+    # products can overflow; it then bisects, as scipy's brentq does
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _brentq(g, _C4_T_LOW, _C4_T_HIGH, 1e-300, 4.0 * np.finfo(float).eps, BarriersError, what)
+    return min(-math.expm1(theta * t) / (-math.expm1(t)) ** (1.0 + theta), 1.0)
 
 
 def c1_constant(a: float, theta: float) -> float:

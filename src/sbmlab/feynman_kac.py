@@ -7,9 +7,10 @@ growth factor whose rate depends on the field along the path.  This module
 estimates that expectation by Monte Carlo (``fk_estimate``); the ``fk``
 pipeline compares the estimate with the solved field.
 
-Conventions: mechanisms are assumed normalized (largest zero of the
-branching polynomial at 1, drift coefficient 1), so the growth rate k is at
-most 1.
+Conventions: ``fk_estimate`` takes any mechanism and assumes nothing of
+it.  Its growth rate k(u) = -psi(u)/u is at most alpha for every u >= 0,
+since psi(u) + alpha u = beta u**2 plus a nonnegative jump integral, so a
+path's weight is at most e^{alpha (t - r)}.
 """
 
 from __future__ import annotations

@@ -38,6 +38,8 @@ from .mechanism import BranchingMechanism, check_hypotheses
 DEFAULT_R_LADDER = (4.0, 8.0, 16.0, 32.0)
 # room the constants' grids keep beyond what the top rung's overshoot integral reaches
 _PAD_SLACK = 4.0
+# phi must vanish on (-inf, _SUPPORT_FLOOR] for its front constants
+_SUPPORT_FLOOR = -45.0
 
 
 class FrontsError(ValueError):
@@ -55,7 +57,8 @@ class IntegralCapError(FrontsError):
 def _require_unit_drift(mech: BranchingMechanism) -> None:
     if abs(mech.alpha - 1.0) > 1e-9:
         raise FrontsError(
-            "front constants assume unit drift; normalize the mechanism first"
+            f"front constants assume unit drift, got alpha {mech.alpha:g}; divide alpha, beta "
+            "and the jump measure by alpha, which runs time x alpha and space x sqrt(alpha)"
         )
 
 
@@ -156,6 +159,22 @@ class TestFunction:
         if self.kind == "compact-bump":
             return self.height
         return float(np.max(np.abs(self.vals)))
+
+    @property
+    def support_left(self) -> float:
+        """Infimum of the support: phi vanishes on (-inf, support_left); +inf for a trivial phi.
+
+        A table's support starts at the node before its first nonzero value,
+        or at ys[0] when vals[0] is nonzero.
+        """
+        if self.is_trivial:
+            return math.inf
+        if self.kind == "scaled-indicator":
+            return self.a
+        if self.kind == "compact-bump":
+            return self.center - self.width
+        first = next(i for i, v in enumerate(self.vals) if v != 0.0)
+        return self.ys[max(first - 1, 0)]
 
     @property
     def is_trivial(self) -> bool:
@@ -334,15 +353,20 @@ def _plain_cap(r: float) -> float:
 
 
 def _phi_precheck(phi: TestFunction) -> InitialCondition:
+    """phi's initial condition, once phi vanishes on (-inf, -45].
+
+    The overshoot quadrature resolves int y e^{sqrt2 y} phi(-y) dy only for
+    data that is zero left of -45, so phi is refused exactly when it is
+    nonzero somewhere there: its support starts below -45, or phi(-45) != 0.
+    """
     if not isinstance(phi, TestFunction):
         raise FrontsError("phi must be a TestFunction")
-    ic = phi.to_initial_condition()
-    if not ic.integrable_tail:
+    if phi.support_left < _SUPPORT_FLOOR or phi.evaluate(_SUPPORT_FLOOR) != 0.0:
         raise FrontsError(
-            "phi has mass too far left for the front-constant quadrature; "
-            "supports below about -45 are outside the resolved window"
+            f"phi is nonzero at or left of {_SUPPORT_FLOOR:g} (support_left {phi.support_left:g}); "
+            "the front-constant quadrature resolves only data that vanishes there"
         )
-    return ic
+    return phi.to_initial_condition()
 
 
 def _plain_ladder(solve, mech, ic, rs, dx: float, dt: float) -> ConstantEstimate:

@@ -16,8 +16,10 @@ and regrouping would not.
 The reaction step applies ``mechanism.flow_map``, the time-dt map of
 v' = -psi(v), once per step at every node: the logistic closed form for a
 mechanism without jumps (exact to rounding), the mechanism's flow table
-otherwise (about 1e-9 relative).  ``Field.diagnostics["reaction"]`` records
-which ("logistic" or "table").
+otherwise (about 1e-9 relative where psi's local exponent settles inside
+|w| <= 25, w = log((v - lambda*)/lambda*), and worse where psi changes
+shape beyond: 2.7e-5 in a case ``flow_map`` names).
+``Field.diagnostics["reaction"]`` records which ("logistic" or "table").
 
 Fields are stored in the coordinates where the front moves right: bounded
 initial data phi enters as u(0, x) = phi(-x), the heaviside kind is
@@ -155,33 +157,26 @@ class Grid1D:
 class InitialCondition:
     """Initial data kinds: bounded phi and heaviside.
 
-    ``integrable_tail`` records whether int_0^inf y e^{sqrt2 y} phi(-y) dy is
-    finite, probed numerically on [0, 60]; front-limit constants require it,
-    plain solves do not.
+    phi is read once, on the march grid, where it must be finite and within
+    sup_norm.  Whether its tail weight int_0^inf y e^{sqrt2 y} phi(-y) dy is
+    finite, which the front-limit constants need and plain solves do not,
+    is a fact about phi's support that ``fronts`` decides.
     """
 
     kind: str
     phi: Callable | None
     sup_norm: float
-    integrable_tail: bool
 
     @classmethod
     def bounded(cls, phi: Callable, sup_norm: float) -> "InitialCondition":
-        """Data phi with |phi| <= sup_norm, checked on the [0, 60] probe grid of the tail test."""
+        """Data phi with |phi| <= sup_norm, checked when a solve reads it on the march grid."""
         if sup_norm < 0 or not math.isfinite(sup_norm):
             raise KppError("sup_norm must be finite and nonnegative")
-        y = np.linspace(0.0, 60.0, 2401)
-        vals = _checked_phi(_eval_phi(phi, -y), sup_norm, "[0, 60] probe grid")
-        return cls(
-            kind="bounded",
-            phi=phi,
-            sup_norm=float(sup_norm),
-            integrable_tail=_tail_weight_integrable(y, vals),
-        )
+        return cls(kind="bounded", phi=phi, sup_norm=float(sup_norm))
 
     @classmethod
     def heaviside(cls) -> "InitialCondition":
-        return cls(kind="heaviside", phi=None, sup_norm=1.0, integrable_tail=False)
+        return cls(kind="heaviside", phi=None, sup_norm=1.0)
 
     def field_values(self, x: np.ndarray) -> np.ndarray:
         """Initial field on the grid, in front-moving coordinates."""
@@ -189,35 +184,23 @@ class InitialCondition:
         if self.kind == "heaviside":
             return np.where(x < 0.0, 1.0, 0.0)
         if self.kind == "bounded":
-            return _checked_phi(_eval_phi(self.phi, -x), self.sup_norm, "march grid")
+            return _checked_phi(_eval_phi(self.phi, -x), self.sup_norm)
         raise KppError(f"unknown initial-condition kind {self.kind!r}")
 
 
 def _eval_phi(phi: Callable, arg: np.ndarray) -> np.ndarray:
-    vals = np.asarray(phi(arg), dtype=float)
-    if vals.shape != arg.shape:
-        vals = np.array([float(phi(a)) for a in arg])
-    return vals
+    """phi on the array arg; a scalar result, a constant phi, is broadcast to arg's shape."""
+    return np.broadcast_to(np.asarray(phi(arg), dtype=float), arg.shape)
 
 
-def _checked_phi(vals: np.ndarray, sup_norm: float, where: str) -> np.ndarray:
-    """vals, the values of phi on a grid, once they are finite and within sup_norm."""
+def _checked_phi(vals: np.ndarray, sup_norm: float) -> np.ndarray:
+    """vals, the values of phi on the march grid, once they are finite and within sup_norm."""
     if not np.all(np.isfinite(vals)):
-        raise KppError(f"phi is not finite on the {where} (sup_norm {sup_norm:.6g}); fix phi")
+        raise KppError(f"phi is not finite on the march grid (sup_norm {sup_norm:.6g}); fix phi")
     top = float(np.max(np.abs(vals), initial=0.0))
     if top > sup_norm:
-        raise KppError(f"|phi| reaches {top:.6g} on the {where}, above sup_norm {sup_norm:.6g}")
+        raise KppError(f"|phi| reaches {top:.6g} on the march grid, above sup_norm {sup_norm:.6g}")
     return vals
-
-
-def _tail_weight_integrable(y: np.ndarray, phi_vals: np.ndarray) -> bool:
-    """Whether y e^{sqrt2 y} phi(-y), given phi(-y) on the grid y over [0, 60], has a negligible tail."""
-    g = y * np.exp(SQRT2 * y) * phi_vals
-    peak = float(np.max(np.abs(g)))
-    if peak == 0.0:
-        return True
-    tail = float(np.max(np.abs(g[y >= 45.0])))
-    return tail <= 1e-6 * peak
 
 
 @dataclass(frozen=True, eq=False)

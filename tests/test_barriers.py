@@ -111,6 +111,40 @@ class TestConstants:
         res = minimize_scalar(quotient, bounds=(0.5, 20.0), method="bounded")
         assert bar.c4_convexity(th) == pytest.approx(res.fun, abs=1e-6)
 
+    def test_c4_closed_forms(self):
+        # s* = 1/(1 + lam*) solves (1+theta)(1 - s^theta) = theta s^(theta-1) (1 - s);
+        # theta = 1/2: s* = 1/4; theta = 1/3: s*^(1/3) = r, 3 r^2 - r - 1 = 0
+        eps4 = 4.0 * np.finfo(float).eps
+        assert bar.c4_convexity(0.5) == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), rel=eps4, abs=0.0)
+        r = (1.0 + math.sqrt(13.0)) / 6.0
+        exact = (1.0 - r) / (1.0 - r**3) ** (4.0 / 3.0)
+        assert exact == pytest.approx(0.51858735310, abs=1e-11)
+        assert bar.c4_convexity(1.0 / 3.0) == pytest.approx(exact, rel=eps4, abs=0.0)
+
+    # the last three send Brent's interpolation products past the largest
+    # double near t = -700, which must not leak an overflow warning
+    @pytest.mark.parametrize(
+        "theta",
+        [1e-4, 0.01, 0.1, 0.7, 0.9, 0.963, 0.97]
+        + [0.00042358840987061284, 0.0023948424670984167, 0.04964316871858405],
+    )
+    def test_c4_matches_mpmath_minimum(self, theta):
+        # 60 digits: bisect the stationarity condition in t = log s, then the quotient there
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            th = mp.mpf(theta)
+
+            def g(t):
+                return (1 + th) * -mp.expm1(th * t) - th * mp.exp((th - 1) * t) * -mp.expm1(t)
+
+            lo, hi = mp.mpf(-700), -mp.mpf(2) ** -30
+            assert g(lo) < 0 < g(hi)
+            for _ in range(300):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+            exact = float(-mp.expm1(th * lo) / (-mp.expm1(lo)) ** (1 + th))
+        assert bar.c4_convexity(theta) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     def test_c1_and_c3_quadratic(self):
         assert bar.c1_constant(1.0, 1.0) == pytest.approx(12.0, abs=1e-12)
         assert bar.c3_constant(1.0, 1.0) == pytest.approx(24.0, abs=1e-12)

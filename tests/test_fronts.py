@@ -25,12 +25,13 @@ from sbmlab.fronts import (
     TestFunction,
     _aitken,
     _fit_algebraic,
+    _phi_precheck,
     _validate_ladder,
     constant_C,
     constant_C_hat,
     constant_C_tilde,
 )
-from sbmlab.kpp import Grid1D, KppError, front_m, solve_U, solve_V
+from sbmlab.kpp import Grid1D, InitialCondition, KppError, front_m, solve_U, solve_V
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure
 
 QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0)
@@ -103,7 +104,6 @@ class TestTestFunction:
         assert np.array_equal(
             init.field_values(np.array([-0.5, 0.5])), [1.0, 0.0]
         )
-        assert init.integrable_tail
 
 
 class TestLadderExtrapolation:
@@ -210,6 +210,72 @@ class TestConstantC:
             constant_C(BranchingMechanism(alpha=2.0, beta=1.0), PHI)
         with pytest.raises(FrontsError):
             constant_C(QUADRATIC, PHI, r_ladder=(4.0, 8.0))
+
+    def test_drift_other_than_one_is_refused_by_name(self):
+        with pytest.raises(FrontsError, match="got alpha 2; divide alpha, beta and the jump measure by alpha"):
+            constant_C(BranchingMechanism(alpha=2.0, beta=2.0), PHI)
+
+    @pytest.mark.parametrize(
+        "levy, unit_levy",
+        [
+            (LevyMeasure.none(), LevyMeasure.none()),
+            (
+                LevyMeasure.truncated_stable(c=2.0, index=1.5, cutoff=5.0),
+                LevyMeasure.truncated_stable(c=1.0, index=1.5, cutoff=5.0),
+            ),
+        ],
+        ids=["quadratic", "truncated-stable"],
+    )
+    def test_unit_drift_recipe(self, levy, unit_levy):
+        # the refusal's recipe: psi / alpha has unit drift, and its field is the
+        # given one with time x alpha and space x sqrt(alpha), node for node
+        heaviside = InitialCondition.heaviside()
+        given = solve_U(
+            BranchingMechanism(alpha=2.0, beta=2.0, levy=levy),
+            heaviside,
+            Grid1D(x_min=-20.0, x_max=20.0, dx=0.05, dt=0.01, t_end=2.0),
+        )
+        root = math.sqrt(2.0)
+        unit = solve_U(
+            BranchingMechanism(alpha=1.0, beta=1.0, levy=unit_levy),
+            heaviside,
+            Grid1D(x_min=-20.0 * root, x_max=20.0 * root, dx=0.05 * root, dt=0.02, t_end=4.0),
+        )
+        assert given.grid.nx == unit.grid.nx and given.grid.nt == unit.grid.nt
+        np.testing.assert_allclose(given.snapshots, unit.snapshots, rtol=0.0, atol=1e-13)
+
+
+class TestSupportVerdict:
+    """phi is refused exactly when it is nonzero somewhere on (-inf, -45]."""
+
+    @pytest.mark.parametrize(
+        "phi, accepted",
+        [
+            (TestFunction.scaled_indicator(1.0, a=-44.99), True),
+            (TestFunction.scaled_indicator(1.0, a=-45.0), False),
+            (TestFunction.scaled_indicator(1.0, a=-50.0), False),
+            (TestFunction.compact_bump(-44.2, 1.0, 1.0), False),
+            (TestFunction.compact_bump(-44.0, 1.0, 1.0), True),
+            (TestFunction.table((-100.0, -10.0, 0.0), (0.0, 0.0, 1.0)), True),
+            (TestFunction.table((-50.0, 0.0), (1.0, 1.0)), False),
+            (TestFunction.table((-100.0, -46.0, -44.0), (0.0, 0.0, 1.0)), False),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, bool) else f"{v.kind}@{v.support_left:g}",
+    )
+    def test_precheck(self, phi, accepted):
+        if accepted:
+            assert _phi_precheck(phi).kind == "bounded"
+        else:
+            with pytest.raises(FrontsError, match=f"support_left {phi.support_left:g}"):
+                _phi_precheck(phi)
+
+    def test_support_left(self):
+        assert TestFunction.scaled_indicator(2.0, a=-3.0).support_left == -3.0
+        assert TestFunction.compact_bump(1.0, 0.5, 2.0).support_left == 0.5
+        assert TestFunction.table((-4.0, -2.0, 0.0), (0.0, 0.0, 1.0)).support_left == -2.0
+        assert TestFunction.table((-4.0, -2.0, 0.0), (0.5, 0.0, 1.0)).support_left == -4.0
+        assert TestFunction.zero().support_left == math.inf
+        assert TestFunction.table((0.0, 1.0), (0.0, 0.0)).support_left == math.inf
 
 
 class TestConstantCTilde:

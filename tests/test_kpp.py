@@ -115,26 +115,28 @@ class TestInitialCondition:
         x = np.array([-0.5, 0.5])
         assert np.array_equal(init.field_values(x), [0.5, 0.0])
 
-    def test_integrability_flag(self):
-        assert InitialCondition.bounded(gaussian_phi(1.0), sup_norm=1.0).integrable_tail
-        left_indicator = InitialCondition.bounded(
-            lambda s: np.where(np.asarray(s) < 0, 1.0, 0.0), sup_norm=1.0
-        )
-        assert not left_indicator.integrable_tail
+    def test_constant_phi_is_broadcast(self):
+        # a phi that returns one number is the constant field
+        init = InitialCondition.bounded(lambda s: 0.25, sup_norm=0.5)
+        assert np.array_equal(init.field_values(np.array([-1.0, 0.0, 2.0])), [0.25, 0.25, 0.25])
 
     def test_phi_above_sup_norm_rejected(self):
-        with pytest.raises(KppError, match=r"\|phi\| reaches 5 .*above sup_norm 0.5"):
-            InitialCondition.bounded(lambda s: 5.0 + 0.0 * np.asarray(s), sup_norm=0.5)
+        init = InitialCondition.bounded(lambda s: 5.0 + 0.0 * np.asarray(s), sup_norm=0.5)
+        grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
+        with pytest.raises(KppError, match=r"\|phi\| reaches 5 on the march grid, above sup_norm 0.5"):
+            solve_U(QUADRATIC, init, grid)
 
     def test_phi_nan_on_the_probe_grid_rejected(self):
-        # the probe grid of the tail test reads phi on [-60, 0]
-        with pytest.raises(KppError, match="phi is not finite on the \\[0, 60\\] probe grid"):
-            InitialCondition.bounded(
-                lambda s: np.where(np.abs(np.asarray(s) + 1.0) < 0.5, np.nan, 0.5), sup_norm=0.5
-            )
+        # NaN only at s in (-1.5, -0.5), inside the march grid
+        init = InitialCondition.bounded(
+            lambda s: np.where(np.abs(np.asarray(s) + 1.0) < 0.5, np.nan, 0.5), sup_norm=0.5
+        )
+        grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
+        with pytest.raises(KppError, match="phi is not finite on the march grid .*sup_norm 0.5"):
+            solve_U(QUADRATIC, init, grid)
 
     def test_phi_nan_on_the_march_grid_rejected(self):
-        # NaN only at s > 0, which the probe grid never reads: the march grid does
+        # NaN only at s > 2
         init = InitialCondition.bounded(
             lambda s: np.where(np.asarray(s) > 2.0, np.nan, 0.5), sup_norm=0.5
         )
@@ -153,7 +155,7 @@ class TestInitialCondition:
     def test_barrier_kind_rejected_by_solve_U(self):
         # barrier data has no InitialCondition kind; solve_V builds it
         grid = Grid1D(x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, t_end=0.1)
-        init = InitialCondition(kind="barrier", phi=None, sup_norm=0.0, integrable_tail=True)
+        init = InitialCondition(kind="barrier", phi=None, sup_norm=0.0)
         with pytest.raises(KppError, match="unknown initial-condition kind"):
             solve_U(QUADRATIC, init, grid)
 

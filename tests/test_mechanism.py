@@ -45,7 +45,6 @@ from sbmlab.mechanism import (
     lambda_star,
     mechanism_from_json,
     mechanism_to_json,
-    normalize,
     psi,
 )
 
@@ -654,36 +653,6 @@ class TestHypotheses:
         mech = {"quadratic": QUADRATIC, **TABLE_MECHANISMS}[name]
         report = json.dumps(dataclasses.asdict(check_hypotheses(mech)))
         assert hashlib.sha256(report.encode()).hexdigest() == HYPOTHESIS_DIGESTS[name]
-
-
-class TestNormalize:
-    def test_quadratic_fixed_point(self):
-        norm = normalize(QUADRATIC)
-        assert norm.alpha == pytest.approx(1.0, abs=1e-12)
-        assert norm.beta == pytest.approx(1.0, abs=1e-10)
-        assert lambda_star(norm) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rescaled_quadratic(self):
-        # psi = -2u + 4u**2 has lambda* = 1/2; normalized form is -x + x**2
-        mech = BranchingMechanism(alpha=2.0, beta=4.0)
-        norm = normalize(mech)
-        assert norm.alpha == pytest.approx(1.0, abs=1e-12)
-        x = np.linspace(0.0, 3.0, 13)
-        np.testing.assert_allclose(psi(norm, x), x * x - x, atol=1e-9)
-
-    def test_idempotent(self):
-        mech = BranchingMechanism(alpha=1.7, beta=0.4, levy=LevyMeasure.atoms([(1.3, 0.6)]))
-        once = normalize(mech)
-        twice = normalize(once)
-        x = np.linspace(0.0, 4.0, 17)
-        np.testing.assert_allclose(psi(twice, x), psi(once, x), rtol=1e-8, atol=1e-10)
-
-    def test_derivative_at_zero_is_minus_one(self):
-        mech = BranchingMechanism(alpha=0.8, beta=0.9, levy=LevyMeasure.atoms([(2.0, 0.1)]))
-        norm = normalize(mech)
-        h = 1e-6
-        slope = (psi(norm, h) - psi(norm, 0.0)) / h
-        assert slope == pytest.approx(-1.0, abs=1e-5)
 
 
 class TestSerialization:
