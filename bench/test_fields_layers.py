@@ -62,6 +62,16 @@ One row on the whole `mech-check` pipeline on that mechanism (quiet), the
 `jumps` workload's first operation: one ``run_pipeline`` with the CLI's
 artifacts written.  It pins the bytes of ``report.json``.
 
+One row on the whole `csbp` pipeline on that mechanism, read from the
+config's ``mechanism`` block (quiet; default theta grid, t 1, no
+extinction table), as the `jumps` workload runs it: one ``run_pipeline``
+pinning the bytes of ``laplace.csv`` and ``summary.json``.
+
+One row on the whole `fk` pipeline at its defaults (quiet, seed 1, 20,000
+paths): one ``run_pipeline`` solving the field twice, on its grid and on
+the doubled one, and estimating the path integral.  It pins the bytes of
+``report.json``.
+
 One row on the whole `barriers` pipeline at its defaults (quiet): one
 ``run_pipeline`` solving h_A, its envelopes and the strip constants, with
 the CLI's artifacts written.  It pins the bytes of ``profile.csv`` and
@@ -227,6 +237,24 @@ def test_mech_check_pipeline_jumps(benchmark, tmp_path):
     data = {"mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy}}
     digests = _run_quiet(benchmark, "mech-check", data, tmp_path, ("report.json",))
     assert digests == ["3372366248c0043276d41fbe916b4bbcc101cdbebdc47358a4f504474d9dc1f3"]
+
+
+def test_csbp_pipeline_jumps(benchmark, tmp_path):
+    levy = {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0}
+    data = {
+        "mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy},
+        "csbp": {"t_grid": [1.0], "extinction": False},
+    }
+    digests = _run_quiet(benchmark, "csbp", data, tmp_path, ("laplace.csv", "summary.json"))
+    assert digests == [
+        "7e26f1f3c955866f4897c9f805c63711ee51764406c5b1e8c140753a69bba1d2",
+        "f15cf242fac183c95efc98485210526a74dea0748ccae1051b1fba482c1a2659",
+    ]
+
+
+def test_fk_pipeline_defaults(benchmark, tmp_path):
+    digests = _run_quiet(benchmark, "fk", {"seed": 1}, tmp_path, ("report.json",))
+    assert digests == ["61e7c4c36f8268dd2657b852a01e8e9467729c94a2d41bac39ac6f52cd18442a"]
 
 
 def test_solve_hA_barriers_defaults(benchmark):

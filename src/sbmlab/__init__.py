@@ -21,8 +21,6 @@ from .mechanism import (
     check_hypotheses,
     k,
     lambda_star,
-    mechanism_from_json,
-    mechanism_to_json,
     psi,
 )
 
@@ -33,8 +31,6 @@ __all__ = [
     "check_hypotheses",
     "k",
     "lambda_star",
-    "mechanism_from_json",
-    "mechanism_to_json",
     "psi",
 ]
 

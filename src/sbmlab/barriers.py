@@ -57,6 +57,7 @@ __all__ = [
     "strip_constants",
     "solve_hA",
     "sandwich_bounds",
+    "widest_A",
 ]
 
 #: Cells of the Chebyshev grid on [-A, A] whose interior nodes carry the profile.
@@ -275,6 +276,15 @@ class BlowupSolution:
         return float(np.max((self.A - np.abs(self.x)) * np.abs(self.derivative()) / self.h))
 
 
+def widest_A(a: float, b: float, theta: float) -> float:
+    """The A from which on ``solve_hA`` refuses: D(h0) at theta log(h0 / equilibrium) = 1e-12.
+
+    21.3 for a = b = theta = 1; a call takes about 0.1 ms.
+    """
+    a, b, theta = _mechanism_args(a, b, theta)
+    return _FirstIntegral(a, b, theta, a / b * math.exp(_CENTRE_FLOOR)).centre_distance()
+
+
 def solve_hA(a: float, b: float, theta: float, A: float) -> BlowupSolution:
     """Blow-up profile on (-A, A) from its first integral.
 
@@ -287,8 +297,9 @@ def solve_hA(a: float, b: float, theta: float, A: float) -> BlowupSolution:
     (1, 1, 1, 5), (1, 2, 0.5, 3), (2, 0.5, 0.3, 2), (1, 1, 0.1, 6) and
     (1, 1, 1, 0.3), and h0 to 1e-16 for a = b = theta = 1 and A = 10 to 20.
     A solve takes about 10 ms.  A strip so wide that h0 lies within
-    1e-12 / theta relative of the equilibrium raises (for a = b = theta = 1,
-    A above about 21), as does one so narrow that h0 overflows a double.
+    1e-12 / theta relative of the equilibrium raises (A at or above
+    ``widest_A``; about 21 for a = b = theta = 1), as does one so narrow
+    that h0 overflows a double.
     """
     a, b, theta = _mechanism_args(a, b, theta)
     A = _as_float("A", A, BarriersError)
@@ -298,10 +309,11 @@ def solve_hA(a: float, b: float, theta: float, A: float) -> BlowupSolution:
     def excess(ell: float) -> float:
         return _FirstIntegral(a, b, theta, a / b * math.exp(ell)).centre_distance() - A
 
-    if excess(_CENTRE_FLOOR) <= 0.0:
+    widest = widest_A(a, b, theta)
+    if A >= widest:
         raise BarriersError(
             f"A = {A:g} is too wide: h_A(0) is within {_CENTRE_FLOOR / theta:g} relative "
-            "of the equilibrium, where the first integral loses precision; narrow the strip"
+            f"of the equilibrium, where the first integral loses precision; narrow it below {widest:.6g}"
         )
     hi = 1.0
     while excess(hi) > 0.0:

@@ -9,14 +9,17 @@ and every artifact the run produced; each file appears in exactly one
 manifest entry.  Everything except the manifest is byte-reproducible:
 rerunning the same configuration and seed rewrites identical CSVs.
 
-Configuration is a single JSON document validated against the schemas
-below.  Unknown keys are rejected anywhere in the document, so typos
-fail loudly instead of silently running defaults, and so are numbers that
-are NaN or infinite.  The chosen pipeline's block is parsed once, up
-front, into the values its runner uses, through the library's own
-constructors and validators; a mistake names
-``<block>.<key>`` and exits 2 before anything is written.  So does a time
-a block names that is not a whole number of steps of the block's dt.
+Every JSON document the CLI reads, the config and a saved bank's
+``bank.json``, goes through one reader, ``_validate``, against the
+schemas below.  Unknown keys are refused at any depth, so typos fail
+loudly instead of silently running defaults.  A boolean or a string never
+stands for a number, in any block, the mechanism's and ``bank.json``
+included, and numbers that are NaN or infinite are refused too.  The
+chosen pipeline's block is parsed once, up front, into the values its
+runner uses, through the library's own constructors and validators; a
+mistake names ``<block>.<key>`` and exits 2 before anything is written.
+So does a time a block names that is not a whole number of steps of the
+block's dt.
 
 Cluster banks come from one place: ``simulate`` with a ``bank`` block
 writes one under ``bank/`` in its output directory.  ``extremal`` only
@@ -66,6 +69,7 @@ from .barriers import (
     sandwich_bounds,
     solve_hA,
     strip_constants,
+    widest_A,
 )
 from .csbp import CsbpError, extinction_prob, mass_laplace
 from .extremal import (
@@ -78,7 +82,7 @@ from .fronts import (
 from .kpp import SQRT2, Grid1D, InitialCondition, KppError, _grid_step, front_m, solve_U
 from .mechanism import (
     BranchingMechanism, LevyMeasure, MechanismError, check_hypotheses, lambda_star,
-    mechanism_from_json, mechanism_to_dict,
+    mechanism_to_dict,
 )
 from .particles import (
     AcceptanceTooLowError,
@@ -146,6 +150,10 @@ class _Key:
 
     A key with ``min_len`` takes a list of at least that many numbers and
     parses it into a tuple of floats; its ``check`` applies to each entry.
+    One with ``pairs`` takes a list of [number, number] pairs into a tuple
+    of float pairs.  One with a ``schema`` takes an object validated against
+    it.  One with ``kinds``, the (kinds, error) of ``_parse_kind``, takes an
+    object whose "kind" names its constructor, and its default too is built.
     """
 
     types: tuple
@@ -153,6 +161,9 @@ class _Key:
     required: bool = False
     check: Callable | None = None
     min_len: int = 0
+    pairs: bool = False
+    schema: dict | None = None
+    kinds: tuple | None = None
 
 
 def _positive(v) -> str | None:
@@ -167,61 +178,93 @@ def _unit_interval(v) -> str | None:
     return None if 0 < v <= 1 else "must be in (0, 1]"
 
 
-def _check_type(where: str, key: str, value, types: tuple):
-    if isinstance(value, bool) and bool not in types:
-        raise CliConfigError(f"{where}.{key}: expected {types}, got a boolean")
-    if not isinstance(value, types):
-        names = "/".join(t.__name__ for t in types if t is not type(None))
-        raise CliConfigError(f"{where}.{key}: expected {names}, got {type(value).__name__}")
+def _heaviside(v) -> str | None:
+    return None if v == "heaviside" else "is neither 'heaviside' nor an object with a 'kind'"
 
 
-def _finite(where: str, key: str, value) -> float:
-    """``value`` as a finite float, or a CliConfigError naming ``<where>.<key>``."""
+def _check_type(name: str, value, types: tuple):
+    """Refuse a value not of ``types``; a boolean is never taken for a number."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        got = "a boolean" if isinstance(value, bool) else type(value).__name__
+        raise CliConfigError(f"{name}: expected {'/'.join(t.__name__ for t in types)}, got {got}")
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a finite float, or a CliConfigError naming ``name``."""
+    _check_type(name, value, _NUM)
     try:
         out = float(value)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise CliConfigError(f"{where}.{key}: {value!r} is not a finite number")
+        raise CliConfigError(f"{name}: {value!r} is not a finite number")
     return out
 
 
-def _validate(data: dict, schema: dict, where: str) -> dict:
+def _read(name: str, value, spec: _Key):
+    """One value the document sets, checked against ``spec`` and parsed."""
+    _check_type(name, value, spec.types)
+    if spec.schema is not None:
+        return _validate(value, spec.schema, name)
+    if spec.kinds is not None and isinstance(value, dict):
+        kinds, error = spec.kinds
+        return _parse_kind(value, kinds, name, error)
+    if spec.pairs:
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+            raise CliConfigError(f"{name}: expected a list of [number, number] pairs")
+        return tuple((_number(name, p[0]), _number(name, p[1])) for p in value)
+    if spec.min_len:
+        if len(value) < spec.min_len:
+            raise CliConfigError(f"{name}: expected a list of at least {spec.min_len} numbers")
+        value = tuple(_number(name, v) for v in value)
+    elif spec.types is _NUM:
+        value = _number(name, value)
+    for entry in value if spec.min_len else (value,):
+        msg = spec.check(entry) if spec.check is not None else None
+        if msg:
+            raise CliConfigError(f"{name}: {entry!r} {msg}")
+    return value
+
+
+def _validate(data, schema: dict, where: str = "") -> dict:
     """The values ``data`` sets, defaults filled in, numbers as finite floats.
 
+    ``where`` is the path of ``data`` in its document, "" at the top.
     Unknown keys, wrong types, NaN, infinities and failed checks raise a
-    CliConfigError naming ``<where>.<key>``.
+    CliConfigError naming ``<where>.<key>``, at any depth.
     """
     if not isinstance(data, dict):
-        raise CliConfigError(f"{where}: expected an object, got {type(data).__name__}")
+        raise CliConfigError(f"{where or 'config'}: expected an object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(schema))
     if unknown:
-        raise CliConfigError(f"{where}: unknown keys {unknown}; allowed {sorted(schema)}")
+        level = f"{where}: unknown keys" if where else "config: unknown top-level keys"
+        raise CliConfigError(f"{level} {unknown}; allowed {sorted(schema)}")
     out = {}
     for key, spec in schema.items():
+        name = f"{where}.{key}" if where else key
         value = data.get(key)
         if value is None:
             if spec.required:
-                raise CliConfigError(f"{where}.{key} is required")
-            out[key] = spec.default
-            continue
-        _check_type(where, key, value, spec.types)
-        if spec.min_len:
-            if len(value) < spec.min_len or any(
-                isinstance(v, bool) or not isinstance(v, _NUM) for v in value
-            ):
-                raise CliConfigError(
-                    f"{where}.{key}: expected a list of at least {spec.min_len} numbers"
-                )
-            value = tuple(_finite(where, key, v) for v in value)
-        elif spec.types is _NUM:
-            value = _finite(where, key, value)
-        for entry in value if spec.min_len else (value,):
-            msg = spec.check(entry) if spec.check is not None else None
-            if msg:
-                raise CliConfigError(f"{where}.{key}: {entry!r} {msg}")
-        out[key] = value
+                raise CliConfigError(f"{name} is required")
+            if spec.kinds is None or spec.default is None:
+                out[key] = spec.default
+                continue
+            value = spec.default
+        out[key] = _read(name, value, spec)
     return out
+
+
+def _parse_kind(spec: dict, kinds: dict, where: str, error: type[Exception]):
+    """What ``spec["kind"]``'s constructor in ``kinds`` builds; its ``error`` comes out naming ``where``."""
+    if "kind" not in spec:
+        raise CliConfigError(f"{where}: expected an object with a 'kind'")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise CliConfigError(f"{where}.kind: unknown kind {kind!r}; allowed {sorted(kinds)}")
+    make, schema = kinds[kind]
+    args = _validate({k: v for k, v in spec.items() if k != "kind"}, schema, where)
+    with _blame(where, error):
+        return make(**args)
 
 
 def _filled(data: dict, schema: dict) -> dict:
@@ -236,16 +279,6 @@ def _blame(where: str, *errors: type[Exception]):
         yield
     except errors as exc:
         raise CliConfigError(f"{where}: {exc}") from exc
-
-
-def _build_mechanism(data: dict | None) -> BranchingMechanism:
-    """No block means quadratic; in a block alpha defaults to 1.0 and beta to 0.0."""
-    if data is None:
-        return BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
-    if not isinstance(data, dict):
-        raise CliConfigError("mechanism: expected an object")
-    with _blame("mechanism", MechanismError):
-        return mechanism_from_json({"alpha": 1.0, "beta": 0.0, **data})
 
 
 _NEEDED = _Key(_NUM, required=True)
@@ -263,25 +296,52 @@ _PHI_KINDS = {
         },
     ),
 }
+_LEVY_KINDS = {
+    "none": (LevyMeasure.none, {}),
+    "atoms": (lambda atoms: LevyMeasure.atoms(atoms), {"atoms": _Key((list,), required=True, pairs=True)}),
+    "truncated-stable": (
+        LevyMeasure.truncated_stable,
+        {"c": _NEEDED, "index": _NEEDED, "cutoff": _Key(_NUM, math.inf)},
+    ),
+    "tabulated": (
+        LevyMeasure.tabulated,
+        {"y": _Key((list,), required=True, min_len=2), "density": _Key((list,), required=True, min_len=2)},
+    ),
+}
+_PHI = (_PHI_KINDS, FrontsError)
+
+# in a written block alpha defaults to 1.0 and beta to 0.0
+_MECHANISM_SCHEMA = {
+    "alpha": _Key(_NUM, 1.0),
+    "beta": _Key(_NUM, 0.0),
+    "levy": _Key((dict,), {"kind": "none"}, kinds=(_LEVY_KINDS, MechanismError)),
+}
 
 
-def _parse_phi(spec, where: str) -> TestFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise CliConfigError(f"{where}: expected an object with a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _PHI_KINDS:
-        raise CliConfigError(f"{where}.kind: unknown kind {kind!r}; allowed {sorted(_PHI_KINDS)}")
-    make, schema = _PHI_KINDS[kind]
-    args = _validate({k: v for k, v in spec.items() if k != "kind"}, schema, where)
-    with _blame(where, FrontsError):
-        return make(**args)
+def _build_mechanism(opts: dict | None) -> BranchingMechanism:
+    """The validated ``mechanism`` block's mechanism; no block means quadratic."""
+    if opts is None:
+        return BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
+    with _blame("mechanism", MechanismError):
+        return BranchingMechanism(**opts)
 
 
-def _parse_data(spec, where: str) -> InitialCondition:
-    if spec == "heaviside":
-        return InitialCondition.heaviside()
-    return _parse_phi(spec, where).to_initial_condition()
+def _parse_data(data) -> InitialCondition:
+    """The initial condition of a validated ``data`` key: "heaviside" or a test function."""
+    return InitialCondition.heaviside() if data == "heaviside" else data.to_initial_condition()
 
+
+_BANK_SCHEMA = {
+    "z": _Key(_NUM, required=True),
+    "t": _Key(_NUM, None, check=_positive),
+    "n_accept": _Key((int,), required=True, check=_positive),
+    "max_attempts": _Key((int,), None, check=_positive),
+}
+
+_STABILITY_SCHEMA = {
+    "a": _Key(_NUM, -math.log(2.0) / SQRT2, check=lambda v: None if v < 0 else "must be negative"),
+    "n_samples": _Key((int,), 400, check=_positive),
+}
 
 _BLOCK_SCHEMAS: dict[str, dict] = {
     "kpp": {
@@ -289,7 +349,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "dx": _Key(_NUM, 0.05, check=_positive),
         "dt": _Key(_NUM, 0.01, check=_positive),
         "pad": _Key(_NUM, 20.0, check=_positive),
-        "data": _Key((str, dict), "heaviside"),
+        "data": _Key((str, dict), "heaviside", check=_heaviside, kinds=_PHI),
         "snapshots": _Key((list,), None, min_len=1),
     },
     "csbp": {
@@ -306,10 +366,10 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "dx": _Key(_NUM, 0.02, check=_positive),
         "dt": _Key(_NUM, 0.004, check=_positive),
         "pad": _Key(_NUM, 14.0, check=_positive),
-        "data": _Key((str, dict), "heaviside"),
+        "data": _Key((str, dict), "heaviside", check=_heaviside, kinds=_PHI),
     },
     "fronts": {
-        "phi": _Key((dict,), {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}),
+        "phi": _Key((dict,), {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}, kinds=_PHI),
         "r_ladder": _Key((list,), (4.0, 8.0, 16.0, 32.0), min_len=1),
         "dx": _Key(_NUM, 0.05, check=_positive),
         "dt": _Key(_NUM, 0.01, check=_positive),
@@ -322,14 +382,14 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
         "t_end": _Key(_NUM, 8.0, check=_positive),
         "snapshots": _Key((list,), None, min_len=1),
         "barrier_offset": _Key(_NUM, None, check=_positive),
-        "initial": _Key((list,), None),
-        "bank": _Key((dict,), None),
+        "initial": _Key((list,), None, pairs=True),
+        "bank": _Key((dict,), None, schema=_BANK_SCHEMA),
     },
     "extremal": {
         "c_tilde_0": _Key(_NUM, required=True, check=_positive),
         "bank": _Key((str,), required=True),
         "expected_points": _Key(_NUM, 200.0, check=_positive),
-        "stability": _Key((dict,), None),
+        "stability": _Key((dict,), None, schema=_STABILITY_SCHEMA),
     },
     "ldp": {
         "delta": _Key(_NUM, 0.5, check=_positive),
@@ -345,19 +405,25 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
     },
 }
 
-_BANK_SCHEMA = {
-    "z": _Key(_NUM, required=True),
-    "t": _Key(_NUM, None, check=_positive),
-    "n_accept": _Key((int,), required=True, check=_positive),
-    "max_attempts": _Key((int,), None, check=_positive),
+# the whole config; seed and replicas are checked once flags and environment have had their say
+_TOP_SCHEMA = {
+    "pipeline": _Key((str,)),
+    "mechanism": _Key((dict,), schema=_MECHANISM_SCHEMA),
+    "seed": _Key((int,)),
+    "out": _Key((str,)),
+    "replicas": _Key((int,)),
+    "quiet": _Key((bool,)),
+    **{name: _Key((dict,), schema=schema) for name, schema in _BLOCK_SCHEMAS.items()},
 }
 
-_STABILITY_SCHEMA = {
-    "a": _Key(_NUM, -math.log(2.0) / SQRT2, check=lambda v: None if v < 0 else "must be negative"),
-    "n_samples": _Key((int,), 400, check=_positive),
+# bank.json, as save_bank writes it
+_BANK_META_SCHEMA = {
+    "n_clusters": _Key((int,), required=True),
+    "z": _NEEDED,
+    "t": _NEEDED,
+    "acceptance": _NEEDED,
+    "seed": _Key((int,), required=True),
 }
-
-_TOP_KEYS = {"pipeline", "mechanism", "seed", "out", "replicas", "quiet"} | set(_BLOCK_SCHEMAS)
 
 # block keys that say where an input lives, not what the experiment is: the
 # hash leaves them out, as it leaves out the output directory
@@ -377,7 +443,7 @@ def _parse_kpp(opts: dict, mech, seed, replicas) -> dict:
     steps = [_grid_step("kpp.snapshots entry", s, dt, CliConfigError) for s in snaps]
     if not all(1 <= k <= grid.nt for k in steps):
         raise CliConfigError("kpp.snapshots must lie in (0, t_end]")
-    return {"grid": grid, "init": _parse_data(opts["data"], "kpp.data"), "snapshots": snaps}
+    return {"grid": grid, "init": _parse_data(opts["data"]), "snapshots": snaps}
 
 
 def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
@@ -391,30 +457,20 @@ def _parse_fk(opts: dict, mech, seed, replicas) -> dict:
     # the grid-error estimate solves again with both steps doubled
     with _blame("fk.dx or fk.dt (doubled for the coarse solve)", KppError):
         coarse = Grid1D.auto(t, dx=2 * dx, dt=2 * dt, pad=pad)
-    init = _parse_data(opts["data"], "fk.data")
-    return {**opts, "init": init, "grid": grid, "coarse_grid": coarse}
+    return {**opts, "init": _parse_data(opts["data"]), "grid": grid, "coarse_grid": coarse}
 
 
-def _parse_fronts(opts: dict, mech, seed, replicas) -> dict:
-    with _blame("fronts.r_ladder", FrontsError):
-        ladder = _validate_ladder(opts["r_ladder"], opts["dt"])
-    return {**opts, "phi": _parse_phi(opts["phi"], "fronts.phi"), "r_ladder": ladder}
-
-
-def _parse_ldp(opts: dict, mech, seed, replicas) -> dict:
-    with _blame("ldp.r_ladder", FrontsError):
+def _parse_ladder(block: str, opts: dict, mech, seed, replicas) -> dict:
+    with _blame(f"{block}.r_ladder", FrontsError):
         return {**opts, "r_ladder": _validate_ladder(opts["r_ladder"], opts["dt"])}
 
 
 def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
     initial = None
     if opts["initial"] is not None:
-        pairs = opts["initial"]
-        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise CliConfigError("simulate.initial must be a list of [location, weight] pairs")
-        with _blame("simulate.initial", ParticlesError, TypeError, ValueError):
+        with _blame("simulate.initial", ParticlesError):
             initial = PointMeasure(
-                np.array([float(p[0]) for p in pairs]), np.array([float(p[1]) for p in pairs])
+                np.array([p[0] for p in opts["initial"]]), np.array([p[1] for p in opts["initial"]])
             )
     _grid_step("simulate.t_end", opts["t_end"], opts["dt"], CliConfigError)
     for s in opts["snapshots"] or ():
@@ -433,29 +489,31 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
             # the runner reads no cloud; the bank sampler turns clouds on for itself
             stats_only=True,
         )
-    bank = None
-    if opts["bank"] is not None:
-        bank = _validate(opts["bank"], _BANK_SCHEMA, "simulate.bank")
-        bank["t"] = sim.t_end if bank["t"] is None else bank["t"]
+    bank = opts["bank"]
+    if bank is not None:
+        bank = {**bank, "t": sim.t_end if bank["t"] is None else bank["t"]}
         _grid_step("simulate.bank.t", bank["t"], sim.dt, CliConfigError)
     return {"sim": sim, "bank": bank}
 
 
-def _parse_extremal(opts: dict, mech, seed, replicas) -> dict:
-    stability = None
-    if opts["stability"] is not None:
-        stability = _validate(opts["stability"], _STABILITY_SCHEMA, "extremal.stability")
-    return {**opts, "stability": stability}
+def _parse_barriers(opts: dict, mech, seed, replicas) -> dict:
+    widest = widest_A(opts["a"], opts["b"], opts["theta"])
+    if opts["A"] >= widest:
+        raise CliConfigError(
+            f"barriers.A: {opts['A']:g} is too wide; solve_hA needs A below {widest:.6g} "
+            f"for a {opts['a']:g}, b {opts['b']:g}, theta {opts['theta']:g}"
+        )
+    return opts
 
 
 # the other pipelines run on their validated options as they are
 _PARSERS = {
     "kpp": _parse_kpp,
     "fk": _parse_fk,
-    "fronts": _parse_fronts,
-    "ldp": _parse_ldp,
+    "fronts": functools.partial(_parse_ladder, "fronts"),
+    "ldp": functools.partial(_parse_ladder, "ldp"),
     "simulate": _parse_simulate,
-    "extremal": _parse_extremal,
+    "barriers": _parse_barriers,
 }
 
 
@@ -525,50 +583,35 @@ class ExperimentConfig:
             raise CliConfigError(f"unknown pipeline {pipeline!r}; valid: {', '.join(PIPELINES)}")
         data = {} if data is None else data
         env = dict(os.environ) if env is None else env
-        if not isinstance(data, dict):
-            raise CliConfigError("config document must be a JSON object")
-        unknown = sorted(set(data) - _TOP_KEYS)
-        if unknown:
-            raise CliConfigError(f"config: unknown top-level keys {unknown}")
-        named = data.get("pipeline")
-        if named is not None and named != pipeline:
+        top = _validate(data, _TOP_SCHEMA)
+        if top["pipeline"] is not None and top["pipeline"] != pipeline:
             raise CliConfigError(
-                f"config names pipeline {named!r} but the command asks for {pipeline!r}"
+                f"config names pipeline {top['pipeline']!r} but the command asks for {pipeline!r}"
             )
-        for key, expect in (("seed", int), ("replicas", int), ("out", str), ("quiet", bool)):
-            if key in data and data[key] is not None:
-                if isinstance(data[key], bool) is not (expect is bool) or not isinstance(
-                    data[key], expect
-                ):
-                    raise CliConfigError(f"config.{key}: expected {expect.__name__}")
-
-        mechanism = _build_mechanism(data.get("mechanism"))
-        for name, schema in _BLOCK_SCHEMAS.items():
-            if name != pipeline and data.get(name) is not None:
-                _validate(data[name], schema, name)
+        mechanism = _build_mechanism(top["mechanism"])
         written = data.get(pipeline) or {}
         schema = _BLOCK_SCHEMAS.get(pipeline, {})
-        opts = _validate(written, schema, pipeline)
+        opts = top.get(pipeline) or _validate({}, schema, pipeline)
 
         seed = seed if seed is not None else _env_int(env, ENV_PREFIX + "SEED")
         if seed is None:
-            seed = data.get("seed")
+            seed = top["seed"]
         if seed is not None and seed < 0:
             raise CliConfigError(f"seed must be nonnegative, got {seed}")
         replicas = replicas if replicas is not None else _env_int(env, ENV_PREFIX + "REPLICAS")
         if replicas is None:
-            replicas = data.get("replicas")
+            replicas = top["replicas"]
         if replicas is None:
             replicas = _DEFAULT_REPLICAS.get(pipeline)
         if replicas is not None and replicas < 1:
             raise CliConfigError("replicas must be at least 1")
-        out_str = out if out is not None else env.get(ENV_PREFIX + "OUT") or data.get("out")
+        out_str = out if out is not None else env.get(ENV_PREFIX + "OUT") or top["out"]
         if out_str is None:
             out_str = os.path.join("runs", pipeline)
         if quiet is None:
             quiet = _env_bool(env, ENV_PREFIX + "QUIET")
         if quiet is None:
-            quiet = bool(data.get("quiet", False))
+            quiet = bool(top["quiet"])
 
         if pipeline in _STOCHASTIC and seed is None:
             raise CliConfigError(
@@ -783,7 +826,7 @@ def load_bank(directory: Path | str) -> ClusterBank:
     if not meta_path.is_file() or not csv_path.is_file():
         raise CliConfigError(f"bank directory {directory} needs bank.json and clusters.csv")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = _validate(json.loads(meta_path.read_text()), _BANK_META_SCHEMA, str(meta_path))
     except json.JSONDecodeError as exc:
         raise CliConfigError(f"bank metadata {meta_path} is not valid JSON: {exc}") from exc
     with open(csv_path) as fh:
@@ -814,17 +857,9 @@ def load_bank(directory: Path | str) -> ClusterBank:
             np.split(rows["location"][order], cuts), np.split(rows["weight"][order], cuts)
         )
     )
-    try:
-        stated = meta["n_clusters"]
-        bank = ClusterBank(
-            clusters=clusters,
-            z=float(meta["z"]),
-            t=float(meta["t"]),
-            acceptance=float(meta["acceptance"]),
-            seed=int(meta["seed"]),
-        )
-    except (ExtremalError, KeyError, TypeError, ValueError) as exc:
-        raise CliConfigError(f"bank in {directory} is inconsistent: {exc}") from exc
+    stated = meta.pop("n_clusters")
+    with _blame(f"bank in {directory} is inconsistent", ExtremalError):
+        bank = ClusterBank(clusters=clusters, **meta)
     if stated != bank.size:
         raise CliConfigError(
             f"{csv_path} holds {bank.size} clusters, but {meta_path} states n_clusters {stated!r}"

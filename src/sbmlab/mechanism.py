@@ -44,7 +44,6 @@ beta*u + C*u**(s-1) for a stable part with no cutoff.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -81,16 +80,6 @@ def _excess(x: np.ndarray | float) -> np.ndarray | float:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-# keys of the JSON form: a mechanism's, and a jump measure's by kind
-_MECHANISM_KEYS = {"alpha", "beta", "levy"}
-_LEVY_KEYS = {
-    "none": {"kind"},
-    "atoms": {"kind", "atoms"},
-    "truncated-stable": {"kind", "c", "index", "cutoff"},
-    "tabulated": {"kind", "y", "density"},
-}
 
 
 @dataclass(frozen=True)
@@ -209,28 +198,6 @@ class LevyMeasure:
             cutoff = None if math.isinf(self.cutoff) else self.cutoff
             return {"kind": "truncated-stable", "c": self.c, "index": self.index, "cutoff": cutoff}
         return {"kind": "tabulated", "y": list(self.y_grid), "density": list(self.density)}
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "LevyMeasure":
-        """Measure from the form ``to_dict`` writes; unknown keys raise MechanismError."""
-        if not isinstance(blob, dict) or "kind" not in blob:
-            raise MechanismError("levy: expected an object with a 'kind'")
-        kind = blob["kind"]
-        if not isinstance(kind, str) or kind not in _LEVY_KEYS:
-            raise MechanismError(f"unknown jump measure kind: {kind!r}")
-        unknown = sorted(set(blob) - _LEVY_KEYS[kind])
-        if unknown:
-            raise MechanismError(f"levy: unknown keys {unknown} for kind {kind!r}")
-        if kind == "none":
-            return cls.none()
-        if kind == "atoms":
-            return cls.atoms([tuple(p) for p in blob["atoms"]])
-        if kind == "truncated-stable":
-            cutoff = blob.get("cutoff")
-            return cls.truncated_stable(
-                c=blob["c"], index=blob["index"], cutoff=math.inf if cutoff is None else cutoff
-            )
-        return cls.tabulated(blob["y"], blob["density"])
 
 
 def _stable_cutoff_excess(x: np.ndarray, s: float) -> np.ndarray:
@@ -746,31 +713,5 @@ def flow_map(mech: BranchingMechanism, t: float):
 
 
 def mechanism_to_dict(mech: BranchingMechanism) -> dict:
-    """Plain-JSON form of a mechanism, for serialization, hashing and manifests."""
+    """Plain-JSON form of a mechanism, as the CLI's ``mechanism`` block reads it."""
     return {"alpha": mech.alpha, "beta": mech.beta, "levy": mech.levy.to_dict()}
-
-
-def mechanism_to_json(mech: BranchingMechanism) -> str:
-    return json.dumps(mechanism_to_dict(mech))
-
-
-def mechanism_from_json(blob: str | dict) -> BranchingMechanism:
-    """Mechanism from the form ``mechanism_to_dict`` writes; unknown keys raise MechanismError."""
-    data = json.loads(blob) if isinstance(blob, str) else blob
-    if not isinstance(data, dict):
-        raise MechanismError("mechanism JSON must be an object")
-    unknown = sorted(set(data) - _MECHANISM_KEYS)
-    if unknown:
-        raise MechanismError(f"unknown keys {unknown}; allowed {sorted(_MECHANISM_KEYS)}")
-    try:
-        return BranchingMechanism(
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
-            levy=LevyMeasure.from_dict(data.get("levy", {"kind": "none"})),
-        )
-    except MechanismError:
-        raise
-    except KeyError as exc:
-        raise MechanismError(f"mechanism JSON missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MechanismError(f"mechanism JSON has a malformed value: {exc}") from exc

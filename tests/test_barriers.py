@@ -184,6 +184,14 @@ class TestSolveInputs:
         with pytest.raises(bar.BarriersError, match="too narrow"):
             bar.solve_hA(1.0, 1.0, 0.1, 1e-20)
 
+    def test_widest_A_is_where_solve_hA_starts_refusing(self):
+        widest = bar.widest_A(1.0, 1.0, 1.0)
+        assert 21.0 < widest < 22.0
+        with pytest.raises(bar.BarriersError, match="too wide"):
+            bar.solve_hA(1.0, 1.0, 1.0, widest)
+        sol = bar.solve_hA(1.0, 1.0, 1.0, widest * (1.0 - 1e-12))
+        assert abs(sol.h0 - 1.0) < 1e-11
+
     def test_interior_chebyshev_nodes(self, sol_quadratic):
         A = QUADRATIC_CASE[3]
         k = np.arange(1, 64)

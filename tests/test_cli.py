@@ -210,6 +210,39 @@ CONFIG_MISTAKES = [
         {"mechanism": {"levy": {"kind": "atoms", "atoms": [[math.nan, 1.0]]}}},
         "mechanism",
     ),
+    # a boolean is no number, and its message names the types as the others do
+    ("kpp", {"kpp": {"t_end": True}}, "kpp.t_end: expected int/float, got a boolean"),
+    # nor is a boolean or a numeric string one in the mechanism or simulate.initial
+    ("mech-check", {"mechanism": {"alpha": True, "beta": 1.0}}, "mechanism.alpha"),
+    ("mech-check", {"mechanism": {"beta": "2"}}, "mechanism.beta"),
+    (
+        "mech-check",
+        {"mechanism": {"levy": {"kind": "truncated-stable", "c": True, "index": 1.5}}},
+        "mechanism.levy.c",
+    ),
+    (
+        "mech-check",
+        {"mechanism": {"levy": {"kind": "truncated-stable", "c": "1", "index": 1.5}}},
+        "mechanism.levy.c",
+    ),
+    ("mech-check", {"mechanism": {"levy": {"kind": "atoms", "atoms": [[1, True]]}}}, "mechanism.levy.atoms"),
+    ("mech-check", {"mechanism": {"levy": {"kind": "atoms", "atoms": [["1", 1]]}}}, "mechanism.levy.atoms"),
+    ("simulate", {"seed": 1, "simulate": {"initial": [["0", "1"]]}}, "simulate.initial"),
+    ("simulate", {"seed": 1, "simulate": {"initial": [[0.0, True]]}}, "simulate.initial"),
+    # unknown keys inside the nested blocks of a pipeline that is not run
+    ("kpp", {"simulate": {"bank": {"z": 0.0, "n_accept": 1, "zz": 1}}}, "simulate.bank: unknown keys"),
+    (
+        "kpp",
+        {"extremal": {"c_tilde_0": 1.0, "bank": "b", "stability": {"zz": 1}}},
+        "extremal.stability: unknown keys",
+    ),
+    (
+        "kpp",
+        {"fronts": {"phi": {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0, "zz": 1}}},
+        "fronts.phi: unknown keys",
+    ),
+    # a strip wider than solve_hA accepts exits 2, not 3 after the run started
+    ("barriers", {"barriers": {"A": 30}}, "barriers.A"),
 ]
 
 
@@ -856,6 +889,29 @@ class TestBankSerialization:
         (bank_dir / "bank.json").write_text(json.dumps(meta))
         (bank_dir / "clusters.csv").write_text("cluster,location,weight\n" + body)
         return bank_dir
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            ({"seed": 7.9}, "bank.json.seed: expected int, got float"),
+            ({"n_clusters": 1.0}, "bank.json.n_clusters: expected int, got float"),
+            ({"z": True}, "bank.json.z: expected int/float, got a boolean"),
+            ({"t": "4"}, "bank.json.t: expected int/float, got str"),
+            ({"note": 1}, "bank.json: unknown keys ['note']"),
+        ],
+        ids=["float-seed", "float-n_clusters", "boolean-z", "string-t", "extra-key"],
+    )
+    def test_bank_json_is_read_by_the_config_schema(self, tmp_path, edit, key):
+        bank = ClusterBank(
+            clusters=(PointMeasure(np.array([-1.0, 0.0]), np.array([0.5, 0.5])),),
+            z=0.5, t=4.0, acceptance=0.125, seed=3,
+        )
+        _, meta_path = save_bank(bank, tmp_path / "bank")
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, **edit}))
+        with pytest.raises(CliConfigError) as info:
+            load_bank(tmp_path / "bank")
+        assert key in str(info.value)
 
     def test_interleaved_indices_group_by_index_in_file_order(self, tmp_path):
         body = "1,-1.0,0.5\n0,0.0,1.0\n1,0.0,0.25\n2,0.0,2.0\n0,-3.0,1.5\n1,-0.5,0.5\n"

@@ -20,12 +20,14 @@ from sbmlab.fronts import (
     DEFAULT_R_LADDER,
     ConstantEstimate,
     FrontsError,
+    IntegralCapError,
     NonConvergentLadderError,
     SQRT2,
     TestFunction,
     _aitken,
     _fit_algebraic,
     _phi_precheck,
+    _tail_integral,
     _validate_ladder,
     constant_C,
     constant_C_hat,
@@ -337,6 +339,54 @@ class TestConstantCHat:
             )
             gaps.append(abs(trend / c_hat_half.value - 1.0))
         assert gaps[1] < gaps[0] < 0.06
+
+
+class TestTailIntegral:
+    """The cap of the overshoot integral: its growth and its two refusals."""
+
+    @staticmethod
+    def _caps(monkeypatch) -> list[float]:
+        """The upper end of each overshoot quadrature made from here on, in order."""
+        caps = []
+        trapezoid = np.trapezoid
+
+        def spy(y, x, *args, **kwargs):
+            caps.append(float(x[-1]))
+            return trapezoid(y, x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "trapezoid", spy)
+        return caps
+
+    @pytest.fixture(scope="class")
+    def short_field(self):
+        grid = Grid1D.auto(4.0, dx=0.05, dt=0.01, pad=8.0)
+        return solve_U(QUADRATIC, InitialCondition.heaviside(), grid, snapshot_times=(4.0,))
+
+    def test_cap_grows_once_at_the_top_rung(self, monkeypatch):
+        # caps start at 3 r + 40 / (sqrt2 + 3) on the dy = dx / 2 grid; at
+        # r = 16 the tail is over 1% and the cap doubles, up to the grid's end
+        caps = self._caps(monkeypatch)
+        constant_C_hat(QUADRATIC, 3.0, r_ladder=(4.0, 8.0, 16.0))
+        assert caps == pytest.approx([21.05, 33.05, 57.05, 81.925], rel=0, abs=1e-9)
+
+    def test_every_rung_grows_before_a_divergent_ladder(self, monkeypatch):
+        caps = self._caps(monkeypatch)
+        with pytest.raises(NonConvergentLadderError):
+            constant_C_hat(QUADRATIC, 5.0, r_ladder=(4.0, 8.0, 16.0))
+        assert caps == pytest.approx(
+            [18.225, 36.475, 30.225, 60.475, 54.225, 108.475], rel=0, abs=1e-9
+        )
+
+    def test_grid_end_too_close_is_refused(self, short_field):
+        # sqrt(2) r lies within 7 dx of the grid's end, x_max = 13.7
+        with pytest.raises(IntegralCapError, match="grid ends too close to sqrt"):
+            _tail_integral(short_field, 9.5, SQRT2, 10.0)
+
+    def test_tail_beyond_the_widest_cap_is_refused(self, short_field):
+        # a tilt of 5 makes the integrand grow up to the grid's end, so the
+        # cap cannot grow past where it starts
+        with pytest.raises(IntegralCapError, match=r"estimated tail beyond the y cap is 52\.7% at r = 4"):
+            _tail_integral(short_field, 4.0, SQRT2 + 5.0, 100.0)
 
 
 class TestFrontLimitCheck:

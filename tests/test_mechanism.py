@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import solve_ivp
 
+from sbmlab.cli import EXIT_USAGE, ExperimentConfig, main
 from sbmlab.csbp import extinction_prob
 from sbmlab.mechanism import (
     BranchingMechanism,
@@ -43,8 +44,7 @@ from sbmlab.mechanism import (
     flow_map,
     k,
     lambda_star,
-    mechanism_from_json,
-    mechanism_to_json,
+    mechanism_to_dict,
     psi,
 )
 
@@ -656,6 +656,21 @@ class TestHypotheses:
 
 
 class TestSerialization:
+    """The CLI's ``mechanism`` block reads back what ``mechanism_to_dict`` writes."""
+
+    @staticmethod
+    def _read(blob: str) -> BranchingMechanism:
+        return ExperimentConfig.from_sources("mech-check", {"mechanism": json.loads(blob)}, env={}).mechanism
+
+    @staticmethod
+    def _exit_code(tmp_path, mechanism: dict) -> int:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"mechanism": mechanism}))
+        out = tmp_path / "out"
+        code = main(["mech-check", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert not out.exists()
+        return code
+
     @pytest.mark.parametrize(
         "mech",
         [
@@ -670,29 +685,31 @@ class TestSerialization:
         ],
     )
     def test_round_trip(self, mech):
-        blob = mechanism_to_json(mech)
-        back = mechanism_from_json(blob)
-        assert back == mech
+        blob = json.dumps(mechanism_to_dict(mech))
+        assert self._read(blob) == mech
         # and the payload is plain JSON
-        parsed = json.loads(blob)
-        assert set(parsed) == {"alpha", "beta", "levy"}
+        assert set(json.loads(blob)) == {"alpha", "beta", "levy"}
 
     def test_infinite_cutoff_survives_round_trip(self):
+        # an infinite cutoff is written as null
         mech = stable_mechanism(1.5, cutoff=math.inf)
-        assert mechanism_from_json(mechanism_to_json(mech)) == mech
+        assert self._read(json.dumps(mechanism_to_dict(mech))) == mech
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(MechanismError):
-            mechanism_from_json('{"alpha": 1.0, "beta": 1.0, "levy": {"kind": "bogus"}}')
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        mechanism = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "bogus"}}
+        assert self._exit_code(tmp_path, mechanism) == EXIT_USAGE
+        assert "mechanism.levy.kind: unknown kind 'bogus'" in capsys.readouterr().err
 
-    def test_extra_levy_key_rejected(self):
+    def test_extra_levy_key_rejected(self, tmp_path, capsys):
         # a key the kind does not use must fail, not be dropped
-        with pytest.raises(MechanismError, match=r"unknown keys \['c'\]"):
-            mechanism_from_json({"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none", "c": 2.0}})
+        mechanism = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none", "c": 2.0}}
+        assert self._exit_code(tmp_path, mechanism) == EXIT_USAGE
+        assert "mechanism.levy: unknown keys ['c']" in capsys.readouterr().err
 
-    def test_extra_top_level_key_rejected(self):
-        with pytest.raises(MechanismError, match="gamma"):
-            mechanism_from_json({"alpha": 1.0, "beta": 1.0, "gamma": 2.0})
+    def test_extra_top_level_key_rejected(self, tmp_path, capsys):
+        mechanism = {"alpha": 1.0, "beta": 1.0, "gamma": 2.0}
+        assert self._exit_code(tmp_path, mechanism) == EXIT_USAGE
+        assert "mechanism: unknown keys ['gamma']" in capsys.readouterr().err
 
 
 class TestValidation:
