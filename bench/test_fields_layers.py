@@ -94,7 +94,6 @@ import numpy as np
 import pytest
 
 from sbmlab.barriers import solve_hA
-from sbmlab.cli import ExperimentConfig, run_pipeline
 from sbmlab.feynman_kac import fk_estimate
 from sbmlab.fronts import constant_C_tilde
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U, solve_V
@@ -159,31 +158,23 @@ def test_constant_C_tilde_workload_ladder(benchmark):
     assert (est.value, est.error) == (3.229282518959373, 0.20560773379812325)
 
 
-def _run_quiet(benchmark, pipeline: str, data: dict, tmp_path, names: tuple[str, ...]) -> list[str]:
-    """Time one quiet ``run_pipeline`` of ``pipeline`` on ``data``; the sha256 of each named artifact."""
-    config = ExperimentConfig.from_sources(pipeline, data, out=str(tmp_path / pipeline), quiet=True, env={})
-    code, out = benchmark.pedantic(run_pipeline, args=(config,), rounds=7, iterations=1, warmup_rounds=1)
-    assert code == 0
-    return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
-
-
-def test_fronts_pipeline_workload_config(benchmark, tmp_path):
+def test_fronts_pipeline_workload_config(run_quiet):
     bump = {"kind": "bump", "center": 1.0, "width": 1.0, "height": 1.0}
     data = {"fronts": {"phi": bump, "r_ladder": list(R_LADDER)}}
-    digests = _run_quiet(benchmark, "fronts", data, tmp_path, ("constants.json",))
+    digests = run_quiet("fronts", data, ("constants.json",))
     assert digests == ["b07c25e9caf7f69ccca61accb862d1767895a56a46b80b68024b2233777512a3"]
 
 
-def test_kpp_pipeline_workload_config(benchmark, tmp_path):
-    digests = _run_quiet(benchmark, "kpp", {"kpp": {"t_end": 16.0}}, tmp_path, ("profiles.csv", "median.csv"))
+def test_kpp_pipeline_workload_config(run_quiet):
+    digests = run_quiet("kpp", {"kpp": {"t_end": 16.0}}, ("profiles.csv", "median.csv"))
     assert digests == [
         "6701a86094bf02591012ba86c245841834c4f3390c8d93ad47cec29dbdf62079",
         "9d4f821bac69bb23d4253517413a037937bb0e57d46bd8f43ce795b16adf3e2d",
     ]
 
 
-def test_ldp_pipeline_workload_ladder(benchmark, tmp_path):
-    digests = _run_quiet(benchmark, "ldp", {"ldp": {"r_ladder": list(R_LADDER)}}, tmp_path, ("ldp.json",))
+def test_ldp_pipeline_workload_ladder(run_quiet):
+    digests = run_quiet("ldp", {"ldp": {"r_ladder": list(R_LADDER)}}, ("ldp.json",))
     assert digests == ["e47f2a4270525137baf34a88fe92f34db17cc7b86b40239eb07fa75e1b1695c1"]
 
 
@@ -232,28 +223,28 @@ def test_check_hypotheses_jumps(benchmark):
     assert digest == "5f18bbac8eae2c096dc5a75a924c9ee367f87ddfd2d29020743bb7a9ff97bf48"
 
 
-def test_mech_check_pipeline_jumps(benchmark, tmp_path):
+def test_mech_check_pipeline_jumps(run_quiet):
     levy = {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0}
     data = {"mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy}}
-    digests = _run_quiet(benchmark, "mech-check", data, tmp_path, ("report.json",))
+    digests = run_quiet("mech-check", data, ("report.json",))
     assert digests == ["3372366248c0043276d41fbe916b4bbcc101cdbebdc47358a4f504474d9dc1f3"]
 
 
-def test_csbp_pipeline_jumps(benchmark, tmp_path):
+def test_csbp_pipeline_jumps(run_quiet):
     levy = {"kind": "truncated-stable", "c": 1.0, "index": 1.5, "cutoff": 5.0}
     data = {
         "mechanism": {"alpha": 1.0, "beta": 0.0, "levy": levy},
         "csbp": {"t_grid": [1.0], "extinction": False},
     }
-    digests = _run_quiet(benchmark, "csbp", data, tmp_path, ("laplace.csv", "summary.json"))
+    digests = run_quiet("csbp", data, ("laplace.csv", "summary.json"))
     assert digests == [
         "7e26f1f3c955866f4897c9f805c63711ee51764406c5b1e8c140753a69bba1d2",
         "f15cf242fac183c95efc98485210526a74dea0748ccae1051b1fba482c1a2659",
     ]
 
 
-def test_fk_pipeline_defaults(benchmark, tmp_path):
-    digests = _run_quiet(benchmark, "fk", {"seed": 1}, tmp_path, ("report.json",))
+def test_fk_pipeline_defaults(run_quiet):
+    digests = run_quiet("fk", {"seed": 1}, ("report.json",))
     assert digests == ["61e7c4c36f8268dd2657b852a01e8e9467729c94a2d41bac39ac6f52cd18442a"]
 
 
@@ -262,8 +253,8 @@ def test_solve_hA_barriers_defaults(benchmark):
     assert _sha(np.concatenate((sol.x, sol.h))) == "a1fc13b41bb952e3158866ff56395511de239ac61644c4812f3321a0cd3bdd5c"
 
 
-def test_barriers_pipeline_defaults(benchmark, tmp_path):
-    digests = _run_quiet(benchmark, "barriers", {}, tmp_path, ("profile.csv", "constants.json"))
+def test_barriers_pipeline_defaults(run_quiet):
+    digests = run_quiet("barriers", {}, ("profile.csv", "constants.json"))
     assert digests == [
         "bc96494189f461bb6d758ba4e1863d16191a27f50e703dfd414608f19a68a458",
         "38778a2363538953098da1d5f7d0b9de3ca8c66bf329656dd570e54b7ea24012",

@@ -673,6 +673,13 @@ def _jsonable(obj):
     return obj
 
 
+def _dump_json(path: Path, payload) -> None:
+    """Write payload as the CLI writes every JSON file: keys sorted, two-space indent, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt_cell(v) -> str:
     # most cells are floats; float.__repr__ reads an np.float64 as its double
     if type(v) is float or type(v) is np.float64:
@@ -714,9 +721,7 @@ class _Artifacts:
     def write_json(self, rel: str, payload: dict, description: str) -> Path:
         path = self.out_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(path, _jsonable(payload))
         self._register(rel, "json", description)
         return path
 
@@ -757,9 +762,7 @@ class _Artifacts:
             "outputs": self.entries,
         }
         path = self.out_dir / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(path, payload)
         return path
 
 
@@ -812,9 +815,7 @@ def save_bank(bank: ClusterBank, directory: Path | str) -> tuple[Path, Path]:
                 for loc, wt in zip(cluster.locations.tolist(), cluster.weights.tolist())
             ))
     meta_path = directory / "bank.json"
-    with open(meta_path, "w") as fh:
-        json.dump(_bank_meta(bank), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(meta_path, _bank_meta(bank))
     return csv_path, meta_path
 
 
@@ -1090,19 +1091,15 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     with art.timed("replicas"):
         result = simulate(sim_config)
     art.diagnostics["replicas"] = dict(result.diagnostics)
-    rows = []
-    for s in result.stats:
-        rows.append(
-            (
-                s.replica,
-                s.survived,
-                s.exploded,
-                float("nan") if s.extinction_time is None else s.extinction_time,
-                s.m_path[-1],
-                s.z_path[-1],
-                s.mass_path[-1],
-            )
-        )
+    rows = zip(
+        range(result.m.shape[0]),
+        result.survived,
+        result.exploded,
+        result.extinction_time,
+        result.m[:, -1],
+        result.z[:, -1],
+        result.mass[:, -1],
+    )
     art.write_csv(
         "replicas.csv",
         ["replica", "survived", "exploded", "extinction_time", "m_final", "z_final", "mass_final"],
@@ -1110,12 +1107,8 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
         "per-replica survival and final observables",
     )
     snap_rows = []
-    times = result.stats[0].times
-    for k, t in enumerate(times):
-        m = result.m_values(k)
+    for t, m, mass, z in zip(result.times, result.m.T, result.mass.T, result.z.T):
         alive = np.isfinite(m)
-        mass = result.mass_values(k)
-        z = result.z_values(k)
         snap_rows.append(
             (
                 t,
@@ -1131,8 +1124,8 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
         snap_rows,
         "per-snapshot survival fraction and survivor means",
     )
-    t_last = float(times[-1])
-    m_last = result.m_values(-1)
+    t_last = float(result.times[-1])
+    m_last = result.m[:, -1]
     survivors = np.sort(m_last[np.isfinite(m_last)])
     center = front_m(config.mechanism.alpha, t_last)
     cdf_rows = [
@@ -1151,7 +1144,7 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
         "gnuplot script for the centered front CDF",
     )
     config.say(
-        f"survival={result.survival_frequency():.3f} over {len(result.stats)} replicas "
+        f"survival={result.survived.mean():.3f} over {result.survived.size} replicas "
         f"to t={t_last:g}"
     )
     bank_spec = block["bank"]

@@ -54,18 +54,21 @@ checked there and a replica stops as soon as it trips.
 Replicas are independent: replica i draws only from the i-th spawn of
 SeedSequence(seed), through three child streams derived from its spawn
 key (clocks, moves and event kinds), each read through a buffer of its
-own that keeps its unread draws when it refills.  So a replica's stats and
-clouds do not depend on n_replicas, the group size, the buffer size or
-the worker count.
+own that keeps its unread draws when it refills.  So a replica's row of
+the result and its clouds do not depend on n_replicas, the group size,
+the buffer size or the worker count.
 
 Groups share nothing, so they march as the tasks of the fork pool in
 ``sbmlab.pool``, whose docstring states its policy: one worker per usable
 CPU up to one per group (``pool.worker_count``), and the march in this
-process where there is one group, one CPU or no ``fork``.  Each group's
-rows land in the result by replica id, so the result is the same bits
-whatever the worker count.  A pool lives inside one call: one
-``simulate``, or one ``sample_conditioned_clusters``, whose rejection
-batches stream their groups through a single pool until the bank is full.
+process where there is one group, one CPU or no ``fork``.  The result,
+``SimResult``, is one record of (replica x snapshot) arrays: M_t, Z_t and
+the mass, with a column each for the extinction time and the explosion
+flag.  Each group's rows land in those arrays by replica id, so the
+result is the same bits whatever the worker count.  A pool lives inside
+one call: one ``simulate``, or one ``sample_conditioned_clusters``, whose
+rejection batches stream their groups through a single pool until the
+bank is full.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class AcceptanceTooLowError(ParticlesError):
 
 
 # ---------------------------------------------------------------------------
-# point measures and clouds
+# point measures
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,37 +169,6 @@ class PointMeasure:
         if not self.size:
             return 0.0
         return float(np.sum(self.weights * np.asarray(fn(self.locations), dtype=float)))
-
-
-@dataclass(frozen=True, eq=False)
-class ParticleCloud:
-    """Snapshot of the particle system: equal-mass atoms at one time."""
-
-    time: float
-    positions: np.ndarray
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 1:
-            raise ParticlesError("positions must be a 1-d array")
-        if pos.size and not np.all(np.isfinite(pos)):
-            raise ParticlesError("positions must be finite")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ParticlesError("epsilon must be positive and finite")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def count(self) -> int:
-        return int(self.positions.size)
-
-    @property
-    def total_mass(self) -> float:
-        return self.epsilon * self.count
-
-    @property
-    def alive(self) -> bool:
-        return self.count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +276,8 @@ class SimConfig:
     than that distance below the centered front at every step from
     t = 1 on; it requires the unit-drift normalization since the front
     location is computed for alpha = 1.  A replica whose count exceeds
-    explosion_cap at some step is truncated there.  stats_only skips
-    cloud snapshots to save memory.
+    explosion_cap at some step is truncated there.  stats_only keeps no
+    particle positions (``SimResult.clouds`` is None) to save memory.
     """
 
     mech: BranchingMechanism
@@ -395,53 +367,41 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ReplicaStats:
-    """Per-replica observable paths along the snapshot grid.
-
-    After extinction the rightmost-position entries are -inf and masses
-    are zero.  A replica that trips the explosion guard is truncated: the
-    remaining entries are nan, exploded is True, and survived stays True
-    since the population was alive (and enormous) when the run stopped.
-    """
-
-    replica: int
-    times: tuple[float, ...]
-    m_path: tuple[float, ...]
-    z_path: tuple[float, ...]
-    mass_path: tuple[float, ...]
-    survived: bool
-    extinction_time: float | None
-    exploded: bool
-
-
-@dataclass(frozen=True, eq=False)
 class SimResult:
-    """All replica stats plus (unless stats_only) per-replica cloud snapshots.
+    """The observables of n replicas along the k snapshot times, one row per replica.
 
-    clouds[i] may be shorter than the snapshot grid when replica i hit the
-    explosion guard.  diagnostics records the number of replica groups and
-    of processes that marched them (1 when they marched in this process),
-    and, summed over all replicas, the events by kind (splits, deaths,
-    jumps and the extra copies the jumps made), the particles the barrier
-    pruned and the replicas it left empty (barrier_emptied: those whose
-    last particle went at a step where the barrier pruned one).
+    m[i, j], z[i, j] and mass[i, j] are replica i's rightmost position, its
+    derivative-martingale value and its total mass at times[j]: read-only
+    (n, k) arrays.  After extinction they are -inf, 0 and 0, and
+    extinction_time[i] is when it happened; it is nan while the replica
+    is alive, so survived is where it is nan.  A replica that trips the
+    explosion guard is truncated: its entries are nan from then on,
+    exploded[i] is True and its extinction time stays nan, since the
+    population was alive (and enormous) when the run stopped.
+
+    clouds is None with stats_only; otherwise clouds[i][j] holds the
+    positions of replica i's particles, each of mass epsilon, at times[j],
+    and clouds[i] is shorter than times when replica i exploded.
+    diagnostics records the number of replica groups and of processes
+    that marched them (1 when they marched in this process), and, summed
+    over all replicas, the events by kind (splits, deaths, jumps and the
+    extra copies the jumps made), the particles the barrier pruned and the
+    replicas it left empty (barrier_emptied: those whose last particle
+    went at a step where the barrier pruned one).
     """
 
-    stats: tuple[ReplicaStats, ...]
-    clouds: tuple[tuple[ParticleCloud, ...], ...] | None
+    times: tuple[float, ...]
+    m: np.ndarray
+    z: np.ndarray
+    mass: np.ndarray
+    extinction_time: np.ndarray
+    exploded: np.ndarray
+    clouds: tuple[tuple[np.ndarray, ...], ...] | None
     diagnostics: Mapping[str, int]
 
-    def survival_frequency(self) -> float:
-        return sum(1 for s in self.stats if s.survived) / len(self.stats)
-
-    def m_values(self, snapshot: int = -1) -> np.ndarray:
-        return np.array([s.m_path[snapshot] for s in self.stats])
-
-    def z_values(self, snapshot: int = -1) -> np.ndarray:
-        return np.array([s.z_path[snapshot] for s in self.stats])
-
-    def mass_values(self, snapshot: int = -1) -> np.ndarray:
-        return np.array([s.mass_path[snapshot] for s in self.stats])
+    @property
+    def survived(self) -> np.ndarray:
+        return np.isnan(self.extinction_time)
 
     def mass_laplace_estimate(self, theta: float, snapshot: int = -1) -> tuple[float, float]:
         """Monte Carlo (mean, std error) of exp(-theta * total mass).
@@ -449,7 +409,7 @@ class SimResult:
         An exploded replica contributes zero: its mass is at least the cap
         times epsilon, so the exponential is far below resolution.
         """
-        masses = self.mass_values(snapshot)
+        masses = self.mass[:, snapshot]
         vals = np.where(np.isnan(masses), 0.0, np.exp(-theta * np.nan_to_num(masses)))
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -464,7 +424,7 @@ def simulate(config: SimConfig) -> SimResult:
     """Run all replicas; bit-identical for a fixed (seed, config).
 
     Replica i draws from the i-th spawn of SeedSequence(seed) only, so
-    its stats and clouds do not depend on n_replicas.  Up to
+    its row and clouds do not depend on n_replicas.  Up to
     _GROUP_REPLICAS consecutive replicas march together as one group (see
     _march and _epoch).  Two or more groups
     march in fork-started worker processes, one per usable CPU, which
@@ -712,7 +672,7 @@ class _Record:
     """Observables of n replicas along the snapshot grid, filled as groups march.
 
     A replica that explodes keeps nan from then on; one that dies out
-    gets -inf, 0 and an empty cloud at every later snapshot.
+    gets -inf, 0 and an empty cloud at every later snapshot (see SimResult).
     """
 
     def __init__(self, config: SimConfig, n: int):
@@ -723,9 +683,9 @@ class _Record:
         self.m = np.full((n, k), math.nan)
         self.z = np.full((n, k), math.nan)
         self.mass = np.full((n, k), math.nan)
-        self.extinction_time: list[float | None] = [None] * n
-        self.exploded = [False] * n
-        self.clouds: list[list[ParticleCloud]] | None = (
+        self.extinction_time = np.full(n, math.nan)
+        self.exploded = np.zeros(n, dtype=bool)
+        self.clouds: list[list[np.ndarray]] | None = (
             None if config.stats_only else [[] for _ in range(n)]
         )
         # events of each kind (split, death, then the jumps), pruned particles
@@ -748,7 +708,7 @@ class _Record:
             self.z[i, j] = eps * float(np.sum(terms[a:b]))
             self.mass[i, j] = eps * (b - a)
             if self.clouds is not None:
-                self.clouds[i].append(ParticleCloud(t, pos[a:b].copy(), eps))
+                self.clouds[i].append(pos[a:b].copy())
 
     def extinct(self, i: int, step: int, t: float) -> None:
         """Replica i has no particle left after the given step."""
@@ -759,9 +719,7 @@ class _Record:
                 self.z[i, j] = 0.0
                 self.mass[i, j] = 0.0
                 if self.clouds is not None:
-                    self.clouds[i].append(
-                        ParticleCloud(self.config.snapshot_times[j], np.empty(0), self.config.epsilon)
-                    )
+                    self.clouds[i].append(np.empty(0))
 
     def tally(self, kind: np.ndarray) -> None:
         """Count events of the given kinds."""
@@ -780,21 +738,11 @@ class _Record:
         self.emptied += part.emptied
 
     def result(self, diagnostics: Mapping[str, int]) -> SimResult:
-        times = self.config.snapshot_times
-        stats = tuple(
-            ReplicaStats(
-                replica=i,
-                times=times,
-                m_path=tuple(self.m[i].tolist()),
-                z_path=tuple(self.z[i].tolist()),
-                mass_path=tuple(self.mass[i].tolist()),
-                survived=self.extinction_time[i] is None,
-                extinction_time=self.extinction_time[i],
-                exploded=self.exploded[i],
-            )
-            for i in range(len(self.exploded))
-        )
-        clouds = None if self.clouds is None else tuple(tuple(c) for c in self.clouds)
+        """The record's arrays, made read-only, as a SimResult with these diagnostics."""
+        columns = (self.m, self.z, self.mass, self.extinction_time, self.exploded)
+        for a in columns:
+            a.flags.writeable = False
+        clouds = None if self.clouds is None else tuple(map(tuple, self.clouds))
         jumps = self.kinds[2:]
         counts = {
             "splits": int(self.kinds[0]),
@@ -804,7 +752,7 @@ class _Record:
             "pruned": self.pruned,
             "barrier_emptied": self.emptied,
         }
-        return SimResult(stats, clouds, {**diagnostics, **counts})
+        return SimResult(self.config.snapshot_times, *columns, clouds, {**diagnostics, **counts})
 
 
 def _march(law: _Law, group: _Group, draws: _Streams, record: _Record) -> None:
@@ -896,12 +844,11 @@ def _epoch(
             over = _over_cap(law, base, events, lost, known, s0, s1) & (births > room)
             if over.any():
                 room[over] = np.iinfo(np.int64).max
-                for k in np.flatnonzero(over).tolist():
-                    record.exploded[k] = True
+                record.exploded[over] = True
                 gen = gen.select(~over[gen.owner])
 
     alive = _Group.merge(carried)
-    gone = np.array(record.exploded) & (base > 0)
+    gone = record.exploded & (base > 0)
     if gone.any():
         alive = alive.select(~gone[alive.owner])
         base[gone] = 0
@@ -1087,17 +1034,13 @@ def sample_conditioned_clusters(
         for part in parts:
             groups += 1
             for exploded, snaps in zip(part.exploded, part.clouds):
-                if exploded or not snaps or not snaps[-1].alive:
+                # a replica that did not explode has its one snapshot
+                if exploded or not snaps[-1].size:
                     continue
-                cloud = snaps[-1]
-                m = float(cloud.positions.max())
+                positions = snaps[-1]
+                m = float(positions.max())
                 if m > level:
-                    clusters.append(
-                        PointMeasure(
-                            cloud.positions - m,
-                            np.full(cloud.count, cloud.epsilon),
-                        )
-                    )
+                    clusters.append(PointMeasure(positions - m, np.full(positions.size, base.epsilon)))
                     overshoots.append(m - level)
                     if len(clusters) == n_accept:
                         break

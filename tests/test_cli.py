@@ -43,7 +43,7 @@ from sbmlab.cli import (
 )
 from sbmlab.extremal import ClusterBank
 from sbmlab.fronts import FrontsError
-from sbmlab.particles import PointMeasure
+from sbmlab.particles import PointMeasure, simulate
 
 QUAD = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none"}}
 JUMPS = {
@@ -690,6 +690,35 @@ class TestSimulatePipeline:
         cdf = (out / "mt_cdf.csv").read_text().strip().splitlines()
         assert cdf[0] == "m_minus_center,cdf"
         assert len(cdf) > 1
+
+    def test_csvs_hold_the_result_columns(self, tmp_path, capsys):
+        # replicas.csv and snapshots.csv of a run equal, bit for bit, the
+        # SimResult columns of its config; this seed has extinct replicas
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        capsys.readouterr()
+        res = simulate(ExperimentConfig.from_sources("simulate", self.CFG, env={}).block["sim"])
+        assert 0 < np.count_nonzero(~res.survived) < 50
+
+        def table(name):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            return rows[0], np.array(rows[1:], dtype=float).T
+
+        header, got = table("replicas.csv")
+        assert header == ["replica", "survived", "exploded", "extinction_time", "m_final", "z_final", "mass_final"]
+        want = (np.arange(50), res.survived, res.exploded, res.extinction_time,
+                res.m[:, -1], res.z[:, -1], res.mass[:, -1])
+        for column, expected in zip(got, want):
+            assert column.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+        header, got = table("snapshots.csv")
+        assert header == ["t", "alive_fraction", "mean_m", "mean_mass", "mean_z"]
+        for t, m, mass, z, row in zip(res.times, res.m.T, res.mass.T, res.z.T, got.T):
+            alive = np.isfinite(m)
+            means = [np.nanmean(np.where(alive, c, np.nan)) for c in (mass, z)]
+            assert row.tobytes() == np.array([t, np.mean(alive), np.mean(m[alive]), *means]).tobytes()
 
     def test_bank_export_and_roundtrip(self, tmp_path, capsys, monkeypatch):
         # one CPU, so the bank's groups march in this process on any machine

@@ -199,34 +199,31 @@ class TestEngineBasics:
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.5,
                         seed=3, n_replicas=2, initial=PointMeasure.empty())
         res = simulate(cfg)
-        for stats, snaps in zip(res.stats, res.clouds):
-            assert not stats.survived
-            assert stats.extinction_time == 0.0
-            assert stats.m_path == (-math.inf,)
-            assert all(not c.alive for c in snaps)
+        assert not res.survived.any()
+        assert np.array_equal(res.extinction_time, [0.0, 0.0])
+        assert np.array_equal(res.m, [[-math.inf], [-math.inf]])
+        for snaps in res.clouds:
+            assert all(c.size == 0 for c in snaps)
 
     def test_same_seed_is_bit_identical(self):
         cfg = SimConfig(mech=ATOMIC, epsilon=0.05, dt=0.002, t_end=0.3,
                         seed=9, n_replicas=8, snapshot_times=(0.1, 0.3))
         a, b = simulate(cfg), simulate(cfg)
-        for sa, sb in zip(a.stats, b.stats):
-            assert sa.m_path == sb.m_path
-            assert sa.z_path == sb.z_path
-            assert sa.mass_path == sb.mass_path
+        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a.mass, b.mass)
         for ca, cb in zip(a.clouds, b.clouds):
             for snap_a, snap_b in zip(ca, cb):
-                assert np.array_equal(snap_a.positions, snap_b.positions)
+                assert np.array_equal(snap_a, snap_b)
 
     def test_explosion_guard_flags_and_truncates(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.05, dt=0.002, t_end=3.0,
                         seed=12, n_replicas=3, explosion_cap=60,
                         snapshot_times=(1.0, 3.0))
         res = simulate(cfg)
-        exploded = [s for s in res.stats if s.exploded]
-        assert exploded
-        for s in exploded:
-            assert s.survived
-            assert math.isnan(s.m_path[-1])
+        assert res.exploded.any()
+        assert res.survived[res.exploded].all()
+        assert np.isnan(res.m[res.exploded, -1]).all()
 
     def test_an_exploding_replica_never_holds_far_more_than_the_cap(self, monkeypatch):
         # every array of particles passes through _counts; none may hold much
@@ -242,27 +239,37 @@ class TestEngineBasics:
         monkeypatch.setattr(particles_module, "_counts", spy)
         res = simulate(SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=12.0, seed=3,
                                  n_replicas=20, stats_only=True, explosion_cap=500))
-        assert sum(s.exploded for s in res.stats) >= 10
+        assert np.count_nonzero(res.exploded) >= 10
         assert max(largest) <= 3 * 500
+
+    def test_result_arrays_are_read_only(self):
+        res = simulate(SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.2,
+                                 seed=4, n_replicas=3, snapshot_times=(0.1, 0.2)))
+        assert res.times == (0.1, 0.2)
+        assert res.m.shape == res.z.shape == res.mass.shape == (3, 2)
+        assert res.extinction_time.shape == res.exploded.shape == (3,)
+        for column in (res.m, res.z, res.mass, res.extinction_time, res.exploded):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
     def test_replica_mass_is_particle_count_times_epsilon(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.2,
                         seed=4, n_replicas=3)
         res = simulate(cfg)
-        for stats, snaps in zip(res.stats, res.clouds):
-            assert stats.mass_path[-1] == pytest.approx(snaps[-1].total_mass)
+        for mass, snaps in zip(res.mass[:, -1], res.clouds):
+            assert mass == pytest.approx(cfg.epsilon * snaps[-1].size)
 
 
 class TestEventCounts:
     def _final_count(self, res, cfg) -> int:
-        return round(float(np.sum(res.mass_values())) / cfg.epsilon)
+        return round(float(np.sum(res.mass[:, -1])) / cfg.epsilon)
 
     def test_counts_balance_the_population(self):
         cfg = SimConfig(mech=ATOMIC, epsilon=0.05, dt=0.002, t_end=0.5, seed=9, n_replicas=40,
                         stats_only=True)
         res = simulate(cfg)
         d = res.diagnostics
-        assert not any(s.exploded for s in res.stats)
+        assert not res.exploded.any()
         assert d["pruned"] == d["barrier_emptied"] == 0
         assert d["splits"] > 0 and d["deaths"] > 0
         assert d["jump_copies"] > d["jumps"] > 0
@@ -274,9 +281,9 @@ class TestEventCounts:
                         stats_only=True, barrier_offset=3.0)
         res = simulate(cfg)
         d = res.diagnostics
-        assert not any(s.exploded for s in res.stats)
+        assert not res.exploded.any()
         assert d["pruned"] > 0 and d["jumps"] == d["jump_copies"] == 0
-        extinct = sum(1 for s in res.stats if not s.survived)
+        extinct = np.count_nonzero(~res.survived)
         assert 0 < d["barrier_emptied"] <= extinct
         n0 = cfg.initial_positions().size
         assert (40 * n0 + d["splits"] - d["deaths"] - d["pruned"]) == self._final_count(res, cfg)
@@ -293,17 +300,17 @@ def extinction_run():
 
 class TestAgainstMassOracles:
     def test_extinction_frequency_matches_closed_form(self, extinction_run):
-        p = 1.0 - extinction_run.survival_frequency()
+        p = 1.0 - extinction_run.survived.mean()
         target = csbp.extinction_prob(QUADRATIC, t=0.693).prob
-        se = math.sqrt(target * (1.0 - target) / len(extinction_run.stats))
+        se = math.sqrt(target * (1.0 - target) / extinction_run.survived.size)
         assert abs(p - target) < 3.0 * se
 
     def test_extinction_frequency_robust_under_epsilon_halving(self, extinction_run):
         coarse = simulate(SimConfig(mech=QUADRATIC, epsilon=0.04, dt=0.002,
                                     t_end=0.694, seed=20250823,
                                     n_replicas=1500, stats_only=True))
-        p_fine = 1.0 - extinction_run.survival_frequency()
-        p_coarse = 1.0 - coarse.survival_frequency()
+        p_fine = 1.0 - extinction_run.survived.mean()
+        p_coarse = 1.0 - coarse.survived.mean()
         se = math.sqrt(2.0 * 0.135 * 0.865 / 1500)
         assert abs(p_fine - p_coarse) < 3.0 * se
 
@@ -333,7 +340,7 @@ class TestAgainstMassOracles:
                         seed=23, n_replicas=1500, stats_only=True,
                         initial=PointMeasure.single(-1.0, 1.0))
         res = simulate(cfg)
-        z = res.z_values()
+        z = res.z[:, -1]
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - math.exp(-SQRT2)) < 3.0 * se
 
@@ -356,7 +363,7 @@ class TestExactRightmostLaw:
         oracle = (1.0 - p.interp(t, xs)) ** round(1.0 / eps)
         res = simulate(SimConfig(mech=QUADRATIC, epsilon=eps, dt=0.01, t_end=t,
                                  seed=31, n_replicas=n, stats_only=True))
-        m = res.m_values()
+        m = res.m[:, -1]
         assert not np.isnan(m).any()
         empirical = np.array([np.mean(m <= x) for x in xs])
         se = np.sqrt(oracle * (1.0 - oracle) / n)
@@ -379,12 +386,12 @@ class TestExactRightmostLaw:
         alive = float(flow_map(bbm, t - s)(1.0))
         res = simulate(SimConfig(mech=QUADRATIC, epsilon=eps, dt=0.01, t_end=t,
                                  seed=31, n_replicas=n, snapshot_times=(s, t)))
-        m = res.m_values()
+        m = res.m[:, -1]
         assert not np.isnan(m).any()
         rng = np.random.default_rng(31)
         u = np.empty(n)
         for i, (clouds, top) in enumerate(zip(res.clouds, m)):
-            x = clouds[0].positions
+            x = clouds[0]
             if top == -math.inf:
                 u[i] = rng.uniform(0.0, (1.0 - alive) ** x.size)
             else:
@@ -406,7 +413,7 @@ class TestSteppedLaw:
         cfg = SimConfig(mech=QUADRATIC, epsilon=1.0, dt=0.1, t_end=3.0, seed=5, n_replicas=n,
                         stats_only=True)
         assert (cfg.table.split_rate, cfg.table.death_rate) == (1.5, 0.5)
-        pop = simulate(cfg).mass_values()
+        pop = simulate(cfg).mass[:, -1]
         se = pop.std(ddof=1) / math.sqrt(n)
         assert abs(pop.mean() - 1.1 ** 30) < 4.0 * se
         assert abs(pop.mean() - math.exp(3.0)) > 4.0 * se
@@ -451,7 +458,7 @@ class TestFrontTracking:
                         seed=101, n_replicas=60, stats_only=True,
                         barrier_offset=5.0)
         res = simulate(cfg)
-        m = res.m_values()
+        m = res.m[:, -1]
         m = m[np.isfinite(m)]
         assert m.size >= 20
         assert 1.25 <= float(np.mean(m / 20.0)) <= 1.45
@@ -462,7 +469,7 @@ class TestFrontTracking:
             cfg = SimConfig(mech=QUADRATIC, epsilon=0.2, dt=0.01, t_end=10.0,
                             seed=55, n_replicas=300, stats_only=True,
                             barrier_offset=L)
-            m = simulate(cfg).m_values()
+            m = simulate(cfg).m[:, -1]
             out[L] = m[np.isfinite(m)]
         ks = sps.ks_2samp(out[5.0], out[7.0])
         assert ks.pvalue > 0.01
@@ -508,15 +515,17 @@ class TestConditionedClusters:
 
 
 def _digest(result) -> str:
+    # per replica its m, z and mass rows, then [extinction time or nan,
+    # exploded, survived]; then per cloud [time, count] and its positions
     h = hashlib.sha256()
-    for s in result.stats:
-        h.update(np.asarray(s.m_path + s.z_path + s.mass_path, dtype=float).tobytes())
-        ext = math.nan if s.extinction_time is None else s.extinction_time
-        h.update(np.array([ext, float(s.exploded), float(s.survived)]).tobytes())
+    flags = np.column_stack((result.extinction_time, result.exploded, result.survived)).astype(float)
+    for paths, row in zip(np.hstack((result.m, result.z, result.mass)), flags):
+        h.update(paths.tobytes())
+        h.update(row.tobytes())
     for snaps in result.clouds or ():
-        for cloud in snaps:
-            h.update(np.array([cloud.time, cloud.count]).tobytes())
-            h.update(cloud.positions.tobytes())
+        for t, positions in zip(result.times, snaps):
+            h.update(np.array([t, positions.size]).tobytes())
+            h.update(positions.tobytes())
     return h.hexdigest()
 
 
@@ -575,32 +584,29 @@ class TestFrozenStreams:
 
     def test_frozen_values_in_the_clear(self):
         res = simulate(SimConfig(**FROZEN["quadratic"][0]))
-        assert res.stats[0].m_path == (0.5439335171321195, 1.1730388555962665)
-        assert [s.extinction_time for s in res.stats] == [None, None, None, None, 0.55]
+        assert res.m[0].tolist() == [0.5439335171321195, 1.1730388555962665]
+        assert np.array_equal(res.extinction_time, [math.nan] * 4 + [0.55], equal_nan=True)
 
     def test_explosion_mid_run_is_never_marked_extinct(self):
         res = simulate(SimConfig(**FROZEN["explosion"][0]))
-        assert [s.exploded for s in res.stats] == [True] * 3 + [False] + [True] * 2
+        assert res.exploded.tolist() == [True] * 3 + [False] + [True] * 2
         # replica 2 trips the cap between the first two snapshots
-        assert res.stats[2].m_path[0] == 1.2134595108505046
-        assert all(math.isnan(v) for v in res.stats[2].m_path[1:])
+        assert res.m[2, 0] == 1.2134595108505046
+        assert np.isnan(res.m[2, 1:]).all()
         assert len(res.clouds[2]) == 1
-        for s in res.stats[:3] + res.stats[4:]:
-            assert s.extinction_time is None and s.survived
-        assert res.stats[3].extinction_time == 0.79
-        assert res.stats[3].m_path[1:] == (-math.inf, -math.inf)
+        assert res.survived.tolist() == [True] * 3 + [False] + [True] * 2
+        assert res.extinction_time[3] == 0.79
+        assert res.m[3, 1:].tolist() == [-math.inf, -math.inf]
 
     def test_replica_stats_do_not_depend_on_n_replicas(self):
         kwargs = dict(FROZEN["atoms"][0], snapshot_times=(0.2, 0.5))
         few = simulate(SimConfig(**dict(kwargs, n_replicas=3)))
         many = simulate(SimConfig(**dict(kwargs, n_replicas=70)))
-        for a, b in zip(few.stats, many.stats[:3]):
-            assert (a.replica, a.m_path, a.z_path, a.mass_path) == (
-                b.replica, b.m_path, b.z_path, b.mass_path)
-            assert (a.extinction_time, a.exploded) == (b.extinction_time, b.exploded)
+        for name in ("m", "z", "mass", "extinction_time", "exploded"):
+            assert np.array_equal(getattr(few, name), getattr(many, name)[:3], equal_nan=True)
         for ca, cb in zip(few.clouds, many.clouds[:3]):
             for snap_a, snap_b in zip(ca, cb):
-                assert np.array_equal(snap_a.positions, snap_b.positions)
+                assert np.array_equal(snap_a, snap_b)
 
 
 class TestDrawBuffers:
@@ -719,12 +725,12 @@ def _batchwise_clusters(config, z, t, n_accept, max_attempts):
         )
         k += 1
         attempts += batch
-        for s, snaps in zip(result.stats, result.clouds):
-            if s.exploded or not snaps or not snaps[-1].alive:
+        for exploded, snaps in zip(result.exploded, result.clouds):
+            if exploded or not snaps or not snaps[-1].size:
                 continue
-            m = snaps[-1].positions.max()
+            m = snaps[-1].max()
             if m > level:
-                clusters.append(snaps[-1].positions - m)
+                clusters.append(snaps[-1] - m)
                 overshoots.append(m - level)
                 if len(clusters) == n_accept:
                     break
