@@ -25,11 +25,12 @@ Cluster banks come from one place: ``simulate`` with a ``bank`` block
 writes one under ``bank/`` in its output directory.  ``extremal`` only
 reads banks, and its ``bank`` key, the directory of a saved bank, is
 required.  Parsing reads no files, so a bad saved cluster bank exits 2
-only once the run has started.  The overridable
-settings (seed, output directory, replica count, quiet flag) resolve in
-the order: command line flag, then ``SBMLAB_*`` environment variable
-(``SBMLAB_SEED``, ``SBMLAB_OUT``, ``SBMLAB_REPLICAS``, ``SBMLAB_QUIET``),
-then config file value, then built-in default.  Stochastic pipelines
+only once the run has started, a bad atom as much as a malformed row.
+The overridable settings (seed, output directory, replica count, quiet
+flag) resolve in the order: command line flag, then ``SBMLAB_*``
+environment variable (``SBMLAB_SEED``, ``SBMLAB_OUT``,
+``SBMLAB_REPLICAS``, ``SBMLAB_QUIET``), then config file value, then
+built-in default.  Stochastic pipelines
 (``fk``, ``simulate``, ``extremal``) refuse to run without a seed from
 one of those sources; the deterministic ones ignore the seed entirely.
 A missing ``mechanism`` block means the normalized quadratic mechanism
@@ -805,15 +806,14 @@ def save_bank(bank: ClusterBank, directory: Path | str) -> tuple[Path, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "clusters.csv"
-    # the rows csv.writer would write, one write per cluster: a float's
-    # repr never needs quoting
+    owner = np.repeat(np.arange(bank.size), np.diff(bank.starts))
+    # the rows csv.writer would write: a float's repr never needs quoting
     with open(csv_path, "w", newline="") as fh:
         fh.write(_BANK_HEADER)
-        for i, cluster in enumerate(bank.clusters):
-            fh.write("".join(
-                f"{i},{loc!r},{wt!r}\n"
-                for loc, wt in zip(cluster.locations.tolist(), cluster.weights.tolist())
-            ))
+        fh.writelines(
+            f"{i},{loc!r},{wt!r}\n"
+            for i, loc, wt in zip(owner.tolist(), bank.locations.tolist(), bank.weights.tolist())
+        )
     meta_path = directory / "bank.json"
     _dump_json(meta_path, _bank_meta(bank))
     return csv_path, meta_path
@@ -852,15 +852,10 @@ def load_bank(directory: Path | str) -> ClusterBank:
             f"{csv_path} numbers its {cuts.size + 1} clusters from {index[0]} to {index[-1]}, "
             f"not 0 to {cuts.size}"
         )
-    clusters = tuple(
-        PointMeasure(locs, wts)
-        for locs, wts in zip(
-            np.split(rows["location"][order], cuts), np.split(rows["weight"][order], cuts)
-        )
-    )
     stated = meta.pop("n_clusters")
     with _blame(f"bank in {directory} is inconsistent", ExtremalError):
-        bank = ClusterBank(clusters=clusters, **meta)
+        starts = np.concatenate(([0], cuts, [index.size]))
+        bank = ClusterBank(rows["location"][order], rows["weight"][order], starts, **meta)
     if stated != bank.size:
         raise CliConfigError(
             f"{csv_path} holds {bank.size} clusters, but {meta_path} states n_clusters {stated!r}"

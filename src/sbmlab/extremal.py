@@ -4,7 +4,8 @@ The limit objects are superpositions of clusters: Poisson points e_j on
 the line with intensity proportional to sqrt(2) e^{-sqrt(2) x} dx, each
 carrying an independent copy of a cluster measure translated by e_j.
 Clusters come from a bank of conditioned samples produced by the particle
-engine (each recentered so its rightmost atom sits at 0).
+engine (each recentered so its rightmost atom sits at 0), held as one
+record of flat atom arrays that the sampler fills and the CLI saves.
 
 The intensity integrates to infinity toward -infinity, so samples are
 truncated at a floor.  All functional comparisons here use test functions
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,58 +40,71 @@ class ExtremalError(ValueError):
 class ClusterBank:
     """Read-only collection of recentred clusters with their provenance.
 
-    Every cluster's rightmost atom must sit at 0 (within rounding); z and
-    t record the conditioning level and horizon the clusters were drawn
-    at, acceptance the rejection rate observed while building the bank.
+    The atoms sit in flat arrays, cluster by cluster: cluster i is
+    locations[starts[i]:starts[i + 1]] with the same slice of weights.
+    Building the bank checks every atom once (no empty cluster, finite
+    locations, finite positive weights, each cluster's rightmost atom at 0
+    within 1e-9; the first cluster that fails raises ExtremalError) and
+    computes tops and masses, each cluster's rightmost atom and total mass.
+    z and t record the conditioning level and horizon the clusters were
+    drawn at, acceptance the rejection rate observed while building it.
     """
 
-    clusters: tuple[PointMeasure, ...]
+    locations: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
     z: float
     t: float
     acceptance: float
     seed: int
+    tops: np.ndarray = field(init=False, repr=False)
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.clusters:
+        locs = np.asarray(self.locations, dtype=float)
+        wts = np.asarray(self.weights, dtype=float)
+        starts = np.asarray(self.starts, dtype=np.int64)
+        if starts.ndim != 1 or starts.size < 2:
             raise ExtremalError("cluster bank must not be empty")
-        for i, cluster in enumerate(self.clusters):
-            if cluster.size == 0 or abs(cluster.rightmost) > 1e-9:
-                raise ExtremalError(
-                    f"cluster {i} is not recentred at its rightmost atom"
-                )
+        if locs.ndim != 1 or locs.shape != wts.shape or starts[0] != 0 or starts[-1] != locs.size:
+            raise ExtremalError("starts must run from 0 to the atom count of matching 1-d arrays")
+        empty = np.diff(starts) <= 0
+        if empty.any():
+            raise ExtremalError(f"cluster {int(np.argmax(empty))} is empty")
+        firsts = starts[:-1]
+        tops = np.maximum.reduceat(locs, firsts)
+        bad_atom = ~(np.isfinite(locs) & np.isfinite(wts) & (wts > 0.0))
+        # a NaN or infinite top fails the comparison too
+        bad = np.logical_or.reduceat(bad_atom, firsts) | ~(np.abs(tops) <= 1e-9)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_atom[starts[i]:starts[i + 1]].any():
+                raise ExtremalError(f"cluster {i} needs finite locations and finite positive weights")
+            raise ExtremalError(f"cluster {i} is not recentred at its rightmost atom")
+        arrays = {"locations": locs, "weights": wts, "starts": starts,
+                  "tops": tops, "masses": np.add.reduceat(wts, firsts)}
+        for name, arr in arrays.items():
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_sample(cls, sample: ConditionedClusterSample) -> "ClusterBank":
         return cls(
-            clusters=sample.clusters,
-            z=sample.z,
-            t=sample.t,
-            acceptance=sample.acceptance,
-            seed=sample.seed,
+            locations=sample.locations, weights=sample.weights, starts=sample.starts,
+            z=sample.z, t=sample.t, acceptance=sample.acceptance, seed=sample.seed,
         )
 
     @property
     def size(self) -> int:
-        return len(self.clusters)
+        return self.starts.size - 1
 
-    @functools.cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All atoms in one array: (locations, weights, first atom, atom count) per cluster."""
-        sizes = np.array([c.size for c in self.clusters])
-        starts = np.cumsum(sizes) - sizes
-        locs = np.concatenate([c.locations for c in self.clusters])
-        wts = np.concatenate([c.weights for c in self.clusters])
-        return locs, wts, starts, sizes
-
-    @functools.cached_property
-    def _tops(self) -> np.ndarray:
-        """Each cluster's rightmost atom."""
-        return np.array([c.rightmost for c in self.clusters])
-
-    @functools.cached_property
-    def _masses(self) -> np.ndarray:
-        """Each cluster's total mass."""
-        return np.array([c.total_mass for c in self.clusters])
+    def _gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom positions of clusters indices, in that order, and each one's atom count."""
+        first = self.starts[indices]
+        n_atoms = self.starts[indices + 1] - first
+        offsets = np.cumsum(n_atoms) - n_atoms
+        return np.arange(int(n_atoms.sum())) + np.repeat(first - offsets, n_atoms), n_atoms
 
     def rightmost(self, shifts: np.ndarray, indices: np.ndarray) -> float:
         """Rightmost atom of decorate(shifts, indices), -inf when there is none.
@@ -101,7 +115,7 @@ class ClusterBank:
         """
         if indices.size == 0:
             return NEG_INF
-        return float(np.max(self._tops[indices] + shifts))
+        return float(np.max(self.tops[indices] + shifts))
 
     def total_mass(self, indices: np.ndarray) -> float:
         """Total mass of decorate(shifts, indices) for any shifts, without building it.
@@ -110,27 +124,30 @@ class ClusterBank:
         up to rounding, and exactly when all weights are one power of two,
         as with epsilon = 0.5.
         """
-        return float(self._masses[indices].sum())
+        return float(self.masses[indices].sum())
 
     def decorate(self, shifts: np.ndarray, indices: np.ndarray) -> PointMeasure:
         """Union of clusters indices[j] translated by shifts[j], in that order."""
         if indices.size == 0:
             return PointMeasure.empty()
-        locs, wts, starts, sizes = self._flat
-        n_atoms = sizes[indices]
-        first = np.cumsum(n_atoms) - n_atoms
-        gather = np.arange(int(n_atoms.sum())) + np.repeat(starts[indices] - first, n_atoms)
-        # the bank's clusters were validated when it was built
-        return PointMeasure.from_checked(locs[gather] + np.repeat(shifts, n_atoms), wts[gather])
+        atoms, n_atoms = self._gather(indices)
+        # the bank's atoms were validated when it was built
+        return PointMeasure.from_checked(
+            self.locations[atoms] + np.repeat(shifts, n_atoms), self.weights[atoms]
+        )
 
     def split(self, n_parts: int = 2) -> tuple["ClusterBank", ...]:
-        """Disjoint interleaved sub-banks, one per arm of a comparison."""
+        """Disjoint interleaved sub-banks, one per arm of a comparison.
+
+        Part k holds clusters k, k + n_parts, k + 2 n_parts, ... in order.
+        """
         if n_parts < 2 or n_parts > self.size:
             raise ExtremalError("cannot split the bank that many ways")
+        parts = (self._gather(np.arange(k, self.size, n_parts)) for k in range(n_parts))
         return tuple(
-            ClusterBank(self.clusters[k::n_parts], self.z, self.t,
-                        self.acceptance, self.seed)
-            for k in range(n_parts)
+            ClusterBank(self.locations[atoms], self.weights[atoms], np.cumsum([0, *n_atoms]),
+                        self.z, self.t, self.acceptance, self.seed)
+            for atoms, n_atoms in parts
         )
 
 

@@ -182,36 +182,6 @@ class TestFunction:
             return True
         return self.sup_norm == 0.0
 
-    def shifted(self, z: float) -> "TestFunction":
-        """The translate y -> phi(y + z); z > 0 moves support toward the front.
-
-        Support moves left by z, which puts more of the field's mass ahead
-        of the reference position sqrt(2) r and multiplies the front
-        constant by e^{sqrt(2) z}.
-        """
-        z = _as_float("z", z, FrontsError)
-        if self.kind == "zero":
-            return self
-        if self.kind == "scaled-indicator":
-            return TestFunction.scaled_indicator(self.lam, self.a - z)
-        if self.kind == "compact-bump":
-            return TestFunction.compact_bump(self.center - z, self.width, self.height)
-        return TestFunction.table([y - z for y in self.ys], self.vals)
-
-    def scaled(self, factor: float) -> "TestFunction":
-        factor = _as_float("factor", factor, FrontsError)
-        if factor < 0:
-            raise FrontsError("scale factor must be nonnegative")
-        if self.kind == "zero":
-            return self
-        if self.kind == "scaled-indicator":
-            return TestFunction.scaled_indicator(self.lam * factor, self.a)
-        if self.kind == "compact-bump":
-            return TestFunction.compact_bump(
-                self.center, self.width, self.height * factor
-            )
-        return TestFunction.table(self.ys, [v * factor for v in self.vals])
-
     def to_initial_condition(self) -> InitialCondition:
         return InitialCondition.bounded(self.evaluate, self.sup_norm)
 

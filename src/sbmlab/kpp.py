@@ -229,12 +229,6 @@ class Field:
             raise KppError(f"no snapshot at t={t}; have {self.times}")
         return self.snapshots[j0]
 
-    @functools.cached_property
-    def _slopes(self) -> np.ndarray:
-        """Each stored row's per-cell slope (row[j+1] - row[j]) / (x[j+1] - x[j])."""
-        xs = self.grid.x
-        return (self.snapshots[:, 1:] - self.snapshots[:, :-1]) / (xs[1:] - xs[:-1])
-
     def interp(self, t: float, x) -> float | np.ndarray:
         """Bilinear value between snapshots; t and x must be inside the grid.
 
@@ -243,7 +237,7 @@ class Field:
         x[j] <= x < x[j + 1] holds against the stored nodes.  The cell and
         the offset x - x[j] serve both snapshot rows of the time blend.  Each
         row is ``np.interp``'s own formula, slope * (x - x[j]) + row[j] with
-        the slopes computed once per field, so a row's values are those of
+        the row's slopes computed per call, so a row's values are those of
         ``np.interp(x, grid.x, row)`` bit for bit, node hits included, and
         points up to 1e-9 beyond either end take that end node's value.
         """
@@ -271,8 +265,9 @@ class Field:
         hit = offset == 0.0
 
         def row(k: int) -> np.ndarray:
-            f_cell = self.snapshots[k][cell]
-            val = self._slopes[k].take(cell, mode="clip")
+            snap = self.snapshots[k]
+            f_cell = snap[cell]
+            val = ((snap[1:] - snap[:-1]) / (xs[1:] - xs[:-1])).take(cell, mode="clip")
             val *= offset
             val += f_cell
             return np.where(hit, f_cell, val)
@@ -408,8 +403,10 @@ def _march(
     med_vals = np.empty(grid.nt + 1)
     med_times[0] = 0.0
     med_vals[0] = _median_of_profile(u, x)
-    snaps = {0: u.copy()} if 0 in snapshot_steps else {}
-    snap_set = set(snapshot_steps)
+    # snapshot_steps starts at step 0
+    snapshots = np.empty((len(snapshot_steps), nx))
+    snapshots[0] = u
+    snap_row = {s: j for j, s in enumerate(snapshot_steps)}
     max_drift = 0.0
 
     for k in range(grid.nt):
@@ -435,13 +432,13 @@ def _march(
 
         med_times[k + 1] = (k + 1) * grid.dt
         med_vals[k + 1] = _median_of_profile(u, x)
-        if k + 1 in snap_set:
-            snaps[k + 1] = u.copy()
+        if k + 1 in snap_row:
+            snapshots[snap_row[k + 1]] = u
 
     return Field(
         grid=grid,
         times=np.array([s * grid.dt for s in snapshot_steps]),
-        snapshots=np.stack([snaps[s] for s in snapshot_steps]),
+        snapshots=snapshots,
         provenance=provenance,
         theta=theta,
         median_times=med_times,

@@ -65,10 +65,12 @@ process where there is one group, one CPU or no ``fork``.  The result,
 ``SimResult``, is one record of (replica x snapshot) arrays: M_t, Z_t and
 the mass, with a column each for the extinction time and the explosion
 flag.  Each group's rows land in those arrays by replica id, so the
-result is the same bits whatever the worker count.  A pool lives inside
-one call: one ``simulate``, or one ``sample_conditioned_clusters``, whose
-rejection batches stream their groups through a single pool until the
-bank is full.
+result is the same bits whatever the worker count.  The conditioned
+clusters, ``ConditionedClusterSample``, are arrays too: every accepted
+cloud's atoms in one flat array with its offsets, the record
+``extremal.ClusterBank`` holds.  A pool lives inside one call: one
+``simulate``, or one ``sample_conditioned_clusters``, whose rejection
+batches stream their groups through a single pool until the bank is full.
 """
 
 from __future__ import annotations
@@ -159,10 +161,6 @@ class PointMeasure:
     @property
     def rightmost(self) -> float:
         return float(self.locations.max()) if self.size else NEG_INF
-
-    def shifted(self, dz: float) -> "PointMeasure":
-        """Translate every atom by +dz."""
-        return PointMeasure(self.locations + float(dz), self.weights.copy())
 
     def integrate(self, fn) -> float:
         """Sum of weight * fn(location); fn must accept an ndarray."""
@@ -969,14 +967,19 @@ class ConditionedClusterSample:
     """Clusters accepted by rejection sampling on M_t > sqrt(2) t + z.
 
     Each cluster is the final cloud recentered at its rightmost particle,
-    so its rightmost point is exactly 0; overshoots[i] is M_t - sqrt(2) t - z
+    so its rightmost point is exactly 0.  The atoms sit in flat arrays,
+    cluster by cluster, as ``extremal.ClusterBank`` holds them: cluster i
+    is locations[starts[i]:starts[i + 1]], every weight is epsilon, and
+    starts holds one offset more than there are clusters.  overshoots[i] is M_t - sqrt(2) t - z
     for the i-th accepted replica.  seed is the config seed the rejection
     batches were spawned from.  diagnostics records the rejection batches
     and replica groups whose results were used (the group that filled the
     sample is the last) and the processes that marched them.
     """
 
-    clusters: tuple[PointMeasure, ...]
+    locations: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
     overshoots: np.ndarray
     z: float
     t: float
@@ -986,7 +989,7 @@ class ConditionedClusterSample:
 
     @property
     def acceptance(self) -> float:
-        return len(self.clusters) / self.attempts if self.attempts else 0.0
+        return (self.starts.size - 1) / self.attempts if self.attempts else 0.0
 
 
 def sample_conditioned_clusters(
@@ -1026,7 +1029,7 @@ def sample_conditioned_clusters(
     )
     march = functools.partial(_march_replicas, base, base.initial_positions())
     workers = worker_count(n_batches * per_batch)
-    clusters: list[PointMeasure] = []
+    clusters: list[np.ndarray] = []
     overshoots: list[float] = []
     groups = 0
     stream = ordered_map(march, _batch_groups(config.seed, batch, n_batches), workers)
@@ -1040,7 +1043,7 @@ def sample_conditioned_clusters(
                 positions = snaps[-1]
                 m = float(positions.max())
                 if m > level:
-                    clusters.append(PointMeasure(positions - m, np.full(positions.size, base.epsilon)))
+                    clusters.append(positions - m)
                     overshoots.append(m - level)
                     if len(clusters) == n_accept:
                         break
@@ -1053,8 +1056,11 @@ def sample_conditioned_clusters(
             f"(acceptance about {(len(clusters) + 1) / (attempts + 1):.2e})"
         )
     batches = -(-groups // per_batch)
+    locations = np.concatenate(clusters)
     return ConditionedClusterSample(
-        clusters=tuple(clusters),
+        locations=locations,
+        weights=np.full(locations.size, base.epsilon),
+        starts=np.cumsum([0] + [c.size for c in clusters]),
         overshoots=np.asarray(overshoots),
         z=float(z),
         t=float(t),

@@ -43,7 +43,7 @@ from sbmlab.cli import (
 )
 from sbmlab.extremal import ClusterBank
 from sbmlab.fronts import FrontsError
-from sbmlab.particles import PointMeasure, simulate
+from sbmlab.particles import simulate
 
 QUAD = {"alpha": 1.0, "beta": 1.0, "levy": {"kind": "none"}}
 JUMPS = {
@@ -739,7 +739,7 @@ class TestSimulatePipeline:
         assert bank.size == 5
         assert bank.z == 0.0
         assert bank.seed == self.CFG["seed"]
-        assert all(abs(c.rightmost) < 1e-12 for c in bank.clusters)
+        assert np.all(np.abs(np.maximum.reduceat(bank.locations, bank.starts[:-1])) < 1e-12)
 
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         payload = json.loads(json.dumps(self.CFG))
@@ -842,6 +842,20 @@ class TestExtremalPipeline:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    def test_bank_with_bad_atoms_is_usage_error(self, tmp_path, capsys):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        meta = {"n_clusters": 2, "z": 0.0, "t": 1.0, "acceptance": 0.5, "seed": 1}
+        (bank_dir / "bank.json").write_text(json.dumps(meta))
+        (bank_dir / "clusters.csv").write_text("cluster,location,weight\n0,0.0,0.5\n1,0.0,nan\n")
+        cfg = write_config(
+            tmp_path,
+            {"seed": 1, "extremal": {"c_tilde_0": 3.42, "bank": str(bank_dir)}},
+        )
+        code = main(["extremal", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert "cluster 1 needs finite locations and finite positive weights" in capsys.readouterr().err
+
 
 class TestBarriersPipeline:
     def test_profile_and_constants(self, tmp_path, capsys):
@@ -872,18 +886,18 @@ class TestBarriersPipeline:
 
 class TestBankSerialization:
     def test_roundtrip_by_hand(self, tmp_path):
-        clusters = (
-            PointMeasure(np.array([-1.5, 0.0]), np.array([0.5, 0.5])),
-            PointMeasure(np.array([-0.25, -0.125, 0.0]), np.array([0.5, 1.0, 0.5])),
+        bank = ClusterBank(
+            locations=np.array([-1.5, 0.0, -0.25, -0.125, 0.0]),
+            weights=np.array([0.5, 0.5, 0.5, 1.0, 0.5]),
+            starts=np.array([0, 2, 5]),
+            z=0.5, t=4.0, acceptance=0.125, seed=3,
         )
-        bank = ClusterBank(clusters=clusters, z=0.5, t=4.0, acceptance=0.125, seed=3)
         save_bank(bank, tmp_path / "bank")
         back = load_bank(tmp_path / "bank")
         assert back.size == 2
         assert back.z == 0.5 and back.t == 4.0 and back.seed == 3
-        for original, loaded in zip(bank.clusters, back.clusters):
-            assert np.array_equal(original.locations, loaded.locations)
-            assert np.array_equal(original.weights, loaded.weights)
+        for name in ("locations", "weights", "starts"):
+            assert np.array_equal(getattr(bank, name), getattr(back, name))
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CliConfigError, match="bank.json"):
@@ -892,23 +906,26 @@ class TestBankSerialization:
     def test_awkward_floats_write_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path):
         awkward = [-0.0, 5e-324, 1e-5, 1.2345678901234567e16, 0.1 + 0.2]
         clusters = (
-            PointMeasure(np.array([-1.2345678901234567e16, -(0.1 + 0.2), -1e-5, 5e-324]),
-                         np.array(awkward[1:])),
-            PointMeasure(np.array([-5e-324, -0.0]), np.array([0.1 + 0.2, 1e-5])),
+            (np.array([-1.2345678901234567e16, -(0.1 + 0.2), -1e-5, 5e-324]), np.array(awkward[1:])),
+            (np.array([-5e-324, -0.0]), np.array([0.1 + 0.2, 1e-5])),
         )
-        bank = ClusterBank(clusters=clusters, z=0.5, t=4.0, acceptance=0.125, seed=3)
+        bank = ClusterBank(
+            locations=np.concatenate([c[0] for c in clusters]),
+            weights=np.concatenate([c[1] for c in clusters]),
+            starts=np.array([0, 4, 6]),
+            z=0.5, t=4.0, acceptance=0.125, seed=3,
+        )
         csv_path, _ = save_bank(bank, tmp_path / "bank")
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(["cluster", "location", "weight"])
-        for i, cluster in enumerate(clusters):
-            for loc, wt in zip(cluster.locations, cluster.weights):
+        for i, (locations, weights) in enumerate(clusters):
+            for loc, wt in zip(locations, weights):
                 writer.writerow([str(i), repr(float(loc)), repr(float(wt))])
         assert csv_path.read_bytes() == reference.getvalue().encode()
         back = load_bank(tmp_path / "bank")
-        for original, loaded in zip(clusters, back.clusters):
-            assert loaded.locations.tobytes() == original.locations.tobytes()
-            assert loaded.weights.tobytes() == original.weights.tobytes()
+        for name in ("locations", "weights", "starts"):
+            assert getattr(back, name).tobytes() == getattr(bank, name).tobytes()
 
     @staticmethod
     def _bank_dir(tmp_path, body: str):
@@ -932,7 +949,7 @@ class TestBankSerialization:
     )
     def test_bank_json_is_read_by_the_config_schema(self, tmp_path, edit, key):
         bank = ClusterBank(
-            clusters=(PointMeasure(np.array([-1.0, 0.0]), np.array([0.5, 0.5])),),
+            locations=np.array([-1.0, 0.0]), weights=np.array([0.5, 0.5]), starts=np.array([0, 2]),
             z=0.5, t=4.0, acceptance=0.125, seed=3,
         )
         _, meta_path = save_bank(bank, tmp_path / "bank")
@@ -945,10 +962,9 @@ class TestBankSerialization:
     def test_interleaved_indices_group_by_index_in_file_order(self, tmp_path):
         body = "1,-1.0,0.5\n0,0.0,1.0\n1,0.0,0.25\n2,0.0,2.0\n0,-3.0,1.5\n1,-0.5,0.5\n"
         bank = load_bank(self._bank_dir(tmp_path, body))
-        assert [c.locations.tolist() for c in bank.clusters] == [
-            [0.0, -3.0], [-1.0, 0.0, -0.5], [0.0]]
-        assert [c.weights.tolist() for c in bank.clusters] == [
-            [1.0, 1.5], [0.5, 0.25, 0.5], [2.0]]
+        assert bank.locations.tolist() == [0.0, -3.0, -1.0, 0.0, -0.5, 0.0]
+        assert bank.weights.tolist() == [1.0, 1.5, 0.5, 0.25, 0.5, 2.0]
+        assert bank.starts.tolist() == [0, 2, 5, 6]
 
     @pytest.mark.parametrize(
         "body,message",
@@ -960,10 +976,15 @@ class TestBankSerialization:
             ("0,0.0,1.0\n5,0.0,1.0\n1,0.0,1.0\n", "clusters.csv numbers its 3 clusters from 0 to 5"),
             ("1,0.0,1.0\n2,0.0,1.0\n3,0.0,1.0\n", "clusters.csv numbers its 3 clusters from 1 to 3"),
             ("0,0.0,1.0\n1,0.0,1.0\n", "clusters.csv holds 2 clusters, but .*bank.json states n_clusters 3"),
+            ("0,0.0,1.0\n1,0.0,-0.5\n2,0.0,1.0\n", "inconsistent: cluster 1 needs finite locations and finite positive weights"),
+            ("0,0.0,1.0\n1,0.0,1.0\n2,0.0,nan\n", "inconsistent: cluster 2 needs finite"),
+            ("0,0.0,1.0\n0,nan,1.0\n1,0.0,1.0\n2,0.0,1.0\n", "inconsistent: cluster 0 needs finite"),
+            ("0,0.0,1.0\n1,0.0,1.0\n2,0.0,1.0\n2,-inf,1.0\n", "inconsistent: cluster 2 needs finite"),
         ],
         ids=[
             "non-integer-index", "non-numeric-field", "short-row", "header-only",
             "index-gap", "no-cluster-zero", "count-below-bank-json",
+            "negative-weight", "nan-weight", "nan-location", "inf-location",
         ],
     )
     def test_bad_rows_are_config_errors_without_warnings(self, tmp_path, body, message):

@@ -25,9 +25,26 @@ from sbmlab.extremal import (
     truncation_floor,
 )
 from sbmlab.fronts import TestFunction
-from sbmlab.particles import ConditionedClusterSample, PointMeasure
+from sbmlab.mechanism import BranchingMechanism
+from sbmlab.particles import ConditionedClusterSample, SimConfig, sample_conditioned_clusters
 
 SQRT2 = math.sqrt(2.0)
+
+
+def bank_of(clusters, seed: int = 0) -> ClusterBank:
+    """Bank of the (locations, weights) pairs in clusters, in order."""
+    return ClusterBank(
+        locations=np.concatenate([np.asarray(c[0], dtype=float) for c in clusters] or [np.empty(0)]),
+        weights=np.concatenate([np.asarray(c[1], dtype=float) for c in clusters] or [np.empty(0)]),
+        starts=np.cumsum([0] + [len(c[0]) for c in clusters]),
+        z=0.0, t=0.0, acceptance=1.0, seed=seed,
+    )
+
+
+def cluster(bank: ClusterBank, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster i of bank: its locations and weights."""
+    atoms = slice(bank.starts[i], bank.starts[i + 1])
+    return bank.locations[atoms], bank.weights[atoms]
 
 
 def toy_bank(n_clusters: int = 12) -> ClusterBank:
@@ -38,8 +55,8 @@ def toy_bank(n_clusters: int = 12) -> ClusterBank:
         depth = rng.integers(1, 5)
         tail = -rng.exponential(0.8, depth - 1) if depth > 1 else np.empty(0)
         locs = np.concatenate([[0.0], tail])
-        clusters.append(PointMeasure(locs, np.full(locs.size, 0.25)))
-    return ClusterBank(tuple(clusters), z=0.0, t=0.0, acceptance=1.0, seed=314)
+        clusters.append((locs, np.full(locs.size, 0.25)))
+    return bank_of(clusters, seed=314)
 
 
 @pytest.fixture(scope="module")
@@ -50,22 +67,64 @@ def bank():
 class TestClusterBank:
     def test_empty_bank_rejected(self):
         with pytest.raises(ExtremalError):
-            ClusterBank((), z=0.0, t=0.0, acceptance=1.0, seed=0)
+            bank_of([])
 
     def test_uncentred_cluster_rejected(self):
-        bad = PointMeasure(np.array([-0.5, 0.3]), np.array([1.0, 1.0]))
+        bad = (np.array([-0.5, 0.3]), np.array([1.0, 1.0]))
         with pytest.raises(ExtremalError, match="recentred"):
-            ClusterBank((bad,), z=0.0, t=0.0, acceptance=1.0, seed=0)
+            bank_of([bad])
+
+    @pytest.mark.parametrize(
+        "clusters,message",
+        [
+            ([([0.0], [1.0]), ([], [])], "cluster 1 is empty"),
+            ([([0.0], [1.0]), ([0.0, math.nan], [1.0, 1.0])], "cluster 1 needs finite locations"),
+            ([([0.0, -math.inf], [1.0, 1.0])], "cluster 0 needs finite locations"),
+            ([([0.0], [1.0]), ([0.0], [1.0]), ([0.0, -1.0], [1.0, -0.5])], "cluster 2 needs finite"),
+            ([([0.0], [1.0]), ([0.0], [math.nan])], "cluster 1 needs finite"),
+            ([([0.0], [0.0])], "cluster 0 needs finite"),
+            ([([0.0], [1.0]), ([0.0, 2e-9], [1.0, 1.0]), ([0.0], [math.inf])],
+             "cluster 1 is not recentred"),
+        ],
+        ids=["empty", "nan-location", "inf-location", "negative-weight", "nan-weight",
+             "zero-weight", "first-of-two"],
+    )
+    def test_bad_atoms_name_the_first_bad_cluster(self, clusters, message):
+        with pytest.raises(ExtremalError, match=message):
+            bank_of(clusters)
+
+    def test_arrays_are_read_only(self, bank):
+        for arr in (bank.locations, bank.weights, bank.starts, bank.tops, bank.masses):
+            assert not arr.flags.writeable
+
+    def test_engine_bank_survives_save_and_load_bit_for_bit(self, tmp_path):
+        cfg = SimConfig(mech=BranchingMechanism(alpha=1.0, beta=1.0), epsilon=0.5, dt=0.025,
+                        t_end=1.0, seed=21, n_replicas=1, stats_only=True)
+        made = ClusterBank.from_sample(sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=30))
+        save_bank(made, tmp_path / "bank")
+        back = load_bank(tmp_path / "bank")
+        for name in ("locations", "weights", "starts"):
+            assert getattr(back, name).tobytes() == getattr(made, name).tobytes()
+        assert (back.z, back.t, back.acceptance, back.seed) == (made.z, made.t, made.acceptance, 21)
+        for seed in range(5):
+            d, e = sample_E_star(1.3, made, seed, x_floor=-2.0), sample_E_star(1.3, back, seed, x_floor=-2.0)
+            assert np.array_equal(d.cluster_indices, e.cluster_indices)
+            assert d.measure.locations.tobytes() == e.measure.locations.tobytes()
+            assert d.measure.weights.tobytes() == e.measure.weights.tobytes()
 
     def test_split_is_disjoint_and_exhaustive(self, bank):
         parts = bank.split(3)
         assert sum(p.size for p in parts) == bank.size
-        seen = {id(c) for p in parts for c in p.clusters}
-        assert len(seen) == bank.size
+        # dealt back in turn, the parts' clusters are the bank's, each once
+        dealt = [cluster(parts[i % 3], i // 3) for i in range(bank.size)]
+        for i, (locs, wts) in enumerate(dealt):
+            assert np.array_equal(locs, cluster(bank, i)[0])
+            assert np.array_equal(wts, cluster(bank, i)[1])
 
     def test_from_sample_keeps_the_sample_seed(self, bank):
         sample = ConditionedClusterSample(
-            clusters=bank.clusters, overshoots=np.ones(bank.size), z=0.5, t=3.0,
+            locations=bank.locations, weights=bank.weights, starts=bank.starts,
+            overshoots=np.ones(bank.size), z=0.5, t=3.0,
             attempts=4 * bank.size, seed=2718,
         )
         made = ClusterBank.from_sample(sample)
@@ -164,7 +223,7 @@ class TestSampleStructure:
             assert np.array_equal(rebuilt.locations, sample.measure.locations)
             assert np.array_equal(rebuilt.weights, sample.measure.weights)
             # reference: translate the clusters one Poisson point at a time
-            pieces = [(bank.clusters[int(i)].locations + e, bank.clusters[int(i)].weights)
+            pieces = [(cluster(bank, i)[0] + e, cluster(bank, i)[1])
                       for e, i in zip(sample.shifts, sample.cluster_indices)]
             if pieces:
                 assert np.array_equal(np.concatenate([p[0] for p in pieces]),
@@ -186,11 +245,10 @@ class TestSampleStructure:
 
     def test_rightmost_equals_the_measure_maximum_bit_for_bit(self):
         # tops a hair off 0, as rounding leaves them in a built bank
-        clusters = tuple(
-            PointMeasure(np.array([top, top - 0.3, -1.0]), np.full(3, 0.5))
+        tipped = bank_of([
+            (np.array([top, top - 0.3, -1.0]), np.full(3, 0.5))
             for top in (1e-10, -1e-10, 0.0, 3e-10, -7e-10)
-        )
-        tipped = ClusterBank(clusters, z=0.0, t=0.0, acceptance=1.0, seed=0)
+        ])
         rng = np.random.default_rng(5)
         for floor in (-2.0, 0.0, 60.0):
             for _ in range(200):
@@ -206,10 +264,9 @@ class TestSampleStructure:
 
     def test_total_mass_is_the_measure_mass_without_building_it(self, bank):
         # the engine's weights at epsilon 0.5: every partial sum is exact
-        halves = ClusterBank(
-            tuple(PointMeasure(c.locations, np.full(c.size, 0.5)) for c in bank.clusters),
-            z=0.0, t=0.0, acceptance=1.0, seed=0,
-        )
+        halves = bank_of([
+            (cluster(bank, i)[0], np.full(cluster(bank, i)[0].size, 0.5)) for i in range(bank.size)
+        ])
         rng = np.random.default_rng(12)
         for _ in range(50):
             d = sample_E_star(1.0, halves, rng, x_floor=-1.5)
@@ -219,11 +276,10 @@ class TestSampleStructure:
 
     def test_total_mass_agrees_to_rounding_for_inexact_weights(self):
         rng = np.random.default_rng(15)
-        clusters = tuple(
-            PointMeasure(np.concatenate([[0.0], -rng.exponential(1.0, n)]), np.full(n + 1, 0.1))
+        tenths = bank_of([
+            (np.concatenate([[0.0], -rng.exponential(1.0, n)]), np.full(n + 1, 0.1))
             for n in rng.integers(0, 40, 30)
-        )
-        tenths = ClusterBank(clusters, z=0.0, t=0.0, acceptance=1.0, seed=0)
+        ])
         for _ in range(50):
             d = sample_E_star(1.0, tenths, rng, x_floor=-2.0)
             assert d.total_mass == pytest.approx(d.measure.total_mass, rel=1e-12, abs=0.0)

@@ -86,19 +86,10 @@ class TestTestFunction:
         with pytest.raises(FrontsError):
             TestFunction.table((1.0, 0.0), (1.0, 1.0))
 
-    def test_shifted_moves_support_toward_front(self):
-        phi = TestFunction.compact_bump(center=3.0, width=1.0, height=1.0)
-        moved = phi.shifted(2.0)
-        for y in (0.5, 1.2, 2.7):
-            assert moved.evaluate(y) == pytest.approx(phi.evaluate(y + 2.0))
-
     def test_scaled_and_trivial(self):
         assert TestFunction.zero().is_trivial
         assert TestFunction.scaled_indicator(0.0).is_trivial
-        phi = PHI.scaled(0.25)
-        assert phi.sup_norm == pytest.approx(0.25)
-        assert not phi.is_trivial
-        assert phi.scaled(0.0).is_trivial
+        assert not PHI.is_trivial
 
     def test_initial_condition_reflects_support(self):
         # data supported on y >= 0 must enter the field on x <= 0
@@ -190,13 +181,13 @@ class TestConstantC:
         assert c_phi.ladder[-1] < c_phi.value
 
     def test_shift_covariance(self, c_phi):
-        moved = constant_C(QUADRATIC, PHI.shifted(1.0))
+        moved = constant_C(QUADRATIC, TestFunction.scaled_indicator(1.0, a=-1.0))
         ratio = moved.value / c_phi.value
         assert abs(ratio / math.exp(SQRT2) - 1.0) < 0.02
 
     def test_continuity_in_the_data_scale(self, c_phi):
-        tenth = constant_C(QUADRATIC, PHI.scaled(0.1))
-        hundredth = constant_C(QUADRATIC, PHI.scaled(0.01))
+        tenth = constant_C(QUADRATIC, TestFunction.scaled_indicator(0.1))
+        hundredth = constant_C(QUADRATIC, TestFunction.scaled_indicator(0.01))
         assert c_phi.value > tenth.value > hundredth.value > 0.0
         assert hundredth.value < 0.05 * c_phi.value
         # pointwise monotonicity in the data holds rung by rung as well
@@ -291,7 +282,7 @@ class TestConstantCTilde:
         assert c_tilde_0.value > c_phi.value
 
     def test_small_data_returns_to_base_constant(self, c_tilde_0):
-        small = constant_C_tilde(QUADRATIC, PHI.scaled(0.01))
+        small = constant_C_tilde(QUADRATIC, TestFunction.scaled_indicator(0.01))
         assert abs(small.value / c_tilde_0.value - 1.0) < 0.05
 
     def test_base_constant_caps_the_plain_one(self, c_phi, c_tilde_0):

@@ -54,11 +54,6 @@ class TestPointMeasure:
         assert mu.rightmost == 3.2
         assert mu.total_mass == 0.5
 
-    def test_shift_moves_atoms(self):
-        mu = PointMeasure(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        assert mu.shifted(-0.5).rightmost == pytest.approx(0.5)
-        assert mu.shifted(-0.5).total_mass == pytest.approx(3.0)
-
     def test_integrate_pairs_weights_with_values(self):
         mu = PointMeasure(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
         assert mu.integrate(lambda x: x) == pytest.approx(6.0)
@@ -487,9 +482,10 @@ def small_cluster_sample():
 class TestConditionedClusters:
     def test_clusters_are_recentred_at_their_tip(self, small_cluster_sample):
         assert isinstance(small_cluster_sample, ConditionedClusterSample)
-        assert len(small_cluster_sample.clusters) == 25
-        for cluster in small_cluster_sample.clusters:
-            assert cluster.rightmost == pytest.approx(0.0, abs=1e-12)
+        assert small_cluster_sample.starts.size - 1 == 25
+        tops = np.maximum.reduceat(small_cluster_sample.locations, small_cluster_sample.starts[:-1])
+        for top in tops:
+            assert top == pytest.approx(0.0, abs=1e-12)
 
     def test_overshoots_are_positive_with_workable_acceptance(self, small_cluster_sample):
         assert np.all(small_cluster_sample.overshoots > 0.0)
@@ -690,7 +686,7 @@ class TestWorkerProcesses:
                         n_replicas=1, stats_only=True)
         # 100 accepted clusters take batches of 100 replicas: two groups each
         sample = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=100)
-        assert len(sample.clusters) == 100
+        assert sample.starts.size - 1 == 100
         assert multiprocessing.active_children() == []
 
     def test_a_failing_worker_stops_the_pool(self, monkeypatch):
@@ -766,10 +762,10 @@ class TestStreamedSampler:
         clusters, overshoots, attempts = _batchwise_clusters(cfg, z, 1.0, 100, 20_000)
         assert sample.attempts == attempts == 100 * used["batches"]
         assert np.array_equal(sample.overshoots, np.array(overshoots))
-        assert len(sample.clusters) == len(clusters)
-        for got, want in zip(sample.clusters, clusters):
-            assert np.array_equal(got.locations, want)
-            assert np.array_equal(got.weights, np.full(want.size, 0.5))
+        assert sample.starts.size - 1 == len(clusters)
+        assert np.array_equal(sample.starts, np.cumsum([0] + [c.size for c in clusters]))
+        assert np.array_equal(sample.locations, np.concatenate(clusters))
+        assert np.array_equal(sample.weights, np.full(sample.locations.size, 0.5))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     # three batches of 64 start before 150 attempts are reached, none before 0
