@@ -77,7 +77,8 @@ One row on the whole `barriers` pipeline at its defaults (quiet): one
 the CLI's artifacts written.  It pins the bytes of ``profile.csv`` and
 ``constants.json``.
 
-Run from the repository root with pytest-benchmark installed:
+Run from the repository root with pytest-benchmark installed (the ``bench``
+extra: ``pip install -e .[bench]``):
 
     python -m pytest bench --benchmark-json=bench-fields.json
 

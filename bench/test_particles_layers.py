@@ -35,7 +35,8 @@ The bank is the workload's: 400 clusters conditioned on
 M_3 > sqrt(2) * 3 - 1.4, seed 1.  C~_0 is 1 and the draw floor puts 200
 Poisson points above it on average.
 
-Run from the repository root with pytest-benchmark installed:
+Run from the repository root with pytest-benchmark installed (the ``bench``
+extra: ``pip install -e .[bench]``):
 
     python -m pytest bench --benchmark-json=bench-particles.json
 

@@ -74,7 +74,8 @@ from .barriers import (
 )
 from .csbp import CsbpError, extinction_prob, mass_laplace
 from .extremal import (
-    ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star, truncation_floor
+    MAX_EXPECTED_POINTS, ClusterBank, ExtremalError, exp_stability_check, rightmost_cdf, sample_E_star,
+    truncation_floor,
 )
 from .feynman_kac import FkError, fk_estimate
 from .fronts import (
@@ -88,7 +89,6 @@ from .mechanism import (
 from .particles import (
     AcceptanceTooLowError,
     ParticlesError,
-    PointMeasure,
     SimConfig,
     sample_conditioned_clusters,
     simulate,
@@ -177,6 +177,15 @@ def _nonnegative(v) -> str | None:
 
 def _unit_interval(v) -> str | None:
     return None if 0 < v <= 1 else "must be in (0, 1]"
+
+
+def _expected_points(v) -> str | None:
+    return None if 0 < v <= MAX_EXPECTED_POINTS else f"must be in (0, {MAX_EXPECTED_POINTS:g}]"
+
+
+def _stability_shift(v) -> str | None:
+    # b solves e^{sqrt(2) a} + e^{sqrt(2) b} = 1, so e^{sqrt(2) a} must round below 1
+    return None if v < 0 and math.exp(SQRT2 * v) < 1.0 else "must be negative, with e^(sqrt(2) a) below 1"
 
 
 def _heaviside(v) -> str | None:
@@ -340,7 +349,7 @@ _BANK_SCHEMA = {
 }
 
 _STABILITY_SCHEMA = {
-    "a": _Key(_NUM, -math.log(2.0) / SQRT2, check=lambda v: None if v < 0 else "must be negative"),
+    "a": _Key(_NUM, -math.log(2.0) / SQRT2, check=_stability_shift),
     "n_samples": _Key((int,), 400, check=_positive),
 }
 
@@ -389,7 +398,7 @@ _BLOCK_SCHEMAS: dict[str, dict] = {
     "extremal": {
         "c_tilde_0": _Key(_NUM, required=True, check=_positive),
         "bank": _Key((str,), required=True),
-        "expected_points": _Key(_NUM, 200.0, check=_positive),
+        "expected_points": _Key(_NUM, 200.0, check=_expected_points),
         "stability": _Key((dict,), None, schema=_STABILITY_SCHEMA),
     },
     "ldp": {
@@ -467,12 +476,8 @@ def _parse_ladder(block: str, opts: dict, mech, seed, replicas) -> dict:
 
 
 def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
-    initial = None
-    if opts["initial"] is not None:
-        with _blame("simulate.initial", ParticlesError):
-            initial = PointMeasure(
-                np.array([p[0] for p in opts["initial"]]), np.array([p[1] for p in opts["initial"]])
-            )
+    # no initial key means SimConfig's own default, unit mass at 0
+    initial = {} if opts["initial"] is None else {"initial": opts["initial"]}
     _grid_step("simulate.t_end", opts["t_end"], opts["dt"], CliConfigError)
     for s in opts["snapshots"] or ():
         _grid_step("simulate.snapshots entry", s, opts["dt"], CliConfigError)
@@ -484,7 +489,7 @@ def _parse_simulate(opts: dict, mech, seed, replicas) -> dict:
             t_end=opts["t_end"],
             seed=seed,
             n_replicas=replicas,
-            initial=initial,
+            **initial,
             snapshot_times=opts["snapshots"],
             barrier_offset=opts["barrier_offset"],
             # the runner reads no cloud; the bank sampler turns clouds on for itself

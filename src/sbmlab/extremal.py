@@ -5,7 +5,9 @@ the line with intensity proportional to sqrt(2) e^{-sqrt(2) x} dx, each
 carrying an independent copy of a cluster measure translated by e_j.
 Clusters come from a bank of conditioned samples produced by the particle
 engine (each recentered so its rightmost atom sits at 0), held as one
-record of flat atom arrays that the sampler fills and the CLI saves.
+record of flat atom arrays that the sampler fills and the CLI saves.  A
+draw is its Poisson points and their clusters' indices; its atoms come
+out as the same kind of arrays, (locations, weights), when asked for.
 
 The intensity integrates to infinity toward -infinity, so samples are
 truncated at a floor.  All functional comparisons here use test functions
@@ -20,16 +22,17 @@ two-sample comparison splits the bank into disjoint parts, one per arm.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kpp import SQRT2
-from .particles import NEG_INF, ConditionedClusterSample, PointMeasure
+from .particles import NEG_INF, ConditionedClusterSample
 
 DEFAULT_EXPECTED_POINTS = 1000.0
+# the largest Poisson mean a draw takes: the CLI refuses more expected points
+MAX_EXPECTED_POINTS = 1e6
 
 
 class ExtremalError(ValueError):
@@ -45,9 +48,11 @@ class ClusterBank:
     Building the bank checks every atom once (no empty cluster, finite
     locations, finite positive weights, each cluster's rightmost atom at 0
     within 1e-9; the first cluster that fails raises ExtremalError) and
-    computes tops and masses, each cluster's rightmost atom and total mass.
-    z and t record the conditioning level and horizon the clusters were
-    drawn at, acceptance the rejection rate observed while building it.
+    computes tops and masses, each cluster's rightmost atom and total mass,
+    from which a draw reads its own.  split and DecoratedSample.atoms
+    collect the atoms of chosen clusters through one gather.  z and t
+    record the conditioning level and horizon the clusters were drawn at,
+    acceptance the rejection rate observed while building it.
     """
 
     locations: np.ndarray
@@ -107,34 +112,24 @@ class ClusterBank:
         return np.arange(int(n_atoms.sum())) + np.repeat(first - offsets, n_atoms), n_atoms
 
     def rightmost(self, shifts: np.ndarray, indices: np.ndarray) -> float:
-        """Rightmost atom of decorate(shifts, indices), -inf when there is none.
+        """Rightmost atom of the clusters indices[j] translated by shifts[j], -inf when there is none.
 
         Rounded addition is monotone, so the largest translated atom of a
         cluster is its translated top: this equals the maximum over every
-        atom of the decorated measure bit for bit, without building it.
+        translated atom bit for bit, without gathering them.
         """
         if indices.size == 0:
             return NEG_INF
         return float(np.max(self.tops[indices] + shifts))
 
     def total_mass(self, indices: np.ndarray) -> float:
-        """Total mass of decorate(shifts, indices) for any shifts, without building it.
+        """Total mass of the clusters indices, however translated, without gathering their atoms.
 
-        The sum runs cluster by cluster, so it equals the measure's own sum
-        up to rounding, and exactly when all weights are one power of two,
-        as with epsilon = 0.5.
+        The sum runs cluster by cluster, so it equals the sum over the
+        gathered weights up to rounding, and exactly when all weights are
+        one power of two, as with epsilon = 0.5.
         """
         return float(self.masses[indices].sum())
-
-    def decorate(self, shifts: np.ndarray, indices: np.ndarray) -> PointMeasure:
-        """Union of clusters indices[j] translated by shifts[j], in that order."""
-        if indices.size == 0:
-            return PointMeasure.empty()
-        atoms, n_atoms = self._gather(indices)
-        # the bank's atoms were validated when it was built
-        return PointMeasure.from_checked(
-            self.locations[atoms] + np.repeat(shifts, n_atoms), self.weights[atoms]
-        )
 
     def split(self, n_parts: int = 2) -> tuple["ClusterBank", ...]:
         """Disjoint interleaved sub-banks, one per arm of a comparison.
@@ -156,10 +151,10 @@ class DecoratedSample:
     """One draw of the decorated process above its truncation floor.
 
     shifts and cluster_indices record, per point, the translation e_j and
-    which cluster of bank decorates it.  measure, the union of those
-    clusters translated by their points, is built on first access; the
-    rightmost atom and the total mass are read from the bank's per-cluster
-    tops and masses without it.
+    which cluster of bank decorates it; the draw stores nothing else.
+    atoms() gathers the union of those clusters translated by their points
+    on each call; the rightmost atom and the total mass are read from the
+    bank's per-cluster tops and masses without it.
     """
 
     bank: ClusterBank
@@ -167,9 +162,10 @@ class DecoratedSample:
     cluster_indices: np.ndarray
     x_floor: float
 
-    @functools.cached_property
-    def measure(self) -> PointMeasure:
-        return self.bank.decorate(self.shifts, self.cluster_indices)
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Locations and weights of clusters cluster_indices[j] translated by shifts[j], in that order."""
+        atoms, n_atoms = self.bank._gather(self.cluster_indices)
+        return self.bank.locations[atoms] + np.repeat(self.shifts, n_atoms), self.bank.weights[atoms]
 
     @property
     def n_points(self) -> int:
@@ -203,7 +199,9 @@ def sample_E_infty(
     """One decorated draw with intensity C_tilde_0 * Z * sqrt(2) e^{-sqrt(2) x} dx.
 
     seed may be an integer or a Generator, so callers drawing panels can
-    stream draws from one generator without reseeding.
+    stream draws from one generator without reseeding.  A floor whose
+    expected point count is not finite or above MAX_EXPECTED_POINTS raises
+    ExtremalError.
     """
     if not (Z > 0.0 and math.isfinite(Z)):
         raise ExtremalError("Z must be positive and finite")
@@ -213,6 +211,11 @@ def sample_E_infty(
     total = C_tilde_0 * Z
     floor = truncation_floor(total) if x_floor is None else float(x_floor)
     rate_above = total * math.exp(-SQRT2 * floor)
+    # truncation_floor(total, MAX_EXPECTED_POINTS) comes back within a few ulps of it
+    if not rate_above <= MAX_EXPECTED_POINTS * (1.0 + 1e-9):
+        raise ExtremalError(
+            f"floor {floor:g} expects {rate_above:.4g} points, above the cap of {MAX_EXPECTED_POINTS:g}"
+        )
     n = int(rng.poisson(rate_above))
     # tail of the intensity is exponential with rate sqrt(2)
     shifts = floor + rng.exponential(1.0 / SQRT2, n)
@@ -272,7 +275,8 @@ def exp_stability_check(
 ) -> ExpStabilityReport:
     """Check that a split into an a-shifted and a b-shifted copy is neutral.
 
-    b solves e^{sqrt(2) a} + e^{sqrt(2) b} = 1, which needs a < 0.  One
+    b solves e^{sqrt(2) a} + e^{sqrt(2) b} = 1, which needs a < 0, and
+    an a so close to 0 that e^{sqrt(2) a} rounds to 1 raises too.  One
     arm draws the plain process, the other superposes two independent
     draws shifted by a and b; the bank is split three ways so the arms
     share no clusters, and a bank of fewer than three clusters raises
@@ -282,6 +286,8 @@ def exp_stability_check(
     """
     if not a < 0.0:
         raise ExtremalError("the shift a must be negative")
+    if math.exp(SQRT2 * a) == 1.0:
+        raise ExtremalError(f"the shift a = {a:g} is too close to 0: e^(sqrt(2) a) rounds to 1")
     b = math.log(1.0 - math.exp(SQRT2 * a)) / SQRT2
     bank_one, bank_a, bank_b = bank.split(3)
     rng = np.random.default_rng(seed)
@@ -298,10 +304,11 @@ def exp_stability_check(
         part_b = sample_E_star(C_tilde_0, bank_b, rng, floor - b)
         right_one[i] = plain.rightmost
         right_two[i] = max(part_a.rightmost + a, part_b.rightmost + b)
+        if phis:
+            (l_plain, w_plain), (l_a, w_a), (l_b, w_b) = plain.atoms(), part_a.atoms(), part_b.atoms()
         for k, phi in enumerate(phis):
-            lap_one[k, i] = plain.measure.integrate(phi)
-            from_a = part_a.measure.integrate(lambda y: phi(y + a))
-            lap_two[k, i] = from_a + part_b.measure.integrate(lambda y: phi(y + b))
+            lap_one[k, i] = np.sum(w_plain * phi(l_plain))
+            lap_two[k, i] = np.sum(w_a * phi(l_a + a)) + np.sum(w_b * phi(l_b + b))
     # imported at its one use, so that no other pipeline pays for loading
     # scipy.stats when the CLI starts
     from scipy import stats

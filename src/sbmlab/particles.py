@@ -64,7 +64,9 @@ CPU up to one per group (``pool.worker_count``), and the march in this
 process where there is one group, one CPU or no ``fork``.  The result,
 ``SimResult``, is one record of (replica x snapshot) arrays: M_t, Z_t and
 the mass, with a column each for the extinction time and the explosion
-flag.  Each group's rows land in those arrays by replica id, so the
+flag.  The input is arrays as well: ``SimConfig.initial`` is the starting
+measure as (location, weight) pairs, expanded once into the particle
+positions every replica starts from.  Each group's rows land in those arrays by replica id, so the
 result is the same bits whatever the worker count.  The conditioned
 clusters, ``ConditionedClusterSample``, are arrays too: every accepted
 cloud's atoms in one flat array with its offsets, the record
@@ -106,67 +108,6 @@ class ParticlesError(ValueError):
 
 class AcceptanceTooLowError(ParticlesError):
     """Rejection sampling estimated an acceptance rate too small to finish."""
-
-
-# ---------------------------------------------------------------------------
-# point measures
-
-
-@dataclass(frozen=True, eq=False)
-class PointMeasure:
-    """Finite atomic measure: locations with strictly positive weights.
-
-    The rightmost point of the empty measure is -inf by convention.
-    """
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if locs.ndim != 1 or wts.ndim != 1 or locs.shape != wts.shape:
-            raise ParticlesError("locations and weights must be matching 1-d arrays")
-        if locs.size and not np.all(np.isfinite(locs)):
-            raise ParticlesError("locations must be finite")
-        if wts.size and (not np.all(np.isfinite(wts)) or np.any(wts <= 0.0)):
-            raise ParticlesError("weights must be finite and positive")
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", wts)
-
-    @classmethod
-    def from_checked(cls, locations: np.ndarray, weights: np.ndarray) -> "PointMeasure":
-        """Measure from matching 1-d float arrays of atoms that passed the constructor's checks."""
-        measure = object.__new__(cls)
-        object.__setattr__(measure, "locations", locations)
-        object.__setattr__(measure, "weights", weights)
-        return measure
-
-    @classmethod
-    def empty(cls) -> "PointMeasure":
-        return cls(np.empty(0), np.empty(0))
-
-    @classmethod
-    def single(cls, location: float, weight: float = 1.0) -> "PointMeasure":
-        return cls(np.array([float(location)]), np.array([float(weight)]))
-
-    @property
-    def size(self) -> int:
-        return int(self.locations.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum()) if self.size else 0.0
-
-    @property
-    def rightmost(self) -> float:
-        return float(self.locations.max()) if self.size else NEG_INF
-
-    def integrate(self, fn) -> float:
-        """Sum of weight * fn(location); fn must accept an ndarray."""
-        if not self.size:
-            return 0.0
-        return float(np.sum(self.weights * np.asarray(fn(self.locations), dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +217,11 @@ class SimConfig:
     location is computed for alpha = 1.  A replica whose count exceeds
     explosion_cap at some step is truncated there.  stats_only keeps no
     particle positions (``SimResult.clouds`` is None) to save memory.
+    initial is the starting measure as (location, weight) pairs, unit
+    mass at 0 by default and () for the empty measure.  An atom of weight
+    w becomes round(w / epsilon) particles, so every location must be
+    finite, every weight finite, positive and at least half a particle,
+    and the whole measure at most explosion_cap particles.
     """
 
     mech: BranchingMechanism
@@ -284,7 +230,7 @@ class SimConfig:
     t_end: float
     seed: int
     n_replicas: int
-    initial: PointMeasure | None = None
+    initial: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
     snapshot_times: tuple[float, ...] | None = None
     barrier_offset: float | None = None
     explosion_cap: int = DEFAULT_EXPLOSION_CAP
@@ -320,6 +266,7 @@ class SimConfig:
             )
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "snapshot_times", self._resolve_snapshots())
+        self._initial_atoms()
 
     def _resolve_snapshots(self) -> tuple[float, ...]:
         last = _grid_step("t_end", self.t_end, self.dt, ParticlesError)
@@ -340,24 +287,29 @@ class SimConfig:
     def snapshot_steps(self) -> tuple[int, ...]:
         return tuple(_grid_step("snapshot", t, self.dt, ParticlesError) for t in self.snapshot_times)
 
-    def initial_positions(self) -> np.ndarray:
-        """Expand the initial measure into particle positions.
+    def _initial_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The initial locations and each one's particle count, checked."""
+        atoms = np.array(self.initial or np.empty((0, 2)), dtype=float)
+        if atoms.shape != (len(self.initial), 2):
+            raise ParticlesError("initial must be a tuple of (location, weight) pairs")
+        locations, weights = atoms.T
+        if not np.isfinite(locations).all():
+            raise ParticlesError("initial locations must be finite")
+        if not (np.isfinite(weights) & (weights > 0.0)).all():
+            raise ParticlesError("initial weights must be finite and positive")
+        counts = np.rint(weights / self.epsilon)
+        if (counts < 1).any():
+            w = weights[np.argmax(counts < 1)]
+            raise ParticlesError(f"initial atom of weight {w:.4g} is lighter than half a particle")
+        if counts.sum() > self.explosion_cap:
+            raise ParticlesError(
+                f"initial measure of {counts.sum():.4g} particles exceeds explosion_cap {self.explosion_cap}"
+            )
+        return locations, counts.astype(np.int64)
 
-        Each atom of weight w becomes round(w / epsilon) particles; an atom
-        lighter than half a particle cannot be represented and raises.
-        """
-        init = self.initial if self.initial is not None else PointMeasure.single(0.0)
-        if init.size == 0:
-            return np.empty(0)
-        pieces = []
-        for x, w in zip(init.locations, init.weights):
-            n = int(round(w / self.epsilon))
-            if n < 1:
-                raise ParticlesError(
-                    f"initial atom of weight {w:.4g} is lighter than half a particle"
-                )
-            pieces.append(np.full(n, x))
-        return np.concatenate(pieces)
+    def initial_positions(self) -> np.ndarray:
+        """The initial measure as particle positions, atom by atom."""
+        return np.repeat(*self._initial_atoms())
 
 
 # ---------------------------------------------------------------------------

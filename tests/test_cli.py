@@ -243,6 +243,17 @@ CONFIG_MISTAKES = [
     ),
     # a strip wider than solve_hA accepts exits 2, not 3 after the run started
     ("barriers", {"barriers": {"A": 30}}, "barriers.A"),
+    # so do an a whose e^(sqrt(2) a) rounds to 1, more expected points than a draw
+    # takes, and an initial atom lighter than half a particle
+    (
+        "extremal",
+        {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "stability": {"a": -1e-20}}},
+        "extremal.stability.a",
+    ),
+    ("extremal", {"seed": 1, "extremal": {"c_tilde_0": 1.0, "bank": "b", "expected_points": 1e20}},
+     "extremal.expected_points"),
+    ("simulate", {"seed": 1, "simulate": {"initial": [[0, 0.1]], "epsilon": 0.5}},
+     "simulate: initial atom of weight 0.1"),
 ]
 
 

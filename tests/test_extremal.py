@@ -15,6 +15,7 @@ from scipy import stats as sps
 
 from sbmlab.cli import load_bank, save_bank
 from sbmlab.extremal import (
+    MAX_EXPECTED_POINTS,
     ClusterBank,
     DecoratedSample,
     ExtremalError,
@@ -109,8 +110,8 @@ class TestClusterBank:
         for seed in range(5):
             d, e = sample_E_star(1.3, made, seed, x_floor=-2.0), sample_E_star(1.3, back, seed, x_floor=-2.0)
             assert np.array_equal(d.cluster_indices, e.cluster_indices)
-            assert d.measure.locations.tobytes() == e.measure.locations.tobytes()
-            assert d.measure.weights.tobytes() == e.measure.weights.tobytes()
+            for u, v in zip(d.atoms(), e.atoms()):
+                assert u.tobytes() == v.tobytes()
 
     def test_split_is_disjoint_and_exhaustive(self, bank):
         parts = bank.split(3)
@@ -196,21 +197,22 @@ class TestSampleStructure:
         a = sample_E_star(0.9, bank, 42, x_floor=-1.0)
         b = sample_E_infty(1.0, 0.9, bank, 42, x_floor=-1.0)
         assert np.array_equal(a.shifts, b.shifts)
-        assert np.array_equal(a.measure.locations, b.measure.locations)
+        assert np.array_equal(a.atoms()[0], b.atoms()[0])
 
     def test_provenance_reconstructs_measure_exactly(self, bank):
         sample = sample_E_star(1.1, bank, 8, x_floor=-1.5)
         assert isinstance(sample, DecoratedSample)
-        rebuilt = bank.decorate(sample.shifts, sample.cluster_indices)
-        assert np.array_equal(rebuilt.locations, sample.measure.locations)
-        assert np.array_equal(rebuilt.weights, sample.measure.weights)
+        rebuilt = DecoratedSample(bank, sample.shifts, sample.cluster_indices, sample.x_floor).atoms()
+        assert np.array_equal(rebuilt[0], sample.atoms()[0])
+        assert np.array_equal(rebuilt[1], sample.atoms()[1])
 
     def test_zero_poisson_points_give_the_empty_measure(self, bank):
         sample = sample_E_star(1.0, bank, 5, x_floor=60.0)
         assert sample.n_points == 0
-        assert sample.measure.size == 0
+        locations, weights = sample.atoms()
+        assert locations.size == 0 and weights.size == 0
+        assert locations.dtype == weights.dtype == np.float64
         assert sample.rightmost == -math.inf
-        assert bank.decorate(sample.shifts, sample.cluster_indices).size == 0
         assert sample.total_mass == 0.0
 
     def test_matches_per_point_loop_and_reloaded_bank(self, bank, tmp_path):
@@ -219,17 +221,16 @@ class TestSampleStructure:
         rng = np.random.default_rng(77)
         for _ in range(20):
             sample = sample_E_star(1.2, bank, rng, x_floor=-1.5)
-            rebuilt = reloaded.decorate(sample.shifts, sample.cluster_indices)
-            assert np.array_equal(rebuilt.locations, sample.measure.locations)
-            assert np.array_equal(rebuilt.weights, sample.measure.weights)
+            locations, weights = sample.atoms()
+            rebuilt = DecoratedSample(reloaded, sample.shifts, sample.cluster_indices, sample.x_floor).atoms()
+            assert np.array_equal(rebuilt[0], locations)
+            assert np.array_equal(rebuilt[1], weights)
             # reference: translate the clusters one Poisson point at a time
             pieces = [(cluster(bank, i)[0] + e, cluster(bank, i)[1])
                       for e, i in zip(sample.shifts, sample.cluster_indices)]
             if pieces:
-                assert np.array_equal(np.concatenate([p[0] for p in pieces]),
-                                      sample.measure.locations)
-                assert np.array_equal(np.concatenate([p[1] for p in pieces]),
-                                      sample.measure.weights)
+                assert np.array_equal(np.concatenate([p[0] for p in pieces]), locations)
+                assert np.array_equal(np.concatenate([p[1] for p in pieces]), weights)
 
     def test_draws_match_frozen_digest(self, bank):
         # recorded from the per-point loop the gather replaced
@@ -237,11 +238,22 @@ class TestSampleStructure:
         rng = np.random.default_rng(2024)
         for _ in range(5):
             d = sample_E_star(1.3, bank, rng, x_floor=-2.0)
-            for arr in (d.shifts, d.cluster_indices, d.measure.locations, d.measure.weights):
+            for arr in (d.shifts, d.cluster_indices, *d.atoms()):
                 h.update(arr.tobytes())
         assert h.hexdigest() == (
             "8e6f93720248fee2a4b3143195dbcd61710bb39e04771d05c72911d7df9bf8a2"
         )
+
+    @pytest.mark.parametrize("floor", [math.nan, -40.0, -math.inf], ids=["nan", "too-low", "-inf"])
+    def test_floor_with_a_mean_past_the_cap_rejected(self, bank, floor):
+        # numpy refuses each of these Poisson means with a bare ValueError
+        with pytest.raises(ExtremalError, match="expects"):
+            sample_E_infty(1.0, 1.0, bank, 1, x_floor=floor)
+
+    def test_floor_for_the_largest_mean_is_drawn(self, bank):
+        for c0 in (1e-3, 1.0, 7.3):
+            floor = truncation_floor(c0, MAX_EXPECTED_POINTS)
+            assert sample_E_star(c0, bank, 1, x_floor=floor).n_points > 0.99 * MAX_EXPECTED_POINTS
 
     def test_rightmost_equals_the_measure_maximum_bit_for_bit(self):
         # tops a hair off 0, as rounding leaves them in a built bank
@@ -253,14 +265,17 @@ class TestSampleStructure:
         for floor in (-2.0, 0.0, 60.0):
             for _ in range(200):
                 d = sample_E_star(1.0, tipped, rng, x_floor=floor)
-                assert d.rightmost.hex() == d.measure.rightmost.hex()
+                locations = d.atoms()[0]
+                assert d.rightmost.hex() == (float(locations.max()) if locations.size else -math.inf).hex()
         assert d.n_points == 0 and d.rightmost == -math.inf
 
     def test_measure_is_built_only_when_read(self, bank):
         d = sample_E_star(1.0, bank, 3, x_floor=-1.0)
-        assert d.n_points > 0 and math.isfinite(d.rightmost)
-        assert "measure" not in vars(d)
-        assert d.measure is d.measure
+        assert d.n_points > 0 and math.isfinite(d.rightmost) and d.total_mass > 0
+        d.atoms()
+        # a draw keeps its provenance and nothing else; atoms() gathers afresh
+        assert set(vars(d)) == {"bank", "shifts", "cluster_indices", "x_floor"}
+        assert d.atoms()[0] is not d.atoms()[0]
 
     def test_total_mass_is_the_measure_mass_without_building_it(self, bank):
         # the engine's weights at epsilon 0.5: every partial sum is exact
@@ -270,9 +285,7 @@ class TestSampleStructure:
         rng = np.random.default_rng(12)
         for _ in range(50):
             d = sample_E_star(1.0, halves, rng, x_floor=-1.5)
-            mass = d.total_mass
-            assert "measure" not in d.__dict__
-            assert mass == d.measure.total_mass
+            assert d.total_mass == float(d.atoms()[1].sum())
 
     def test_total_mass_agrees_to_rounding_for_inexact_weights(self):
         rng = np.random.default_rng(15)
@@ -282,7 +295,7 @@ class TestSampleStructure:
         ])
         for _ in range(50):
             d = sample_E_star(1.0, tenths, rng, x_floor=-2.0)
-            assert d.total_mass == pytest.approx(d.measure.total_mass, rel=1e-12, abs=0.0)
+            assert d.total_mass == pytest.approx(float(d.atoms()[1].sum()), rel=1e-12, abs=0.0)
 
     def test_atoms_never_exceed_the_tip_shift(self, bank):
         sample = sample_E_star(1.0, bank, 11, x_floor=-1.0)
@@ -304,16 +317,20 @@ class TestSampleStructure:
         # merging draws at Z1 and Z2 matches one draw at Z1 + Z2
         phi = TestFunction.compact_bump(center=0.0, width=1.5, height=1.0)
         z1, z2, c0 = 0.6, 1.1, 1.0
+
+        def integrate(d):
+            locations, weights = d.atoms()
+            return np.sum(weights * phi.evaluate(locations))
+
         rng = np.random.default_rng(1234)
         merged = np.empty(1500)
         joint = np.empty(1500)
         for i in range(1500):
             d1 = sample_E_infty(z1, c0, bank, rng, x_floor=-2.0)
             d2 = sample_E_infty(z2, c0, bank, rng, x_floor=-2.0)
-            merged[i] = math.exp(-(d1.measure.integrate(phi.evaluate)
-                                   + d2.measure.integrate(phi.evaluate)))
+            merged[i] = math.exp(-(integrate(d1) + integrate(d2)))
             d = sample_E_infty(z1 + z2, c0, bank, rng, x_floor=-2.0)
-            joint[i] = math.exp(-d.measure.integrate(phi.evaluate))
+            joint[i] = math.exp(-integrate(d))
         se = math.sqrt(merged.var(ddof=1) / 1500 + joint.var(ddof=1) / 1500)
         assert abs(merged.mean() - joint.mean()) < 3.0 * se
 
@@ -322,6 +339,10 @@ class TestExpStability:
     def test_nonnegative_shift_rejected(self, bank):
         with pytest.raises(ExtremalError):
             exp_stability_check(1.0, bank, 0.0, seed=1)
+
+    def test_shift_that_rounds_to_zero_rejected(self, bank):
+        with pytest.raises(ExtremalError, match="too close to 0"):
+            exp_stability_check(1.0, bank, -1e-20, seed=1, n_samples=10)
 
     def test_bank_too_small_for_disjoint_arms_rejected(self):
         with pytest.raises(ExtremalError, match="split"):

@@ -28,7 +28,6 @@ from sbmlab.particles import (
     AcceptanceTooLowError,
     ConditionedClusterSample,
     ParticlesError,
-    PointMeasure,
     SimConfig,
     offspring_table,
     sample_conditioned_clusters,
@@ -40,42 +39,6 @@ QUADRATIC = BranchingMechanism(alpha=1.0, beta=1.0, levy=LevyMeasure.none())
 ATOMIC = BranchingMechanism(
     alpha=1.0, beta=0.6, levy=LevyMeasure.atoms(((0.3, 1.0), (0.75, 0.4)))
 )
-
-
-class TestPointMeasure:
-    def test_empty_rightmost_is_minus_infinity(self):
-        mu = PointMeasure.empty()
-        assert mu.rightmost == -math.inf
-        assert mu.total_mass == 0.0
-        assert mu.size == 0
-
-    def test_single_atom(self):
-        mu = PointMeasure.single(3.2, 0.5)
-        assert mu.rightmost == 3.2
-        assert mu.total_mass == 0.5
-
-    def test_integrate_pairs_weights_with_values(self):
-        mu = PointMeasure(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
-        assert mu.integrate(lambda x: x) == pytest.approx(6.0)
-
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ParticlesError):
-            PointMeasure(np.array([0.0]), np.array([0.0]))
-
-    def test_rejects_infinite_locations(self):
-        with pytest.raises(ParticlesError):
-            PointMeasure(np.array([math.inf]), np.array([1.0]))
-
-    @pytest.mark.parametrize(
-        "locations, weights",
-        [([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [1.0, -0.5]), ([0.0, 1.0], [0.0, 1.0])],
-        ids=["nan-location", "negative-weight", "zero-weight"],
-    )
-    def test_constructor_still_checks_atoms(self, locations, weights):
-        # ClusterBank.decorate skips these checks through from_checked; the
-        # public constructor must keep them
-        with pytest.raises(ParticlesError):
-            PointMeasure(np.array(locations), np.array(weights))
 
 
 class TestCloudObservables:
@@ -177,11 +140,35 @@ class TestSimConfig:
                       seed=1, n_replicas=1, barrier_offset=3.0)
 
     def test_initial_atom_lighter_than_half_particle_rejected(self):
-        cfg = SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.01, t_end=1.0,
-                        seed=1, n_replicas=1,
-                        initial=PointMeasure.single(0.0, 0.2))
         with pytest.raises(ParticlesError, match="lighter"):
-            cfg.initial_positions()
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.01, t_end=1.0,
+                      seed=1, n_replicas=1, initial=((0.0, 0.2),))
+
+    @pytest.mark.parametrize(
+        "atom",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0), (1.0, -0.5), (0.0, math.nan)],
+        ids=["nan-location", "inf-location", "-inf-location", "zero-weight", "negative-weight", "nan-weight"],
+    )
+    def test_bad_initial_atoms_rejected(self, atom):
+        with pytest.raises(ParticlesError, match="initial"):
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0,
+                      seed=1, n_replicas=1, initial=((0.0, 1.0), atom))
+
+    def test_rejects_nonpositive_weights(self):
+        # a measure made of one non-positive atom alone, with no good atom beside it
+        for weight in (0.0, -1.0):
+            with pytest.raises(ParticlesError, match="initial"):
+                SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0,
+                          seed=1, n_replicas=1, initial=((0.0, weight),))
+
+    def test_initial_measure_over_the_explosion_cap_rejected(self):
+        # 100 particles against a cap of 99, refused before they are made
+        with pytest.raises(ParticlesError, match="100 particles exceeds explosion_cap 99"):
+            SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=1, n_replicas=1,
+                      initial=((0.0, 30.0), (-1.0, 20.0)), explosion_cap=99)
+        cfg = SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=1, n_replicas=1,
+                        initial=((0.0, 30.0), (-1.0, 19.5)), explosion_cap=99)
+        assert cfg.initial_positions().tolist() == [0.0] * 60 + [-1.0] * 39
 
     def test_t_end_appended_to_snapshots(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=1.0,
@@ -192,7 +179,7 @@ class TestSimConfig:
 class TestEngineBasics:
     def test_zero_initial_measure_stays_empty(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.5,
-                        seed=3, n_replicas=2, initial=PointMeasure.empty())
+                        seed=3, n_replicas=2, initial=())
         res = simulate(cfg)
         assert not res.survived.any()
         assert np.array_equal(res.extinction_time, [0.0, 0.0])
@@ -333,7 +320,7 @@ class TestAgainstMassOracles:
         # started from unit mass at -1 the expected value stays e^{-sqrt(2)}
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.04, dt=0.002, t_end=0.5,
                         seed=23, n_replicas=1500, stats_only=True,
-                        initial=PointMeasure.single(-1.0, 1.0))
+                        initial=((-1.0, 1.0),))
         res = simulate(cfg)
         z = res.z[:, -1]
         se = z.std(ddof=1) / math.sqrt(z.size)
@@ -548,13 +535,13 @@ FROZEN = {
     ),
     "empty": (
         dict(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=0.5, seed=3, n_replicas=3,
-             initial=PointMeasure.empty()),
+             initial=()),
         "54b55e8430350d0d3ba356ddb0b8a232b2cca4f5223f41a257475b23e1843e79",
     ),
     "groups": (
         dict(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=2.0, seed=5, n_replicas=150,
              snapshot_times=(1.0, 2.0),
-             initial=PointMeasure(np.array([0.0, -0.5]), np.array([1.0, 0.5]))),
+             initial=((0.0, 1.0), (-0.5, 0.5))),
         "5f363fadc6a74fba278388c912d0a09ef9582243a662bdacfd67bb25c3fb457c",
     ),
 }
