@@ -25,7 +25,9 @@ Cluster banks come from one place: ``simulate`` with a ``bank`` block
 writes one under ``bank/`` in its output directory.  ``extremal`` only
 reads banks, and its ``bank`` key, the directory of a saved bank, is
 required.  Parsing reads no files, so a bad saved cluster bank exits 2
-only once the run has started, a bad atom as much as a malformed row.
+only once the run has started, a bad atom as much as a malformed row, and
+so does a bank of fewer than 3 clusters for a ``stability`` check, before
+any draw.
 The overridable settings (seed, output directory, replica count, quiet
 flag) resolve in the order: command line flag, then ``SBMLAB_*``
 environment variable (``SBMLAB_SEED``, ``SBMLAB_OUT``,
@@ -1150,16 +1152,15 @@ def _run_simulate(config: ExperimentConfig, art: _Artifacts) -> None:
     bank_spec = block["bank"]
     if bank_spec is not None:
         with art.timed("bank"):
-            sample = sample_conditioned_clusters(
+            bank = sample_conditioned_clusters(
                 sim_config,
                 z=bank_spec["z"],
                 t=bank_spec["t"],
                 n_accept=bank_spec["n_accept"],
                 max_attempts=bank_spec["max_attempts"],
             )
-            bank = ClusterBank.from_sample(sample)
             save_bank(bank, art.out_dir / "bank")
-        art.diagnostics["bank"] = dict(sample.diagnostics)
+        art.diagnostics["bank"] = dict(bank.diagnostics)
         art._register("bank/clusters.csv", "bank", "conditioned cluster atoms, one row per atom")
         art._register("bank/bank.json", "bank", "bank provenance: level, horizon, acceptance, seed")
         config.say(
@@ -1173,6 +1174,12 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
     bank = load_bank(Path(block["bank"]))
     # the config hash leaves the bank's location out; its provenance goes here
     art.diagnostics["bank"] = _bank_meta(bank)
+    stab_spec = block["stability"]
+    if stab_spec is not None and bank.size < 3:
+        # the check splits the bank three ways, one part per arm
+        raise CliConfigError(
+            f"extremal.stability needs a bank of at least 3 clusters; {block['bank']} holds {bank.size}"
+        )
     expected = block["expected_points"]
     floor = truncation_floor(c0, expected)
     rng = np.random.default_rng([int(config.seed), 211])
@@ -1207,7 +1214,6 @@ def _run_extremal(config: ExperimentConfig, art: _Artifacts) -> None:
             "plot",
             "gnuplot script comparing the empirical and limit CDFs",
         )
-    stab_spec = block["stability"]
     if stab_spec is not None:
         with art.timed("stability"):
             report = exp_stability_check(

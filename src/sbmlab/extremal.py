@@ -5,7 +5,9 @@ the line with intensity proportional to sqrt(2) e^{-sqrt(2) x} dx, each
 carrying an independent copy of a cluster measure translated by e_j.
 Clusters come from a bank of conditioned samples produced by the particle
 engine (each recentered so its rightmost atom sits at 0), held as one
-record of flat atom arrays that the sampler fills and the CLI saves.  A
+record of flat atom arrays: ``particles.sample_conditioned_clusters``
+returns it, with the rejection batches it used in its diagnostics, and the
+CLI saves it.  This module imports nothing from the particle engine.  A
 draw is its Poisson points and their clusters' indices; its atoms come
 out as the same kind of arrays, (locations, weights), when asked for.
 
@@ -23,12 +25,12 @@ two-sample comparison splits the bank into disjoint parts, one per arm.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kpp import SQRT2
-from .particles import NEG_INF, ConditionedClusterSample
 
 DEFAULT_EXPECTED_POINTS = 1000.0
 # the largest Poisson mean a draw takes: the CLI refuses more expected points
@@ -52,7 +54,11 @@ class ClusterBank:
     from which a draw reads its own.  split and DecoratedSample.atoms
     collect the atoms of chosen clusters through one gather.  z and t
     record the conditioning level and horizon the clusters were drawn at,
-    acceptance the rejection rate observed while building it.
+    acceptance the rejection rate observed while building it, and seed
+    the config seed its rejection batches were spawned from.  diagnostics
+    records, for a bank fresh from the sampler, the rejection batches and
+    replica groups it used and the processes that marched them; a loaded
+    bank and the parts of a split have none.
     """
 
     locations: np.ndarray
@@ -62,6 +68,7 @@ class ClusterBank:
     t: float
     acceptance: float
     seed: int
+    diagnostics: Mapping[str, int] = field(default_factory=dict)
     tops: np.ndarray = field(init=False, repr=False)
     masses: np.ndarray = field(init=False, repr=False)
 
@@ -93,13 +100,6 @@ class ClusterBank:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_sample(cls, sample: ConditionedClusterSample) -> "ClusterBank":
-        return cls(
-            locations=sample.locations, weights=sample.weights, starts=sample.starts,
-            z=sample.z, t=sample.t, acceptance=sample.acceptance, seed=sample.seed,
-        )
-
     @property
     def size(self) -> int:
         return self.starts.size - 1
@@ -119,7 +119,7 @@ class ClusterBank:
         translated atom bit for bit, without gathering them.
         """
         if indices.size == 0:
-            return NEG_INF
+            return -math.inf
         return float(np.max(self.tops[indices] + shifts))
 
     def total_mass(self, indices: np.ndarray) -> float:
@@ -137,7 +137,7 @@ class ClusterBank:
         Part k holds clusters k, k + n_parts, k + 2 n_parts, ... in order.
         """
         if n_parts < 2 or n_parts > self.size:
-            raise ExtremalError("cannot split the bank that many ways")
+            raise ExtremalError(f"cannot split a bank of {self.size} clusters {n_parts} ways")
         parts = (self._gather(np.arange(k, self.size, n_parts)) for k in range(n_parts))
         return tuple(
             ClusterBank(self.locations[atoms], self.weights[atoms], np.cumsum([0, *n_atoms]),

@@ -65,13 +65,15 @@ process where there is one group, one CPU or no ``fork``.  The result,
 ``SimResult``, is one record of (replica x snapshot) arrays: M_t, Z_t and
 the mass, with a column each for the extinction time and the explosion
 flag.  The input is arrays as well: ``SimConfig.initial`` is the starting
-measure as (location, weight) pairs, expanded once into the particle
-positions every replica starts from.  Each group's rows land in those arrays by replica id, so the
+measure as (location, weight) pairs, expanded by each group into the
+particle positions every replica starts from.  Each group's rows land in those arrays by replica id, so the
 result is the same bits whatever the worker count.  The conditioned
-clusters, ``ConditionedClusterSample``, are arrays too: every accepted
-cloud's atoms in one flat array with its offsets, the record
-``extremal.ClusterBank`` holds.  A pool lives inside one call: one
-``simulate``, or one ``sample_conditioned_clusters``, whose rejection
+clusters come back as the record the decorated draws read,
+``extremal.ClusterBank``: every accepted cloud's atoms in one flat array
+with its offsets, and the batches, groups and workers in its diagnostics.
+A rejection batch is cut into groups the way ``simulate`` cuts its
+replicas, through one helper, ``_groups``.  A pool lives inside one call:
+one ``simulate``, or one ``sample_conditioned_clusters``, whose rejection
 batches stream their groups through a single pool until the bank is full.
 """
 
@@ -86,6 +88,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .extremal import ClusterBank
 from .kpp import SQRT2, STEP_CAP, _grid_step, front_m
 from .mechanism import BranchingMechanism
 from .pool import ordered_map, worker_count
@@ -384,24 +387,27 @@ def simulate(config: SimConfig) -> SimResult:
     draws, their order or the result.
     """
     n = config.n_replicas
-    seeds = np.random.SeedSequence(config.seed).spawn(n)
-    starts = range(0, n, _GROUP_REPLICAS)
-    groups = [seeds[lo:lo + _GROUP_REPLICAS] for lo in starts]
+    groups = _groups(config.seed, n)
     workers = worker_count(len(groups))
-    march = functools.partial(_march_replicas, config, config.initial_positions())
+    march = functools.partial(_march_replicas, config)
     record = _Record(config, n)
     with contextlib.closing(ordered_map(march, groups, workers)) as parts:
-        for lo, part in zip(starts, parts):
+        for lo, part in zip(range(0, n, _GROUP_REPLICAS), parts):
             record.fill(lo, part)
     return record.result({"groups": len(groups), "workers": workers})
 
 
-def _march_replicas(
-    config: SimConfig, initial: np.ndarray, seeds: list[np.random.SeedSequence]
-) -> "_Record":
+def _groups(seed: int, n: int) -> list[list[np.random.SeedSequence]]:
+    """The spawns of SeedSequence(seed) for replicas 0 .. n - 1, cut into groups of _GROUP_REPLICAS."""
+    seeds = np.random.SeedSequence(seed).spawn(n)
+    return [seeds[lo:lo + _GROUP_REPLICAS] for lo in range(0, n, _GROUP_REPLICAS)]
+
+
+def _march_replicas(config: SimConfig, seeds: list[np.random.SeedSequence]) -> "_Record":
     """March one group, replica k drawing from seeds[k], into a record of its own."""
     n = len(seeds)
     record = _Record(config, n)
+    initial = config.initial_positions()
     if initial.size == 0:
         for k in range(n):
             record.extinct(k, 0, 0.0)
@@ -914,57 +920,37 @@ def _over_cap(
 # conditioned clusters
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionedClusterSample:
-    """Clusters accepted by rejection sampling on M_t > sqrt(2) t + z.
-
-    Each cluster is the final cloud recentered at its rightmost particle,
-    so its rightmost point is exactly 0.  The atoms sit in flat arrays,
-    cluster by cluster, as ``extremal.ClusterBank`` holds them: cluster i
-    is locations[starts[i]:starts[i + 1]], every weight is epsilon, and
-    starts holds one offset more than there are clusters.  overshoots[i] is M_t - sqrt(2) t - z
-    for the i-th accepted replica.  seed is the config seed the rejection
-    batches were spawned from.  diagnostics records the rejection batches
-    and replica groups whose results were used (the group that filled the
-    sample is the last) and the processes that marched them.
-    """
-
-    locations: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-    overshoots: np.ndarray
-    z: float
-    t: float
-    attempts: int
-    seed: int
-    diagnostics: Mapping[str, int] = field(default_factory=dict)
-
-    @property
-    def acceptance(self) -> float:
-        return (self.starts.size - 1) / self.attempts if self.attempts else 0.0
-
-
 def sample_conditioned_clusters(
     config: SimConfig,
     z: float,
     t: float,
     n_accept: int,
     max_attempts: int | None = None,
-) -> ConditionedClusterSample:
-    """Collect n_accept clusters conditioned on the front exceeding sqrt(2) t + z.
+) -> ClusterBank:
+    """The bank of n_accept clusters conditioned on the front exceeding sqrt(2) t + z.
 
-    Replicas run in batches of max(64, min(4096, n_accept)); batch k
-    spawns its seeds from _batch_seed(config.seed, k), so the accepted set
-    depends only on (config, z, t, n_accept).  The batches' groups stream
-    in order through one pool (see pool.ordered_map) and the stream stops at
-    the group that fills the sample.  attempts counts whole batches, the
-    one that filled the sample included.  A new batch starts only while
-    attempts is below max_attempts (default 500 per requested cluster, at
-    least 20000); AcceptanceTooLowError is raised when the batches so
-    allowed end with fewer than n_accept clusters.
+    Each cluster is an accepted replica's cloud at t recentred at its
+    rightmost particle, every atom of weight epsilon.  Replicas run in
+    batches of max(64, min(4096, n_accept)); batch k is the replicas
+    simulate would run for seed _batch_seed(config.seed, k), so the
+    accepted set depends only on (config, z, t, n_accept).  The batches'
+    groups stream in order through one pool (see pool.ordered_map) and the
+    stream stops at the group that fills the bank.  The bank's acceptance
+    is n_accept over the replicas of every batch used, the one that filled
+    it included, its seed the config's, and its diagnostics the batches
+    and groups used (the group that filled the bank is the last) and the
+    processes that marched them.  A new batch starts only while attempts
+    are below max_attempts (default 500 per requested cluster, at least
+    20000); AcceptanceTooLowError is raised when the batches so allowed end
+    with fewer than n_accept clusters.  A z that is not finite, or a t
+    that is not a whole number of steps of config.dt, raises
+    ParticlesError before anything marches.
     """
     if n_accept < 1:
         raise ParticlesError("n_accept must be at least 1")
+    if not math.isfinite(z):
+        raise ParticlesError(f"z must be finite, got {z}")
+    _grid_step("t", t, config.dt, ParticlesError)
     if max_attempts is None:
         max_attempts = max(20_000, 500 * n_accept)
     level = SQRT2 * t + z
@@ -979,10 +965,9 @@ def sample_conditioned_clusters(
         stats_only=False,
         n_replicas=batch,
     )
-    march = functools.partial(_march_replicas, base, base.initial_positions())
+    march = functools.partial(_march_replicas, base)
     workers = worker_count(n_batches * per_batch)
     clusters: list[np.ndarray] = []
-    overshoots: list[float] = []
     groups = 0
     stream = ordered_map(march, _batch_groups(config.seed, batch, n_batches), workers)
     with contextlib.closing(stream) as parts:
@@ -996,7 +981,6 @@ def sample_conditioned_clusters(
                 m = float(positions.max())
                 if m > level:
                     clusters.append(positions - m)
-                    overshoots.append(m - level)
                     if len(clusters) == n_accept:
                         break
             if len(clusters) == n_accept:
@@ -1009,14 +993,13 @@ def sample_conditioned_clusters(
         )
     batches = -(-groups // per_batch)
     locations = np.concatenate(clusters)
-    return ConditionedClusterSample(
+    return ClusterBank(
         locations=locations,
         weights=np.full(locations.size, base.epsilon),
         starts=np.cumsum([0] + [c.size for c in clusters]),
-        overshoots=np.asarray(overshoots),
         z=float(z),
         t=float(t),
-        attempts=batches * batch,
+        acceptance=n_accept / (batches * batch),
         seed=config.seed,
         diagnostics={"batches": batches, "groups": groups, "workers": workers},
     )
@@ -1030,10 +1013,8 @@ def _batch_seed(seed: int, batch_index: int) -> int:
 def _batch_groups(seed: int, batch: int, n_batches: int):
     """The replica groups of rejection batches 0 .. n_batches - 1, in order.
 
-    Batch k is the replicas simulate would run for seed _batch_seed(seed, k)
-    and n_replicas batch, cut into the same groups.
+    Batch k is the groups simulate runs for seed _batch_seed(seed, k) and
+    n_replicas batch.
     """
     for k in range(n_batches):
-        seeds = np.random.SeedSequence(_batch_seed(seed, k)).spawn(batch)
-        for lo in range(0, batch, _GROUP_REPLICAS):
-            yield seeds[lo:lo + _GROUP_REPLICAS]
+        yield from _groups(_batch_seed(seed, k), batch)

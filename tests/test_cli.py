@@ -867,6 +867,22 @@ class TestExtremalPipeline:
         assert code == EXIT_USAGE
         assert "cluster 1 needs finite locations and finite positive weights" in capsys.readouterr().err
 
+    def test_stability_on_a_bank_of_two_clusters_exits_2_before_any_draw(self, tmp_path, capsys):
+        bank = ClusterBank(locations=np.array([-0.5, 0.0, 0.0]), weights=np.full(3, 0.5),
+                           starts=np.array([0, 2, 3]), z=0.0, t=1.0, acceptance=0.5, seed=1)
+        save_bank(bank, tmp_path / "bank")
+        cfg = write_config(
+            tmp_path,
+            {"seed": 1, "extremal": {"c_tilde_0": 3.42, "bank": str(tmp_path / "bank"),
+                                     "stability": {"n_samples": 10}}},
+        )
+        out = tmp_path / "o"
+        assert main(["extremal", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config-error: extremal.stability" in err and "holds 2" in err
+        assert manifest_of(str(out))["status"] == "config-error"
+        assert not (out / "samples.csv").exists()
+
 
 class TestBarriersPipeline:
     def test_profile_and_constants(self, tmp_path, capsys):

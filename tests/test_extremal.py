@@ -8,11 +8,15 @@ symmetric stability split) at frozen seeds.
 
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import sbmlab
 from sbmlab.cli import load_bank, save_bank
 from sbmlab.extremal import (
     MAX_EXPECTED_POINTS,
@@ -27,7 +31,7 @@ from sbmlab.extremal import (
 )
 from sbmlab.fronts import TestFunction
 from sbmlab.mechanism import BranchingMechanism
-from sbmlab.particles import ConditionedClusterSample, SimConfig, sample_conditioned_clusters
+from sbmlab.particles import SimConfig, sample_conditioned_clusters
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,6 +67,14 @@ def toy_bank(n_clusters: int = 12) -> ClusterBank:
 @pytest.fixture(scope="module")
 def bank():
     return toy_bank()
+
+
+def test_extremal_imports_nothing_from_the_particle_engine():
+    # a fresh interpreter, so no other test's imports hide one
+    src = str(Path(sbmlab.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sbmlab.extremal; "
+            "assert 'sbmlab.particles' not in sys.modules, sorted(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
 
 
 class TestClusterBank:
@@ -101,7 +113,7 @@ class TestClusterBank:
     def test_engine_bank_survives_save_and_load_bit_for_bit(self, tmp_path):
         cfg = SimConfig(mech=BranchingMechanism(alpha=1.0, beta=1.0), epsilon=0.5, dt=0.025,
                         t_end=1.0, seed=21, n_replicas=1, stats_only=True)
-        made = ClusterBank.from_sample(sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=30))
+        made = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=30)
         save_bank(made, tmp_path / "bank")
         back = load_bank(tmp_path / "bank")
         for name in ("locations", "weights", "starts"):
@@ -122,18 +134,20 @@ class TestClusterBank:
             assert np.array_equal(locs, cluster(bank, i)[0])
             assert np.array_equal(wts, cluster(bank, i)[1])
 
-    def test_from_sample_keeps_the_sample_seed(self, bank):
-        sample = ConditionedClusterSample(
-            locations=bank.locations, weights=bank.weights, starts=bank.starts,
-            overshoots=np.ones(bank.size), z=0.5, t=3.0,
-            attempts=4 * bank.size, seed=2718,
-        )
-        made = ClusterBank.from_sample(sample)
-        assert (made.seed, made.z, made.t, made.acceptance) == (2718, 0.5, 3.0, 0.25)
+    def test_sampler_bank_keeps_the_config_seed(self):
+        cfg = SimConfig(mech=BranchingMechanism(alpha=1.0, beta=1.0), epsilon=0.5, dt=0.025,
+                        t_end=1.0, seed=2718, n_replicas=1, stats_only=True)
+        made = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=5)
+        assert (made.seed, made.z, made.t) == (2718, -6.0, 1.0)
+        # a bank of 5 takes one batch of 64 replicas
+        assert made.acceptance == 5 / 64
+        assert made.diagnostics["batches"] == 1
 
     def test_split_more_ways_than_clusters_rejected(self, bank):
-        with pytest.raises(ExtremalError):
+        message = f"cannot split a bank of {bank.size} clusters {bank.size + 1} ways"
+        with pytest.raises(ExtremalError, match=message):
             bank.split(bank.size + 1)
+        assert all(part.diagnostics == {} for part in bank.split(2))
 
 
 class TestSampleCounts:

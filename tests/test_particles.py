@@ -22,11 +22,11 @@ from scipy import stats as sps
 
 from sbmlab import csbp
 from sbmlab import particles as particles_module
+from sbmlab.extremal import ClusterBank
 from sbmlab.kpp import Grid1D, InitialCondition, solve_U
 from sbmlab.mechanism import BranchingMechanism, LevyMeasure, flow_map
 from sbmlab.particles import (
     AcceptanceTooLowError,
-    ConditionedClusterSample,
     ParticlesError,
     SimConfig,
     offspring_table,
@@ -459,7 +459,7 @@ class TestFrontTracking:
 
 
 @pytest.fixture(scope="module")
-def small_cluster_sample():
+def small_cluster_bank():
     cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=6.0,
                     seed=606, n_replicas=64, stats_only=True,
                     barrier_offset=4.0)
@@ -467,18 +467,19 @@ def small_cluster_sample():
 
 
 class TestConditionedClusters:
-    def test_clusters_are_recentred_at_their_tip(self, small_cluster_sample):
-        assert isinstance(small_cluster_sample, ConditionedClusterSample)
-        assert small_cluster_sample.starts.size - 1 == 25
-        tops = np.maximum.reduceat(small_cluster_sample.locations, small_cluster_sample.starts[:-1])
+    def test_clusters_are_recentred_at_their_tip(self, small_cluster_bank):
+        assert isinstance(small_cluster_bank, ClusterBank)
+        assert small_cluster_bank.size == 25
+        tops = np.maximum.reduceat(small_cluster_bank.locations, small_cluster_bank.starts[:-1])
         for top in tops:
             assert top == pytest.approx(0.0, abs=1e-12)
+        for arr in (small_cluster_bank.locations, small_cluster_bank.weights, small_cluster_bank.starts):
+            assert not arr.flags.writeable
 
-    def test_overshoots_are_positive_with_workable_acceptance(self, small_cluster_sample):
-        assert np.all(small_cluster_sample.overshoots > 0.0)
-        assert 0.0 < small_cluster_sample.acceptance <= 1.0
-        assert small_cluster_sample.attempts >= 25
-        assert small_cluster_sample.seed == 606
+    def test_acceptance_is_workable_and_the_bank_keeps_the_config_seed(self, small_cluster_bank):
+        assert 0.0 < small_cluster_bank.acceptance <= 1.0
+        assert small_cluster_bank.seed == 606
+        assert (small_cluster_bank.z, small_cluster_bank.t) == (0.0, 6.0)
 
     def test_hopeless_conditioning_raises(self):
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.1, dt=0.005, t_end=4.0,
@@ -486,6 +487,24 @@ class TestConditionedClusters:
                         barrier_offset=4.0)
         with pytest.raises(AcceptanceTooLowError):
             sample_conditioned_clusters(cfg, 8.0, 4.0, n_accept=5, max_attempts=256)
+
+    @pytest.mark.parametrize(
+        "z,t,message",
+        [(math.nan, 1.0, "z must be finite, got nan"),
+         (-math.inf, 1.0, "z must be finite, got -inf"),
+         (0.0, 1.01, "t 1.01 is not a whole number of steps of 0.025")],
+        ids=["nan-z", "minus-inf-z", "off-grid-t"],
+    )
+    def test_bad_level_or_horizon_is_refused_before_marching(self, monkeypatch, z, t, message):
+        def fail(*args):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(particles_module, "_march_replicas", fail)
+        cfg = SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=1,
+                        n_replicas=1, stats_only=True)
+        with pytest.raises(ParticlesError) as info:
+            sample_conditioned_clusters(cfg, z, t, n_accept=5)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +691,8 @@ class TestWorkerProcesses:
         cfg = SimConfig(mech=QUADRATIC, epsilon=0.5, dt=0.025, t_end=1.0, seed=21,
                         n_replicas=1, stats_only=True)
         # 100 accepted clusters take batches of 100 replicas: two groups each
-        sample = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=100)
-        assert sample.starts.size - 1 == 100
+        bank = sample_conditioned_clusters(cfg, -6.0, 1.0, n_accept=100)
+        assert bank.size == 100
         assert multiprocessing.active_children() == []
 
     def test_a_failing_worker_stops_the_pool(self, monkeypatch):
@@ -695,7 +714,7 @@ def _batchwise_clusters(config, z, t, n_accept, max_attempts):
     base = dataclasses.replace(
         config, t_end=t, snapshot_times=(t,), stats_only=False, n_replicas=batch
     )
-    clusters, overshoots = [], []
+    clusters = []
     attempts = k = 0
     while len(clusters) < n_accept:
         if attempts >= max_attempts:
@@ -714,10 +733,9 @@ def _batchwise_clusters(config, z, t, n_accept, max_attempts):
             m = snaps[-1].max()
             if m > level:
                 clusters.append(snaps[-1] - m)
-                overshoots.append(m - level)
                 if len(clusters) == n_accept:
                     break
-    return clusters, overshoots, attempts
+    return clusters, attempts
 
 
 # 100 clusters take batches of 100 replicas, a group of 64 and one of 36;
@@ -743,16 +761,17 @@ class TestStreamedSampler:
         seed, z, used = STREAM_CASES[case]
         _cpus(monkeypatch, cpus)
         cfg = _stream_config(seed)
-        sample = sample_conditioned_clusters(cfg, z, 1.0, n_accept=100, max_attempts=20_000)
+        bank = sample_conditioned_clusters(cfg, z, 1.0, n_accept=100, max_attempts=20_000)
         assert multiprocessing.active_children() == []
-        assert sample.diagnostics == dict(used, workers=cpus)
-        clusters, overshoots, attempts = _batchwise_clusters(cfg, z, 1.0, 100, 20_000)
-        assert sample.attempts == attempts == 100 * used["batches"]
-        assert np.array_equal(sample.overshoots, np.array(overshoots))
-        assert sample.starts.size - 1 == len(clusters)
-        assert np.array_equal(sample.starts, np.cumsum([0] + [c.size for c in clusters]))
-        assert np.array_equal(sample.locations, np.concatenate(clusters))
-        assert np.array_equal(sample.weights, np.full(sample.locations.size, 0.5))
+        assert isinstance(bank, ClusterBank)
+        assert bank.diagnostics == dict(used, workers=cpus)
+        clusters, attempts = _batchwise_clusters(cfg, z, 1.0, 100, 20_000)
+        assert attempts == 100 * used["batches"]
+        assert bank.acceptance == 100 / attempts
+        assert bank.size == len(clusters)
+        assert np.array_equal(bank.starts, np.cumsum([0] + [c.size for c in clusters]))
+        assert np.array_equal(bank.locations, np.concatenate(clusters))
+        assert np.array_equal(bank.weights, np.full(bank.locations.size, 0.5))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     # three batches of 64 start before 150 attempts are reached, none before 0
